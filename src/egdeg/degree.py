@@ -30,7 +30,7 @@ from .errors import (
     MarginTooSmall,
     RefinementOverflow,
 )
-from .params import Numerics
+from .params import POLISH_TOL, Numerics
 
 FD_STEP = 1e-6
 DEGENERACY_RATIO = 1e-5   # sigma_min below this times scale means degenerate
@@ -190,8 +190,8 @@ def newton_zeros(field, seeds: np.ndarray, num: Numerics,
 
     Steps leaving the domain or increasing the residual are halved; seeds
     that cannot improve are dropped.  A point counts as converged when its
-    residual is at most 1e-9 after polishing (the iteration itself targets
-    num.newton_tol).
+    residual is at most POLISH_TOL after polishing (the iteration itself
+    targets num.newton_tol, which Numerics keeps at or below POLISH_TOL).
     """
     pts = np.atleast_2d(np.asarray(seeds, dtype=float)).copy()
     if len(pts) == 0:
@@ -242,8 +242,7 @@ def newton_zeros(field, seeds: np.ndarray, num: Numerics,
         fvecs[moved] = new_vecs[accepted]
         fvals[moved] = new_vals[accepted]
 
-    polish_tol = 1e-9
-    good = fvals <= polish_tol
+    good = fvals <= POLISH_TOL
     stats = {"seeds": len(pts), "converged": int(np.sum(good)),
              "stalled": int(np.sum(~active & ~good))}
     return pts[good], stats

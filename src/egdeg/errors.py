@@ -25,10 +25,6 @@ class IsotropyAmbiguous(EgdegError):
 
 # stratification
 
-class NoWitness(EgdegError):
-    """A candidate orbit type has a fixed space but no exact-isotropy witness."""
-
-
 class ResolutionTooCoarse(EgdegError):
     """Component structure changed under grid refinement."""
 

@@ -6,14 +6,15 @@ that the module computes the full subgroup lattice, conjugacy classes of
 subgroups, normalizers, Weyl coset representatives and fixed subspaces, which
 is everything the stratification layer needs.
 
-Groups are capped at order 64; enumeration is brute force, which is entirely
-adequate at that scale.
+Groups are capped at order 64.  Subgroups are boolean member masks over the
+multiplication table: closure is a mask fixpoint, and enumeration joins each
+subgroup with the cyclic subgroups it does not contain (cyclic extension).
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -88,6 +89,13 @@ class FiniteGroupRep:
     @property
     def order(self) -> int:
         return self.elements.shape[0]
+
+    @cached_property
+    def content_key(self) -> tuple:
+        """Equal for groups with equal tables and matrices rounded as in
+        ``OrthogonalTransform.__hash__`` (+ 0.0 maps -0.0 to 0.0)."""
+        return (self.elements.shape, self.mul_table.tobytes(),
+                (np.round(self.elements, 6) + 0.0).tobytes())
 
     @property
     def dim(self) -> int:
@@ -224,19 +232,23 @@ class SubgroupLattice:
         self.records = records
         self.class_members = class_members
         self.leq = leq  # leq[a, b] iff class a is subconjugate to class b
+        self._class_by_mask = {
+            _mask(group.order, members).tobytes(): cid
+            for cid, sets in enumerate(class_members) for members in sets}
 
     @property
     def n_classes(self) -> int:
         return len(self.records)
 
-    def record(self, class_id: int) -> SubgroupRecord:
-        return self.records[class_id]
+    def class_of_mask(self, mask: np.ndarray) -> int:
+        """Class id of the subgroup with this boolean member mask, or -1."""
+        return self._class_by_mask.get(np.asarray(mask, dtype=bool).tobytes(), -1)
 
     def class_of_members(self, members: frozenset[int]) -> int:
-        for cid, sets in enumerate(self.class_members):
-            if members in (frozenset(s) for s in sets):
-                return cid
-        raise KeyError("member set is not an enumerated subgroup")
+        cid = self.class_of_mask(_mask(self.group.order, members))
+        if cid < 0:
+            raise KeyError("member set is not an enumerated subgroup")
+        return cid
 
     def class_label(self, class_id: int) -> str:
         """Deterministic readable label, used as the invariant's row key."""
@@ -263,40 +275,53 @@ class SubgroupLattice:
         return bases
 
 
-def _subgroup_closure(group: FiniteGroupRep, seed: frozenset[int]) -> frozenset[int]:
-    members = set(seed) | {0}
-    queue = list(members)
-    while queue:
-        i = queue.pop()
-        for j in list(members):
-            for k in (group.mul(i, j), group.mul(j, i)):
-                if k not in members:
-                    members.add(k)
-                    queue.append(k)
-        inv = group.inv(i)
-        if inv not in members:
-            members.add(inv)
-            queue.append(inv)
-    return frozenset(members)
+def _mask(n: int, members) -> np.ndarray:
+    mask = np.zeros(n, dtype=bool)
+    mask[list(members)] = True
+    return mask
 
 
-def _enumerate_subgroups(group: FiniteGroupRep) -> list[frozenset[int]]:
-    subs = {frozenset([0])}
-    cyclic = {_subgroup_closure(group, frozenset([i])) for i in range(group.order)}
-    subs |= cyclic
-    # iterated joins until fixpoint
+def _members(mask: np.ndarray) -> tuple[int, ...]:
+    return tuple(np.flatnonzero(mask).tolist())
+
+
+def _subgroup_closure(mul_table: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Member mask of the subgroup generated by the elements in ``mask``.
+
+    Adds all pairwise products until the set stops growing.  In a finite
+    group closure under products already contains every inverse, because
+    g^-1 is a power of g.
+    """
+    m = mask.copy()
+    m[0] = True
     while True:
-        new = set()
-        for a, b in itertools.combinations(subs, 2):
-            if a <= b or b <= a:
-                continue
-            j = _subgroup_closure(group, a | b)
-            if j not in subs:
-                new.add(j)
-        if not new:
-            break
-        subs |= new
-    return sorted(subs, key=lambda s: (len(s), tuple(sorted(s))))
+        idx = np.flatnonzero(m)
+        m[mul_table[np.ix_(idx, idx)]] = True
+        if np.count_nonzero(m) == len(idx):
+            return m
+
+
+def _enumerate_subgroups(group: FiniteGroupRep) -> list[np.ndarray]:
+    """Member masks of all subgroups, sorted by (order, sorted members).
+
+    Cyclic extension: a subgroup H is the join C_1 v ... v C_k of the cyclic
+    subgroups generated by its elements, and every partial join
+    C_1 v ... v C_j is itself a subgroup.  So joining each subgroup found,
+    once, with each cyclic subgroup it does not contain reaches every
+    subgroup from the trivial one, at most (#subgroups x #cyclic) closures.
+    """
+    mul = group.mul_table
+    unit = np.eye(group.order, dtype=bool)
+    cyclic = {c.tobytes(): c for c in (_subgroup_closure(mul, g) for g in unit)}
+    subs, seen = [unit[0]], {unit[0].tobytes()}
+    for s in subs:  # appended to while iterated: each subgroup is extended once
+        for c in cyclic.values():
+            if np.any(c & ~s):
+                j = _subgroup_closure(mul, s | c)
+                if j.tobytes() not in seen:
+                    seen.add(j.tobytes())
+                    subs.append(j)
+    return sorted(subs, key=lambda m: (np.count_nonzero(m), _members(m)))
 
 
 def fixed_subspace(group: FiniteGroupRep, members) -> np.ndarray:
@@ -324,53 +349,50 @@ def subgroup_lattice(group: FiniteGroupRep) -> SubgroupLattice:
     """Enumerate all subgroups, conjugacy classes, and the subconjugacy order."""
     if group.order > DEFAULT_CAP:
         raise ClosureOverflow(f"lattice restricted to order <= {DEFAULT_CAP}")
-    subs = _enumerate_subgroups(group)
-    assigned: dict[frozenset[int], int] = {}
-    classes: list[list[frozenset[int]]] = []
-    for s in subs:
-        if s in assigned:
+    n = group.order
+    mul = group.mul_table
+    conj = mul[mul, group.inv_table[:, None]]  # conj[g, h] = g h g^-1
+    rows = np.arange(n)[:, None]
+    assigned: set[bytes] = set()
+    classes = []  # (representative mask, conjugate masks, normalizer)
+    for s in _enumerate_subgroups(group):
+        if s.tobytes() in assigned:
             continue
-        conjugates = {frozenset(group.conj(g, h) for h in s)
-                      for g in range(group.order)}
-        cid = len(classes)
-        classes.append(sorted(conjugates, key=lambda c: tuple(sorted(c))))
-        for c in conjugates:
-            assigned[c] = cid
+        # s is the lexicographically smallest member set of its class: the
+        # enumeration is sorted by (order, members) and conjugates share order
+        images = np.zeros((n, n), dtype=bool)
+        images[rows, conj[:, s]] = True  # images[g] = g s g^-1
+        distinct = {img.tobytes(): img for img in images}
+        assigned.update(distinct)
+        normalizer = np.flatnonzero(np.all(images == s, axis=1))
+        classes.append((s, sorted(distinct.values(), key=_members), normalizer))
 
     # stable class ids: decreasing subgroup order, then smallest member set
-    order_key = lambda cls: (-len(cls[0]), tuple(sorted(cls[0])))
-    classes.sort(key=order_key)
+    classes.sort(key=lambda cls: (-np.count_nonzero(cls[0]), _members(cls[0])))
 
     records = []
-    for cid, cls in enumerate(classes):
-        rep = cls[0]
-        members = tuple(sorted(rep))
-        normalizer = tuple(
-            g for g in range(group.order)
-            if frozenset(group.conj(g, h) for h in rep) == rep)
-        reps, seen = [], set()
-        for n in normalizer:
-            if n in seen:
-                continue
-            reps.append(n)
-            seen.update(group.mul(n, h) for h in members)
+    for cid, (rep, _, normalizer) in enumerate(classes):
+        members = _members(rep)
+        reps, seen = [], np.zeros(n, dtype=bool)
+        for g in normalizer.tolist():
+            if not seen[g]:
+                reps.append(g)
+                seen[mul[g, rep]] = True
         records.append(SubgroupRecord(
             member_indices=members,
             order=len(members),
-            normalizer_indices=normalizer,
+            normalizer_indices=tuple(normalizer.tolist()),
             weyl_coset_reps=tuple(reps),
             fixed_basis=fixed_subspace(group, members),
             class_id=cid,
         ))
 
-    m = len(classes)
-    leq = np.zeros((m, m), dtype=bool)
-    for a in range(m):
-        for b in range(m):
-            rep_b = set(records[b].member_indices)
-            leq[a, b] = any(set(s) <= rep_b for s in classes[a])
+    # leq[a, b] iff some conjugate of rep a has no member outside rep b
+    outside = (~np.array([cls[0] for cls in classes])).astype(np.int64)
+    leq = np.array([np.any(np.asarray(cls[1], dtype=np.int64) @ outside.T == 0, axis=0)
+                    for cls in classes])
     return SubgroupLattice(group, records,
-                           [[tuple(sorted(c)) for c in cls] for cls in classes],
+                           [[_members(c) for c in cls[1]] for cls in classes],
                            leq)
 
 
@@ -406,12 +428,10 @@ def isotropy(group: FiniteGroupRep, x) -> Isotropy:
         g = int(np.nonzero(band)[0][0])
         raise IsotropyAmbiguous(
             f"element {g} has residual {residuals[g]:.3e} in the ambiguity band")
-    members = frozenset(int(i) for i in np.nonzero(fixed)[0])
-    lattice = group.lattice
-    for cid, sets in enumerate(lattice.class_members):
-        if any(members == frozenset(s) for s in sets):
-            return Isotropy(tuple(sorted(members)), cid)
-    raise IsotropyAmbiguous("stabilizer set does not match an enumerated subgroup")
+    cid = group.lattice.class_of_mask(fixed)
+    if cid < 0:
+        raise IsotropyAmbiguous("stabilizer set does not match an enumerated subgroup")
+    return Isotropy(_members(fixed), cid)
 
 
 def isotropy_class_map(group: FiniteGroupRep, points: np.ndarray):
@@ -431,20 +451,10 @@ def isotropy_class_map(group: FiniteGroupRep, points: np.ndarray):
     band = (~fixed) & (res <= ISO_AMBIG_TOL * scale[None])
     ok = ~np.any(band, axis=0)
 
-    lattice = group.lattice
-    lookup = {}
-    for cid, sets in enumerate(lattice.class_members):
-        for s in sets:
-            lookup[frozenset(s)] = cid
     class_ids = np.full(n, -1, dtype=np.int64)
-    for i in range(n):
-        if not ok[i]:
-            continue
-        members = frozenset(int(g) for g in np.nonzero(fixed[:, i])[0])
-        cid = lookup.get(members, -1)
-        class_ids[i] = cid
-        if cid == -1:
-            ok[i] = False
+    for i in np.flatnonzero(ok):
+        class_ids[i] = group.lattice.class_of_mask(fixed[:, i])
+    ok &= class_ids >= 0
     return class_ids, ok
 
 

@@ -6,6 +6,8 @@ from dataclasses import dataclass, replace
 
 from .errors import ConfigError
 
+POLISH_TOL = 1e-9  # newton_zeros keeps only points with residual <= this
+
 _FIELDS = ("grid_h", "bbox", "newton_tol", "zero_thresh", "seed",
            "max_halvings", "refinement_check", "mu_kind", "workers")
 
@@ -21,6 +23,13 @@ class Numerics:
     refinement_check: bool = False
     mu_kind: str = "cubic"
     workers: int = 0  # 0: read EGDEG_WORKERS, default 1
+
+    def __post_init__(self):
+        if not self.newton_tol <= POLISH_TOL:
+            raise ConfigError(
+                f"newton_tol={self.newton_tol!r} exceeds {POLISH_TOL}: Newton "
+                f"would stop above the residual {POLISH_TOL} that a zero must "
+                f"reach to be kept, so converged zeros would be dropped")
 
     def effective_workers(self) -> int:
         if self.workers > 0:

@@ -91,15 +91,6 @@ def bump_mu_deriv(s, eps: float, kind: str = "cubic"):
     return float(out[0]) if scalar else out
 
 
-def mu_family(s: np.ndarray, eps: float, t: float, kind: str) -> np.ndarray:
-    """mu_t(s) = t mu(s) + 1 - t; the retraction family interpolant."""
-    return t * bump_mu(s, eps, kind) + (1.0 - t)
-
-
-def mu_family_deriv(s: np.ndarray, eps: float, t: float, kind: str) -> np.ndarray:
-    return t * bump_mu_deriv(s, eps, kind)
-
-
 @dataclass(frozen=True)
 class PerturbationLayer:
     """One applied tube perturbation: geometry plus the retraction choice."""

@@ -19,6 +19,7 @@ import numpy as np
 from .domains import DomainExpr
 from .errors import NotInStratum, ResolutionTooCoarse
 from .groups import FiniteGroupRep, SubgroupLattice, fixed_subspace, isotropy
+from .params import Numerics
 from .tubes import SubspaceFamily
 
 
@@ -227,6 +228,21 @@ def build_stratum(group: FiniteGroupRep, omega: DomainExpr, class_id: int,
             raise ResolutionTooCoarse(
                 f"components merged under refinement: {len(stratum.components)}"
                 f" -> {len(finer.components)}")
+    return stratum
+
+
+def cached_stratum(cache: dict | None, group: FiniteGroupRep, omega: DomainExpr,
+                   class_id: int, num: Numerics) -> Stratum:
+    """``build_stratum`` memoized in ``cache`` by group content, not by
+    ``id(group)``, which a different group can reuse once this one is freed."""
+    key = ("stratum", group.content_key, str(omega), class_id, num.grid_h, num.bbox,
+           num.refinement_check)
+    if cache is not None and key in cache:
+        return cache[key]
+    stratum = build_stratum(group, omega, class_id, num.grid_h, num.bbox,
+                            num.refinement_check)
+    if cache is not None:
+        cache[key] = stratum
     return stratum
 
 

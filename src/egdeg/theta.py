@@ -24,7 +24,7 @@ from .maps import LocalGradientMap, make_map, restrict_to_stratum
 from .params import Numerics
 from .perturb import ClassGeometry, perturb, select_tube, split
 from .potentials import PolynomialPotential
-from .strata import Stratum, build_stratum, iso_types
+from .strata import Stratum, cached_stratum, iso_types
 
 
 @dataclass(frozen=True)
@@ -133,14 +133,7 @@ def theta(group: FiniteGroupRep, omega: DomainExpr, f: LocalGradientMap,
     strata: dict[int, Stratum] = {}
     for cid in lat.class_ids:
         if group.lattice.records[cid].fixed_dim >= 1:
-            key = ("stratum", id(group), str(omega), cid, num.grid_h, num.bbox)
-            if strata_cache is not None and key in strata_cache:
-                strata[cid] = strata_cache[key]
-            else:
-                strata[cid] = build_stratum(group, omega, cid, num.grid_h,
-                                            num.bbox, num.refinement_check)
-                if strata_cache is not None:
-                    strata_cache[key] = strata[cid]
+            strata[cid] = cached_stratum(strata_cache, group, omega, cid, num)
 
     entries: dict[tuple[str, str], int] = {}
     origin_slot = None

@@ -19,7 +19,7 @@ from .maps import disjoint_union, empty_map, make_map, restrict_to_stratum
 from .params import Numerics
 from .perturb import ClassGeometry, perturb, select_tube, split, verify_partition
 from .potentials import PolynomialPotential, poly_add, poly_scale
-from .strata import build_stratum, iso_types, locate
+from .strata import cached_stratum, iso_types, locate
 from .theta import ThetaVector, theta, theta_add, theta_radial_s1
 
 LINE_EXPECTED = {"min": (1, 0), "max": (1, -1)}   # confirmed by tests/oracles.py
@@ -80,12 +80,7 @@ def _normalization_cases(ctx):
 def _run_normalization_case(ctx, gname, cid, num):
     group = ctx.group(gname)
     omega = full_space()
-    key = ("stratum", id(group), str(omega), cid, num.grid_h, num.bbox)
-    if key in ctx.strata:
-        stratum = ctx.strata[key]
-    else:
-        stratum = build_stratum(group, omega, cid, num.grid_h, num.bbox)
-        ctx.strata[key] = stratum
+    stratum = cached_stratum(ctx.strata, group, omega, cid, num)
     comp = stratum.components[0]
     # most interior cell of the representative component
     if stratum.singular is not None:
@@ -226,11 +221,7 @@ def _first_class_split(group, omega, f, num, ctx):
         zeros = np.empty((0, group.dim))
         stratum = None
     else:
-        key = ("stratum", id(group), str(omega), cid, num.grid_h, num.bbox)
-        if key not in ctx.strata:
-            ctx.strata[key] = build_stratum(group, omega, cid, num.grid_h,
-                                            num.bbox)
-        stratum = ctx.strata[key]
+        stratum = cached_stratum(ctx.strata, group, omega, cid, num)
         fld = restrict_to_stratum(f, stratum)
         pts = []
         for comp in stratum.components:
@@ -422,11 +413,7 @@ def criterion_quotient_division(ctx):
                           if group.lattice.records[c].order == 2)
         else:
             target = lat.class_ids[-1]
-        key = ("stratum", id(group), str(omega), target, num.grid_h, num.bbox)
-        if key not in ctx.strata:
-            ctx.strata[key] = build_stratum(group, omega, target, num.grid_h,
-                                            num.bbox)
-        stratum = ctx.strata[key]
+        stratum = cached_stratum(ctx.strata, group, omega, target, num)
         found = False
         for attempt in range(30):
             rng = np.random.default_rng(
@@ -524,10 +511,7 @@ def criterion_partition(ctx):
     _, omega, f = catalog("d3_axis_orbit_normal").build()
     lat = iso_types(group, omega, num.grid_h, num.bbox)
     cid = lat.class_ids[0]
-    key = ("stratum", id(group), str(omega), cid, num.grid_h, num.bbox)
-    if key not in ctx.strata:
-        ctx.strata[key] = build_stratum(group, omega, cid, num.grid_h, num.bbox)
-    stratum = ctx.strata[key]
+    stratum = cached_stratum(ctx.strata, group, omega, cid, num)
     fld = restrict_to_stratum(f, stratum)
     pts = []
     for comp in stratum.components:

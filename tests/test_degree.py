@@ -9,7 +9,7 @@ from egdeg import domains as dm
 from egdeg import groups as gr
 from egdeg import maps as mp
 from egdeg import potentials as pt
-from egdeg.errors import DimensionUnsupported, MarginTooSmall
+from egdeg.errors import ConfigError, DimensionUnsupported, MarginTooSmall
 from egdeg.params import Numerics
 from egdeg.strata import build_stratum, iso_types
 
@@ -54,6 +54,17 @@ class TestFindZeros:
         recs = dg.find_zeros(fld, region, NUM)
         assert len(recs) >= 1
         assert all(r.degenerate for r in recs)
+
+
+    def test_newton_tol_above_polish_tol_rejected(self):
+        # newton_zeros keeps only points polished to residual <= 1e-9, so a
+        # looser Newton target would silently drop every converged zero
+        assert Numerics(newton_tol=1e-9).newton_tol == 1e-9
+        for make in (lambda: Numerics(newton_tol=1e-6),
+                     lambda: NUM.with_(newton_tol=2e-9),
+                     lambda: Numerics.from_config({"newton_tol": 1e-3})):
+            with pytest.raises(ConfigError, match="newton_tol"):
+                make()
 
 
 class TestKronecker:

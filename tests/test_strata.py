@@ -6,6 +6,7 @@ from egdeg import domains as dom
 from egdeg import groups as gr
 from egdeg import strata as st
 from egdeg.errors import NotInStratum
+from egdeg.params import Numerics
 
 H, BBOX = 0.1, 2.0
 
@@ -174,3 +175,20 @@ def test_domain_invariance_validation():
     g = gr.dihedral(3)
     dom.validate_invariance(dom.punctured_space(), g, BBOX)
     dom.validate_invariance(dom.annulus(0.5, 1.5), g, BBOX)
+
+
+def test_stratum_cache_keyed_by_group_content():
+    num = Numerics(grid_h=H, bbox=BBOX)
+    omega = dom.punctured_space()
+    cache = {}
+    first, second, c6 = gr.dihedral(3), gr.dihedral(3), gr.cyclic(6)
+    # (e) has class id 3 in both D3 and C6: only the group tells them apart
+    free = first.lattice.n_classes - 1
+    assert free == c6.lattice.n_classes - 1 == 3
+    s1 = st.cached_stratum(cache, first, omega, free, num)
+    assert st.cached_stratum(cache, second, omega, free, num) is s1
+    assert len(cache) == 1
+    assert c6.content_key != first.content_key
+    s_c6 = st.cached_stratum(cache, c6, omega, free, num)
+    assert len(cache) == 2
+    assert (len(s1.components), len(s_c6.components)) == (6, 1)
