@@ -1,8 +1,11 @@
 """Command line interface: strata | theta | degree | perturb-trace | verify.
 
 Math inputs come from a single JSON config; flags cover only paths, suites
-and verbosity.  Exit codes: 0 success, 2 validation, 3 numerics failure,
-4 verification failure.
+and sample counts.  ``theta`` and ``perturb-trace`` read the same stratum
+recursion (``theta.recursion``): the first sums its steps, the second
+reports the tube of every step but the last, so it lists exactly the layers
+``theta`` builds and none for a group with a single orbit type.  Exit codes:
+0 success, 2 validation, 3 numerics failure, 4 verification failure.
 """
 from __future__ import annotations
 
@@ -29,10 +32,10 @@ from .errors import (
 )
 from .factory import catalog
 from .groups import CircleRep
-from .maps import make_map, restrict_to_stratum
-from .perturb import ClassGeometry, perturb, select_tube, verify_partition
+from .maps import make_map
+from .perturb import verify_partition
 from .strata import build_stratum, iso_types
-from .theta import theta, theta_radial_s1
+from .theta import recursion, shell_margin, theta, theta_radial_s1
 
 VALIDATION_ERRORS = (ConfigError, NotInvariant, NotOrthogonal, UnknownName,
                      FileNotFoundError, KeyError, ValueError)
@@ -167,34 +170,21 @@ def cmd_degree(args) -> int:
 def cmd_perturb_trace(args) -> int:
     cfg = load_config(args.config)
     entry, group, omega, f, num = _build_map(cfg)
-    lat = iso_types(group, omega, num.grid_h, num.bbox)
     layers = []
-    f_i = f
-    for step, cid in enumerate(lat.class_ids[:-1] or lat.class_ids):
-        rec = group.lattice.records[cid]
-        geom = ClassGeometry.for_class(group, cid)
-        stratum = None
-        zeros = np.empty((0, group.dim))
-        if rec.fixed_dim >= 1:
-            stratum = build_stratum(group, omega, cid, num.grid_h, num.bbox)
-            fld = restrict_to_stratum(f_i, stratum)
-            pts = []
-            for comp in stratum.components:
-                for z in dg.find_zeros(fld, dg.GridRegion(stratum, comp), num):
-                    pts.append(stratum.to_ambient(np.array(z.point))[0])
-            zeros = np.array(pts) if pts else zeros
-        tube = select_tube(f_i, geom, zeros, num, stratum)
-        f_pert, family = perturb(f_i, geom, tube, num.mu_kind)
+    for step in recursion(group, omega, f, num):
+        tube = step.tube
+        if tube is None:
+            continue
         entry_log = {
-            "step": step,
-            "orbit_type": group.lattice.class_label(cid),
+            "step": step.index,
+            "orbit_type": step.label,
             "centers": tube.centers.tolist(),
             "rho": tube.rho,
             "epsilon": tube.epsilon,
-            "shell_margin": None if tube.margin == float("inf") else tube.margin,
+            "shell_margin": shell_margin(tube),
         }
         if not tube.is_empty:
-            region_report = verify_partition(family, args.samples,
+            region_report = verify_partition(step.family, args.samples,
                                              zero_thresh=num.zero_thresh)
             entry_log["regions"] = {
                 "checked": region_report["checked"],
@@ -202,17 +192,13 @@ def cmd_perturb_trace(args) -> int:
                 "margin_C": region_report.get("margin_C"),
             }
         layers.append(entry_log)
-        from .perturb import split as _split
-        f_i = _split(f_pert, geom, tube).off_stratum
     _emit({"schema": "egdeg/1", "layers": layers}, cfg.output or args.output)
     return 0
 
 
 def cmd_verify(args) -> int:
     from .verify import report_lines, run_suite
-    from .params import Numerics
-    workers = args.workers or Numerics().effective_workers()
-    report = run_suite(args.suite, workers=workers)
+    report = run_suite(args.suite)
     text = canonical_json(report)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -245,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=["all", "axioms", "degree", "partition"],
                    default="all")
     p.add_argument("--output", default=None)
-    p.add_argument("--workers", type=int, default=0)
     p.set_defaults(fn=cmd_verify)
     return parser
 

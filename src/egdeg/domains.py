@@ -64,13 +64,6 @@ class DomainExpr:
                               self.right.boundary_distance(pts))
         raise ConfigError(f"unknown domain kind {self.kind!r}")
 
-    def is_empty_hint(self) -> bool:
-        if self.kind == "ball":
-            return self.r1 <= 0.0
-        if self.kind == "annulus":
-            return self.r2 <= self.r1
-        return False
-
 
 def full_space() -> DomainExpr:
     return DomainExpr("full")
@@ -283,9 +276,6 @@ class UnionDomain:
     def __init__(self, parts: list):
         self.parts = list(parts)
         self.bbox = max(p.bbox for p in parts)
-
-    def part_masks(self, pts: np.ndarray) -> list[np.ndarray]:
-        return [p.contains(pts) for p in self.parts]
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))

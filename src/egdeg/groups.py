@@ -48,18 +48,15 @@ class OrthogonalTransform:
 
     matrix: np.ndarray
 
-    @classmethod
-    def from_array(cls, mat) -> "OrthogonalTransform":
-        return cls(orthonormalize(mat))
-
     def __eq__(self, other):
         if not isinstance(other, OrthogonalTransform):
             return NotImplemented
         return np.max(np.abs(self.matrix - other.matrix)) <= MATCH_TOL
 
     def __hash__(self):
-        # rounded so that matrices identified by __eq__ share a bucket
-        return hash(np.round(self.matrix, 6).tobytes())
+        # __eq__ identifies matrices up to MATCH_TOL, and no rounding of the
+        # entries keeps every such pair together, so hash the shape only
+        return hash(self.matrix.shape)
 
 
 @dataclass(frozen=True)
@@ -92,8 +89,8 @@ class FiniteGroupRep:
 
     @cached_property
     def content_key(self) -> tuple:
-        """Equal for groups with equal tables and matrices rounded as in
-        ``OrthogonalTransform.__hash__`` (+ 0.0 maps -0.0 to 0.0)."""
+        """Equal for groups with equal tables and equal matrices after
+        rounding the entries to 6 places (+ 0.0 maps -0.0 to 0.0)."""
         return (self.elements.shape, self.mul_table.tobytes(),
                 (np.round(self.elements, 6) + 0.0).tobytes())
 

@@ -24,6 +24,7 @@ from .potentials import (
     validate_invariance,
 )
 from .profiles import PerturbationLayer, bump_mu, bump_mu_deriv, well_omega, well_omega_deriv
+from .tubes import TubeGeometry
 
 FD_HESS_STEP = 1e-6
 
@@ -83,38 +84,11 @@ class LocalGradientMap:
         if level == 0:
             return self.potential.grad(pts)
         layer = self.layers[level - 1]
-        geo = layer.geometry
-        dec = geo.decompose(pts)
-        inside = geo.in_open_tube(pts, dec)
-        out = np.empty_like(pts)
-        if np.any(~inside):
-            out[~inside] = self._grad_level(pts[~inside], level - 1)
-        if np.any(inside):
-            x = dec["x"][inside]
-            v = dec["v"][inside]
-            s = dec["s"][inside]
-            idx = dec["idx"][inside]
-            eps = layer.epsilon
-            mu = bump_mu(s, eps, layer.mu_kind)
-            mud = bump_mu_deriv(s, eps, layer.mu_kind)
-            g_below = self._grad_level(x + mu[:, None] * v, level - 1)
-            # retraction Jacobian transpose applied to the lower gradient
-            proj = np.empty_like(g_below)
-            fam = geo.family
-            for j in range(fam.count):
-                m = idx == j
-                if np.any(m):
-                    proj[m] = g_below[m] @ fam.projectors[j].T
-            normal = g_below - proj
-            s_safe = np.where(s > 0, s, 1.0)
-            vdotg = np.sum(v * g_below, axis=1)
-            radial = (mud / s_safe) * vdotg
-            carried = proj + mu[:, None] * normal + radial[:, None] * v
-            # well profile contribution along the normal direction
-            omega_ratio = np.where(
-                s > 0, well_omega_deriv(s, eps) / s_safe, 1.0)
-            out[inside] = carried + omega_ratio[:, None] * v
-        return out
+        eps, kind = layer.epsilon, layer.mu_kind
+        return layer_grad(
+            layer.geometry, pts, lambda p: self._grad_level(p, level - 1),
+            lambda s: (bump_mu(s, eps, kind), bump_mu_deriv(s, eps, kind),
+                       well_omega_deriv(s, eps)))
 
     def hess(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -145,6 +119,35 @@ class LocalGradientMap:
     def descriptor(self) -> dict:
         from .serialize import map_descriptor  # local import to avoid a cycle
         return map_descriptor(self)
+
+
+def layer_grad(geo: TubeGeometry, pts: np.ndarray, below, coeffs) -> np.ndarray:
+    """Gradient through one tube layer, by the chain rule of its retraction.
+
+    ``below`` is the gradient under the layer, and ``coeffs(s)`` gives the
+    retraction factor mu, its derivative mu' and the well derivative omega'
+    at normal offsets s.  Off the open tube the layer is the identity.  In
+    it, z = x + v with s = |v| carries the potential phi(x + mu v) + omega(s),
+    whose gradient is (P + mu N + (mu'/s) v v^T) g + (omega'/s) v, with g the
+    gradient below at the retracted point, P the projector onto the subspace
+    of x and N = I - P.
+    """
+    dec = geo.decompose(pts)
+    inside = geo.in_open_tube(pts, dec)
+    out = np.empty_like(pts)
+    if np.any(~inside):
+        out[~inside] = below(pts[~inside])
+    if np.any(inside):
+        x, v, s = dec["x"][inside], dec["v"][inside], dec["s"][inside]
+        mu, mu_d, omega_d = coeffs(s)
+        g_below = below(x + mu[:, None] * v)
+        proj = geo.family.project(g_below, dec["idx"][inside])
+        s_safe = np.where(s > 0, s, 1.0)
+        radial = (mu_d / s_safe) * np.sum(v * g_below, axis=1)
+        carried = proj + mu[:, None] * (g_below - proj) + radial[:, None] * v
+        omega_ratio = np.where(s > 0, omega_d / s_safe, 0.0)
+        out[inside] = carried + omega_ratio[:, None] * v
+    return out
 
 
 def make_map(group: FiniteGroupRep, domain: MapDomain, potential: Potential,

@@ -1,7 +1,6 @@
 """Numerical parameter block shared across the pipeline."""
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 
 from .errors import ConfigError
@@ -9,7 +8,7 @@ from .errors import ConfigError
 POLISH_TOL = 1e-9  # newton_zeros keeps only points with residual <= this
 
 _FIELDS = ("grid_h", "bbox", "newton_tol", "zero_thresh", "seed",
-           "max_halvings", "refinement_check", "mu_kind", "workers")
+           "max_halvings", "refinement_check", "mu_kind")
 
 
 @dataclass(frozen=True)
@@ -22,7 +21,6 @@ class Numerics:
     max_halvings: int = 20
     refinement_check: bool = False
     mu_kind: str = "cubic"
-    workers: int = 0  # 0: read EGDEG_WORKERS, default 1
 
     def __post_init__(self):
         if not self.newton_tol <= POLISH_TOL:
@@ -30,15 +28,6 @@ class Numerics:
                 f"newton_tol={self.newton_tol!r} exceeds {POLISH_TOL}: Newton "
                 f"would stop above the residual {POLISH_TOL} that a zero must "
                 f"reach to be kept, so converged zeros would be dropped")
-
-    def effective_workers(self) -> int:
-        if self.workers > 0:
-            return self.workers
-        env = os.environ.get("EGDEG_WORKERS", "1")
-        try:
-            return max(1, int(env))
-        except ValueError:
-            return 1
 
     def with_(self, **kwargs) -> "Numerics":
         return replace(self, **kwargs)

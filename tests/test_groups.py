@@ -140,6 +140,17 @@ def test_closure_products_match_unique_elements():
 # subgroup lattice
 
 
+def test_transform_hash_agrees_with_eq():
+    # entries +-1e-12 round to 0.0 and -0.0, whose bytes differ
+    def rotation(angle):
+        c, s = np.cos(angle), np.sin(angle)
+        return gr.OrthogonalTransform(np.array([[c, -s], [s, c]]))
+
+    a, b = rotation(1e-12), rotation(-1e-12)
+    assert a == b
+    assert len({a, b}) == 1
+
+
 def test_z2_lattice():
     g = gr.antipodal(1)
     lat = g.lattice

@@ -1,4 +1,6 @@
 """Perturbation machinery tests: profiles, tube selection, splits, regions."""
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from egdeg.perturb import (
 )
 from egdeg.profiles import bump_mu, bump_mu_deriv, well_omega, well_omega_deriv
 from egdeg.strata import build_stratum, iso_types
+from egdeg.theta import recursion
 from egdeg.tubes import SubspaceFamily, TubeGeometry, TubeSpec
 
 NUM = Numerics(grid_h=0.1, bbox=2.0)
@@ -249,6 +252,16 @@ class TestSplit:
         assert np.max(np.abs(vals - expected)) <= 1e-12
 
 
+@functools.lru_cache(maxsize=None)
+def _tube_steps(name):
+    """Recursion steps of a catalog entry that build a nonempty tube."""
+    g, om, f = catalog(name).build()
+    entry = catalog(name)
+    num = NUM.with_(**entry.numerics) if entry.numerics else NUM
+    return [s for s in recursion(g, om, f, num)
+            if s.tube is not None and not s.tube.is_empty]
+
+
 class TestVerifyPartition:
     def test_line_partition(self):
         g, om, f = catalog("z2_line_max").build()
@@ -276,14 +289,23 @@ class TestVerifyPartition:
         assert report["violations"] == 0
         assert report["margin_C"] > 0
 
-    def test_family_endpoints(self):
-        g, om, f = catalog("z2_line_max").build()
-        geom = ClassGeometry.for_class(g, 0)
-        tube = select_tube(f, geom, np.empty((0, 1)), NUM, None)
-        fp, fam = perturb(f, geom, tube)
+    @pytest.mark.parametrize("name,depth", [("z2_line_max", 0),
+                                            ("s3_perm_radial", 0),
+                                            ("s3_perm_radial", 1)])
+    def test_family_endpoints(self, name, depth):
+        # the depth-th nonempty tube of the recursion: its base map already
+        # carries depth layers, so the chain rule runs through a stack
+        step = _tube_steps(name)[depth]
+        f, fam = step.f, step.family
+        fp = step.parts.off_stratum      # the perturbed map, off the stratum
+        assert len(f.layers) == depth and len(fp.layers) == depth + 1
+        geo = fam.layer.geometry
         rng = np.random.default_rng(1)
-        pts = rng.uniform(-1.9, 1.9, size=(200, 1))
+        pts = np.concatenate([
+            rng.uniform(-0.95 * f.bbox, 0.95 * f.bbox, size=(200, f.dim)),
+            geo.sample_tube(200, rng)])
         pts = pts[fp.member(pts)]
+        assert np.any(geo.in_open_tube(pts, geo.decompose(pts)))
         assert np.max(np.abs(fam.grad_at(0.0, pts) - f.grad(pts))) <= 1e-12
         assert np.max(np.abs(fam.grad_at(1.0, pts) - fp.grad(pts))) <= 1e-12
 
