@@ -171,10 +171,8 @@ def cmd_perturb_trace(args) -> int:
     cfg = load_config(args.config)
     entry, group, omega, f, num = _build_map(cfg)
     layers = []
-    for step in recursion(group, omega, f, num):
+    for step in recursion(group, omega, f, num, tubes_only=True):
         tube = step.tube
-        if tube is None:
-            continue
         entry_log = {
             "step": step.index,
             "orbit_type": step.label,

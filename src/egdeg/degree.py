@@ -6,10 +6,12 @@ of its zeros.  Three routes are implemented and cross-checked:
 * Morse route: multi-start damped Newton from grid cell centers, dedupe,
   then sum the signs of the Hessian determinants (only when every zero is
   nondegenerate).
-* Kronecker route: a boundary degree over an enclosing box whose interior
-  lies in the component (endpoint signs in dim 1, winding of the field angle
-  along the refined boundary polyline in dim 2, triangulated solid-angle sum
-  in dim 3).
+* Kronecker route: a boundary degree over a region whose interior lies in
+  the component, either an axis box or the cell union of a cluster
+  enclosure.  Both are bounded by oriented axis facets, and one integrator
+  (``frontier_degree``) takes the degree over them: endpoint signs in dim 1,
+  winding of the field angle along facets refined one by one in dim 2,
+  triangulated solid-angle sum in dim 3.
 * Tilt route: shift the field by a small deterministic constant vector,
   recount the now nondegenerate zeros by the Morse route, and require two
   tilt directions to agree.
@@ -35,6 +37,7 @@ from .params import POLISH_TOL, Numerics
 FD_STEP = 1e-6
 DEGENERACY_RATIO = 1e-5   # sigma_min below this times scale means degenerate
 DEDUPE_FACTOR = 1e-2      # dedupe radius: 10 h * 1e-3
+ENCLOSURE_DILATION = 2.5  # enclosure growth around a cluster, in region steps
 
 
 # ---------------------------------------------------------------------------
@@ -124,29 +127,6 @@ class GridRegion:
         hi = self.component.centers.max(axis=0) + self.h / 2
         return lo, hi
 
-    def boundary_ring(self) -> np.ndarray:
-        """Centers of cells with a missing neighbor, plus half-step probes
-        toward the missing side (closer to the true component boundary)."""
-        cells = set(self.component.cells)
-        pts = []
-        for cell in self.component.cells:
-            center = (np.array(cell, dtype=float) + 0.5) * self.h
-            edge = False
-            for axis in range(self.dim):
-                for stepv in (-1, 1):
-                    nb = list(cell)
-                    nb[axis] += stepv
-                    if tuple(nb) not in cells:
-                        edge = True
-                        probe = center.copy()
-                        probe[axis] += stepv * self.h / 2
-                        pts.append(probe)
-            if edge:
-                pts.append(center)
-        if not pts:
-            return np.empty((0, self.dim))
-        return np.unique(np.round(np.array(pts), 12), axis=0)
-
 
 class BoxRegion:
     """A plain axis box with a uniform seed grid (oracle and CLI route)."""
@@ -172,12 +152,6 @@ class BoxRegion:
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         return self.lo.copy(), self.hi.copy()
-
-    def boundary_ring(self) -> np.ndarray:
-        seeds = self.seed_points()
-        near = np.any((seeds - self.lo < self.h) | (self.hi - seeds < self.h),
-                      axis=1)
-        return seeds[near]
 
 
 # ---------------------------------------------------------------------------
@@ -360,115 +334,116 @@ def find_zeros(field, region, num: Numerics,
 
 
 # ---------------------------------------------------------------------------
-# kronecker boundary degree
+# boundary degree over oriented axis facets
+
+# starting samples per facet side and doubling rounds, per dimension
+BOX_RESOLUTION = {2: (32, 10), 3: (8, 10)}
+ENCLOSURE_RESOLUTION = {2: (8, 10), 3: (2, 5)}
 
 
-def kronecker_degree(field, lo, hi, margin_min: float = 1e-9,
-                     max_rounds: int = 10) -> int:
+def kronecker_degree(field, lo, hi, margin_min: float = 1e-9) -> int:
     """Boundary degree of the field over an axis box, dims 1 to 3."""
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    dim = len(lo)
+    facets = []
+    for axis in range(len(lo)):
+        for side in (-1, 1):
+            a, b = lo.copy(), hi.copy()
+            a[axis] = b[axis] = hi[axis] if side > 0 else lo[axis]
+            facets.append((a, b, axis, side))
+    return frontier_degree(field, facets, BOX_RESOLUTION, margin_min)
+
+
+def frontier_degree(field, facets, resolution: dict, margin_min: float) -> int:
+    """Degree of the field over a region bounded by oriented axis facets.
+
+    A facet ``(lo, hi, axis, side)`` is the axis-aligned box ``[lo, hi]``,
+    flat along ``axis``, with outward normal ``side * e_axis``.  In dim 1
+    the degree is the sum of ``side * sign(f) / 2`` over the facet points.
+    In dim 2 each facet is sampled as a counterclockwise polyline, and the
+    samples on a facet double until every wrapped field angle step on it is
+    below pi/4; around a closed frontier the steps then sum to a multiple of
+    2 pi.  In dim 3 every facet is triangulated n x n with outward
+    orientation, and n doubles until the solid-angle sum is within 0.2 of an
+    integer.  ``resolution[dim]`` gives the starting samples per facet side
+    and the number of rounds.  Raises MarginTooSmall when the field comes
+    within ``margin_min`` of zero on a sample and RefinementOverflow when
+    the rounds run out.
+    """
+    dim = len(facets[0][0])
+    if dim > 3:
+        raise DimensionUnsupported(
+            f"boundary degree implemented for dim <= 3, got {dim}")
+
+    def sample(pts):
+        vals = field.grad(pts.reshape(-1, dim))
+        mag = float(np.min(np.linalg.norm(vals, axis=1)))
+        if mag < margin_min:
+            raise MarginTooSmall(f"frontier field magnitude {mag:.3e} below margin")
+        return vals.reshape(pts.shape)
+
     if dim == 1:
-        vals = field.grad(np.array([[lo[0]], [hi[0]]]))[:, 0]
-        if np.min(np.abs(vals)) < margin_min:
-            raise MarginTooSmall("field vanishes at an interval endpoint")
-        return int((np.sign(vals[1]) - np.sign(vals[0])) / 2)
+        vals = sample(np.array([lo for lo, _, _, _ in facets]))[:, 0]
+        sides = np.array([side for _, _, _, side in facets])
+        return int(np.sum(sides * np.sign(vals))) // 2
+    n, rounds = resolution[dim]
     if dim == 2:
-        return _winding_2d(field, lo, hi, margin_min, max_rounds)
-    if dim == 3:
-        return _solid_angle_3d(field, lo, hi, margin_min, max_rounds)
-    raise DimensionUnsupported(f"boundary degree implemented for dim <= 3, got {dim}")
-
-
-def _box_loop(lo, hi, n: int) -> np.ndarray:
-    """Counterclockwise polyline around a 2d box, n points per side."""
-    xs = np.linspace(lo[0], hi[0], n, endpoint=False)
-    ys = np.linspace(lo[1], hi[1], n, endpoint=False)
-    bottom = np.stack([xs, np.full(n, lo[1])], axis=1)
-    right = np.stack([np.full(n, hi[0]), ys], axis=1)
-    top = np.stack([xs[::-1] + (hi[0] - lo[0]) / n, np.full(n, hi[1])], axis=1)
-    left = np.stack([np.full(n, lo[0]), ys[::-1] + (hi[1] - lo[1]) / n], axis=1)
-    return np.concatenate([bottom, right, top, left], axis=0)
-
-
-def _winding_2d(field, lo, hi, margin_min, max_rounds) -> int:
-    n = 32
-    for _ in range(max_rounds):
-        loop = _box_loop(lo, hi, n)
-        vals = field.grad(loop)
-        mags = np.linalg.norm(vals, axis=1)
-        if np.min(mags) < margin_min:
-            raise MarginTooSmall(
-                f"boundary field magnitude {np.min(mags):.3e} below margin")
-        angles = np.arctan2(vals[:, 1], vals[:, 0])
-        steps = np.diff(np.concatenate([angles, angles[:1]]))
-        steps = (steps + np.pi) % (2 * np.pi) - np.pi
-        if np.max(np.abs(steps)) < np.pi / 4:
-            total = float(np.sum(steps)) / (2 * np.pi)
-            nearest = round(total)
-            if abs(total - nearest) <= 0.2:
-                return int(nearest)
-        n *= 2
-    raise RefinementOverflow("winding number did not stabilize")
-
-
-def _face_triangles(lo, hi, axis: int, side: int, n: int):
-    """Triangles covering one box face, oriented with outward normal."""
-    others = [a for a in range(3) if a != axis]
-    u = np.linspace(lo[others[0]], hi[others[0]], n + 1)
-    v = np.linspace(lo[others[1]], hi[others[1]], n + 1)
-    uu, vv = np.meshgrid(u, v, indexing="ij")
-    pts = np.empty(uu.shape + (3,))
-    pts[..., axis] = hi[axis] if side > 0 else lo[axis]
-    pts[..., others[0]] = uu
-    pts[..., others[1]] = vv
-    p00 = pts[:-1, :-1].reshape(-1, 3)
-    p10 = pts[1:, :-1].reshape(-1, 3)
-    p01 = pts[:-1, 1:].reshape(-1, 3)
-    p11 = pts[1:, 1:].reshape(-1, 3)
-    tri1 = np.stack([p00, p10, p11], axis=1)
-    tri2 = np.stack([p00, p11, p01], axis=1)
-    tris = np.concatenate([tri1, tri2], axis=0)
-    # flip orientation when the geometric normal points inward
-    normal = np.cross(tris[0, 1] - tris[0, 0], tris[0, 2] - tris[0, 0])
-    outward = np.zeros(3)
-    outward[axis] = side
-    if np.dot(normal, outward) < 0:
-        tris = tris[:, [0, 2, 1], :]
-    return tris
-
-
-def _solid_angle_3d(field, lo, hi, margin_min, max_rounds) -> int:
-    n = 8
-    for _ in range(max_rounds):
+        # counterclockwise travel: +e_1 on the +e_0 facet, -e_0 on the +e_1 facet
+        starts = np.array([lo if (side > 0) == (axis == 0) else hi
+                           for lo, hi, axis, side in facets])
+        ends = np.array([hi if (side > 0) == (axis == 0) else lo
+                         for lo, hi, axis, side in facets])
         total = 0.0
-        min_mag = np.inf
-        for axis in range(3):
-            for side in (-1, 1):
-                tris = _face_triangles(lo, hi, axis, side, n)
-                flat = tris.reshape(-1, 3)
-                vals = field.grad(flat).reshape(tris.shape)
-                mags = np.linalg.norm(vals, axis=2)
-                min_mag = min(min_mag, float(np.min(mags)))
-                if min_mag < margin_min:
-                    raise MarginTooSmall(
-                        f"face field magnitude {min_mag:.3e} below margin")
-                a, b, c = vals[:, 0], vals[:, 1], vals[:, 2]
-                na = np.linalg.norm(a, axis=1)
-                nb = np.linalg.norm(b, axis=1)
-                nc = np.linalg.norm(c, axis=1)
-                numer = np.einsum("ij,ij->i", a, np.cross(b, c))
-                denom = (na * nb * nc + np.einsum("ij,ij->i", a, b) * nc
-                         + np.einsum("ij,ij->i", b, c) * na
-                         + np.einsum("ij,ij->i", c, a) * nb)
-                total += float(np.sum(2 * np.arctan2(numer, denom)))
+        for _ in range(rounds):
+            ts = np.linspace(0.0, 1.0, n + 1)
+            vals = sample(starts[:, None] + ts[None, :, None] * (ends - starts)[:, None])
+            steps = np.diff(np.arctan2(vals[..., 1], vals[..., 0]), axis=1)
+            steps = (steps + np.pi) % (2 * np.pi) - np.pi
+            fine = np.max(np.abs(steps), axis=1) < np.pi / 4
+            total += float(np.sum(steps[fine]))
+            starts, ends = starts[~fine], ends[~fine]
+            if len(starts) == 0:
+                return int(round(total / (2 * np.pi)))
+            n *= 2
+        raise RefinementOverflow("winding number did not stabilize")
+    for _ in range(rounds):
+        total = 0.0
+        for facet in facets:
+            vals = sample(_facet_grid(facet, n))
+            p00, p10 = vals[:-1, :-1], vals[1:, :-1]
+            p01, p11 = vals[:-1, 1:], vals[1:, 1:]
+            # (u, v) runs over the other two axes in order and e_u x e_v is
+            # -e_1 on axis 1; swapping p10 and p01 turns the triangles over
+            _, _, axis, side = facet
+            if side * (-1 if axis == 1 else 1) < 0:
+                p10, p01 = p01, p10
+            total += _solid_angles(p00, p10, p11) + _solid_angles(p00, p11, p01)
         deg = total / (4 * np.pi)
-        nearest = round(deg)
-        if abs(deg - nearest) <= 0.2:
-            return int(nearest)
+        if abs(deg - round(deg)) <= 0.2:
+            return int(round(deg))
         n *= 2
     raise RefinementOverflow("solid angle sum did not stabilize")
+
+
+def _facet_grid(facet, n: int) -> np.ndarray:
+    """(n+1, n+1, 3) vertex grid of a 3d facet over its two other axes."""
+    lo, hi, axis, _ = facet
+    u, v = [a for a in range(3) if a != axis]
+    pts = np.empty((n + 1, n + 1, 3))
+    pts[..., axis] = lo[axis]
+    pts[..., u], pts[..., v] = np.meshgrid(np.linspace(lo[u], hi[u], n + 1),
+                                           np.linspace(lo[v], hi[v], n + 1),
+                                           indexing="ij")
+    return pts
+
+
+def _solid_angles(a, b, c) -> float:
+    """Summed signed solid angles of the field triangles (van Oosterom-Strackee)."""
+    na, nb, nc = (np.linalg.norm(x, axis=-1) for x in (a, b, c))
+    numer = np.sum(a * np.cross(b, c), axis=-1)
+    denom = (na * nb * nc + np.sum(a * b, axis=-1) * nc
+             + np.sum(b * c, axis=-1) * na + np.sum(c * a, axis=-1) * nb)
+    return float(np.sum(2 * np.arctan2(numer, denom)))
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +539,7 @@ class _Enclosure:
     """
 
     def __init__(self, region, field, cluster_pts: np.ndarray,
-                 subdiv: int = 2, physical_dilation: float = 2.5,
+                 subdiv: int = 2,
                  exclude_pts: np.ndarray | None = None):
         self.region = region
         self.field = field
@@ -577,7 +552,7 @@ class _Enclosure:
         seeds = {self._cell_of(p) for p in np.atleast_2d(cluster_pts)}
         seeds = {c for c in seeds if self._valid_batch(np.array([c]))[0]}
         cells = set(seeds)
-        steps = max(1, int(np.ceil(physical_dilation * region.h / self.step)))
+        steps = max(1, int(np.ceil(ENCLOSURE_DILATION * region.h / self.step)))
         frontier = set(cells)
         for _ in range(steps):
             candidates = set()
@@ -636,152 +611,53 @@ class _Enclosure:
         return out
 
     def ring_points(self) -> np.ndarray:
-        """Frontier cell centers plus half-step probes toward each gap.
+        """Frontier cell centers plus the midpoint of each frontier facet.
 
-        Probes may leave the domain; callers filter by membership before
+        Midpoints may leave the domain; callers filter by membership before
         taking the margin minimum.
         """
         pts = []
-        for cell in sorted(self.cells):
-            center = self._center(np.array(cell, dtype=float))
-            for axis in range(self.dim):
-                for stepv in (-1, 1):
-                    nb = list(cell)
-                    nb[axis] += stepv
-                    if tuple(nb) not in self.cells:
-                        pts.append(center)
-                        probe = center.copy()
-                        probe[axis] += stepv * self.step / 2
-                        pts.append(probe)
+        for center, axis, side in _cell_frontier(self.cells, self.step):
+            probe = center.copy()
+            probe[axis] += side * self.step / 2
+            pts += [center, probe]
         if not pts:
             return np.empty((0, self.dim))
         return np.unique(np.round(np.array(pts), 12), axis=0)
 
 
-def _enclosure_boundary_degree(field, region, enclosure: _Enclosure,
-                               num: Numerics) -> int | None:
-    """Boundary degree of the field over the enclosure cell union.
+def _cell_frontier(cells: set, step: float):
+    """Walk the frontier of a union of grid cells of the given step: yield
+    (cell center, axis, side) for every cell face not shared with a cell."""
+    for cell in sorted(cells):
+        center = (np.array(cell, dtype=float) + 0.5) * step
+        for axis in range(len(cell)):
+            for side in (-1, 1):
+                nb = list(cell)
+                nb[axis] += side
+                if tuple(nb) not in cells:
+                    yield center, axis, side
 
-    The frontier of a cell union is an exact rectilinear hypersurface, so
-    the degree can be integrated directly: angle accumulation over oriented
-    boundary edges in the plane, solid-angle sum over triangulated boundary
-    faces in space, endpoint signs on interval runs.  Returns None when the
-    frontier margin cannot be certified in the allotted refinement budget.
-    """
-    margin_min = max(10 * num.newton_tol, 1e-12)
-    h = enclosure.step
-    cells = enclosure.cells
-    if region.dim == 1:
-        total = 0
-        ordered = sorted(c[0] for c in cells)
-        runs = []
-        start = prev = ordered[0]
-        for c in ordered[1:]:
-            if c == prev + 1:
-                prev = c
-                continue
-            runs.append((start, prev))
-            start = prev = c
-        runs.append((start, prev))
-        for a, b in runs:
-            lo = (a + 0.5) * h - h / 2
-            hi = (b + 0.5) * h + h / 2
-            vals = field.grad(np.array([[lo], [hi]]))[:, 0]
-            if np.min(np.abs(vals)) < margin_min:
-                return None
-            total += int((np.sign(vals[1]) - np.sign(vals[0])) / 2)
-        return total
-    if region.dim == 2:
-        segments = []
-        travel = {(0, 1): (np.array([0.5, -0.5]), np.array([0.5, 0.5])),
-                  (0, -1): (np.array([-0.5, 0.5]), np.array([-0.5, -0.5])),
-                  (1, 1): (np.array([0.5, 0.5]), np.array([-0.5, 0.5])),
-                  (1, -1): (np.array([-0.5, -0.5]), np.array([0.5, -0.5]))}
-        for cell in sorted(cells):
-            center = (np.array(cell, dtype=float) + 0.5) * h
-            for axis in range(2):
-                for stepv in (-1, 1):
-                    nb = list(cell)
-                    nb[axis] += stepv
-                    if tuple(nb) in cells:
-                        continue
-                    a_off, b_off = travel[(axis, stepv)]
-                    segments.append((center + a_off * h, center + b_off * h))
-        total = 0.0
-        for a, b in segments:
-            m = 8
-            while True:
-                ts = np.linspace(0.0, 1.0, m + 1)
-                pts = a[None] + ts[:, None] * (b - a)[None]
-                vals = field.grad(pts)
-                mags = np.linalg.norm(vals, axis=1)
-                if np.min(mags) < margin_min:
-                    return None
-                ang = np.arctan2(vals[:, 1], vals[:, 0])
-                diffs = np.diff(ang)
-                diffs = (diffs + np.pi) % (2 * np.pi) - np.pi
-                if np.max(np.abs(diffs)) < np.pi / 4 or m >= 4096:
-                    if m >= 4096 and np.max(np.abs(diffs)) >= np.pi / 4:
-                        return None
-                    total += float(np.sum(diffs))
-                    break
-                m *= 2
-        deg = total / (2 * np.pi)
-        nearest = round(deg)
-        return int(nearest) if abs(deg - nearest) <= 0.2 else None
-    if region.dim == 3:
-        faces = []
-        for cell in sorted(cells):
-            center = (np.array(cell, dtype=float) + 0.5) * h
-            for axis in range(3):
-                for stepv in (-1, 1):
-                    nb = list(cell)
-                    nb[axis] += stepv
-                    if tuple(nb) not in cells:
-                        faces.append((center, axis, stepv))
-        n = 2
-        for _ in range(5):
-            total = 0.0
-            for center, axis, stepv in faces:
-                others = [a for a in range(3) if a != axis]
-                u = np.linspace(-0.5, 0.5, n + 1) * h
-                uu, vv = np.meshgrid(u, u, indexing="ij")
-                pts = np.empty(uu.shape + (3,))
-                pts[..., axis] = center[axis] + stepv * h / 2
-                pts[..., others[0]] = center[others[0]] + uu
-                pts[..., others[1]] = center[others[1]] + vv
-                p00 = pts[:-1, :-1].reshape(-1, 3)
-                p10 = pts[1:, :-1].reshape(-1, 3)
-                p01 = pts[:-1, 1:].reshape(-1, 3)
-                p11 = pts[1:, 1:].reshape(-1, 3)
-                tris = np.concatenate([np.stack([p00, p10, p11], axis=1),
-                                       np.stack([p00, p11, p01], axis=1)], axis=0)
-                normal = np.cross(tris[0, 1] - tris[0, 0], tris[0, 2] - tris[0, 0])
-                outward = np.zeros(3)
-                outward[axis] = stepv
-                if np.dot(normal, outward) < 0:
-                    tris = tris[:, [0, 2, 1], :]
-                vals = field.grad(tris.reshape(-1, 3)).reshape(tris.shape)
-                mags = np.linalg.norm(vals, axis=2)
-                if np.min(mags) < margin_min:
-                    return None
-                a, b, c = vals[:, 0], vals[:, 1], vals[:, 2]
-                na = np.linalg.norm(a, axis=1)
-                nb_ = np.linalg.norm(b, axis=1)
-                nc = np.linalg.norm(c, axis=1)
-                numer = np.einsum("ij,ij->i", a, np.cross(b, c))
-                denom = (na * nb_ * nc
-                         + np.einsum("ij,ij->i", a, b) * nc
-                         + np.einsum("ij,ij->i", b, c) * na
-                         + np.einsum("ij,ij->i", c, a) * nb_)
-                total += float(np.sum(2 * np.arctan2(numer, denom)))
-            deg = total / (4 * np.pi)
-            nearest = round(deg)
-            if abs(deg - nearest) <= 0.2:
-                return int(nearest)
-            n *= 2
+
+def cell_facets(cells: set, step: float) -> list:
+    """Oriented frontier facets ``(lo, hi, axis, side)`` of a cell union."""
+    out = []
+    for center, axis, side in _cell_frontier(cells, step):
+        lo, hi = center - step / 2, center + step / 2
+        lo[axis] = hi[axis] = center[axis] + side * step / 2
+        out.append((lo, hi, axis, side))
+    return out
+
+
+def _enclosure_boundary_degree(field, enclosure: _Enclosure,
+                               num: Numerics) -> int | None:
+    """Boundary degree of the field over the enclosure cell union, or None
+    when the frontier margin cannot be certified in the refinement budget."""
+    try:
+        return frontier_degree(field, cell_facets(enclosure.cells, enclosure.step),
+                               ENCLOSURE_RESOLUTION, max(10 * num.newton_tol, 1e-12))
+    except (MarginTooSmall, RefinementOverflow, DimensionUnsupported):
         return None
-    return None
 
 
 def _enclosure_tilt(field, region, enclosure: _Enclosure,
@@ -891,7 +767,7 @@ def intersection_number(field, region, num: Numerics,
             if enclosure.empty or np.any(~enclosure.contains(cluster_pts)):
                 continue
             last_enclosure = enclosure
-            resolved = _enclosure_boundary_degree(field, region, enclosure, num)
+            resolved = _enclosure_boundary_degree(field, enclosure, num)
             if resolved is not None:
                 break
         if resolved is not None:

@@ -150,7 +150,6 @@ class HomotopyFamily:
     def __init__(self, base: LocalGradientMap, layer: PerturbationLayer):
         self.base = base
         self.layer = layer
-        self.domain = base.domain.without_shell(layer.geometry)
 
     def grad_at(self, t: float, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))

@@ -167,17 +167,22 @@ class Step:
 
 
 def recursion(group: FiniteGroupRep, omega: DomainExpr, f: LocalGradientMap,
-              num: Numerics, strata_cache: dict | None = None) -> Iterator[Step]:
+              num: Numerics, strata_cache: dict | None = None, *,
+              tubes_only: bool = False) -> Iterator[Step]:
     """The stratum recursion, one ``Step`` per orbit type, maximal first.
 
     Each step runs the zero pass on its stratum and, unless it is the last,
     selects the tube around the stratum zeros, perturbs and restricts the
-    map off the stratum, checking that the domain only shrinks.
+    map off the stratum, checking that the domain only shrinks.  With
+    ``tubes_only`` the recursion ends after the last tube: the last orbit
+    type, which gets none, is not yielded and its zero pass does not run.
     """
     lat = iso_types(group, omega, num.grid_h, num.bbox)
     last = len(lat.class_ids) - 1
     f_i = f
     for index, cid in enumerate(lat.class_ids):
+        if tubes_only and index == last:
+            return
         rec = group.lattice.records[cid]
         step = Step(index, cid, group.lattice.class_label(cid), rec.fixed_dim,
                     f_i, ambient=np.empty((0, group.dim)))

@@ -1,11 +1,14 @@
 """CLI tests: subcommands, exit codes, deterministic output."""
+import importlib
 import json
 
 import pytest
 
+from egdeg import cli as cli_mod
 from egdeg.cli import main
 from egdeg.factory import catalog, catalog_names
 
+theta_mod = importlib.import_module("egdeg.theta")  # the package exports theta()
 FINITE_ENTRIES = [n for n in catalog_names()
                   if catalog(n).group_kind == "finite"]
 
@@ -198,6 +201,34 @@ class TestPerturbTrace:
                    lay["epsilon"])
                   for lay in json.loads(out)["layers"]]
         assert layers == tubes
+
+    def test_last_zero_pass_skipped(self, capsys, monkeypatch, tmp_path):
+        # the last orbit type gets no tube, so perturb-trace has nothing to
+        # report from its zero pass; the bytes must equal those of a run
+        # through the full recursion
+        cfg = write_config(tmp_path, "d3.json", {
+            "group": {"kind": "dihedral", "n": 3},
+            "domain": {"kind": "punctured"},
+            "potential": {"kind": "expr",
+                          "expr": "(x1^2 + x2^2)^2 - x1^2 - x2^2"},
+            "numerics": {"grid_h": 0.1, "bbox": 2.0},
+        })
+        calls = []
+        zero_pass = theta_mod._stratum_zero_pass
+
+        def counted(*args):
+            calls.append(args)
+            return zero_pass(*args)
+        monkeypatch.setattr(theta_mod, "_stratum_zero_pass", counted)
+        code, out = run_cli(capsys, "perturb-trace", "--samples", "100", cfg)
+        assert code == 0 and len(calls) == 1
+
+        def full_recursion(*args, tubes_only=False):
+            return (s for s in theta_mod.recursion(*args) if s.tube is not None)
+        monkeypatch.setattr(cli_mod, "recursion", full_recursion)
+        code, full = run_cli(capsys, "perturb-trace", "--samples", "100", cfg)
+        assert code == 0 and len(calls) == 3
+        assert out == full
 
 
 class TestOutputFile:

@@ -1,4 +1,6 @@
 """Degree machinery tests: zero finding, boundary degrees, cross-oracles."""
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,8 @@ from egdeg import domains as dm
 from egdeg import groups as gr
 from egdeg import maps as mp
 from egdeg import potentials as pt
-from egdeg.errors import ConfigError, DimensionUnsupported, MarginTooSmall
+from egdeg.errors import (ConfigError, DimensionUnsupported, MarginTooSmall,
+                          RefinementOverflow)
 from egdeg.params import Numerics
 from egdeg.strata import build_stratum, iso_types
 
@@ -94,6 +97,92 @@ class TestKronecker:
         fld = dg.FieldAdapter(lambda u: u, 4)
         with pytest.raises(DimensionUnsupported):
             dg.kronecker_degree(fld, [-1] * 4, [1] * 4)
+
+
+def block(lo, hi, dim):
+    """Cells of the grid block [lo, hi)^dim."""
+    return set(itertools.product(range(lo, hi), repeat=dim))
+
+
+def two_root_field(a, b):
+    """A field with two simple zeros a, b, each of degree +1.
+
+    In dim 1 it is the cubic through a, (a+b)/2 and b; from dim 2 on the
+    complex product (z - a)(z - b) in the first two coordinates, with a and
+    b equal in the others.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    dim = len(a)
+
+    def fn(u):
+        if dim == 1:
+            x = u[:, :1]
+            return (x - a[0]) * (x - (a[0] + b[0]) / 2) * (x - b[0])
+        z = u[:, 0] + 1j * u[:, 1]
+        w = (z - complex(a[0], a[1])) * (z - complex(b[0], b[1]))
+        return np.column_stack([w.real, w.imag, u[:, 2:] - a[2:]])
+    return dg.FieldAdapter(fn, dim)
+
+
+def cell_union_degree(fld, cells, step=0.5):
+    return dg.frontier_degree(fld, dg.cell_facets(cells, step),
+                              dg.ENCLOSURE_RESOLUTION, 1e-12)
+
+
+class TestFrontierDegree:
+    """The one boundary integrator on cell unions with known degrees."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_l_shape(self, dim):
+        # the cells of [0, 3)^dim with at most one nonzero coordinate: an
+        # interval, an L, a three-armed corner
+        cells = {c for c in block(0, 3, dim) if sum(map(bool, c)) <= 1}
+        inside = np.array([2.3, 0.2, 0.3][:dim]) * 0.5
+        notch = np.array([3.5] if dim == 1 else [1.5, 1.5, 0.5][:dim]) * 0.5
+        for c, expected in ((inside, 1), (notch, 0)):
+            fld = dg.FieldAdapter(lambda u, c=c: u - c, dim)
+            assert cell_union_degree(fld, cells) == expected
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_two_disjoint_blocks(self, dim):
+        # [0, 1]^dim and its copy shifted by 2 along the first axis; in dim 1
+        # the cubic's index -1 zero lies in the gap between them
+        first = block(0, 2, dim)
+        second = {(c[0] + 4,) + c[1:] for c in first}
+        a = [0.6, 0.45, 0.55][:dim]
+        b = [2.4, 0.45, 0.55][:dim]
+        fld = two_root_field(a, b)
+        assert cell_union_degree(fld, first | second) == 2
+        assert cell_union_degree(fld, second) == 1
+
+    def test_ring_around_hole(self):
+        cells = block(0, 5, 2) - block(1, 4, 2)
+        for c, expected in (([1.25, 1.25], 0), ([0.2, 1.15], 1)):
+            fld = dg.FieldAdapter(lambda u, c=np.array(c): u - c, 2)
+            assert cell_union_degree(fld, cells) == expected
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_box_equals_cell_union(self, dim):
+        c = np.array([0.7, 1.3, 0.9][:dim])
+        fields = [(dg.FieldAdapter(lambda u: c - u, dim), (-1) ** dim),
+                  (two_root_field([0.6, 0.45, 0.55][:dim],
+                                  [1.4, 0.45, 0.55][:dim]),
+                   1 if dim == 1 else 2)]   # the cubic's index -1 zero is in
+        for fld, expected in fields:
+            assert dg.kronecker_degree(fld, [0.0] * dim, [2.0] * dim) == \
+                cell_union_degree(fld, block(0, 4, dim)) == expected
+
+    def test_refinement_stays_on_the_bad_side(self):
+        # the zero (1/3, -1) sits on the bottom side, so its angle step stays
+        # pi there at every resolution; only that side may be refined
+        rows = []
+
+        def fn(u):
+            rows.append(len(u))
+            return np.column_stack([u[:, 0] - 1 / 3, u[:, 1] + 1])
+        with pytest.raises(RefinementOverflow):
+            dg.kronecker_degree(dg.FieldAdapter(fn, 2), [-1, -1], [1, 1])
+        assert sum(rows) <= 40_000
 
 
 def random_confined_potential(rng, dim, degree=3):

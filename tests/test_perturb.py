@@ -258,8 +258,8 @@ def _tube_steps(name):
     g, om, f = catalog(name).build()
     entry = catalog(name)
     num = NUM.with_(**entry.numerics) if entry.numerics else NUM
-    return [s for s in recursion(g, om, f, num)
-            if s.tube is not None and not s.tube.is_empty]
+    return [s for s in recursion(g, om, f, num, tubes_only=True)
+            if not s.tube.is_empty]
 
 
 class TestVerifyPartition:
