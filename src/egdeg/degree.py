@@ -166,10 +166,15 @@ def newton_zeros(field, seeds: np.ndarray, num: Numerics,
     that cannot improve are dropped.  A point counts as converged when its
     residual is at most POLISH_TOL after polishing (the iteration itself
     targets num.newton_tol, which Numerics keeps at or below POLISH_TOL).
+    Every step is taken row by row, so a seed's point does not depend on
+    the other seeds of the batch.  The points come back in seed order, and
+    ``stats["kept"]`` holds the index of each one's seed.
     """
     pts = np.atleast_2d(np.asarray(seeds, dtype=float)).copy()
     if len(pts) == 0:
-        return np.empty((0, field.dim)), {"seeds": 0, "converged": 0}
+        return np.empty((0, field.dim)), {"seeds": 0, "converged": 0,
+                                          "stalled": 0,
+                                          "kept": np.empty(0, dtype=int)}
     active = field.member(pts).copy()
     fvals = np.full(len(pts), np.inf)
     fvecs = np.zeros_like(pts)
@@ -218,7 +223,8 @@ def newton_zeros(field, seeds: np.ndarray, num: Numerics,
 
     good = fvals <= POLISH_TOL
     stats = {"seeds": len(pts), "converged": int(np.sum(good)),
-             "stalled": int(np.sum(~active & ~good))}
+             "stalled": int(np.sum(~active & ~good)),
+             "kept": np.nonzero(good)[0]}
     return pts[good], stats
 
 
@@ -278,22 +284,28 @@ def _local_degree(field, point: np.ndarray, radius: float,
 
 
 def find_zeros(field, region, num: Numerics,
-               compact_margin: float | None = None,
-               extra_seeds: np.ndarray | None = None) -> list[ZeroRecord]:
+               compact_margin: float | None = None) -> list[ZeroRecord]:
     """Multi-start Newton zeros of the field on one component.
 
-    Converged points are polished to |field| <= 1e-9, deduplicated at
-    10 h / 1000, and filtered to the component and to a compact-support
-    margin from the domain boundary.  A Morse index is only assigned when a
-    local boundary degree around the zero confirms the Hessian sign; zeros at
-    profile junctions, where one-sided derivatives disagree, are thereby
-    classified as degenerate instead of silently miscounted.
+    Newton runs from the region's seed points that lie in the domain, and
+    ``classify_zeros`` turns the converged points into records.
     """
     seeds = region.seed_points()
-    if extra_seeds is not None and len(extra_seeds):
-        seeds = np.concatenate([seeds, np.atleast_2d(extra_seeds)], axis=0)
-    member = field.member(seeds)
-    pts, _ = newton_zeros(field, seeds[member], num)
+    pts, _ = newton_zeros(field, seeds[field.member(seeds)], num)
+    return classify_zeros(field, region, pts, num, compact_margin)
+
+
+def classify_zeros(field, region, pts: np.ndarray, num: Numerics,
+                   compact_margin: float | None = None) -> list[ZeroRecord]:
+    """Zero records of the converged Newton points that belong to one region.
+
+    Points are filtered to the region and to a compact-support margin from
+    the domain boundary (``region.h`` by default), then deduplicated at
+    10 h / 1000.  A Morse index is only assigned when a local boundary
+    degree around the zero confirms the Hessian sign; zeros at profile
+    junctions, where one-sided derivatives disagree, are thereby classified
+    as degenerate instead of silently miscounted.
+    """
     if len(pts) == 0:
         return []
     pts = pts[region.contains(pts)]

@@ -22,7 +22,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .degree import GridRegion, ZeroRecord, find_zeros, quotient_intersection
+from .degree import (
+    GridRegion,
+    ZeroRecord,
+    classify_zeros,
+    newton_zeros,
+    quotient_intersection,
+)
 from .domains import DomainExpr, full_space, punctured_space
 from .errors import AdditionUndefined, ConfigError, UnsupportedRep
 from .groups import CircleRep, FiniteGroupRep, antipodal
@@ -113,30 +119,47 @@ def _compact_margin(f: LocalGradientMap, h: float) -> float:
 
 
 def _stratum_zero_pass(f: LocalGradientMap, stratum: Stratum, num: Numerics):
-    """Zeros of the restricted field per component, plus ambient positions."""
+    """Zeros of the restricted field per component, from one Newton batch.
+
+    Each component's seeds (its cell centers, then the seed hints inside it)
+    are tagged with the component and go through one ``newton_zeros`` call.
+    ``classify_zeros`` takes each component's points from its own seeds
+    only, so a zero reached from a neighbouring component's seed does not
+    count where it lands.  Newton is row-wise, so the records equal those of
+    one ``find_zeros`` per component.  Also returns the ambient positions of
+    the zeros, the compact margin and the batch's Newton counts.
+    """
     fld = restrict_to_stratum(f, stratum)
     margin = _compact_margin(f, num.grid_h)
-    hints = None
+    hints = np.empty((0, stratum.dim))
     if f.seed_hints:
         pts = np.array(f.seed_hints, dtype=float)
         proj = pts @ stratum.basis @ stratum.basis.T
         on = np.linalg.norm(pts - proj, axis=1) <= 1e-9 * (1 + np.linalg.norm(pts, axis=1))
-        hints = (pts[on] @ stratum.basis) if np.any(on) else None
+        hints = pts[on] @ stratum.basis
+    regions = [GridRegion(stratum, comp) for comp in stratum.components]
+    seeds, tags = [], []
+    for region in regions:
+        comp_seeds = region.seed_points()
+        if len(hints):
+            comp_seeds = np.concatenate([comp_seeds, hints[region.contains(hints)]])
+        seeds.append(comp_seeds)
+        tags.append(np.full(len(comp_seeds), region.component.index))
+    seeds, tags = np.concatenate(seeds), np.concatenate(tags)
+    member = fld.member(seeds)
+    pts, stats = newton_zeros(fld, seeds[member], num)
+    tags = tags[member][stats["kept"]]
     per_component = {}
     ambient = []
-    for comp in stratum.components:
-        region = GridRegion(stratum, comp)
-        extra = None
-        if hints is not None and len(hints):
-            keep = region.contains(hints)
-            extra = hints[keep] if np.any(keep) else None
-        recs = find_zeros(fld, region, num, compact_margin=margin,
-                          extra_seeds=extra)
-        per_component[comp.index] = recs
+    for region in regions:
+        index = region.component.index
+        recs = classify_zeros(fld, region, pts[tags == index], num, margin)
+        per_component[index] = recs
         for r in recs:
             ambient.append(stratum.to_ambient(np.array(r.point))[0])
     ambient = np.array(ambient) if ambient else np.empty((0, f.dim))
-    return fld, per_component, ambient, margin
+    newton = {key: stats[key] for key in ("seeds", "converged", "stalled")}
+    return fld, per_component, ambient, margin, newton
 
 
 @dataclass
@@ -145,7 +168,9 @@ class Step:
 
     ``f`` is the map entering the step.  Positive-dimensional types carry
     the stratum, the field restricted to it, the zero records per component
-    index, their ambient positions and the compact margin of the zero pass.
+    index, their ambient positions, the compact margin of the zero pass and
+    the seed, converged and stalled counts of its Newton batch (``newton``;
+    the trace leaves them out, so its bytes depend on the records alone).
     Every step but the last carries the tube, its homotopy family and the
     split of the perturbed map; ``parts.off_stratum`` is the next step's
     ``f``.
@@ -161,6 +186,7 @@ class Step:
     zeros: dict[int, list[ZeroRecord]] = field(default_factory=dict)
     ambient: np.ndarray | None = None
     margin: float | None = None
+    newton: dict | None = None
     tube: TubeSpec | None = None
     family: HomotopyFamily | None = None
     parts: SplitParts | None = None
@@ -188,8 +214,8 @@ def recursion(group: FiniteGroupRep, omega: DomainExpr, f: LocalGradientMap,
                     f_i, ambient=np.empty((0, group.dim)))
         if rec.fixed_dim >= 1:
             step.stratum = cached_stratum(strata_cache, group, omega, cid, num)
-            step.restricted, step.zeros, step.ambient, step.margin = \
-                _stratum_zero_pass(f_i, step.stratum, num)
+            (step.restricted, step.zeros, step.ambient, step.margin,
+             step.newton) = _stratum_zero_pass(f_i, step.stratum, num)
         if index < last:
             geom = ClassGeometry.for_class(group, cid)
             step.tube = select_tube(f_i, geom, step.ambient, num, step.stratum)

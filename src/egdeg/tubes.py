@@ -102,6 +102,8 @@ class TubeGeometry:
     def __init__(self, family: SubspaceFamily, spec: TubeSpec):
         self.family = family
         self.spec = spec
+        # nearest subspace of each center, read by the samplers
+        self.center_idx = np.argmin(family.distances(spec.centers), axis=0)
 
     # -- decomposition ---------------------------------------------------
 
@@ -197,9 +199,8 @@ class TubeGeometry:
         attempts = 0
         while len(out) < n and attempts < 200 * n:
             attempts += 1
-            c = centers[rng.integers(0, len(centers))]
-            dec = self.decompose(c[None])
-            j = int(dec["idx"][0])
+            i = rng.integers(0, len(centers))
+            c, j = centers[i], int(self.center_idx[i])
             b = self.family.bases[j]
             if b.shape[1] > 0 and not self.spec.point_stratum:
                 u = rng.normal(size=b.shape[1])
@@ -233,9 +234,8 @@ class TubeGeometry:
         attempts = 0
         while len(out) < n and attempts < 50 * n:
             attempts += 1
-            c = centers[rng.integers(0, len(centers))]
-            dec = self.decompose(c[None])
-            j = int(dec["idx"][0])
+            i = rng.integers(0, len(centers))
+            c, j = centers[i], int(self.center_idx[i])
             b = self.family.bases[j]
             if b.shape[1] == 0:
                 break

@@ -23,7 +23,7 @@ from egdeg.verify import (
 )
 
 _CTX = _Ctx()
-_BUDGETS = {1: 30.0, 2: 60.0, 3: 30.0, 4: 120.0, 5: 5.0, 6: 5.0,
+_BUDGETS = {1: 30.0, 2: 60.0, 3: 30.0, 4: 60.0, 5: 5.0, 6: 5.0,
             7: 120.0, 8: 60.0, 9: 30.0}
 
 

@@ -59,6 +59,29 @@ class TestFindZeros:
         assert all(r.degenerate for r in recs)
 
 
+    def test_newton_batch_is_row_wise(self):
+        # x^3 - 3x + 3 has one real root; seeds right of it stall at the
+        # local minimum of |f| at x = 1
+        fld = dg.FieldAdapter(
+            lambda u: np.stack([u[:, 0] ** 3 - 3 * u[:, 0] + 3, u[:, 1]], axis=1), 2)
+        a = np.stack(np.meshgrid(np.linspace(-3, 3, 13), [-0.5, 0.5],
+                                 indexing="ij"), axis=-1).reshape(-1, 2)
+        b = a[::-1] + 0.05
+        pa, sa = dg.newton_zeros(fld, a, NUM)
+        pb, sb = dg.newton_zeros(fld, b, NUM)
+        pab, sab = dg.newton_zeros(fld, np.concatenate([a, b]), NUM)
+        assert sa["stalled"] > 0 and sb["stalled"] > 0
+        assert sa["converged"] > 0 and sb["converged"] > 0
+        assert np.array_equal(pab, np.concatenate([pa, pb]))
+        assert np.array_equal(sab["kept"],
+                              np.concatenate([sa["kept"], sb["kept"] + len(a)]))
+        for key in ("seeds", "converged", "stalled"):
+            assert sab[key] == sa[key] + sb[key]
+        # each kept index names the seed its point was polished from
+        for i, k in enumerate(sab["kept"]):
+            single, _ = dg.newton_zeros(fld, np.concatenate([a, b])[k:k + 1], NUM)
+            assert np.array_equal(single[0], pab[i])
+
     def test_newton_tol_above_polish_tol_rejected(self):
         # newton_zeros keeps only points polished to residual <= 1e-9, so a
         # looser Newton target would silently drop every converged zero

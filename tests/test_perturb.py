@@ -125,6 +125,23 @@ class TestTubeDecompose:
             geo.decompose_checked(mid)
 
 
+    @pytest.mark.parametrize("name", ["s3_perm_radial", "d3_axis_orbit_normal"])
+    def test_center_idx_is_nearest_subspace(self, name):
+        # the samplers read center_idx in place of decomposing each center
+        steps = _tube_steps(name)
+        assert steps
+        for step in steps:
+            g = step.f.group
+            geo = TubeGeometry(ClassGeometry.for_class(g, step.class_id).family,
+                               step.tube)
+            single = [int(geo.decompose(c[None])["idx"][0])
+                      for c in step.tube.centers]
+            assert geo.center_idx.tolist() == single
+        empty = TubeGeometry(SubspaceFamily([np.eye(2)[:, :1]]),
+                             TubeSpec(0, np.empty((0, 2)), 0.2, 0.5))
+        assert len(empty.center_idx) == 0
+
+
 class TestSelectTube:
     def test_origin_well_tube(self):
         g, om, f = catalog("z2_line_min").build()

@@ -1,10 +1,12 @@
 """Invariant tests: the line oracle, vector algebra, the circle demo."""
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import line_theta_oracle
 
+from egdeg import degree as dg
 from egdeg import domains as dm
 from egdeg import groups as gr
 from egdeg import maps as mp
@@ -13,7 +15,8 @@ from egdeg.errors import AdditionUndefined, UnsupportedRep
 from egdeg.factory import catalog, orbit_normal
 from egdeg.groups import CircleRep
 from egdeg.params import Numerics
-from egdeg.theta import ThetaVector, theta, theta_add, theta_radial_s1
+from egdeg.theta import (ThetaVector, recursion, theta, theta_add,
+                         theta_radial_s1)
 
 NUM = Numerics(grid_h=0.1, bbox=2.0)
 CACHE = {}
@@ -130,6 +133,87 @@ class TestRecursion:
         assert trace.steps[0]["theta11"] == 1
         assert trace.steps[0]["tube"]["centers"] == 1
         assert trace.steps[1]["intersection"] == {"q0": -1}
+
+
+def _readme_d3():
+    g = gr.dihedral(3)
+    om = dm.punctured_space()
+    phi = pt.PolynomialPotential.from_expression(
+        "(x1^2 + x2^2)^2 - x1^2 - x2^2", 2)
+    return g, om, mp.make_map(g, dm.MapDomain(om, 2.0), phi), NUM
+
+
+def _b3_bench():
+    # the benchmark's b3_stack map
+    g = gr.from_generators([np.eye(3)[[1, 0, 2]], np.eye(3)[[1, 2, 0]],
+                            np.diag([-1.0, 1.0, 1.0])])
+    om = dm.full_space()
+    phi = pt.PolynomialPotential.from_expression(
+        "0.466667*(x1^2 + x2^2 + x3^2) + 0.2*(x1^4 + x2^4 + x3^4)", 3)
+    return (g, om, mp.make_map(g, dm.MapDomain(om, 1.6), phi),
+            Numerics(grid_h=0.25, bbox=1.6))
+
+
+def _catalog_case(name):
+    def build():
+        g, om, f = catalog(name).build()
+        entry = catalog(name)
+        return g, om, f, NUM.with_(**entry.numerics) if entry.numerics else NUM
+    return build
+
+
+class TestZeroPass:
+    """The one Newton batch per stratum against one find_zeros per component."""
+
+    @pytest.mark.parametrize("build", [
+        _readme_d3, _catalog_case("s3_perm_radial"), _b3_bench,
+        _catalog_case("d3_axis_orbit_normal")],
+        ids=["readme_d3", "s3_perm_radial", "b3_stack", "d3_axis_orbit_normal"])
+    def test_batch_equals_per_component(self, build, monkeypatch):
+        g, om, f, num = build()
+        steps = [s for s in recursion(g, om, f, num, strata_cache=CACHE)
+                 if s.stratum is not None]
+        newton_stats = []
+        newton_zeros = dg.newton_zeros
+
+        def recorded(*args, **kwargs):
+            out = newton_zeros(*args, **kwargs)
+            newton_stats.append(out[1])
+            return out
+        monkeypatch.setattr(dg, "newton_zeros", recorded)
+        hinted = 0
+        for step in steps:
+            stratum, fld = step.stratum, step.restricted
+            hints = np.empty((0, stratum.dim))
+            if step.f.seed_hints:
+                amb = np.array(step.f.seed_hints, dtype=float)
+                off = np.linalg.norm(amb - amb @ stratum.basis @ stratum.basis.T,
+                                     axis=1)
+                hints = amb[off <= 1e-9 * (1 + np.linalg.norm(amb, axis=1))] \
+                    @ stratum.basis
+            del newton_stats[:]
+            ambient = []
+            for comp in stratum.components:
+                region = dg.GridRegion(stratum, comp)
+                extra = hints[region.contains(hints)] if len(hints) else hints
+                if len(extra):
+                    hinted += 1
+                    seeds = np.concatenate([region.seed_points(), extra])
+                    pts, _ = recorded(fld, seeds[fld.member(seeds)], num)
+                    recs = dg.classify_zeros(fld, region, pts, num, step.margin)
+                else:
+                    recs = dg.find_zeros(fld, region, num,
+                                         compact_margin=step.margin)
+                assert step.zeros[comp.index] == recs
+                ambient += [stratum.to_ambient(np.array(r.point))[0] for r in recs]
+            assert np.array_equal(step.ambient,
+                                  np.array(ambient).reshape(-1, g.dim))
+            # the batch's counts are the sums of the per-component runs
+            for key in ("seeds", "converged", "stalled"):
+                assert step.newton[key] == sum(s[key] for s in newton_stats)
+            assert step.newton["converged"] + step.newton["stalled"] \
+                <= step.newton["seeds"]
+        assert steps and (hinted > 0) == bool(f.seed_hints)
 
 
 class TestCircleDemo:
