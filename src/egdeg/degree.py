@@ -6,15 +6,21 @@ of its zeros.  Three routes are implemented and cross-checked:
 * Morse route: multi-start damped Newton from grid cell centers, dedupe,
   then sum the signs of the Hessian determinants (only when every zero is
   nondegenerate).
-* Kronecker route: a boundary degree over a region whose interior lies in
-  the component, either an axis box or the cell union of a cluster
-  enclosure.  Both are bounded by oriented axis facets, and one integrator
-  (``frontier_degree``) takes the degree over them: endpoint signs in dim 1,
-  winding of the field angle along facets refined one by one in dim 2,
-  triangulated solid-angle sum in dim 3.
-* Tilt route: shift the field by a small deterministic constant vector,
-  recount the now nondegenerate zeros by the Morse route, and require two
-  tilt directions to agree.
+* Kronecker route: a boundary degree over a region bounded by oriented
+  axis facets, taken by one integrator (``frontier_degree``): endpoint signs
+  in dim 1, winding of the field angle along facets refined one by one in
+  dim 2, triangulated solid-angle sum over all facets at once in dim 3.
+  ``kronecker_degree`` takes it over an axis box; a degenerate cluster gets
+  it over the cell union of an enclosure grown around the cluster inside
+  the component.
+* Tilt route: when the enclosure degree cannot be certified, shift the
+  field by a small deterministic constant vector, recount the now
+  nondegenerate zeros by the Morse route, and require two tilt directions
+  to agree.
+
+The Morse index of a zero, on the field and on a tilted field alike, is the
+Jacobian determinant sign, confirmed by a local boundary degree
+(``_zero_indices``).
 
 The quotient intersection number divides the representative component count
 by the component stabilizer order; the division must be exact.
@@ -317,6 +323,19 @@ def classify_zeros(field, region, pts: np.ndarray, num: Numerics,
     pts = dedupe_points(pts, DEDUPE_FACTOR * region.h)
     if len(pts) == 0:
         return []
+    return [ZeroRecord(tuple(float(c) for c in p), index, region.label,
+                       region.quotient_label, getattr(region, "class_id", -1))
+            for p, index in zip(pts, _zero_indices(field, pts, region.h, num))]
+
+
+def _zero_indices(field, pts: np.ndarray, h: float, num: Numerics) -> list[int]:
+    """Certified Morse index of each of a set of distinct zeros, 0 if degenerate.
+
+    A zero gets the sign of its Jacobian determinant only when the Jacobian
+    is well conditioned and a local boundary degree over a box of radius
+    min(h / 4, 0.4 x the distance to the nearest other zero, 0.8 x the
+    distance to the domain boundary) confirms that sign.
+    """
     jac = fd_jacobian(field, pts)
     if len(pts) > 1:
         diffs = pts[:, None, :] - pts[None, :, :]
@@ -325,7 +344,7 @@ def classify_zeros(field, region, pts: np.ndarray, num: Numerics,
         nearest_other = dist.min(axis=1)
     else:
         nearest_other = np.full(1, np.inf)
-    records = []
+    indices = []
     certify_floor = max(10 * num.newton_tol, 1e-12)
     for p, j, sep in zip(pts, jac, nearest_other):
         svals = np.linalg.svd(j, compute_uv=False)
@@ -335,14 +354,12 @@ def classify_zeros(field, region, pts: np.ndarray, num: Numerics,
             index = 1 if np.linalg.det(j) > 0 else -1
         if index != 0:
             bd = float(field.boundary_distance(p[None])[0])
-            radius = min(region.h / 4, 0.4 * sep, 0.8 * bd)
+            radius = min(h / 4, 0.4 * sep, 0.8 * bd)
             local = _local_degree(field, p, radius, certify_floor)
             if local is None or local != index:
                 index = 0
-        records.append(ZeroRecord(tuple(float(c) for c in p), index,
-                                  region.label, region.quotient_label,
-                                  getattr(region, "class_id", -1)))
-    return records
+        indices.append(index)
+    return indices
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +393,8 @@ def frontier_degree(field, facets, resolution: dict, margin_min: float) -> int:
     samples on a facet double until every wrapped field angle step on it is
     below pi/4; around a closed frontier the steps then sum to a multiple of
     2 pi.  In dim 3 every facet is triangulated n x n with outward
-    orientation, and n doubles until the solid-angle sum is within 0.2 of an
+    orientation, the field is sampled on the vertices of all facets in one
+    call, and n doubles until the solid-angle sum is within 0.2 of an
     integer.  ``resolution[dim]`` gives the starting samples per facet side
     and the number of rounds.  Raises MarginTooSmall when the field comes
     within ``margin_min`` of zero on a sample and RefinementOverflow when
@@ -418,35 +436,29 @@ def frontier_degree(field, facets, resolution: dict, margin_min: float) -> int:
                 return int(round(total / (2 * np.pi)))
             n *= 2
         raise RefinementOverflow("winding number did not stabilize")
+    lo = np.array([f[0] for f in facets])
+    hi = np.array([f[1] for f in facets])
+    axes = np.array([f[2] for f in facets])
+    sides = np.array([f[3] for f in facets])
+    # vertex (i, j) of a facet has sample i on the first of its other two
+    # axes (u) and sample j on the second (v); the flat axis is constant.
+    # e_u x e_v is -e_1 on axis 1, so swapping p10 and p01 on the facets in
+    # ``flip`` turns their triangles outward
+    u_axis = np.where(axes == 0, 1, 0)
+    on_u = (np.arange(3) == u_axis[:, None])[:, None, None]
+    flip = (sides * np.where(axes == 1, -1, 1) < 0)[:, None, None, None]
     for _ in range(rounds):
-        total = 0.0
-        for facet in facets:
-            vals = sample(_facet_grid(facet, n))
-            p00, p10 = vals[:-1, :-1], vals[1:, :-1]
-            p01, p11 = vals[:-1, 1:], vals[1:, 1:]
-            # (u, v) runs over the other two axes in order and e_u x e_v is
-            # -e_1 on axis 1; swapping p10 and p01 turns the triangles over
-            _, _, axis, side = facet
-            if side * (-1 if axis == 1 else 1) < 0:
-                p10, p01 = p01, p10
-            total += _solid_angles(p00, p10, p11) + _solid_angles(p00, p11, p01)
+        edge = np.linspace(lo, hi, n + 1, axis=1)
+        vals = sample(np.where(on_u, edge[:, :, None], edge[:, None, :]))
+        p00, p10 = vals[:, :-1, :-1], vals[:, 1:, :-1]
+        p01, p11 = vals[:, :-1, 1:], vals[:, 1:, 1:]
+        p10, p01 = np.where(flip, p01, p10), np.where(flip, p10, p01)
+        total = _solid_angles(p00, p10, p11) + _solid_angles(p00, p11, p01)
         deg = total / (4 * np.pi)
         if abs(deg - round(deg)) <= 0.2:
             return int(round(deg))
         n *= 2
     raise RefinementOverflow("solid angle sum did not stabilize")
-
-
-def _facet_grid(facet, n: int) -> np.ndarray:
-    """(n+1, n+1, 3) vertex grid of a 3d facet over its two other axes."""
-    lo, hi, axis, _ = facet
-    u, v = [a for a in range(3) if a != axis]
-    pts = np.empty((n + 1, n + 1, 3))
-    pts[..., axis] = lo[axis]
-    pts[..., u], pts[..., v] = np.meshgrid(np.linspace(lo[u], hi[u], n + 1),
-                                           np.linspace(lo[v], hi[v], n + 1),
-                                           indexing="ij")
-    return pts
 
 
 def _solid_angles(a, b, c) -> float:
@@ -502,40 +514,6 @@ def _linkage_clusters(points: np.ndarray, radius: float) -> list[list[int]]:
     for i in range(n):
         buckets.setdefault(find(i), []).append(i)
     return [buckets[k] for k in sorted(buckets)]
-
-
-def _cluster_box_attempt(field, region, cluster_pts: np.ndarray,
-                         other_pts: np.ndarray, num: Numerics):
-    """Boundary degree over a clipped box around one cluster, or None.
-
-    The box must contain the cluster strictly, exclude every other zero,
-    pass an interior membership probe (no domain holes) and carry a positive
-    boundary margin.
-    """
-    if region.dim > 3:
-        return None
-    reg_lo, reg_hi = region.bounding_box()
-    for pad in (2 * region.h, region.h, region.h / 2, region.h / 4):
-        lo = np.maximum(cluster_pts.min(axis=0) - pad, reg_lo)
-        hi = np.minimum(cluster_pts.max(axis=0) + pad, reg_hi)
-        if np.any(hi - lo <= 0):
-            continue
-        if min((cluster_pts - lo).min(), (hi - cluster_pts).min()) <= 1e-12:
-            continue
-        if len(other_pts) and np.any(
-                np.all((other_pts > lo) & (other_pts < hi), axis=1)):
-            continue
-        axes = [np.linspace(l, u, 9) for l, u in zip(lo, hi)]
-        grid = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")],
-                        axis=1)
-        if not np.all(field.member(grid)) or not np.all(region.contains(grid)):
-            continue
-        try:
-            return kronecker_degree(field, lo, hi,
-                                    margin_min=max(10 * num.newton_tol, 1e-12))
-        except (MarginTooSmall, RefinementOverflow):
-            continue
-    return None
 
 
 class _Enclosure:
@@ -661,17 +639,6 @@ def cell_facets(cells: set, step: float) -> list:
     return out
 
 
-def _enclosure_boundary_degree(field, enclosure: _Enclosure,
-                               num: Numerics) -> int | None:
-    """Boundary degree of the field over the enclosure cell union, or None
-    when the frontier margin cannot be certified in the refinement budget."""
-    try:
-        return frontier_degree(field, cell_facets(enclosure.cells, enclosure.step),
-                               ENCLOSURE_RESOLUTION, max(10 * num.newton_tol, 1e-12))
-    except (MarginTooSmall, RefinementOverflow, DimensionUnsupported):
-        return None
-
-
 def _enclosure_tilt(field, region, enclosure: _Enclosure,
                     cluster_pts: np.ndarray, num: Numerics) -> int:
     """Count cluster zeros after a small constant tilt, inside the enclosure.
@@ -704,33 +671,9 @@ def _enclosure_tilt(field, region, enclosure: _Enclosure,
             if len(pts) == 0:
                 count = 0
                 break
-            jac = fd_jacobian(tilted, pts)
-            svals = np.linalg.svd(jac, compute_uv=False)
-            if np.any(svals[:, -1] <= DEGENERACY_RATIO *
-                      np.maximum(1.0, svals[:, 0])):
-                delta *= 0.5
-                continue
-            dets = np.linalg.det(jac)
-            # certify each sign with a local boundary degree
-            ok = True
-            total = 0
-            for p, d in zip(pts, dets):
-                sep = np.inf
-                if len(pts) > 1:
-                    others = pts[np.any(pts != p[None], axis=1)]
-                    if len(others):
-                        sep = float(np.min(np.linalg.norm(others - p[None],
-                                                          axis=1)))
-                radius = min(region.h / 4, 0.4 * sep)
-                local = _local_degree(tilted, p, radius,
-                                      max(10 * num.newton_tol, 1e-12))
-                claimed = 1 if d > 0 else -1
-                if local is None or local != claimed:
-                    ok = False
-                    break
-                total += claimed
-            if ok:
-                count = total
+            indices = _zero_indices(tilted, pts, region.h, num)
+            if 0 not in indices:
+                count = sum(indices)
                 break
             delta *= 0.5
         if count is None:
@@ -748,10 +691,11 @@ def intersection_number(field, region, num: Numerics,
     """Signed zero count of the field over one component.
 
     Zeros are grouped into proximity clusters.  A cluster of certified
-    nondegenerate zeros contributes its Morse sum; a cluster containing
-    degenerate zeros is resolved by a boundary degree over a clipped
-    enclosing box when one fits inside the component, and otherwise by the
-    localized tilt with two agreeing directions.
+    nondegenerate zeros contributes its Morse sum.  A cluster containing
+    degenerate zeros contributes the boundary degree over the cell union of
+    an enclosure grown around it inside the component; when that degree
+    cannot be certified, it contributes its count after a localized tilt
+    with two agreeing directions.
     """
     if records is None:
         records = find_zeros(field, region, num, compact_margin=compact_margin)
@@ -767,10 +711,6 @@ def intersection_number(field, region, num: Numerics,
             continue
         cluster_pts = pts[cluster]
         other = np.delete(pts, cluster, axis=0)
-        boxed = _cluster_box_attempt(field, region, cluster_pts, other, num)
-        if boxed is not None:
-            total += boxed
-            continue
         resolved = None
         last_enclosure = None
         for subdiv in (2, 4) if region.dim <= 2 else (2,):
@@ -779,9 +719,13 @@ def intersection_number(field, region, num: Numerics,
             if enclosure.empty or np.any(~enclosure.contains(cluster_pts)):
                 continue
             last_enclosure = enclosure
-            resolved = _enclosure_boundary_degree(field, enclosure, num)
-            if resolved is not None:
-                break
+            try:
+                resolved = frontier_degree(
+                    field, cell_facets(enclosure.cells, enclosure.step),
+                    ENCLOSURE_RESOLUTION, max(10 * num.newton_tol, 1e-12))
+            except (MarginTooSmall, RefinementOverflow, DimensionUnsupported):
+                continue
+            break
         if resolved is not None:
             total += resolved
             continue

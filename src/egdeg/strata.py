@@ -63,11 +63,14 @@ def iso_types(group: FiniteGroupRep, omega: DomainExpr, h: float,
     A class enters iff a grid scan over its fixed subspace finds a point of
     the domain whose isotropy is exactly in that class.  The linear order is
     decreasing subgroup order with ties broken by class id, which refines the
-    subconjugacy partial order.
+    subconjugacy partial order.  A class whose scan finds no witness while
+    another class has one raises ResolutionTooCoarse; when no class has a
+    witness, the lattice is empty and a UserWarning names the classes.
     """
     lat = group.lattice
     present: list[int] = []
     witnesses: dict[int, np.ndarray] = {}
+    missing: list[int] = []
     origin = np.zeros(group.dim)
     origin_in = bool(omega.contains(origin[None])[0])
 
@@ -85,13 +88,18 @@ def iso_types(group: FiniteGroupRep, omega: DomainExpr, h: float,
             continue  # fixed space coincides with a larger one; stratum empty
         witness = _grid_witness(omega, basis, sing, h, bbox)
         if witness is None:
-            warnings.warn(
-                f"no exact-isotropy witness found for class "
-                f"{lat.class_label(rec.class_id)}; omitting",
-                stacklevel=2)
+            missing.append(rec.class_id)
             continue
         present.append(rec.class_id)
         witnesses[rec.class_id] = witness
+    labels = ", ".join(lat.class_label(c) for c in missing)
+    if missing and present:
+        raise ResolutionTooCoarse(
+            f"no exact-isotropy witness found for class {labels} at h = {h}, "
+            f"though other orbit types are present; refine h")
+    if missing:
+        warnings.warn(f"no exact-isotropy witness found for class {labels}; "
+                      f"omitting", stacklevel=2)
     return OrbitTypeLattice(group, present, witnesses)
 
 
@@ -263,6 +271,10 @@ def _build_stratum_once(group, omega, class_id, h, bbox) -> Stratum:
     if sing is not None:
         keep &= sing.min_distance(pts) > h
     kept = [c for c, m in zip(cell_list, keep) if m]
+    if not kept:
+        raise ResolutionTooCoarse(
+            f"no grid cell of the {lat.class_label(class_id)} stratum lies in "
+            f"the domain clear of the singular set by h = {h}; refine h")
     kept_set = set(kept)
 
     # flood fill with axis adjacency

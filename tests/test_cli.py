@@ -111,6 +111,24 @@ class TestTheta:
         assert data["entries"] == [
             {"orbit_type": "(H2a)", "component": "q1", "value": 1}]
 
+    @pytest.mark.parametrize("radius,expr", [
+        (0.25, "(x1^2 + x2^2)^2 - x1^2 - x2^2"),
+        (0.19, "(x1^2+x2^2)^2 - 0.02*(x1^2+x2^2)")])
+    def test_ball_too_small_for_grid_exit_3(self, capsys, tmp_path, radius,
+                                            expr):
+        # at r = 0.25 the (e) stratum keeps no cell, at r = 0.19 it has no
+        # witness; either way no (e) row may be dropped or crash the run
+        cfg = write_config(tmp_path, "ball.json", {
+            "group": {"kind": "dihedral", "n": 3},
+            "domain": {"kind": "ball", "r": radius},
+            "potential": {"kind": "expr", "expr": expr},
+            "numerics": {"grid_h": 0.1, "bbox": 2.0},
+        })
+        assert main(["theta", cfg]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "ResolutionTooCoarse" in captured.err
+
     def test_broken_config_exit_2(self, capsys, tmp_path):
         cfg = write_config(tmp_path, "broken.json", {
             "group": {"kind": "dihedral", "n": 3}, "bogus": 1})

@@ -207,6 +207,30 @@ class TestFrontierDegree:
             dg.kronecker_degree(dg.FieldAdapter(fn, 2), [-1, -1], [1, 1])
         assert sum(rows) <= 40_000
 
+    def test_one_grad_call_per_round_in_dim_3(self):
+        # the unit facets of a cell union close up, so their solid angles sum
+        # to a whole number at the first round; a box whose top face is cut
+        # in quarters leaves cracks along that face, and zeros just under it
+        # take a second round
+        unit = dg.cell_facets(block(0, 1, 3), 1.0)
+        top = [f for f in dg.cell_facets(block(0, 2, 3), 0.5)
+               if (f[2], f[3]) == (2, 1)]
+        quartered = [f for f in unit if (f[2], f[3]) != (2, 1)] + top
+        l_shape = dg.cell_facets({c for c in block(0, 3, 3)
+                                  if sum(map(bool, c)) <= 1}, 0.5)
+        base = two_root_field([0.25, 0.98, 0.99], [0.8, 0.4, 0.99])
+        n = dg.ENCLOSURE_RESOLUTION[3][0]
+        for facets, expected, rounds in ((l_shape, 0, 1), (quartered, 2, 2)):
+            rows = []
+
+            def fn(u):
+                rows.append(len(u))
+                return base.grad(u)
+            assert dg.frontier_degree(dg.FieldAdapter(fn, 3), facets,
+                                      dg.ENCLOSURE_RESOLUTION, 1e-12) == expected
+            assert rows == [len(facets) * (n * 2 ** r + 1) ** 2
+                            for r in range(rounds)]
+
 
 def random_confined_potential(rng, dim, degree=3):
     """Random polynomial plus a quartic confinement, zeros pulled inward."""
@@ -314,6 +338,28 @@ class TestTiltPath:
         enc = dg._Enclosure(region, fld, ring_pts, exclude_pts=center_pts)
         count = dg._enclosure_tilt(fld, region, enc, ring_pts, NUM)
         assert count == 0  # the ring carries no degree
+
+
+class TestDegenerateClusters:
+    """Every cluster route on a single degenerate zero of known degree."""
+
+    @pytest.mark.parametrize("expr,dim,h,expected", [
+        ("0.25*x1^4 + 0.5*x2^2 + 0.5*x3^2", 3, 0.25, 1),
+        ("x1^3 - 3*x1*x2^2 + 0.5*x3^2", 3, 0.25, -2),
+        ("x1^3 - 3*x1*x2^2", 2, 0.15, -2),
+        ("0.5*x1^3 + 0.5*x2^2", 2, 0.15, 0),
+    ])
+    def test_routes_agree(self, expr, dim, h, expected):
+        fld, _ = poly_field(expr, dim)
+        num = Numerics(grid_h=h, bbox=1.0)
+        region = dg.BoxRegion([-1.0] * dim, [1.0] * dim, h)
+        recs = dg.find_zeros(fld, region, num)
+        assert [r.degenerate for r in recs] == [True]
+        pts = np.array([r.point for r in recs])
+        enc = dg._Enclosure(region, fld, pts)
+        assert dg.intersection_number(fld, region, num, records=recs) == \
+            dg._enclosure_tilt(fld, region, enc, pts, num) == \
+            dg.kronecker_degree(fld, region.lo, region.hi) == expected
 
 
 class TestQuotient:

@@ -5,7 +5,7 @@ import pytest
 from egdeg import domains as dom
 from egdeg import groups as gr
 from egdeg import strata as st
-from egdeg.errors import NotInStratum
+from egdeg.errors import NotInStratum, ResolutionTooCoarse
 from egdeg.params import Numerics
 
 H, BBOX = 0.1, 2.0
@@ -40,6 +40,13 @@ def test_empty_domain_lattice():
     with pytest.warns(UserWarning, match="no exact-isotropy witness"):
         lat = st.iso_types(g, dom.ball(0.0), H, BBOX)
     assert lat.class_ids == []
+
+
+def test_missing_witness_beside_present_class_raises(d3):
+    # in ball(0.19) at h = 0.1 the mirror lines have witnesses but no cell
+    # center clears them by h/2, so (e) would be dropped from the lattice
+    with pytest.raises(ResolutionTooCoarse, match=r"\(e\)"):
+        st.iso_types(d3, dom.ball(0.19), H, BBOX)
 
 
 def test_linear_order_respects_partial_order(d3):

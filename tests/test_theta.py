@@ -11,10 +11,12 @@ from egdeg import domains as dm
 from egdeg import groups as gr
 from egdeg import maps as mp
 from egdeg import potentials as pt
-from egdeg.errors import AdditionUndefined, UnsupportedRep
+from egdeg.errors import (AdditionUndefined, ResolutionTooCoarse,
+                          UnsupportedRep)
 from egdeg.factory import catalog, orbit_normal
 from egdeg.groups import CircleRep
 from egdeg.params import Numerics
+from egdeg.strata import iso_types
 from egdeg.theta import (ThetaVector, recursion, theta, theta_add,
                          theta_radial_s1)
 
@@ -98,6 +100,18 @@ class TestRecursion:
         vec = run_theta("trivial_identity")
         assert vec.origin_slot is None
         assert vec.entry("(e)", "q0") == 1
+
+    def test_stratum_without_cells_raises(self):
+        # the (e) witness of ball(0.25) clears the mirrors by h/2 = 0.05, so
+        # (e) is an orbit type, but no free-stratum cell clears them by h
+        g = gr.dihedral(3)
+        omega = dm.ball(0.25)
+        assert iso_types(g, omega, NUM.grid_h, NUM.bbox).labels()[-1] == "(e)"
+        f = mp.make_map(g, dm.MapDomain(omega, NUM.bbox),
+                        pt.PolynomialPotential.from_expression(
+                            "(x1^2 + x2^2)^2 - x1^2 - x2^2", 2))
+        with pytest.raises(ResolutionTooCoarse, match="no grid cell"):
+            theta(g, omega, f, NUM)
 
     def test_empty_map_vanishes(self):
         g = gr.antipodal(1)
