@@ -8,8 +8,9 @@ of its zeros.  Three routes are implemented and cross-checked:
   nondegenerate).
 * Kronecker route: a boundary degree over a region bounded by oriented
   axis facets, taken by one integrator (``frontier_degree``): endpoint signs
-  in dim 1, winding of the field angle along facets refined one by one in
-  dim 2, triangulated solid-angle sum over all facets at once in dim 3.
+  in dim 1, winding of the field angle along the facets in dim 2, where each
+  sample interval is halved on its own until its angle step is small,
+  triangulated solid-angle sum over all facets at once in dim 3.
   ``kronecker_degree`` takes it over an axis box; a degenerate cluster gets
   it over the cell union of an enclosure grown around the cluster inside
   the component.
@@ -94,14 +95,13 @@ class TiltedField:
 
 
 def fd_jacobian(field, pts: np.ndarray, step: float = FD_STEP) -> np.ndarray:
+    """Central-difference Jacobians, with all 2 k n probes in one grad call."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     n, k = pts.shape
-    out = np.empty((n, k, k))
-    for j in range(k):
-        e = np.zeros(k)
-        e[j] = step
-        out[:, :, j] = (field.grad(pts + e) - field.grad(pts - e)) / (2 * step)
-    return out
+    e = step * np.eye(k)[:, None]
+    probes = np.concatenate([pts + e, pts - e]).reshape(-1, k)
+    g = field.grad(probes).reshape(2, k, n, k)
+    return np.ascontiguousarray(((g[0] - g[1]) / (2 * step)).transpose(1, 2, 0))
 
 
 class GridRegion:
@@ -244,20 +244,32 @@ def _solve_batched(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     steps = np.zeros_like(rhs)
     if np.any(regular):
         steps[regular] = np.linalg.solve(jac[regular], rhs[regular][..., None])[..., 0]
-    for i in np.nonzero(finite & ~regular)[0]:
-        steps[i] = np.linalg.pinv(jac[i], rcond=1e-10) @ rhs[i]
+    singular = finite & ~regular
+    if np.any(singular):
+        steps[singular] = (np.linalg.pinv(jac[singular], rcond=1e-10)
+                           @ rhs[singular][..., None])[..., 0]
     return steps
 
 
 def dedupe_points(pts: np.ndarray, radius: float) -> np.ndarray:
+    """Greedy dedupe in lexicographic order: a point is kept when no point
+    kept before it lies within the radius.
+
+    Each sweep keeps the first remaining point and drops every remaining
+    point within the radius of it.
+    """
     if len(pts) == 0:
         return pts
-    order = np.lexsort(pts.T[::-1])
-    pts = pts[order]
+    rest = pts[np.lexsort(pts.T[::-1])]
     keep: list[np.ndarray] = []
-    for p in pts:
-        if not any(np.linalg.norm(p - q) <= radius for q in keep):
-            keep.append(p)
+    while len(rest):
+        keep.append(rest[0])
+        d = rest[1:] - rest[0]
+        # a matmul takes one dot product per row, summed as the norm of a
+        # single vector is; an axis norm can round the last bit differently
+        # and so move a point across the radius
+        dist = np.sqrt(d[:, None, :] @ d[:, :, None])[:, 0, 0]
+        rest = rest[1:][~(dist <= radius)]
     return np.array(keep)
 
 
@@ -344,22 +356,18 @@ def _zero_indices(field, pts: np.ndarray, h: float, num: Numerics) -> list[int]:
         nearest_other = dist.min(axis=1)
     else:
         nearest_other = np.full(1, np.inf)
-    indices = []
+    svals = np.linalg.svd(jac, compute_uv=False)
+    indices = np.where(np.linalg.det(jac) > 0, 1, -1)
+    indices[svals[:, -1] <= DEGENERACY_RATIO * np.maximum(1.0, svals[:, 0])] = 0
     certify_floor = max(10 * num.newton_tol, 1e-12)
-    for p, j, sep in zip(pts, jac, nearest_other):
-        svals = np.linalg.svd(j, compute_uv=False)
-        if svals[-1] <= DEGENERACY_RATIO * max(1.0, svals[0]):
-            index = 0
-        else:
-            index = 1 if np.linalg.det(j) > 0 else -1
-        if index != 0:
-            bd = float(field.boundary_distance(p[None])[0])
-            radius = min(h / 4, 0.4 * sep, 0.8 * bd)
-            local = _local_degree(field, p, radius, certify_floor)
-            if local is None or local != index:
-                index = 0
-        indices.append(index)
-    return indices
+    nondegenerate = np.nonzero(indices)[0]
+    if len(nondegenerate):
+        bdist = field.boundary_distance(pts[nondegenerate])
+        for i, bd in zip(nondegenerate, bdist):
+            radius = min(h / 4, 0.4 * nearest_other[i], 0.8 * float(bd))
+            if _local_degree(field, pts[i], radius, certify_floor) != indices[i]:
+                indices[i] = 0
+    return indices.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -389,16 +397,17 @@ def frontier_degree(field, facets, resolution: dict, margin_min: float) -> int:
     A facet ``(lo, hi, axis, side)`` is the axis-aligned box ``[lo, hi]``,
     flat along ``axis``, with outward normal ``side * e_axis``.  In dim 1
     the degree is the sum of ``side * sign(f) / 2`` over the facet points.
-    In dim 2 each facet is sampled as a counterclockwise polyline, and the
-    samples on a facet double until every wrapped field angle step on it is
-    below pi/4; around a closed frontier the steps then sum to a multiple of
-    2 pi.  In dim 3 every facet is triangulated n x n with outward
-    orientation, the field is sampled on the vertices of all facets in one
-    call, and n doubles until the solid-angle sum is within 0.2 of an
-    integer.  ``resolution[dim]`` gives the starting samples per facet side
-    and the number of rounds.  Raises MarginTooSmall when the field comes
-    within ``margin_min`` of zero on a sample and RefinementOverflow when
-    the rounds run out.
+    In dim 2 each facet is sampled at n + 1 points as a counterclockwise
+    polyline, and each round halves every sample interval whose wrapped
+    field angle step is pi/4 or more, with the midpoints of all facets in
+    one call, until every step is below pi/4; around a closed frontier the
+    steps then sum to a multiple of 2 pi.  In dim 3 every facet is
+    triangulated n x n with outward orientation, the field is sampled on
+    the vertices of all facets in one call, and n doubles until the
+    solid-angle sum is within 0.2 of an integer.  ``resolution[dim]`` gives
+    the starting samples per facet side and the number of rounds.  Raises
+    MarginTooSmall when the field comes within ``margin_min`` of zero on a
+    sample and RefinementOverflow when the rounds run out.
     """
     dim = len(facets[0][0])
     if dim > 3:
@@ -423,18 +432,35 @@ def frontier_degree(field, facets, resolution: dict, margin_min: float) -> int:
                            for lo, hi, axis, side in facets])
         ends = np.array([hi if (side > 0) == (axis == 0) else lo
                          for lo, hi, axis, side in facets])
+
+        def angles(facet, t):
+            vals = sample(starts[facet] + t[:, None] * (ends - starts)[facet])
+            return np.arctan2(vals[:, 1], vals[:, 0])
+
+        # sample intervals [t0, t1] of the facets, with the field angle at
+        # both ends; a bad interval is halved at its midpoint, which lies on
+        # the grid of the next doubling
+        count = len(facets)
+        ts = np.linspace(0.0, 1.0, n + 1)
+        ang = angles(np.repeat(np.arange(count), n + 1),
+                     np.tile(ts, count)).reshape(count, n + 1)
+        facet = np.repeat(np.arange(count), n)
+        t0, t1 = np.tile(ts[:-1], count), np.tile(ts[1:], count)
+        a0, a1 = ang[:, :-1].ravel(), ang[:, 1:].ravel()
         total = 0.0
-        for _ in range(rounds):
-            ts = np.linspace(0.0, 1.0, n + 1)
-            vals = sample(starts[:, None] + ts[None, :, None] * (ends - starts)[:, None])
-            steps = np.diff(np.arctan2(vals[..., 1], vals[..., 0]), axis=1)
-            steps = (steps + np.pi) % (2 * np.pi) - np.pi
-            fine = np.max(np.abs(steps), axis=1) < np.pi / 4
+        for r in range(rounds):
+            if r:
+                tm = (t0 + t1) / 2
+                am = angles(facet, tm)
+                facet = np.concatenate([facet, facet])
+                t0, t1 = np.concatenate([t0, tm]), np.concatenate([tm, t1])
+                a0, a1 = np.concatenate([a0, am]), np.concatenate([am, a1])
+            steps = (a1 - a0 + np.pi) % (2 * np.pi) - np.pi
+            fine = np.abs(steps) < np.pi / 4
             total += float(np.sum(steps[fine]))
-            starts, ends = starts[~fine], ends[~fine]
-            if len(starts) == 0:
+            facet, t0, t1, a0, a1 = (x[~fine] for x in (facet, t0, t1, a0, a1))
+            if len(facet) == 0:
                 return int(round(total / (2 * np.pi)))
-            n *= 2
         raise RefinementOverflow("winding number did not stabilize")
     lo = np.array([f[0] for f in facets])
     hi = np.array([f[1] for f in facets])

@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .degree import fd_jacobian
 from .domains import MapDomain, UnionDomain, validate_invariance as _dom_invariance
 from .errors import DomainsOverlap, NotInvariant, OutsideDomain
 from .groups import FiniteGroupRep
@@ -94,12 +95,7 @@ class LocalGradientMap:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if not self.layers:
             return self.potential.hess(pts)
-        n, d = pts.shape
-        out = np.empty((n, d, d))
-        for j in range(d):
-            e = np.zeros(d)
-            e[j] = FD_HESS_STEP
-            out[:, :, j] = (self.grad(pts + e) - self.grad(pts - e)) / (2 * FD_HESS_STEP)
+        out = fd_jacobian(self, pts, FD_HESS_STEP)
         return 0.5 * (out + np.swapaxes(out, 1, 2))
 
     # -- structural updates ------------------------------------------------

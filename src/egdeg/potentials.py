@@ -160,16 +160,7 @@ class Potential:
         raise NotImplementedError
 
     def hess(self, pts: np.ndarray) -> np.ndarray:
-        # default: central differences of the exact gradient
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        n, d = pts.shape
-        out = np.empty((n, d, d))
-        step = 1e-6
-        for j in range(d):
-            e = np.zeros(d)
-            e[j] = step
-            out[:, :, j] = (self.grad(pts + e) - self.grad(pts - e)) / (2 * step)
-        return 0.5 * (out + np.swapaxes(out, 1, 2))
+        raise NotImplementedError
 
     def descriptor(self) -> dict:
         raise NotImplementedError

@@ -119,3 +119,50 @@ def quotient_orbit_count(zeros, indices, weyl_mats, tol=1e-6):
         sizes.add(len(members))
         orbit_indices.append(indices[i])
     return sum(orbit_indices), sizes
+
+
+# ---------------------------------------------------------------------------
+# loop forms of the vectorized degree helpers: the batched versions must give
+# bitwise the same arrays
+
+
+def greedy_dedupe(pts, radius):
+    """Keep a point when no point kept before it, in lexicographic order,
+    lies within the radius."""
+    if len(pts) == 0:
+        return pts
+    pts = pts[np.lexsort(pts.T[::-1])]
+    keep = []
+    for p in pts:
+        if not any(np.linalg.norm(p - q) <= radius for q in keep):
+            keep.append(p)
+    return np.array(keep)
+
+
+def axis_fd_jacobian(field, pts, step):
+    """Central differences with one pair of grad calls per axis."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    n, k = pts.shape
+    out = np.empty((n, k, k))
+    for j in range(k):
+        e = np.zeros(k)
+        e[j] = step
+        out[:, :, j] = (field.grad(pts + e) - field.grad(pts - e)) / (2 * step)
+    return out
+
+
+def rowwise_newton_steps(jac, rhs):
+    """Newton steps J s = rhs: solve on well-conditioned rows, one pinv per
+    singular row, zero on rows that are not finite."""
+    finite = np.isfinite(jac).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=1)
+    with np.errstate(invalid="ignore"):
+        dets = np.abs(np.linalg.det(np.where(finite[:, None, None], jac, 0.0)))
+    scale = np.maximum(1e-300,
+                       np.linalg.norm(np.nan_to_num(jac), axis=(1, 2)) ** jac.shape[1])
+    regular = finite & (dets > 1e-12 * scale)
+    steps = np.zeros_like(rhs)
+    if np.any(regular):
+        steps[regular] = np.linalg.solve(jac[regular], rhs[regular][..., None])[..., 0]
+    for i in np.nonzero(finite & ~regular)[0]:
+        steps[i] = np.linalg.pinv(jac[i], rcond=1e-10) @ rhs[i]
+    return steps

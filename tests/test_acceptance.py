@@ -23,8 +23,8 @@ from egdeg.verify import (
 )
 
 _CTX = _Ctx()
-_BUDGETS = {1: 30.0, 2: 60.0, 3: 30.0, 4: 60.0, 5: 5.0, 6: 5.0,
-            7: 120.0, 8: 60.0, 9: 30.0}
+_BUDGETS = {1: 2.5, 2: 2.5, 3: 1.0, 4: 60.0, 5: 1.0, 6: 1.0,
+            7: 70.0, 8: 6.0, 9: 6.0}
 
 
 def _run(number, name, fn):

@@ -4,7 +4,8 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import circle_winding, quotient_orbit_count
+from oracles import (axis_fd_jacobian, circle_winding, greedy_dedupe,
+                     quotient_orbit_count, rowwise_newton_steps)
 
 from egdeg import degree as dg
 from egdeg import domains as dm
@@ -13,8 +14,10 @@ from egdeg import maps as mp
 from egdeg import potentials as pt
 from egdeg.errors import (ConfigError, DimensionUnsupported, MarginTooSmall,
                           RefinementOverflow)
+from egdeg.factory import catalog
 from egdeg.params import Numerics
 from egdeg.strata import build_stratum, iso_types
+from egdeg.theta import recursion
 
 NUM = Numerics(grid_h=0.15, bbox=3.0)
 
@@ -93,6 +96,98 @@ class TestFindZeros:
                 make()
 
 
+def straddling_cloud(rng, dim, radius, pairs=30, flips=3, walks=3000):
+    """Random points near each other, plus pairs whose distance, as
+    ``np.linalg.norm`` of their difference gives it, is the radius or one
+    ulp either side of it.  From dim 2 on, it also looks for ``flips``
+    pairs that an axis norm, which can round the last bit differently, puts
+    on the other side of the radius.
+    """
+    targets = (np.nextafter(radius, 0), radius, np.nextafter(radius, 1))
+    pts = [rng.uniform(0, 6 * radius, size=(60, dim))]
+    hits = flipped = 0
+    for _ in range(walks):
+        if hits >= pairs and (dim == 1 or flipped >= flips):
+            break
+        # in dim 1 a distance is a whole number of ulps of the coordinates,
+        # so they stay below the radius there; from dim 2 on, the pairs
+        # spread out so that no two of them come near each other
+        p = rng.uniform(0, radius / 4 if dim == 1 else 200 * radius, size=dim)
+        u = rng.normal(size=dim)
+        u /= np.linalg.norm(u)
+        j = np.argmax(np.abs(u))
+        q = p + radius * u
+        for q[j] in q[j] + np.arange(-8, 9) * np.spacing(q[j]):
+            d = np.linalg.norm(q - p)
+            flip = (d <= radius) != (np.linalg.norm((q - p)[None], axis=1)[0] <= radius)
+            if flip or (hits < pairs and d in targets):
+                pts.append(np.stack([p, q]))
+                hits += 1
+                flipped += flip
+                break
+    assert hits >= pairs
+    return np.concatenate(pts)
+
+
+class TestBatchedHelpers:
+    """The vectorized degree helpers against their loop forms, bit for bit."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_dedupe_equals_greedy_loop(self, dim):
+        radius = dg.DEDUPE_FACTOR * 0.1
+        rng = np.random.default_rng(dim)
+        for _ in range(3):
+            cloud = straddling_cloud(rng, dim, radius)
+            got = dg.dedupe_points(cloud, radius)
+            want = greedy_dedupe(cloud, radius)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert len(want) < len(cloud)
+
+    def test_fd_jacobian_equals_axis_loop(self):
+        two_layers = [s for s in recursion(*catalog("s3_perm_radial").build(),
+                                           Numerics(grid_h=0.1, bbox=2.0),
+                                           tubes_only=True)
+                      if not s.tube.is_empty][-1].parts.off_stratum
+        assert len(two_layers.layers) == 2
+        rng = np.random.default_rng(3)
+        geos = [layer.geometry for layer in two_layers.layers]
+        pts = np.concatenate([rng.uniform(-1.2, 1.2, size=(200, 3))]
+                             + [g.sample_tube(100, rng) for g in geos])
+        pts = pts[two_layers.member(pts)]
+        assert all(np.any(g.in_open_tube(pts, g.decompose(pts))) for g in geos)
+        fld, _ = poly_field("x1^3 - 3*x1*x2^2 + x3^4 + x1*x3", 3)
+        for field in (two_layers, fld):
+            got = dg.fd_jacobian(field, pts)
+            assert got.tobytes() == axis_fd_jacobian(field, pts, dg.FD_STEP).tobytes()
+        want = axis_fd_jacobian(two_layers, pts, mp.FD_HESS_STEP)
+        want = 0.5 * (want + np.swapaxes(want, 1, 2))
+        assert two_layers.hess(pts).tobytes() == want.tobytes()
+
+    def test_fd_jacobian_makes_one_grad_call(self):
+        rows = []
+
+        def fn(u):
+            rows.append(len(u))
+            return np.sin(u) * u[:, ::-1]
+        dg.fd_jacobian(dg.FieldAdapter(fn, 3), np.ones((7, 3)))
+        assert rows == [2 * 3 * 7]
+
+    def test_newton_steps_equal_rowwise_pinv(self):
+        rng = np.random.default_rng(7)
+        for dim in (1, 2, 3):
+            jac = rng.normal(size=(40, dim, dim))
+            jac[::4, :, 0] = 0.0                          # rank deficient
+            jac[1::4, -1] = 1e-9 * jac[1::4, 0]           # nearly so
+            jac[2::8, 0, 0] = np.nan                      # not finite
+            rhs = rng.normal(size=(40, dim))
+            rhs[3::8, 0] = np.inf
+            got = dg._solve_batched(jac, rhs)
+            assert got.tobytes() == rowwise_newton_steps(jac, rhs).tobytes()
+            assert np.all(got[2::8] == 0.0)
+            # a rank-deficient row takes the pinv step, nonzero from dim 2
+            assert dim == 1 or np.all(np.any(got[::4] != 0.0, axis=1))
+
+
 class TestKronecker:
     def test_identity_2d(self):
         fld = dg.FieldAdapter(lambda u: u, 2)
@@ -103,13 +198,25 @@ class TestKronecker:
         fld = dg.FieldAdapter(lambda u: -u, dim)
         assert dg.kronecker_degree(fld, [-1] * dim, [1] * dim) == expected
 
-    def test_winding_two(self):
-        def squared(u):
-            z = u[:, 0] + 1j * u[:, 1]
-            w = z ** 2
+    @pytest.mark.parametrize("region", ["box", "notch"])
+    @pytest.mark.parametrize(
+        "k,conj", [pytest.param(k, conj, id=f"{'conj' if conj else 'z'}{k}")
+                   for conj in (False, True) for k in range(1, 7)])
+    def test_winding_two(self, k, conj, region):
+        # (z - c)^k winds k times around its zero c and conj(z - c)^k -k
+        # times, on a box and on a cell union with its corner cut out
+        c = np.array([0.23, -0.17]) if region == "box" else np.array([0.73, 0.81])
+
+        def power(u):
+            z = (u[:, 0] - c[0]) + 1j * (u[:, 1] - c[1])
+            w = (np.conj(z) if conj else z) ** k
             return np.stack([w.real, w.imag], axis=1)
-        fld = dg.FieldAdapter(squared, 2)
-        assert dg.kronecker_degree(fld, [-1, -1], [1, 1]) == 2
+        fld = dg.FieldAdapter(power, 2)
+        if region == "box":
+            got = dg.kronecker_degree(fld, [-1, -1], [1, 1])
+        else:
+            got = cell_union_degree(fld, block(0, 4, 2) - {(3, 3)})
+        assert got == (-k if conj else k)
 
     def test_margin_guard(self):
         fld = dg.FieldAdapter(lambda u: u, 2)
@@ -205,7 +312,7 @@ class TestFrontierDegree:
             return np.column_stack([u[:, 0] - 1 / 3, u[:, 1] + 1])
         with pytest.raises(RefinementOverflow):
             dg.kronecker_degree(dg.FieldAdapter(fn, 2), [-1, -1], [1, 1])
-        assert sum(rows) <= 40_000
+        assert sum(rows) <= 200
 
     def test_one_grad_call_per_round_in_dim_3(self):
         # the unit facets of a cell union close up, so their solid angles sum
