@@ -121,12 +121,7 @@ class GridRegion:
         return self.component.centers
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        out = np.zeros(len(pts), dtype=bool)
-        for i, u in enumerate(pts):
-            comp = self.stratum.component_of_point(u)
-            out[i] = comp == self.component.index
-        return out
+        return self.stratum.components_of(pts) == self.component.index
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         lo = self.component.centers.min(axis=0) - self.h / 2
@@ -518,28 +513,21 @@ def _deterministic_directions(dim: int, seed: int) -> list[np.ndarray]:
 
 
 def _linkage_clusters(points: np.ndarray, radius: float) -> list[list[int]]:
-    """Single-linkage clusters of points at the given merge radius."""
-    n = len(points)
-    parent = list(range(n))
+    """Single-linkage clusters of points at the given merge radius, each in
+    index order, ordered by their first index.
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    Each cluster grows from its first point one breadth-first ring at a time,
+    so no list of close pairs is ever built."""
     diffs = points[:, None, :] - points[None, :, :]
     close = np.linalg.norm(diffs, axis=2) <= radius
-    for i in range(n):
-        for j in range(i + 1, n):
-            if close[i, j]:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-    buckets: dict[int, list[int]] = {}
-    for i in range(n):
-        buckets.setdefault(find(i), []).append(i)
-    return [buckets[k] for k in sorted(buckets)]
+    label = np.full(len(points), -1)
+    for i in range(len(points)):
+        ring = [i] if label[i] < 0 else []
+        while len(ring):
+            label[ring] = i
+            ring = np.flatnonzero(close[ring].any(axis=0) & (label < 0))
+    roots = np.flatnonzero(label == np.arange(len(points)))
+    return [np.flatnonzero(label == i).tolist() for i in roots]
 
 
 class _Enclosure:

@@ -20,6 +20,8 @@ from .tubes import SubspaceFamily
 
 Terms = dict[tuple[int, ...], float]
 
+POWER_BLOCK = 4096  # rows per power table in PolynomialPotential evaluation
+
 
 def _clean(terms: Terms) -> Terms:
     return {e: c for e, c in terms.items() if c != 0.0}
@@ -63,6 +65,15 @@ def poly_diff(a: Terms, axis: int) -> Terms:
         de[axis] -= 1
         out[tuple(de)] = out.get(tuple(de), 0.0) + c * e[axis]
     return _clean(out)
+
+
+def _compile(polys: list[Terms], dim: int):
+    """Each polynomial as (coefficient, [(axis, power), ...]) terms over the
+    nonzero powers, with the top power of each axis over all of them."""
+    terms = [[(c, [(j, p) for j, p in enumerate(e) if p])
+              for e, c in sorted(poly.items())] for poly in polys]
+    top = [max([0] + [e[j] for poly in polys for e in poly]) for j in range(dim)]
+    return terms, top
 
 
 class _Parser:
@@ -167,16 +178,24 @@ class Potential:
 
 
 class PolynomialPotential(Potential):
-    """Exact multivariate polynomial with cached derivative terms."""
+    """Exact multivariate polynomial with cached derivative terms.
+
+    Evaluation builds a power table per block of POWER_BLOCK rows: x_j^p for
+    every axis j up to its top power, by repeated multiplication (numpy's
+    ``x ** p`` takes a slow scalar path on negative bases).  Each term is the
+    coefficient times its table entries in axis order, and the terms are
+    added in canonical order, all elementwise, so a row's result does not
+    depend on the other rows of the batch; the blocks bound the memory.
+    """
 
     def __init__(self, terms: Terms, dim: int):
         self.dim = dim
         # canonical term order keeps summation deterministic across rebuilds
         self.terms = dict(sorted(_clean(dict(terms)).items()))
-        self._grad_terms = [dict(sorted(poly_diff(self.terms, j).items()))
-                            for j in range(dim)]
-        self._hess_terms = [[dict(sorted(poly_diff(self._grad_terms[i], j).items()))
-                             for j in range(dim)] for i in range(dim)]
+        grads = [poly_diff(self.terms, j) for j in range(dim)]
+        self._value = _compile([self.terms], dim)
+        self._grad = _compile(grads, dim)
+        self._hess = _compile([poly_diff(g, j) for g in grads for j in range(dim)], dim)
 
     @classmethod
     def from_expression(cls, text: str, dim: int) -> "PolynomialPotential":
@@ -196,38 +215,36 @@ class PolynomialPotential(Potential):
             out = poly_add(out, poly_scale(poly_pow(r2, power, dim), coeff))
         return cls(out, dim)
 
-    @staticmethod
-    def _eval_terms(terms: Terms, pts: np.ndarray) -> np.ndarray:
-        if not terms:
-            return np.zeros(pts.shape[0])
-        out = np.zeros(pts.shape[0])
-        for e, c in terms.items():
-            mono = np.full(pts.shape[0], c)
-            for j, p in enumerate(e):
-                if p:
-                    mono = mono * pts[:, j] ** p
-            out += mono
+    def _eval(self, polys, top, pts) -> np.ndarray:
+        """(n, len(polys)) values of compiled polynomials at the points."""
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        out = np.empty((len(pts), len(polys)))
+        for start in range(0, len(pts), POWER_BLOCK):
+            block = pts[start:start + POWER_BLOCK]
+            table = []
+            for j in range(self.dim):
+                row = [None, block[:, j].copy()]
+                for _ in range(1, top[j]):
+                    row.append(row[-1] * row[1])
+                table.append(row)
+            for s, poly in enumerate(polys):
+                acc = np.zeros(len(block))
+                for c, factors in poly:
+                    mono = c
+                    for j, p in factors:
+                        mono = mono * table[j][p]
+                    acc += mono
+                out[start:start + POWER_BLOCK, s] = acc
         return out
 
     def value(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return self._eval_terms(self.terms, pts)
+        return self._eval(*self._value, pts)[:, 0]
 
     def grad(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        out = np.empty((pts.shape[0], self.dim))
-        for j in range(self.dim):
-            out[:, j] = self._eval_terms(self._grad_terms[j], pts)
-        return out
+        return self._eval(*self._grad, pts)
 
     def hess(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        n = pts.shape[0]
-        out = np.empty((n, self.dim, self.dim))
-        for i in range(self.dim):
-            for j in range(self.dim):
-                out[:, i, j] = self._eval_terms(self._hess_terms[i][j], pts)
-        return out
+        return self._eval(*self._hess, pts).reshape(-1, self.dim, self.dim)
 
     def scaled(self, lam: float) -> "PolynomialPotential":
         return PolynomialPotential(poly_scale(self.terms, lam), self.dim)

@@ -198,26 +198,33 @@ class Stratum:
     def to_coords(self, points: np.ndarray) -> np.ndarray:
         return np.atleast_2d(points) @ self.basis
 
-    def nearest_kept_cell(self, coords: np.ndarray, radius_cells: float = 1.0):
-        """Nearest kept cell tuple within radius_cells * h, or None."""
-        u = np.asarray(coords, dtype=float)
-        base = np.floor(u / self.h - 0.5).astype(int)
-        best, best_d = None, np.inf
-        for off in itertools.product((-1, 0, 1, 2), repeat=len(u)):
-            cell = tuple(base + np.array(off))
-            if cell not in self.cells:
-                continue
-            center = (np.array(cell) + 0.5) * self.h
-            d = np.linalg.norm(center - u)
-            if d < best_d:
-                best, best_d = cell, d
-        if best is None or best_d > radius_cells * self.h:
-            return None
-        return best
+    def components_of(self, coords: np.ndarray) -> np.ndarray:
+        """Component of each point's nearest kept cell within h, -1 if none."""
+        return nearest_components(coords, self.cells, self.h, self.h)
 
-    def component_of_point(self, coords: np.ndarray):
-        cell = self.nearest_kept_cell(coords)
-        return None if cell is None else self.cells[cell]
+
+def nearest_components(coords, comp_of: dict, h: float, radius: float) -> np.ndarray:
+    """Component of each point's nearest kept cell within the radius, or -1.
+
+    Of the 4^k cells around a point, in ``itertools.product`` order of their
+    offsets, the first strictly nearest wins.  A per-row matmul takes each
+    distance, rounded as the norm of a single vector is."""
+    u = np.atleast_2d(np.asarray(coords, dtype=float))
+    n, k = u.shape
+    offsets = np.array(list(itertools.product((-1, 0, 1, 2), repeat=k)))
+    cells = np.floor(u / h - 0.5).astype(int)[:, None, :] + offsets
+    # look the candidates up in a dense array over the kept cells' bounding box
+    kept = np.array(list(comp_of), dtype=int).reshape(-1, k)
+    lo = kept.min(axis=0)
+    grid = np.full(kept.max(axis=0) - lo + 1, -1)
+    grid[tuple((kept - lo).T)] = list(comp_of.values())
+    at = np.clip(cells - lo, 0, np.array(grid.shape) - 1)
+    comp = np.where(np.all(at == cells - lo, axis=-1), grid[tuple(at.T)].T, -1)
+    d = (cells + 0.5) * h - u[:, None, :]
+    dist = np.sqrt(d[..., None, :] @ d[..., None])[..., 0, 0]
+    dist[comp < 0] = np.inf
+    best = np.arange(n), np.argmin(dist, axis=1)
+    return np.where(dist[best] <= radius, comp[best], -1)
 
 
 def build_stratum(group: FiniteGroupRep, omega: DomainExpr, class_id: int,
@@ -326,10 +333,10 @@ def _weyl_action(group, rec, basis, comp_of, components, h):
         for comp in components:
             votes: dict[int, int] = {}
             samples = comp.centers[:: max(1, len(comp.centers) // 8)][:9]
-            for u in samples @ wmat.T:
-                target = _nearest_component(u, comp_of, h)
-                if target is not None:
-                    votes[target] = votes.get(target, 0) + 1
+            targets = nearest_components(samples @ wmat.T, comp_of, h,
+                                         1.2 * h * np.sqrt(basis.shape[1]))
+            for target in targets[targets >= 0].tolist():
+                votes[target] = votes.get(target, 0) + 1
             if not votes:
                 raise ResolutionTooCoarse(
                     f"weyl image of component {comp.index} not locatable")
@@ -338,20 +345,6 @@ def _weyl_action(group, rec, basis, comp_of, components, h):
             raise ResolutionTooCoarse("weyl action is not a permutation; refine h")
         perms[w] = images
     return perms
-
-
-def _nearest_component(u, comp_of, h):
-    base = np.floor(u / h - 0.5).astype(int)
-    best, best_d = None, np.inf
-    for off in itertools.product((-1, 0, 1, 2), repeat=len(u)):
-        cell = tuple(base + np.array(off))
-        if cell not in comp_of:
-            continue
-        center = (np.array(cell) + 0.5) * h
-        d = np.linalg.norm(center - u)
-        if d < best_d:
-            best, best_d = comp_of[cell], d
-    return best if best_d <= 1.2 * h * np.sqrt(len(u)) else None
 
 
 def _quotient_orbits(rec, components, weyl_perm) -> list[QuotientOrbit]:
@@ -409,8 +402,8 @@ def locate(stratum: Stratum, point) -> tuple[str, str]:
             f"isotropy {iso.member_indices} differs from subgroup "
             f"{rec.member_indices}")
     u = stratum.to_coords(x)[0]
-    comp_idx = stratum.component_of_point(u)
-    if comp_idx is None:
+    comp_idx = int(stratum.components_of(u)[0])
+    if comp_idx < 0:
         raise NotInStratum("no kept grid cell near the point")
     comp = stratum.components[comp_idx]
     orb = stratum.orbit_of_component(comp_idx)

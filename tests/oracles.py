@@ -4,6 +4,8 @@ Everything here is deliberately written from closed forms, without touching
 the package's layer evaluation or degree machinery, so that agreement is a
 genuine cross-check rather than a tautology.
 """
+import itertools
+
 import numpy as np
 
 
@@ -166,3 +168,59 @@ def rowwise_newton_steps(jac, rhs):
     for i in np.nonzero(finite & ~regular)[0]:
         steps[i] = np.linalg.pinv(jac[i], rcond=1e-10) @ rhs[i]
     return steps
+
+
+def linkage_clusters(points, radius):
+    """Single-linkage clusters: a union-find over a double loop of pairs."""
+    n = len(points)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    close = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=2) <= radius
+    for i in range(n):
+        for j in range(i + 1, n):
+            if close[i, j]:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[max(ri, rj)] = min(ri, rj)
+    buckets = {}
+    for i in range(n):
+        buckets.setdefault(find(i), []).append(i)
+    return [buckets[k] for k in sorted(buckets)]
+
+
+def nearest_component(u, comp_of, h, radius):
+    """Component of the nearest kept cell among the 4^k around one point, or
+    None; the first strictly nearest cell in offset order wins."""
+    base = np.floor(u / h - 0.5).astype(int)
+    best, best_d = None, np.inf
+    for off in itertools.product((-1, 0, 1, 2), repeat=len(u)):
+        cell = tuple(base + np.array(off))
+        if cell not in comp_of:
+            continue
+        d = np.linalg.norm((np.array(cell) + 0.5) * h - u)
+        if d < best_d:
+            best, best_d = comp_of[cell], d
+    return best if best_d <= radius else None
+
+
+# ---------------------------------------------------------------------------
+# polynomial evaluation term by term with numpy's power
+
+
+def eval_terms(terms, pts):
+    """Sum over the terms in the given order of coefficient times x_j ** p."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    out = np.zeros(pts.shape[0])
+    for e, c in terms.items():
+        mono = np.full(pts.shape[0], c)
+        for j, p in enumerate(e):
+            if p:
+                mono = mono * pts[:, j] ** p
+        out += mono
+    return out

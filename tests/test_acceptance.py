@@ -24,7 +24,7 @@ from egdeg.verify import (
 
 _CTX = _Ctx()
 _BUDGETS = {1: 2.5, 2: 2.5, 3: 1.0, 4: 60.0, 5: 1.0, 6: 1.0,
-            7: 70.0, 8: 6.0, 9: 6.0}
+            7: 42.0, 8: 6.0, 9: 6.0}
 
 
 def _run(number, name, fn):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import (axis_fd_jacobian, circle_winding, greedy_dedupe,
-                     quotient_orbit_count, rowwise_newton_steps)
+                     linkage_clusters, quotient_orbit_count, rowwise_newton_steps)
 
 from egdeg import degree as dg
 from egdeg import domains as dm
@@ -162,6 +162,22 @@ class TestBatchedHelpers:
         want = axis_fd_jacobian(two_layers, pts, mp.FD_HESS_STEP)
         want = 0.5 * (want + np.swapaxes(want, 1, 2))
         assert two_layers.hess(pts).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_linkage_clusters_equal_pair_loop(self, dim):
+        rng = np.random.default_rng(10 + dim)
+        centers = rng.uniform(-1, 1, size=(6, dim))
+        pts = np.concatenate([c + rng.normal(scale=0.05, size=(12, dim)) for c in centers])
+        pts = pts[rng.permutation(len(pts))]
+        for radius in (0.02, 0.1, 0.4):
+            assert dg._linkage_clusters(pts, radius) == linkage_clusters(pts, radius)
+        assert dg._linkage_clusters(pts[:1], 0.1) == [[0]]
+        # a shuffled chain merges only through its neighbours, over many rings
+        chain = np.zeros((40, dim))
+        chain[:, 0] = np.where(np.arange(40) < 25, 0.1, 0.3) * np.arange(40)
+        chain = chain[rng.permutation(40)]
+        assert dg._linkage_clusters(chain, 0.15) == linkage_clusters(chain, 0.15)
+        assert len(dg._linkage_clusters(chain, 0.15)) == 1 + 15
 
     def test_fd_jacobian_makes_one_grad_call(self):
         rows = []

@@ -1,6 +1,7 @@
 """Potential layer tests: parsing, exact calculus, invariance validation."""
 import numpy as np
 import pytest
+from oracles import eval_terms
 
 from egdeg import groups as gr
 from egdeg import potentials as pt
@@ -67,6 +68,77 @@ class TestCalculus:
     def test_scaled(self):
         p = pt.PolynomialPotential.from_expression("x1^2", 1).scaled(3.0)
         assert p.grad(np.array([[2.0]]))[0, 0] == pytest.approx(12.0)
+
+
+def random_terms(rng, dim, n=12):
+    terms = {tuple(int(p) for p in rng.integers(0, 5, size=dim)): float(rng.normal())
+             for _ in range(n)}
+    terms[(0,) * dim] = float(rng.normal())
+    return terms
+
+
+def oracle_value_grad_hess(pot, pts):
+    """value, grad and hess of the potential from term-by-term ``**`` sums."""
+    grads = [dict(sorted(pt.poly_diff(pot.terms, j).items())) for j in range(pot.dim)]
+    hess = [[dict(sorted(pt.poly_diff(g, j).items())) for j in range(pot.dim)]
+            for g in grads]
+    return (eval_terms(pot.terms, pts),
+            np.stack([eval_terms(g, pts) for g in grads], axis=1),
+            np.stack([np.stack([eval_terms(t, pts) for t in row], axis=1)
+                      for row in hess], axis=1))
+
+
+class TestPowerTable:
+    """The power-table kernel against term-by-term evaluation with ``**``."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_bitwise_on_dyadic_grid(self, dim):
+        # every power of a grid point k/8 in [-2, 2] is exact, so the two
+        # forms differ only in how they reach the powers; the products and
+        # sums after that run in the same order and round alike
+        rng = np.random.default_rng(dim)
+        pts = rng.integers(-16, 17, size=(3000, dim)) / 8.0
+        for terms in (random_terms(rng, dim), {(0,) * dim: -1.5}, {}):
+            pot = pt.PolynomialPotential(terms, dim)
+            for got, want in zip((pot.value(pts), pot.grad(pts), pot.hess(pts)),
+                                 oracle_value_grad_hess(pot, pts)):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_close_on_random_points(self, dim):
+        rng = np.random.default_rng(20 + dim)
+        pts = rng.uniform(-3, 3, size=(3000, dim))
+        pot = pt.PolynomialPotential(random_terms(rng, dim), dim)
+        # relative to the sum of the terms' magnitudes, so cancellation in
+        # the sum does not count against the kernel
+        size = oracle_value_grad_hess(
+            pt.PolynomialPotential({e: abs(c) for e, c in pot.terms.items()}, dim),
+            np.abs(pts))
+        for got, want, scale in zip((pot.value(pts), pot.grad(pts), pot.hess(pts)),
+                                    oracle_value_grad_hess(pot, pts), size):
+            assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+    def test_rows_independent_of_batch(self):
+        rng = np.random.default_rng(7)
+        pot = pt.PolynomialPotential(random_terms(rng, 3), 3)
+        pts = rng.uniform(-2, 2, size=(pt.POWER_BLOCK + 1, 3))
+        for f in (pot.value, pot.grad, pot.hess):
+            batch = f(pts)
+            alone = np.concatenate([f(p[None]) for p in pts])
+            assert batch.tobytes() == alone.tobytes()
+
+    def test_hessian_symmetric(self):
+        rng = np.random.default_rng(8)
+        pot = pt.PolynomialPotential(random_terms(rng, 4), 4)
+        h = pot.hess(rng.uniform(-2, 2, size=(500, 4)))
+        assert h.tobytes() == np.swapaxes(h, 1, 2).copy().tobytes()
+
+    def test_empty_batch(self):
+        pot = pt.PolynomialPotential({(2, 1): 1.0}, 2)
+        pts = np.empty((0, 2))
+        assert pot.value(pts).shape == (0,)
+        assert pot.grad(pts).shape == (0, 2)
+        assert pot.hess(pts).shape == (0, 2, 2)
 
 
 class TestOrbitWell:

@@ -1,10 +1,14 @@
 """Stratification tests: orbit-type lattices, components, quotient structure."""
+import itertools
+
 import numpy as np
 import pytest
+from oracles import nearest_component
 
 from egdeg import domains as dom
 from egdeg import groups as gr
 from egdeg import strata as st
+from egdeg.degree import GridRegion
 from egdeg.errors import NotInStratum, ResolutionTooCoarse
 from egdeg.params import Numerics
 
@@ -160,6 +164,52 @@ def test_locate_z2_line_quotient():
     c1, q1 = st.locate(s, [-0.5])
     c2, q2 = st.locate(s, [0.5])
     assert c1 != c2 and q1 == q2 == "q0"
+
+
+def _loop_components(pts, comp_of, h, radius):
+    found = [nearest_component(u, comp_of, h, radius) for u in pts]
+    return np.array([-1 if c is None else c for c in found])
+
+
+def test_components_of_equals_point_loop(d3, d3_punctured):
+    s = st.build_stratum(d3, dom.punctured_space(), d3_punctured.class_ids[-1], H, BBOX)
+    rng = np.random.default_rng(5)
+    cells = np.array(list(s.cells), dtype=float)
+    pts = np.concatenate([rng.uniform(-BBOX, BBOX, size=(400, 2)),
+                          (cells[::7] + 0.5) * H, cells[::5] * H,
+                          (cells[::9] + rng.uniform(-1, 2, size=(1, 2))) * H])
+    want = _loop_components(pts, s.cells, H, H)
+    assert np.array_equal(s.components_of(pts), want)
+    assert {-1, 0, 1} <= set(want.tolist())
+    for i, region in enumerate(s.components):
+        assert np.array_equal(GridRegion(s, region).contains(pts), want == i)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_nearest_components_ties_and_radius(k):
+    h = 0.25
+    rng = np.random.default_rng(k)
+    grid = list(itertools.product(range(-3, 3), repeat=k))
+    comp_of = {c: int(rng.integers(0, 4)) for c in grid if rng.uniform() < 0.6}
+    # grid vertices are equidistant from the 2^k cells around them, so the
+    # first of those in offset order wins; the rest are random points
+    pts = np.concatenate([np.array(grid, dtype=float) * h,
+                          rng.uniform(-1, 1, size=(300, k))])
+    for radius in (h, 0.5 * np.sqrt(k) * h, 1.2 * h * np.sqrt(k)):
+        want = _loop_components(pts, comp_of, h, radius)
+        assert np.array_equal(st.nearest_components(pts, comp_of, h, radius), want)
+    # a lone cell: a point exactly at the radius is in, the next float out
+    lone = {(0,) * k: 7}
+    at = np.full(k, 0.125)
+    at[0] += h
+    past = at.copy()
+    past[0] = np.nextafter(at[0], np.inf)
+    got = st.nearest_components(np.stack([at, past]), lone, h, h)
+    assert got.tolist() == _loop_components([at, past], lone, h, h).tolist() == [7, -1]
+    origin = st.nearest_components(np.zeros((1, k)), {c: i for i, c in enumerate(
+        itertools.product((-1, 0), repeat=k))}, h, h)
+    assert origin.tolist() == [0]
+    assert st.nearest_components(np.empty((0, k)), lone, h, h).shape == (0,)
 
 
 def test_halving_never_decreases_components(d3, d3_punctured):
