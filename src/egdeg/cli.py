@@ -82,7 +82,7 @@ def cmd_strata(args) -> int:
                "weyl_order": rec.weyl_order}
         if rec.fixed_dim >= 1:
             stratum = build_stratum(cfg.group, cfg.domain, cid, num.grid_h,
-                                    num.bbox, num.refinement_check)
+                                    num.bbox)
             row["components"] = [
                 {"label": comp.label_str, "cells": len(comp.cells),
                  "quotient_label": stratum.orbit_of_component(

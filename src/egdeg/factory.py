@@ -125,8 +125,9 @@ def restrict_off(f: LocalGradientMap, centers, radius: float,
             raise ZeroOnY(f"field magnitude {np.min(mags):.2e} inside the removed set")
         # walk a few damped Newton steps from the removed centers: a zero
         # hiding strictly inside the set is then detected by proximity
-        from .degree import newton_zeros
-        adapter_pts, _ = newton_zeros(_AmbientField(f), samples[inside],
+        from .degree import FieldAdapter, newton_zeros
+        ambient = FieldAdapter(f.grad, f.dim, f.member, f.domain.boundary_distance)
+        adapter_pts, _ = newton_zeros(ambient, samples[inside],
                                       Numerics(newton_tol=1e-10), max_iter=30)
         if len(adapter_pts) and np.any(spec.excluded(adapter_pts)):
             raise ZeroOnY("removed set covers a zero of the field")
@@ -134,23 +135,6 @@ def restrict_off(f: LocalGradientMap, centers, radius: float,
         if spec.excluded(np.array([hint]))[0]:
             raise ZeroOnY("removed set covers a known zero")
     return f.with_domain(f.domain.without_set(spec))
-
-
-class _AmbientField:
-    """Minimal field protocol over a map's ambient gradient."""
-
-    def __init__(self, f: LocalGradientMap):
-        self._f = f
-        self.dim = f.dim
-
-    def grad(self, pts):
-        return self._f.grad(pts)
-
-    def member(self, pts):
-        return self._f.member(pts)
-
-    def boundary_distance(self, pts):
-        return self._f.domain.boundary_distance(pts)
 
 
 # ---------------------------------------------------------------------------
@@ -222,15 +206,6 @@ def _build_s3_perm_radial():
     return g, omega, f
 
 
-def _build_s1_surrogate(sign: float):
-    g = antipodal(1)
-    omega = full_space()
-    f = make_map(g, MapDomain(omega, 2.0),
-                 PolynomialPotential.from_expression(
-                     "0.5*x1^2" if sign > 0 else "-0.5*x1^2", 1))
-    return g, omega, f
-
-
 _BUILDERS = {
     "trivial_identity": _build_trivial_identity,
     "z2_line_min": lambda: _build_z2_line(1.0),
@@ -238,8 +213,8 @@ _BUILDERS = {
     "z2_plane_doublewell": _build_z2_plane_doublewell,
     "d3_axis_orbit_normal": _build_d3_axis_orbit_normal,
     "s3_perm_radial": _build_s3_perm_radial,
-    "s1_dancer_plus": lambda: _build_s1_surrogate(1.0),
-    "s1_dancer_minus": lambda: _build_s1_surrogate(-1.0),
+    "s1_dancer_plus": lambda: _build_z2_line(1.0),
+    "s1_dancer_minus": lambda: _build_z2_line(-1.0),
 }
 
 _CATALOG = {

@@ -8,7 +8,7 @@ from .errors import ConfigError
 POLISH_TOL = 1e-9  # newton_zeros keeps only points with residual <= this
 
 _FIELDS = ("grid_h", "bbox", "newton_tol", "zero_thresh", "seed",
-           "max_halvings", "refinement_check", "mu_kind")
+           "max_halvings", "mu_kind")
 
 
 @dataclass(frozen=True)
@@ -19,7 +19,6 @@ class Numerics:
     zero_thresh: float = 1e-8
     seed: int = 20240601
     max_halvings: int = 20
-    refinement_check: bool = False
     mu_kind: str = "cubic"
 
     def __post_init__(self):

@@ -53,12 +53,13 @@ def _orbit_closure(group, points: np.ndarray) -> np.ndarray:
         return points
     images = np.concatenate([points @ group.elements[g].T
                              for g in range(group.order)], axis=0)
-    keep: list[np.ndarray] = []
-    for p in images:
-        if not any(np.max(np.abs(p - q)) <= 1e-9 for q in keep):
-            keep.append(p)
-    order = np.lexsort(np.array(keep).T[::-1])
-    return np.array(keep)[order]
+    # keep the first remaining image and drop every image within 1e-9 of it
+    keep = []
+    while len(images):
+        keep.append(images[0])
+        images = images[np.max(np.abs(images - images[0]), axis=1) > 1e-9]
+    keep = np.array(keep)
+    return keep[np.lexsort(keep.T[::-1])]
 
 
 def select_tube(f: LocalGradientMap, geom: ClassGeometry,

@@ -1,12 +1,14 @@
 """Orbit-type stratification of an invariant domain.
 
 For each conjugacy class (H) present in the domain, the stratum of points
-with isotropy exactly H is an open subset of the fixed subspace V^H.  Its
-connected components are found by flood fill on a cell grid in stratum
-coordinates; cells too close to any larger-isotropy subspace are dropped,
-which also certifies exact isotropy of the kept cell centers.  The Weyl group
-permutes components; quotient components are its orbits, keyed by the
-lexicographically smallest member label.
+with isotropy exactly H is an open subset of the fixed subspace V^H.  It is
+modelled by a cell grid in stratum coordinates; cells too close to any
+larger-isotropy subspace are dropped, which also certifies exact isotropy of
+the kept cell centers.  The kept cells are grouped into components by their
+chamber key (side of each singular hyperplane of V^H, radial piece of the
+domain), and the Weyl group permutes components by permuting keys.  Quotient
+components are its orbits, keyed by the lexicographically smallest member
+label.
 """
 from __future__ import annotations
 
@@ -228,40 +230,15 @@ def nearest_components(coords, comp_of: dict, h: float, radius: float) -> np.nda
 
 
 def build_stratum(group: FiniteGroupRep, omega: DomainExpr, class_id: int,
-                  h: float, bbox: float, refinement_check: bool = False) -> Stratum:
-    """Flood-fill the stratum grid and compute the Weyl/quotient structure.
+                  h: float, bbox: float) -> Stratum:
+    """Group the kept grid cells by chamber and compute the Weyl/quotient
+    structure.
 
     Cells are kept iff their center lies in the domain and at distance
     greater than h from every larger-isotropy subspace (which certifies exact
-    isotropy).  With ``refinement_check`` the build is repeated at h/2 and a
-    drop in component count raises ResolutionTooCoarse.
+    isotropy).  Kept cells with one chamber key form one component, labelled
+    by its minimal cell; components are ordered by that cell.
     """
-    stratum = _build_stratum_once(group, omega, class_id, h, bbox)
-    if refinement_check:
-        finer = _build_stratum_once(group, omega, class_id, h / 2, bbox)
-        if len(finer.components) < len(stratum.components):
-            raise ResolutionTooCoarse(
-                f"components merged under refinement: {len(stratum.components)}"
-                f" -> {len(finer.components)}")
-    return stratum
-
-
-def cached_stratum(cache: dict | None, group: FiniteGroupRep, omega: DomainExpr,
-                   class_id: int, num: Numerics) -> Stratum:
-    """``build_stratum`` memoized in ``cache`` by group content, not by
-    ``id(group)``, which a different group can reuse once this one is freed."""
-    key = ("stratum", group.content_key, str(omega), class_id, num.grid_h, num.bbox,
-           num.refinement_check)
-    if cache is not None and key in cache:
-        return cache[key]
-    stratum = build_stratum(group, omega, class_id, num.grid_h, num.bbox,
-                            num.refinement_check)
-    if cache is not None:
-        cache[key] = stratum
-    return stratum
-
-
-def _build_stratum_once(group, omega, class_id, h, bbox) -> Stratum:
     lat = group.lattice
     rec = lat.records[class_id]
     basis = rec.fixed_basis
@@ -271,80 +248,110 @@ def _build_stratum_once(group, omega, class_id, h, bbox) -> Stratum:
     sing = singular_family(group, class_id)
 
     cells_iter, _ = _grid_cells(k, h, bbox)
-    cell_list = list(cells_iter)
-    coords = _cell_centers(cell_list, k, h)
+    cell_arr = np.array(list(cells_iter), dtype=int).reshape(-1, k)
+    coords = (cell_arr + 0.5) * h
     pts = coords @ basis.T
     keep = omega.contains(pts)
     if sing is not None:
         keep &= sing.min_distance(pts) > h
-    kept = [c for c, m in zip(cell_list, keep) if m]
-    if not kept:
+    if not keep.any():
         raise ResolutionTooCoarse(
             f"no grid cell of the {lat.class_label(class_id)} stratum lies in "
             f"the domain clear of the singular set by h = {h}; refine h")
-    kept_set = set(kept)
+    cell_arr, coords = cell_arr[keep], coords[keep]
+    chambers = _Chambers(omega, basis, sing)
+    pieces = chambers.radial_piece(np.linalg.norm(pts[keep], axis=1))
+    keys = chambers.keys(coords, pieces)
 
-    # flood fill with axis adjacency
-    comp_of: dict[tuple, int] = {}
-    components_cells: list[list[tuple]] = []
-    for cell in kept:
-        if cell in comp_of:
-            continue
-        idx = len(components_cells)
-        bucket = [cell]
-        comp_of[cell] = idx
-        queue = [cell]
-        while queue:
-            cur = queue.pop()
-            for axis in range(k):
-                for step in (-1, 1):
-                    nb = list(cur)
-                    nb[axis] += step
-                    nb = tuple(nb)
-                    if nb in kept_set and nb not in comp_of:
-                        comp_of[nb] = idx
-                        bucket.append(nb)
-                        queue.append(nb)
-        components_cells.append(bucket)
-
-    # deterministic order: sort components by their minimal cell
-    order = sorted(range(len(components_cells)),
-                   key=lambda i: min(components_cells[i]))
-    remap = {old: new for new, old in enumerate(order)}
-    comp_of = {c: remap[i] for c, i in comp_of.items()}
+    # kept cells come in lexicographic order, so a key's first cell is its
+    # minimal cell; the components are ordered by it
+    _, first, inverse = np.unique(keys, axis=0, return_index=True,
+                                  return_inverse=True)
+    heads = np.sort(first)
+    comp_idx = np.argsort(np.argsort(first))[inverse.reshape(-1)]
+    cells = list(map(tuple, cell_arr.tolist()))
     components = []
-    for new, old in enumerate(order):
-        bucket = sorted(components_cells[old])
-        centers = _cell_centers(bucket, k, h)
-        components.append(StratumComponent(new, bucket[0], bucket, centers))
+    for c in range(len(heads)):
+        rows = np.nonzero(comp_idx == c)[0]
+        components.append(StratumComponent(c, cells[rows[0]],
+                                           [cells[i] for i in rows], coords[rows]))
 
-    weyl_perm = _weyl_action(group, rec, basis, comp_of, components, h)
+    key_of = {key.tobytes(): c for c, key in enumerate(keys[heads])}
+    weyl_perm: dict[int, list[int]] = {}
+    for w in rec.weyl_coset_reps:
+        wmat = basis.T @ group.elements[w] @ basis  # action in stratum coords
+        images = chambers.keys(coords[heads] @ wmat.T, pieces[heads])
+        perm = [key_of.get(key.tobytes()) for key in images]
+        if None in perm:
+            raise ResolutionTooCoarse(
+                f"weyl image of component {components[perm.index(None)].label_str}"
+                f" lies in a chamber with no kept cell at h = {h}; refine h")
+        weyl_perm[w] = perm
     orbits = _quotient_orbits(rec, components, weyl_perm)
-    stratum = Stratum(group, class_id, basis, h, bbox, comp_of, components,
-                      weyl_perm, orbits, sing)
+    comp_of = dict(zip(cells, comp_idx.tolist()))
+    return Stratum(group, class_id, basis, h, bbox, comp_of, components,
+                   weyl_perm, orbits, sing)
+
+
+def cached_stratum(cache: dict | None, group: FiniteGroupRep, omega: DomainExpr,
+                   class_id: int, num: Numerics) -> Stratum:
+    """``build_stratum`` memoized in ``cache`` by group content, not by
+    ``id(group)``, which a different group can reuse once this one is freed."""
+    key = ("stratum", group.content_key, str(omega), class_id, num.grid_h, num.bbox)
+    if cache is not None and key in cache:
+        return cache[key]
+    stratum = build_stratum(group, omega, class_id, num.grid_h, num.bbox)
+    if cache is not None:
+        cache[key] = stratum
     return stratum
 
 
-def _weyl_action(group, rec, basis, comp_of, components, h):
-    perms: dict[int, list[int]] = {}
-    for w in rec.weyl_coset_reps:
-        wmat = basis.T @ group.elements[w] @ basis  # action in stratum coords
-        images = []
-        for comp in components:
-            votes: dict[int, int] = {}
-            samples = comp.centers[:: max(1, len(comp.centers) // 8)][:9]
-            targets = nearest_components(samples @ wmat.T, comp_of, h,
-                                         1.2 * h * np.sqrt(basis.shape[1]))
-            for target in targets[targets >= 0].tolist():
-                votes[target] = votes.get(target, 0) + 1
-            if not votes:
-                raise ResolutionTooCoarse(
-                    f"weyl image of component {comp.index} not locatable")
-            images.append(max(votes.items(), key=lambda kv: kv[1])[0])
-        if sorted(images) != list(range(len(components))):
-            raise ResolutionTooCoarse("weyl action is not a permutation; refine h")
-        perms[w] = images
-    return perms
+def _domain_radii(expr: DomainExpr) -> set[float]:
+    if expr.left is not None:
+        return _domain_radii(expr.left) | _domain_radii(expr.right)
+    return {r for r in (expr.r1, expr.r2) if r > 0}
+
+
+class _Chambers:
+    """Chamber keys of stratum points.
+
+    A stratum is V^H minus linear subspaces, inside an origin-centred domain,
+    so each component is a chamber of the codim-1 singular subspaces (walls)
+    times a connected piece of the domain's radius set.  The key of a point
+    is its side of each wall, its radial piece and, on a line, its sign when
+    the piece leaves out the origin.
+    """
+
+    def __init__(self, omega: DomainExpr, basis: np.ndarray,
+                 sing: SubspaceFamily | None):
+        k = basis.shape[1]
+        walls = [basis.T @ b for b in (sing.bases if sing else ())
+                 if b.shape[1] == k - 1]
+        self.normals = np.array([np.linalg.eigh(np.eye(k) - s @ s.T)[1][:, -1]
+                                 for s in walls]).reshape(-1, k)
+        self.line = k == 1
+        # radial elements: the origin, the interval above each breakpoint and
+        # each further breakpoint, in increasing order; consecutive elements
+        # inside the domain form one piece
+        self.radii = np.array(sorted({0.0} | _domain_radii(omega)))
+        ends = np.append(self.radii[1:], self.radii[-1] + 2.0)
+        probes = np.stack([self.radii, (self.radii + ends) / 2]).T.reshape(-1)
+        unit = np.eye(basis.shape[0])[0]  # the domain is radial
+        inside = omega.contains(probes[:, None] * unit)
+        starts = inside & ~np.append(False, inside[:-1])
+        self.pieces = np.where(inside, np.cumsum(starts) - 1, -1)
+
+    def radial_piece(self, r: np.ndarray) -> np.ndarray:
+        # r is a breakpoint (element 2i) or lies in the interval above the
+        # largest breakpoint below it (element 2i + 1)
+        j = np.searchsorted(self.radii, r, side="right")
+        return self.pieces[2 * j - 1 - (self.radii[j - 1] == r)]
+
+    def keys(self, coords: np.ndarray, pieces: np.ndarray) -> np.ndarray:
+        cols = [coords @ self.normals.T > 0, pieces[:, None]]
+        if self.line:
+            cols.append(((coords[:, 0] > 0) & (pieces != self.pieces[0]))[:, None])
+        return np.concatenate(cols, axis=1).astype(np.int64)
 
 
 def _quotient_orbits(rec, components, weyl_perm) -> list[QuotientOrbit]:

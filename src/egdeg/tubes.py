@@ -214,7 +214,7 @@ class TubeGeometry:
                     out.append(x)
                 continue
             w = rng.normal(size=self.family.dim)
-            w = w - x_project(self.family, j, w)
+            w = w - self.family.projectors[j] @ w
             nw = np.linalg.norm(w)
             if nw < 1e-12:
                 continue
@@ -248,14 +248,10 @@ class TubeGeometry:
                 out.append(x)
                 continue
             w = rng.normal(size=self.family.dim)
-            w = w - x_project(self.family, j, w)
+            w = w - self.family.projectors[j] @ w
             nw = np.linalg.norm(w)
             if nw < 1e-12:
                 continue
             s = rng.uniform(0, self.spec.epsilon)
             out.append(x + w * (s / nw))
         return np.array(out) if out else np.empty((0, self.family.dim))
-
-
-def x_project(family: SubspaceFamily, j: int, vec: np.ndarray) -> np.ndarray:
-    return family.projectors[j] @ vec

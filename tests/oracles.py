@@ -224,3 +224,45 @@ def eval_terms(terms, pts):
                 mono = mono * pts[:, j] ** p
         out += mono
     return out
+
+
+# ---------------------------------------------------------------------------
+# loop forms of the stratum and tube helpers
+
+
+def flood_fill_components(kept_cells):
+    """Components of a set of grid cells under axis adjacency, each a sorted
+    cell list, ordered by their minimal cell."""
+    kept = set(kept_cells)
+    seen, buckets = set(), []
+    for cell in sorted(kept):
+        if cell in seen:
+            continue
+        seen.add(cell)
+        bucket, queue = [cell], [cell]
+        while queue:
+            cur = queue.pop()
+            for axis in range(len(cur)):
+                for step in (-1, 1):
+                    nb = cur[:axis] + (cur[axis] + step,) + cur[axis + 1:]
+                    if nb in kept and nb not in seen:
+                        seen.add(nb)
+                        bucket.append(nb)
+                        queue.append(nb)
+        buckets.append(sorted(bucket))
+    return sorted(buckets)
+
+
+def orbit_closure_loop(group, points):
+    """Group images of a point set: keep an image unless a kept image lies
+    within 1e-9 (max-abs) of it, then sort lexicographically."""
+    if len(points) == 0:
+        return points
+    images = np.concatenate([points @ group.elements[g].T
+                             for g in range(group.order)], axis=0)
+    keep = []
+    for p in images:
+        if not any(np.max(np.abs(p - q)) <= 1e-9 for q in keep):
+            keep.append(p)
+    order = np.lexsort(np.array(keep).T[::-1])
+    return np.array(keep)[order]

@@ -67,6 +67,27 @@ class TestStrata:
         assert code == 0
         assert json.loads(out)["orbit_types"] == []
 
+    def test_refinement_check_key_rejected(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, "knob.json", {
+            "group": {"kind": "dihedral", "n": 3},
+            "domain": {"kind": "punctured"},
+            "numerics": {"grid_h": 0.1, "bbox": 2.0, "refinement_check": True},
+        })
+        assert main(["strata", cfg]) == 2
+        assert "unknown numerics keys" in capsys.readouterr().err
+
+    def test_punctured_line_two_components(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, "line.json", {
+            "group": {"kind": "trivial", "dim": 1},
+            "domain": {"kind": "punctured"},
+            "numerics": {"grid_h": 0.1, "bbox": 2.0},
+        })
+        code, out = run_cli(capsys, "strata", cfg)
+        assert code == 0
+        (row,) = json.loads(out)["orbit_types"]
+        assert [c["label"] for c in row["components"]] == ["c-20", "c0"]
+        assert row["quotient_labels"] == ["q0", "q1"]
+
     def test_non_invariant_domain_rejected(self, capsys, tmp_path):
         # an asymmetric difference of balls is not invariant under D3
         cfg = write_config(tmp_path, "bad.json", {

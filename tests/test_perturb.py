@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import orbit_closure_loop
 
 from egdeg import domains as dm
 from egdeg import groups as gr
@@ -16,6 +17,7 @@ from egdeg.factory import catalog, orbit_normal
 from egdeg.params import Numerics
 from egdeg.perturb import (
     ClassGeometry,
+    _orbit_closure,
     perturb,
     select_tube,
     split,
@@ -177,6 +179,26 @@ class TestSelectTube:
         # the domain is a ball of radius 0.2: epsilon must have shrunk below it
         assert tube.epsilon < 0.2
         assert np.hypot(tube.rho, tube.epsilon) < 0.2
+
+
+class TestOrbitClosure:
+    @pytest.mark.parametrize("group", [
+        gr.from_generators([np.eye(3)[[1, 0, 2]], np.eye(3)[[1, 2, 0]],
+                            np.diag([-1.0, 1.0, 1.0])]),
+        gr.dihedral(12)], ids=["B3", "D12"])
+    def test_sweep_equals_loop(self, group):
+        rng = np.random.default_rng(group.order)
+        pts = rng.uniform(-1, 1, size=(6, group.dim))
+        # repeated points, points on mirrors and the origin, and near copies
+        # 0.6e-9 apart, so that some images are close only in a chain
+        pts = np.concatenate([pts, pts[:2], np.zeros((1, group.dim)),
+                              pts[:3] * np.array([1.0] + [0.0] * (group.dim - 1)),
+                              pts[:2] + 0.6e-9, pts[:2] + 1.2e-9])
+        for sub in (pts, pts[:1], pts[6:9], np.empty((0, group.dim))):
+            got = _orbit_closure(group, sub)
+            want = orbit_closure_loop(group, sub)
+            assert got.shape == want.shape and np.array_equal(got, want)
+        assert len(_orbit_closure(group, pts[:1])) == group.order
 
 
 class TestPerturbedPotential:

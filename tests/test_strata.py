@@ -1,9 +1,12 @@
 """Stratification tests: orbit-type lattices, components, quotient structure."""
+import functools
 import itertools
 
 import numpy as np
 import pytest
-from oracles import nearest_component
+from hypothesis import example, given, settings
+from hypothesis import strategies as hs
+from oracles import flood_fill_components, nearest_component
 
 from egdeg import domains as dom
 from egdeg import groups as gr
@@ -100,21 +103,34 @@ def test_orbit_size_times_stabilizer(d3, d3_punctured):
                 assert len(orb.members) * orb.stabilizer_orders[c] == wh
 
 
-def test_weyl_action_composition(d3, d3_punctured):
-    s = st.build_stratum(d3, dom.punctured_space(), d3_punctured.class_ids[1],
-                         H, BBOX)
-    g = d3
+@functools.lru_cache(maxsize=None)
+def _group(spec):
+    if spec == "B3":  # the b3_stack bench group
+        return gr.from_generators([np.eye(3)[[1, 0, 2]], np.eye(3)[[1, 2, 0]],
+                                   np.diag([-1.0, 1.0, 1.0])])
+    return getattr(gr, spec[0])(spec[1])
+
+
+_PLANAR = [(kind, n) for kind in ("dihedral", "cyclic") for n in range(1, 13)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(spec=hs.sampled_from(_PLANAR + ["B3"]), pick=hs.integers(0, 63))
+@example(spec=("dihedral", 3), pick=1)  # the D3 free stratum
+def test_weyl_perm_composes_like_the_group(spec, pick):
+    """weyl_perm[w1] after weyl_perm[w2] is weyl_perm of the coset of w1 w2."""
+    g = _group(spec)
+    omega, h, bbox = ((dom.full_space(), 0.25, 1.6) if spec == "B3"
+                      else (dom.punctured_space(), H, BBOX))
+    lat = st.iso_types(g, omega, h, bbox)
+    cids = [c for c in lat.class_ids if g.lattice.records[c].fixed_dim > 0]
+    s = st.build_stratum(g, omega, cids[pick % len(cids)], h, bbox)
     reps = list(s.weyl_perm)
-    rng = np.random.default_rng(5)
-    rec = s.record
-    members = set(rec.member_indices)
-    for _ in range(20):
-        w1, w2 = rng.choice(reps, size=2)
-        prod = g.mul(int(w1), int(w2))
-        # identify the coset representative of the product
-        rep_prod = next(r for r in reps
-                        if g.mul(g.inv(int(r)), prod) in members)
-        composed = [s.weyl_perm[int(w1)][s.weyl_perm[int(w2)][c]]
+    members = set(s.record.member_indices)
+    for w1, w2 in itertools.product(reps, repeat=2):
+        prod = g.mul(w1, w2)
+        rep_prod = next(r for r in reps if g.mul(g.inv(r), prod) in members)
+        composed = [s.weyl_perm[w1][s.weyl_perm[w2][c]]
                     for c in range(len(s.components))]
         assert composed == s.weyl_perm[rep_prod]
 
@@ -217,9 +233,67 @@ def test_halving_never_decreases_components(d3, d3_punctured):
         coarse = st.build_stratum(d3, dom.punctured_space(), cid, H, BBOX)
         fine = st.build_stratum(d3, dom.punctured_space(), cid, H / 2, BBOX)
         assert len(fine.components) >= len(coarse.components)
-        # and the refinement check passes
-        st.build_stratum(d3, dom.punctured_space(), cid, H, BBOX,
-                         refinement_check=True)
+        # chambers do not depend on the grid: the same quotient at h/2, and
+        # every coarse component's cells land in one fine component
+        assert fine.quotient_labels() == coarse.quotient_labels()
+        for comp in coarse.components:
+            assert len(set(fine.components_of(comp.centers).tolist())) == 1
+
+
+def test_two_annuli_keep_labels(d3):
+    omega = dom.union(dom.annulus(0.3, 0.8), dom.annulus(1.2, 1.7))
+    lat = st.iso_types(d3, omega, H, BBOX)
+    axis, free = (st.build_stratum(d3, omega, c, H, BBOX) for c in lat.class_ids)
+    assert [c.label_str for c in axis.components] == ["c-17", "c-8", "c3", "c12"]
+    assert len(free.components) == 12
+    assert free.quotient_labels() == ["q0", "q1"]
+    assert [len(o.members) for o in free.quotient_orbits] == [6, 6]
+
+
+@pytest.mark.parametrize("omega, labels", [
+    (dom.annulus(0.5, 1.5), ["c-15", "c5"]),
+    # the half-lines meet at the excluded origin, between cells (-1,) and (0,)
+    (dom.punctured_space(), ["c-20", "c0"]),
+    (dom.ball(1.5), ["c-15"]),
+    (dom.union(dom.ball(0.3), dom.annulus(1.0, 1.5)), ["c-15", "c-3", "c10"]),
+])
+def test_line_without_walls(omega, labels):
+    g = gr.trivial(1)
+    s = st.build_stratum(g, omega, st.iso_types(g, omega, H, BBOX).class_ids[0],
+                         H, BBOX)
+    assert [c.label_str for c in s.components] == labels
+    assert s.quotient_labels() == [f"q{i}" for i in range(len(labels))]
+
+
+def test_touching_radial_pieces_merge(d3):
+    # ball(1) and annulus(0.5, 1.5) overlap: their radii split nothing
+    omega = dom.union(dom.ball(1.0), dom.annulus(0.5, 1.5))
+    lat = st.iso_types(d3, omega, H, BBOX)
+    counts = [len(st.build_stratum(d3, omega, c, H, BBOX).components)
+              for c in lat.class_ids if d3.lattice.records[c].fixed_dim > 0]
+    assert counts == [2, 6]
+
+
+@pytest.mark.parametrize("spec, omega, h, bbox", [
+    (("dihedral", 3), dom.punctured_space(), H, BBOX),
+    ("B3", dom.full_space(), 0.25, 1.6),
+    (("symmetric", 3), dom.full_space(), 0.15, 1.6),
+])
+def test_chambers_equal_flood_fill(spec, omega, h, bbox):
+    g = _group(spec)
+    for cid in st.iso_types(g, omega, h, bbox).class_ids:
+        if g.lattice.records[cid].fixed_dim == 0:
+            continue
+        s = st.build_stratum(g, omega, cid, h, bbox)
+        assert [c.cells for c in s.components] == flood_fill_components(s.cells)
+
+
+def test_weyl_image_without_kept_cell_raises():
+    # D32's free chambers are 5.6 degree wedges; at h = 0.1 some hold kept
+    # cells while their mirror images hold none
+    g = gr.dihedral(32)
+    with pytest.raises(ResolutionTooCoarse, match="no kept cell"):
+        st.build_stratum(g, dom.punctured_space(), g.lattice.n_classes - 1, H, BBOX)
 
 
 def test_s3_lattice_skips_coincident_fixed_space():

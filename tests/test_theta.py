@@ -157,6 +157,47 @@ def _readme_d3():
     return g, om, mp.make_map(g, dm.MapDomain(om, 2.0), phi), NUM
 
 
+def _planar(n, expr="(x1^2 + x2^2)^2 - x1^2 - x2^2"):
+    g = gr.dihedral(n)
+    om = dm.punctured_space()
+    phi = pt.PolynomialPotential.from_expression(expr, 2)
+    return g, om, mp.make_map(g, dm.MapDomain(om, 2.0), phi)
+
+
+_ODD_ROWS = {("(H2a)", "q0"): 1, ("(H2a)", "q1"): 1, ("(e)", "q0"): -1}
+_EVEN_ROWS = {("(H2a)", "q0"): 1, ("(H2b)", "q0"): 1, ("(e)", "q0"): -1}
+
+
+class TestPlanarEnvelope:
+    """The README potential on the punctured plane under dihedral groups:
+    one mirror class of two quotient components for odd n, two mirror
+    classes of one each for even n, and the free circle orbit of index -1."""
+
+    @pytest.mark.parametrize("n, rows", [(5, _ODD_ROWS), (6, _EVEN_ROWS),
+                                         (8, _EVEN_ROWS)])
+    def test_rows(self, n, rows):
+        vec, _ = theta(*_planar(n), NUM)
+        assert dict(vec.entries) == rows
+
+    def test_d32_too_coarse(self):
+        with pytest.raises(ResolutionTooCoarse, match="no kept cell"):
+            theta(*_planar(32), NUM)
+
+    # the grid lookup drops Newton zeros within about h of a mirror, so a
+    # zero set in that band loses its (e) row
+    @pytest.mark.xfail(strict=True, reason="zero circle at radius 0.15 lies "
+                       "inside the clearance band of the mirrors")
+    def test_small_circle_keeps_free_row(self):
+        vec, _ = theta(*_planar(3, "(x1^2 + x2^2)^2 - 0.045*(x1^2 + x2^2)"), NUM)
+        assert dict(vec.entries) == _ODD_ROWS
+
+    @pytest.mark.xfail(strict=True, reason="every D12 free-stratum zero lies "
+                       "within 0.91 h of a mirror")
+    def test_d12_keeps_free_row(self):
+        vec, _ = theta(*_planar(12), NUM)
+        assert dict(vec.entries) == _EVEN_ROWS
+
+
 def _b3_bench():
     # the benchmark's b3_stack map
     g = gr.from_generators([np.eye(3)[[1, 0, 2]], np.eye(3)[[1, 2, 0]],
