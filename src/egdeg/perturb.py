@@ -318,7 +318,7 @@ def verify_partition(family: HomotopyFamily, n_samples: int = 1000,
     report["checked"]["C"] = len(pts_c)
 
     # region D: the base set U itself
-    base_pts = _sample_base(geo, n_samples, rng)
+    base_pts = geo.sample_base(n_samples, rng)
     if len(base_pts):
         t = float(rng.uniform(0.5, 1.0))
         h = family.grad_at(t, base_pts)
@@ -333,26 +333,3 @@ def verify_partition(family: HomotopyFamily, n_samples: int = 1000,
         raise PartitionViolation(f"{report['violations']} region violations: {report}")
     return report
 
-
-def _sample_base(geo: TubeGeometry, n: int, rng) -> np.ndarray:
-    spec = geo.spec
-    if spec.is_empty:
-        return np.empty((0, geo.family.dim))
-    if spec.point_stratum:
-        return np.zeros((n, geo.family.dim))
-    out = []
-    centers = spec.centers
-    attempts = 0
-    while len(out) < n and attempts < 200 * n:
-        attempts += 1
-        c = centers[rng.integers(0, len(centers))]
-        dec = geo.decompose(c[None])
-        j = int(dec["idx"][0])
-        b = geo.family.bases[j]
-        u = rng.normal(size=b.shape[1])
-        r = rng.uniform(0, spec.rho)
-        x = c + (b @ u) * (r / (np.linalg.norm(u) + 1e-300))
-        dec2 = geo.decompose(x[None])
-        if dec2["dcen"][0] < spec.rho:
-            out.append(x)
-    return np.array(out) if out else np.empty((0, geo.family.dim))

@@ -16,6 +16,12 @@ import numpy as np
 
 from .errors import AmbiguousProjection
 
+# the samplers test membership in chunks of at most _CHUNK_ROWS attempts and
+# _CHUNK_CELLS (attempt, center) pairs, which bounds decompose's
+# (rows, centers, dim) difference array
+_CHUNK_ROWS = 1024
+_CHUNK_CELLS = 1 << 15
+
 
 class SubspaceFamily:
     """The distinct conjugate subspaces g V^H with projection helpers."""
@@ -119,8 +125,7 @@ class TubeGeometry:
         if self.spec.is_empty:
             dcen = np.full(pts.shape[0], np.inf)
         else:
-            diffs = x[:, None, :] - self.spec.centers[None, :, :]
-            dcen = np.min(np.linalg.norm(diffs, axis=2), axis=1)
+            dcen = self._center_distance(x)
         return {"idx": idx, "x": x, "v": v, "s": s, "dcen": dcen, "gap": gap}
 
     def decompose_checked(self, point: np.ndarray):
@@ -193,40 +198,106 @@ class TubeGeometry:
         """Random points of U^(scale*eps), uniform-ish over centers."""
         if self.spec.is_empty:
             return np.empty((0, self.family.dim))
-        out = []
-        centers = self.spec.centers
+        if self.trivial_normal:
+            # the tube of a full-dimensional stratum is the base set
+            return self._sample_chunked(
+                n, rng, lambda: self._draw_base(rng)[:1],
+                lambda x: (x, self._center_distance(x) < self.spec.rho))
         eps = self.spec.epsilon * eps_scale
-        attempts = 0
-        while len(out) < n and attempts < 200 * n:
-            attempts += 1
-            i = rng.integers(0, len(centers))
-            c, j = centers[i], int(self.center_idx[i])
-            b = self.family.bases[j]
-            if b.shape[1] > 0 and not self.spec.point_stratum:
-                u = rng.normal(size=b.shape[1])
-                r = rng.uniform(0, self.spec.rho)
-                x = c + (b @ u) * (r / (np.linalg.norm(u) + 1e-300))
-            else:
-                x = c
-            if self.trivial_normal:
-                # the tube of a full-dimensional stratum is the base set
-                if np.min(np.linalg.norm(x[None] - centers, axis=1)) < self.spec.rho:
-                    out.append(x)
-                continue
+
+        def attempt():
+            x, j = self._draw_base(rng)
             w = rng.normal(size=self.family.dim)
             w = w - self.family.projectors[j] @ w
             nw = np.linalg.norm(w)
             if nw < 1e-12:
+                return None
+            return x, w, rng.uniform(0, eps) / nw
+
+        def inside(x, w, scale):
+            z = x + w * scale[:, None]
+            dec = self.decompose(z)
+            return z, (dec["dcen"] < self.spec.rho) & (dec["s"] < eps)
+
+        return self._sample_chunked(n, rng, attempt, inside)
+
+    def sample_base(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """Random points of U itself; n copies of the origin for a point
+        stratum."""
+        if self.spec.is_empty:
+            return np.empty((0, self.family.dim))
+        if self.spec.point_stratum:
+            return np.zeros((n, self.family.dim))
+        return self._sample_chunked(
+            n, rng, lambda: self._draw_base(rng)[:1],
+            lambda x: (x, self.decompose(x)["dcen"] < self.spec.rho))
+
+    def _draw_base(self, rng: np.random.Generator):
+        """A random center, moved by a uniform radius in [0, rho) along a
+        random direction of its subspace unless the stratum is a point;
+        returns the point and the subspace index."""
+        i = rng.integers(0, len(self.spec.centers))
+        c, j = self.spec.centers[i], int(self.center_idx[i])
+        b = self.family.bases[j]
+        if b.shape[1] > 0 and not self.spec.point_stratum:
+            u = rng.normal(size=b.shape[1])
+            r = rng.uniform(0, self.spec.rho)
+            c = c + (b @ u) * (r / (np.linalg.norm(u) + 1e-300))
+        return c, j
+
+    def _sample_chunked(self, n: int, rng: np.random.Generator,
+                        attempt, inside) -> np.ndarray:
+        """Keep accepted candidates, in order, until n are kept or 200 n
+        attempts have run.
+
+        ``attempt()`` makes one attempt's generator calls and returns the
+        parts of its candidate as a tuple, or None when it has none.
+        ``inside`` takes each part stacked over a chunk's candidates and
+        returns the candidate points and their membership mask.  The
+        attempts run one at a time; the points are built and tested once per
+        chunk.  When the n-th acceptance falls inside a chunk, the generator
+        is set back to its state right after that attempt, so the points,
+        the attempt count and the generator's later draws are those of
+        testing each candidate before the next attempt.
+        """
+        cap = 200 * n
+        limit = min(_CHUNK_ROWS, max(1, _CHUNK_CELLS // len(self.spec.centers)))
+        kept, count, attempts = [], 0, 0
+        while count < n and attempts < cap:
+            need = n - count
+            # enough attempts for the remaining need at the rate seen so far
+            rows = need if attempts == 0 else -(-need * attempts // max(count, 1))
+            rows = min(rows, limit, cap - attempts)
+            cands, states = [], []
+            for _ in range(rows):
+                cand = attempt()
+                if cand is not None:
+                    cands.append(cand)
+                    states.append(rng.bit_generator.state)
+            attempts += rows
+            if not cands:
                 continue
-            s = rng.uniform(0, eps)
-            z = x + w * (s / nw)
-            dec2 = self.decompose(z[None])
-            if dec2["dcen"][0] < self.spec.rho and dec2["s"][0] < eps:
-                out.append(z)
-        return np.array(out) if out else np.empty((0, self.family.dim))
+            pts, mask = inside(*(np.array(part) for part in zip(*cands)))
+            hits = np.flatnonzero(mask)[:need]
+            if len(hits) == need:
+                rng.bit_generator.state = states[hits[-1]]
+            kept.append(pts[hits])
+            count += len(hits)
+        return np.concatenate(kept) if count else np.empty((0, self.family.dim))
+
+    def _center_distance(self, points: np.ndarray) -> np.ndarray:
+        """Distance from each point to its nearest center."""
+        diffs = points[:, None, :] - self.spec.centers[None, :, :]
+        return np.min(np.linalg.norm(diffs, axis=2), axis=1)
 
     def sample_shell(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Random points of B^epsilon; empty when the shell is empty."""
+        """Random points of B^epsilon; empty when the shell is empty.
+
+        Unlike the other samplers this one stays a one-at-a-time loop: its
+        interior test (the base point inside another center's ball) decides
+        whether the normal offset is drawn at all, and it needs only center
+        distances, never a ``decompose``.
+        """
         if self.spec.point_stratum or self.spec.is_empty:
             return np.empty((0, self.family.dim))
         out = []

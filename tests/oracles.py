@@ -266,3 +266,64 @@ def orbit_closure_loop(group, points):
             keep.append(p)
     order = np.lexsort(np.array(keep).T[::-1])
     return np.array(keep)[order]
+
+
+def sample_tube_loop(geo, n, rng, eps_scale=1.0):
+    """Random points of the tube, testing each attempt's candidate with its
+    own decompose before the next attempt draws."""
+    if geo.spec.is_empty:
+        return np.empty((0, geo.family.dim))
+    out = []
+    centers = geo.spec.centers
+    eps = geo.spec.epsilon * eps_scale
+    attempts = 0
+    while len(out) < n and attempts < 200 * n:
+        attempts += 1
+        i = rng.integers(0, len(centers))
+        c, j = centers[i], int(geo.center_idx[i])
+        b = geo.family.bases[j]
+        if b.shape[1] > 0 and not geo.spec.point_stratum:
+            u = rng.normal(size=b.shape[1])
+            r = rng.uniform(0, geo.spec.rho)
+            x = c + (b @ u) * (r / (np.linalg.norm(u) + 1e-300))
+        else:
+            x = c
+        if geo.trivial_normal:
+            if np.min(np.linalg.norm(x[None] - centers, axis=1)) < geo.spec.rho:
+                out.append(x)
+            continue
+        w = rng.normal(size=geo.family.dim)
+        w = w - geo.family.projectors[j] @ w
+        nw = np.linalg.norm(w)
+        if nw < 1e-12:
+            continue
+        s = rng.uniform(0, eps)
+        z = x + w * (s / nw)
+        dec = geo.decompose(z[None])
+        if dec["dcen"][0] < geo.spec.rho and dec["s"][0] < eps:
+            out.append(z)
+    return np.array(out) if out else np.empty((0, geo.family.dim))
+
+
+def sample_base_loop(geo, n, rng):
+    """Random points of the base set, decomposing each drawn center to find
+    its subspace and each candidate to test it."""
+    spec = geo.spec
+    if spec.is_empty:
+        return np.empty((0, geo.family.dim))
+    if spec.point_stratum:
+        return np.zeros((n, geo.family.dim))
+    out = []
+    centers = spec.centers
+    attempts = 0
+    while len(out) < n and attempts < 200 * n:
+        attempts += 1
+        c = centers[rng.integers(0, len(centers))]
+        j = int(geo.decompose(c[None])["idx"][0])
+        b = geo.family.bases[j]
+        u = rng.normal(size=b.shape[1])
+        r = rng.uniform(0, spec.rho)
+        x = c + (b @ u) * (r / (np.linalg.norm(u) + 1e-300))
+        if geo.decompose(x[None])["dcen"][0] < spec.rho:
+            out.append(x)
+    return np.array(out) if out else np.empty((0, geo.family.dim))

@@ -1,11 +1,12 @@
 """Perturbation machinery tests: profiles, tube selection, splits, regions."""
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import orbit_closure_loop
+from oracles import orbit_closure_loop, sample_base_loop, sample_tube_loop
 
 from egdeg import domains as dm
 from egdeg import groups as gr
@@ -26,7 +27,7 @@ from egdeg.perturb import (
 from egdeg.profiles import bump_mu, bump_mu_deriv, well_omega, well_omega_deriv
 from egdeg.strata import build_stratum, iso_types
 from egdeg.theta import recursion
-from egdeg.tubes import SubspaceFamily, TubeGeometry, TubeSpec
+from egdeg.tubes import _CHUNK_CELLS, SubspaceFamily, TubeGeometry, TubeSpec
 
 NUM = Numerics(grid_h=0.1, bbox=2.0)
 
@@ -142,6 +143,104 @@ class TestTubeDecompose:
         empty = TubeGeometry(SubspaceFamily([np.eye(2)[:, :1]]),
                              TubeSpec(0, np.empty((0, 2)), 0.2, 0.5))
         assert len(empty.center_idx) == 0
+
+
+def _step_geometries(name):
+    return [TubeGeometry(ClassGeometry.for_class(step.f.group,
+                                                 step.class_id).family,
+                         step.tube)
+            for step in _tube_steps(name)]
+
+
+def _line_geometry(centers, rho=0.2, eps=0.1):
+    """Tubes around the x1-axis of R^3."""
+    return TubeGeometry(SubspaceFamily([np.eye(3)[:, :1]]),
+                        TubeSpec(0, np.asarray(centers, dtype=float), rho, eps))
+
+
+def _sampler_cases():
+    rng = np.random.default_rng(5)
+    plane = SubspaceFamily([np.eye(2)])
+    three_lines = SubspaceFamily([np.array([[np.cos(a)], [np.sin(a)]])
+                                  for a in (0.0, 2.0, 4.0)])
+    return {
+        "trivial_normal": TubeGeometry(
+            plane, TubeSpec(0, rng.uniform(-1, 1, size=(7, 2)), 0.3, 0.3)),
+        "point": TubeGeometry(
+            SubspaceFamily([np.zeros((3, 0))]),
+            TubeSpec(0, np.zeros((1, 3)), 0.2, 0.2, point_stratum=True)),
+        "empty": _line_geometry(np.empty((0, 3))),
+        "three_lines": TubeGeometry(
+            three_lines, TubeSpec(0, np.array([b[:, 0] * t for b in three_lines.bases
+                                              for t in (0.4, 0.9)]), 0.3, 0.5)),
+        # every center lies farther than rho from the axis, so no candidate
+        # projects within rho of one and the 200 n cap ends the loop
+        "no_acceptance": _line_geometry([[0.0, 0.5, 0.0], [1.0, 0.0, -0.6]]),
+    }
+
+
+class TestSamplers:
+    """The chunked samplers against their one-at-a-time loops: the same
+    points bit for bit, and the generator left in the same state."""
+
+    @staticmethod
+    def assert_same_draws(geo, chunked, loop, seed):
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, want = chunked(fast), loop(slow)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert fast.bit_generator.state == slow.bit_generator.state
+        # a later sampler on the same generator draws the same points
+        assert (geo.sample_shell(40, fast).tobytes()
+                == geo.sample_shell(40, slow).tobytes())
+
+    def check(self, geo, n, seed):
+        for scale in (1.0, 1.0 / 3):
+            self.assert_same_draws(
+                geo, lambda r: geo.sample_tube(n, r, eps_scale=scale),
+                lambda r: sample_tube_loop(geo, n, r, eps_scale=scale), seed)
+        self.assert_same_draws(geo, lambda r: geo.sample_base(n, r),
+                               lambda r: sample_base_loop(geo, n, r), seed)
+
+    @pytest.mark.parametrize("name", ["b3_quartic", "s3_perm_radial"])
+    def test_recursion_tubes(self, name):
+        geos = _step_geometries(name)
+        assert len(geos) >= 2
+        for seed, geo in enumerate(geos):
+            self.check(geo, 500, seed)
+
+    @pytest.mark.parametrize("case", ["trivial_normal", "point", "empty",
+                                      "three_lines", "no_acceptance"])
+    def test_geometries(self, case):
+        geo = _sampler_cases()[case]
+        for seed, n in enumerate((1, 7, 25)):
+            self.check(geo, n, seed)
+
+    def test_cap_ends_loop_without_points(self):
+        geo = _sampler_cases()["no_acceptance"]
+        rng = np.random.default_rng(0)
+        assert geo.sample_tube(5, rng).shape == (0, 3)
+        assert geo.sample_base(5, rng).shape == (0, 3)
+
+    def test_peak_memory_of_many_centers(self):
+        # 5,000 centers: a chunk of 500 attempts would hold a 60 MB
+        # difference array; the chunk bound keeps it to _CHUNK_CELLS rows
+        # times centers
+        centers = np.zeros((5000, 3))
+        centers[:, 0] = 0.1 * np.arange(5000)
+        geo = _line_geometry(centers, rho=0.08, eps=0.05)
+        peaks = []
+        for sample in (lambda r: sample_tube_loop(geo, 500, r),
+                       lambda r: geo.sample_tube(500, r)):
+            tracemalloc.start()
+            try:
+                assert len(sample(np.random.default_rng(3))) == 500
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        loop_peak, chunk_peak = peaks
+        # the loop's peak plus one chunk's difference array and its square
+        assert chunk_peak < loop_peak + 2 * _CHUNK_CELLS * 3 * 8
 
 
 class TestSelectTube:
@@ -291,12 +390,28 @@ class TestSplit:
         assert np.max(np.abs(vals - expected)) <= 1e-12
 
 
+def _b3_quartic():
+    """B3 (order 48) on R^3 with a quartic potential: four nonempty tubes,
+    stacked up to four layers deep."""
+    g = gr.from_generators([np.eye(3)[[1, 0, 2]], np.eye(3)[[1, 2, 0]],
+                            np.diag([-1.0, 1.0, 1.0])])
+    om = dm.full_space()
+    phi = pt.PolynomialPotential.from_expression(
+        "0.466667*(x1^2 + x2^2 + x3^2) + 0.2*(x1^4 + x2^4 + x3^4)", 3)
+    f = mp.make_map(g, dm.MapDomain(om, 1.6), phi)
+    return g, om, f, Numerics(grid_h=0.25, bbox=1.6, seed=1)
+
+
 @functools.lru_cache(maxsize=None)
 def _tube_steps(name):
-    """Recursion steps of a catalog entry that build a nonempty tube."""
-    g, om, f = catalog(name).build()
-    entry = catalog(name)
-    num = NUM.with_(**entry.numerics) if entry.numerics else NUM
+    """Recursion steps of a catalog entry (or of ``b3_quartic``) that build
+    a nonempty tube."""
+    if name == "b3_quartic":
+        g, om, f, num = _b3_quartic()
+    else:
+        entry = catalog(name)
+        g, om, f = entry.build()
+        num = NUM.with_(**entry.numerics) if entry.numerics else NUM
     return [s for s in recursion(g, om, f, num, tubes_only=True)
             if not s.tube.is_empty]
 
