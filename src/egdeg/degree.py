@@ -94,14 +94,15 @@ class TiltedField:
         return self.base.boundary_distance(pts)
 
 
-def fd_jacobian(field, pts: np.ndarray, step: float = FD_STEP) -> np.ndarray:
-    """Central-difference Jacobians, with all 2 k n probes in one grad call."""
+def fd_jacobian(field, pts: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobians of step FD_STEP, with all 2 k n probes in
+    one grad call."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     n, k = pts.shape
-    e = step * np.eye(k)[:, None]
+    e = FD_STEP * np.eye(k)[:, None]
     probes = np.concatenate([pts + e, pts - e]).reshape(-1, k)
     g = field.grad(probes).reshape(2, k, n, k)
-    return np.ascontiguousarray(((g[0] - g[1]) / (2 * step)).transpose(1, 2, 0))
+    return np.ascontiguousarray(((g[0] - g[1]) / (2 * FD_STEP)).transpose(1, 2, 0))
 
 
 class GridRegion:
@@ -276,7 +277,6 @@ class ZeroRecord:
     index: int                   # sign of det Hessian; 0 means degenerate
     component_label: str
     quotient_label: str
-    class_id: int = -1
 
     @property
     def degenerate(self) -> bool:
@@ -331,7 +331,7 @@ def classify_zeros(field, region, pts: np.ndarray, num: Numerics,
     if len(pts) == 0:
         return []
     return [ZeroRecord(tuple(float(c) for c in p), index, region.label,
-                       region.quotient_label, getattr(region, "class_id", -1))
+                       region.quotient_label)
             for p, index in zip(pts, _zero_indices(field, pts, region.h, num))]
 
 

@@ -23,7 +23,7 @@ from .domains import (
     punctured_space,
 )
 from .errors import TubeTooWide, UnknownName, ZeroOnY
-from .groups import FiniteGroupRep, antipodal, dihedral, orbit, symmetric, trivial
+from .groups import FiniteGroupRep, antipodal, dihedral, isotropy, orbit, symmetric, trivial
 from .maps import LocalGradientMap, make_map
 from .params import Numerics
 from .potentials import (
@@ -33,7 +33,7 @@ from .potentials import (
     validate_invariance,
 )
 from .strata import Stratum
-from .tubes import SubspaceFamily, TubeGeometry, TubeSpec
+from .tubes import TubeGeometry, TubeSpec
 
 
 def orbit_normal(group: FiniteGroupRep, omega: DomainExpr, point, epsilon: float,
@@ -48,11 +48,7 @@ def orbit_normal(group: FiniteGroupRep, omega: DomainExpr, point, epsilon: float
             raise TubeTooWide(
                 f"orbit points {dist.min():.3f} apart need epsilon < {dist.min()/2:.3f}")
     # conjugate subspaces of the orbit's own type must stay clear of the tube
-    iso_class = None
-    from .groups import isotropy
-    iso_class = isotropy(group, pts[0]).class_id
-    bases = group.lattice.conjugate_bases(iso_class)
-    fam = SubspaceFamily(bases)
+    fam = group.lattice.family(isotropy(group, pts[0]).class_id)
     dists = fam.distances(pts)
     off = dists[dists > 1e-9]
     if off.size and off.min() <= 2 * epsilon:
@@ -91,8 +87,7 @@ def h_normal_lift(group: FiniteGroupRep, stratum: Stratum,
     rng = np.random.default_rng(31)
     coords = rng.uniform(-bbox, bbox, size=(200, stratum.dim))
     base_vals = stratum_poly.value(coords)
-    for w in stratum.record.weyl_coset_reps:
-        wmat = stratum.basis.T @ group.elements[w] @ stratum.basis
+    for wmat in group.lattice.weyl_matrices(stratum.class_id):
         moved = stratum_poly.value(coords @ wmat.T)
         if np.max(np.abs(moved - base_vals)) > 1e-8 * (1 + np.max(np.abs(base_vals))):
             raise TubeTooWide("stratum potential is not Weyl invariant")

@@ -19,6 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ClosureOverflow, IsotropyAmbiguous, NotOrthogonal
+from .tubes import SubspaceFamily
 
 MATCH_TOL = 1e-8          # two transforms are identified below this max-norm gap
 ORTHO_TOL = 1e-9          # post-orthonormalization quality requirement
@@ -220,7 +221,13 @@ class SubgroupRecord:
 
 
 class SubgroupLattice:
-    """All subgroups of a finite group, grouped into conjugacy classes."""
+    """All subgroups of a finite group, grouped into conjugacy classes.
+
+    It is also the one owner of each orbit type's subspace data: the
+    conjugate family of g V^H, the singular family of V^H and the Weyl
+    matrices, each built once, on first use, by ``family``, ``singular`` and
+    ``weyl_matrices``.
+    """
 
     def __init__(self, group: FiniteGroupRep, records: list[SubgroupRecord],
                  class_members: list[list[tuple[int, ...]]],
@@ -232,6 +239,8 @@ class SubgroupLattice:
         self._class_by_mask = {
             _mask(group.order, members).tobytes(): cid
             for cid, sets in enumerate(class_members) for members in sets}
+        # per-class subspace data of the stratum recursion, see ``_once``
+        self._geometry: dict[tuple[str, int], object] = {}
 
     @property
     def n_classes(self) -> int:
@@ -258,18 +267,49 @@ class SubgroupLattice:
         suffix = chr(ord("a") + same_order.index(class_id))
         return f"(H{rec.order}{suffix})"
 
-    def conjugate_bases(self, class_id: int) -> list[np.ndarray]:
-        """Bases of the distinct conjugate fixed subspaces g V^H."""
+    def family(self, class_id: int) -> SubspaceFamily:
+        """The distinct conjugate fixed subspaces g V^H, built on first use."""
+        basis = self.records[class_id].fixed_basis
+        return self._once("family", class_id, lambda: SubspaceFamily(_distinct(
+            self.group.elements[g] @ basis for g in range(self.group.order))))
+
+    def singular(self, class_id: int) -> SubspaceFamily | None:
+        """The distinct fixed spaces of the subgroups strictly containing the
+        representative (the singular set of V^H), None when there are none;
+        built on first use."""
+        def build():
+            rep = set(self.records[class_id].member_indices)
+            bases = _distinct(fixed_subspace(self.group, members)
+                              for sets in self.class_members for members in sets
+                              if rep < set(members))
+            return SubspaceFamily(bases) if bases else None
+        return self._once("singular", class_id, build)
+
+    def weyl_matrices(self, class_id: int) -> list[np.ndarray]:
+        """The Weyl action in stratum coordinates, basis^T Q_w basis, for each
+        ``w`` of ``weyl_coset_reps`` in order; built on first use."""
         rec = self.records[class_id]
         basis = rec.fixed_basis
-        bases, projs = [], []
-        for g in range(self.group.order):
-            bg = self.group.elements[g] @ basis
-            pg = bg @ bg.T
-            if not any(np.max(np.abs(pg - p)) <= 1e-9 for p in projs):
-                projs.append(pg)
-                bases.append(bg)
-        return bases
+        return self._once("weyl", class_id, lambda: [
+            basis.T @ self.group.elements[w] @ basis for w in rec.weyl_coset_reps])
+
+    def _once(self, kind: str, class_id: int, build):
+        key = (kind, class_id)
+        if key not in self._geometry:
+            self._geometry[key] = build()
+        return self._geometry[key]
+
+
+def _distinct(bases) -> list[np.ndarray]:
+    """The bases whose projectors differ from every earlier one's by more
+    than 1e-9 in some entry."""
+    out, projs = [], []
+    for b in bases:
+        p = b @ b.T
+        if not any(np.max(np.abs(p - q)) <= 1e-9 for q in projs):
+            projs.append(p)
+            out.append(b)
+    return out
 
 
 def _mask(n: int, members) -> np.ndarray:

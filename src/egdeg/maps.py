@@ -20,14 +20,11 @@ from .groups import FiniteGroupRep
 from .potentials import (
     PiecewisePotential,
     Potential,
-    scale_potential,
     validate_gradient_consistency,
     validate_invariance,
 )
 from .profiles import PerturbationLayer, bump_mu, bump_mu_deriv, well_omega, well_omega_deriv
 from .tubes import TubeGeometry
-
-FD_HESS_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -95,7 +92,7 @@ class LocalGradientMap:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if not self.layers:
             return self.potential.hess(pts)
-        out = fd_jacobian(self, pts, FD_HESS_STEP)
+        out = fd_jacobian(self, pts)
         return 0.5 * (out + np.swapaxes(out, 1, 2))
 
     # -- structural updates ------------------------------------------------
@@ -110,7 +107,7 @@ class LocalGradientMap:
     def scaled(self, lam: float) -> "LocalGradientMap":
         if self.layers:
             raise NotInvariant("scale the base potential before perturbing")
-        return replace(self, potential=scale_potential(self.potential, lam))
+        return replace(self, potential=self.potential.scaled(lam))
 
     def descriptor(self) -> dict:
         from .serialize import map_descriptor  # local import to avoid a cycle

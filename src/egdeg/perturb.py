@@ -20,31 +20,7 @@ from .errors import PartitionViolation, TubeSelectionFailed
 from .maps import LocalGradientMap, layer_grad
 from .params import Numerics
 from .profiles import PerturbationLayer, bump_mu, bump_mu_deriv, well_omega_deriv
-from .strata import Stratum, singular_family
-from .tubes import SubspaceFamily, TubeGeometry, TubeSpec
-
-
-@dataclass
-class ClassGeometry:
-    """Subspace data of one orbit type, independent of any grid."""
-
-    class_id: int
-    family: SubspaceFamily
-    point_stratum: bool
-    singular: SubspaceFamily | None
-
-    @classmethod
-    def for_class(cls, group, class_id: int) -> "ClassGeometry":
-        lat = group.lattice
-        rec = lat.records[class_id]
-        bases = lat.conjugate_bases(class_id)
-        return cls(class_id=class_id,
-                   family=SubspaceFamily(bases),
-                   point_stratum=rec.fixed_dim == 0,
-                   singular=singular_family(group, class_id))
-
-    def exclusion(self) -> StratumExclusion:
-        return StratumExclusion(self.class_id, self.family)
+from .tubes import TubeGeometry, TubeSpec
 
 
 def _orbit_closure(group, points: np.ndarray) -> np.ndarray:
@@ -62,10 +38,10 @@ def _orbit_closure(group, points: np.ndarray) -> np.ndarray:
     return keep[np.lexsort(keep.T[::-1])]
 
 
-def select_tube(f: LocalGradientMap, geom: ClassGeometry,
-                zero_points: np.ndarray, num: Numerics,
-                stratum: Stratum | None = None) -> TubeSpec:
-    """Choose (U, epsilon) around the stratum zeros of the map.
+def select_tube(f: LocalGradientMap, class_id: int, zero_points: np.ndarray,
+                num: Numerics) -> TubeSpec:
+    """Choose (U, epsilon) around the zeros of the map on the stratum of the
+    orbit type ``class_id``.
 
     ``zero_points`` are ambient zeros of f on the representative subspace;
     the invariant U is the union of stratum balls of radius rho around their
@@ -76,42 +52,40 @@ def select_tube(f: LocalGradientMap, geom: ClassGeometry,
     is unambiguous throughout the tube.
     """
     group = f.group
-    h = num.grid_h
-    if geom.point_stratum:
+    lat = group.lattice
+    point_stratum = lat.records[class_id].fixed_dim == 0
+    rho0 = 2 * num.grid_h
+    if point_stratum:
         origin = np.zeros((1, group.dim))
         has_zero = (f.member(origin)[0]
                     and np.linalg.norm(f.grad(origin)[0]) <= num.zero_thresh)
         centers = origin if has_zero else np.empty((0, group.dim))
-        rho0 = 2 * h
     else:
-        if stratum is None:
-            raise TubeSelectionFailed("positive-dimensional tube needs a stratum")
         centers = _orbit_closure(group, np.atleast_2d(zero_points)
                                  if len(zero_points) else zero_points)
-        rho0 = 2 * h
-        if len(centers) and geom.singular is not None:
-            clearance = float(np.min(geom.singular.min_distance(centers)))
+        singular = lat.singular(class_id)
+        if len(centers) and singular is not None:
+            clearance = float(np.min(singular.min_distance(centers)))
             rho0 = min(rho0, 0.9 * clearance)
 
     if len(centers) == 0:
-        return TubeSpec(geom.class_id, np.empty((0, group.dim)), rho0, 0.0,
-                        point_stratum=geom.point_stratum)
+        return TubeSpec(class_id, np.empty((0, group.dim)), rho0, 0.0,
+                        point_stratum=point_stratum)
 
-    rng = np.random.default_rng(np.random.SeedSequence([num.seed, 101, geom.class_id]))
+    rng = np.random.default_rng(np.random.SeedSequence([num.seed, 101, class_id]))
     rho = eps = rho0
     for _ in range(num.max_halvings):
-        spec = TubeSpec(geom.class_id, centers, rho, eps,
-                        point_stratum=geom.point_stratum)
-        geo = TubeGeometry(geom.family, spec)
+        spec = TubeSpec(class_id, centers, rho, eps, point_stratum=point_stratum)
+        geo = TubeGeometry(lat.family(class_id), spec)
         ok, margin = _validate_tube(f, geo, num, rng)
         if ok:
-            return TubeSpec(geom.class_id, centers, rho, eps,
-                            point_stratum=geom.point_stratum, margin=margin)
+            return TubeSpec(class_id, centers, rho, eps,
+                            point_stratum=point_stratum, margin=margin)
         rho /= 2
         eps /= 2
     raise TubeSelectionFailed(
         f"no epsilon validated after {num.max_halvings} halvings "
-        f"(class {geom.class_id}); shrink grid_h or enlarge the domain")
+        f"(class {class_id}); shrink grid_h or enlarge the domain")
 
 
 def _validate_tube(f, geo: TubeGeometry, num: Numerics, rng) -> tuple[bool, float]:
@@ -181,14 +155,15 @@ class HomotopyFamily:
         return out
 
 
-def perturb(f: LocalGradientMap, geom: ClassGeometry, tube: TubeSpec,
+def perturb(f: LocalGradientMap, tube: TubeSpec,
             mu_kind: str = "cubic") -> tuple[LocalGradientMap, HomotopyFamily]:
-    """Append the tube layer; returns the perturbed map and its family.
+    """Append the tube layer around the subspaces of ``tube.class_id``;
+    returns the perturbed map and its family.
 
     An empty tube is a no-op layer: the perturbed map equals f (the domain
     still shrinks only when the split removes the stratum).
     """
-    geo = TubeGeometry(geom.family, tube)
+    geo = TubeGeometry(f.group.lattice.family(tube.class_id), tube)
     layer = PerturbationLayer(geo, mu_kind)
     if tube.is_empty:
         return f, HomotopyFamily(f, layer)
@@ -204,16 +179,16 @@ class SplitParts:
     trimmed: LocalGradientMap       # off_stratum minus the closed inner tube
 
 
-def split(f_pert: LocalGradientMap, geom: ClassGeometry,
-          tube: TubeSpec) -> SplitParts:
+def split(f_pert: LocalGradientMap, tube: TubeSpec) -> SplitParts:
     """Restrict the perturbed map to its normal core, complement and trim.
 
-    The complement removes the full conjugate subspaces; for the maximal
-    orbit type of the current domain this coincides with removing the
-    stratum.
+    The complement removes the full conjugate subspaces of ``tube.class_id``;
+    for the maximal orbit type of the current domain this coincides with
+    removing the stratum.
     """
-    geo = TubeGeometry(geom.family, tube)
-    exclusion = geom.exclusion()
+    family = f_pert.group.lattice.family(tube.class_id)
+    geo = TubeGeometry(family, tube)
+    exclusion = StratumExclusion(tube.class_id, family)
     off = f_pert.with_domain(f_pert.domain.without_stratum(exclusion))
     if tube.is_empty:
         return SplitParts(core=f_pert.with_domain(

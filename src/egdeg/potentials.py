@@ -173,6 +173,9 @@ class Potential:
     def hess(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def scaled(self, lam: float) -> "Potential":
+        raise NotImplementedError
+
     def descriptor(self) -> dict:
         raise NotImplementedError
 
@@ -434,12 +437,6 @@ class PiecewisePotential(Potential):
     def descriptor(self):
         return {"kind": "piecewise",
                 "pieces": [p.descriptor() for _, p in self.pieces]}
-
-
-def scale_potential(pot: Potential, lam: float) -> Potential:
-    if hasattr(pot, "scaled"):
-        return pot.scaled(lam)
-    return ScaledPotential(pot, lam)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import numpy as np
 
 from .domains import DomainExpr
 from .errors import NotInStratum, ResolutionTooCoarse
-from .groups import FiniteGroupRep, SubgroupLattice, fixed_subspace, isotropy
+from .groups import FiniteGroupRep, SubgroupLattice, isotropy
 from .params import Numerics
 from .tubes import SubspaceFamily
 
@@ -39,23 +39,6 @@ class OrbitTypeLattice:
 
     def labels(self) -> list[str]:
         return [self.lattice.class_label(c) for c in self.class_ids]
-
-
-def singular_family(group: FiniteGroupRep, class_id: int) -> SubspaceFamily | None:
-    """Fixed spaces of all subgroups strictly containing the representative."""
-    lat = group.lattice
-    rep = set(lat.records[class_id].member_indices)
-    bases, projs = [], []
-    for members_list in lat.class_members:
-        for members in members_list:
-            s = set(members)
-            if rep < s:
-                b = fixed_subspace(group, s)
-                p = b @ b.T
-                if not any(np.max(np.abs(p - q)) <= 1e-9 for q in projs):
-                    projs.append(p)
-                    bases.append(b)
-    return SubspaceFamily(bases) if bases else None
 
 
 def iso_types(group: FiniteGroupRep, omega: DomainExpr, h: float,
@@ -85,7 +68,7 @@ def iso_types(group: FiniteGroupRep, omega: DomainExpr, h: float,
                 present.append(rec.class_id)
                 witnesses[rec.class_id] = origin.copy()
             continue
-        sing = singular_family(group, rec.class_id)
+        sing = lat.singular(rec.class_id)
         if sing is not None and any(b.shape[1] == k for b in sing.bases):
             continue  # fixed space coincides with a larger one; stratum empty
         witness = _grid_witness(omega, basis, sing, h, bbox)
@@ -105,23 +88,17 @@ def iso_types(group: FiniteGroupRep, omega: DomainExpr, h: float,
     return OrbitTypeLattice(group, present, witnesses)
 
 
-def _grid_cells(k: int, h: float, bbox: float):
+def _grid(k: int, h: float, bbox: float) -> tuple[np.ndarray, np.ndarray]:
+    """The cells of the stratum grid, as an (m, k) int array in lexicographic
+    order, and their centers in stratum coordinates."""
     n = max(1, int(round(bbox / h)))
-    rng = range(-n, n)
-    return itertools.product(rng, repeat=k), n
-
-
-def _cell_centers(cells, k: int, h: float) -> np.ndarray:
-    arr = np.array(list(cells), dtype=float).reshape(-1, k)
-    return (arr + 0.5) * h
+    cells = np.array(list(itertools.product(range(-n, n), repeat=k)),
+                     dtype=int).reshape(-1, k)
+    return cells, (cells + 0.5) * h
 
 
 def _grid_witness(omega, basis, sing, h, bbox):
-    k = basis.shape[1]
-    cells, _ = _grid_cells(k, h, bbox)
-    cells = list(cells)
-    centers = _cell_centers(cells, k, h)
-    pts = centers @ basis.T
+    pts = _grid(basis.shape[1], h, bbox)[1] @ basis.T
     ok = omega.contains(pts)
     if sing is not None:
         ok &= sing.min_distance(pts) > max(h / 2, 1e-6)
@@ -154,7 +131,7 @@ class Stratum:
 
     def __init__(self, group: FiniteGroupRep, class_id: int, basis: np.ndarray,
                  h: float, bbox: float, cells: dict, components: list,
-                 weyl_perm: dict, orbits: list, singular: SubspaceFamily | None):
+                 weyl_perm: dict, orbits: list):
         self.group = group
         self.class_id = class_id
         self.basis = basis
@@ -164,11 +141,17 @@ class Stratum:
         self.components = components
         self.weyl_perm = weyl_perm               # coset rep -> list[int]
         self.quotient_orbits = orbits
-        self.singular = singular
-        lat = group.lattice
-        self.conjugate_bases = lat.conjugate_bases(class_id)
-        self.family = SubspaceFamily(self.conjugate_bases)
-        self.record = lat.records[class_id]
+        self.record = group.lattice.records[class_id]
+
+    @property
+    def family(self) -> SubspaceFamily:
+        """The conjugate subspaces g V^H, as the lattice holds them."""
+        return self.group.lattice.family(self.class_id)
+
+    @property
+    def singular(self) -> SubspaceFamily | None:
+        """The singular set of V^H, as the lattice holds it."""
+        return self.group.lattice.singular(self.class_id)
 
     @property
     def dim(self) -> int:
@@ -245,11 +228,8 @@ def build_stratum(group: FiniteGroupRep, omega: DomainExpr, class_id: int,
     k = basis.shape[1]
     if k == 0:
         raise NotInStratum("zero-dimensional orbit types have no stratum chart")
-    sing = singular_family(group, class_id)
-
-    cells_iter, _ = _grid_cells(k, h, bbox)
-    cell_arr = np.array(list(cells_iter), dtype=int).reshape(-1, k)
-    coords = (cell_arr + 0.5) * h
+    sing = lat.singular(class_id)
+    cell_arr, coords = _grid(k, h, bbox)
     pts = coords @ basis.T
     keep = omega.contains(pts)
     if sing is not None:
@@ -278,8 +258,7 @@ def build_stratum(group: FiniteGroupRep, omega: DomainExpr, class_id: int,
 
     key_of = {key.tobytes(): c for c, key in enumerate(keys[heads])}
     weyl_perm: dict[int, list[int]] = {}
-    for w in rec.weyl_coset_reps:
-        wmat = basis.T @ group.elements[w] @ basis  # action in stratum coords
+    for w, wmat in zip(rec.weyl_coset_reps, lat.weyl_matrices(class_id)):
         images = chambers.keys(coords[heads] @ wmat.T, pieces[heads])
         perm = [key_of.get(key.tobytes()) for key in images]
         if None in perm:
@@ -290,7 +269,7 @@ def build_stratum(group: FiniteGroupRep, omega: DomainExpr, class_id: int,
     orbits = _quotient_orbits(rec, components, weyl_perm)
     comp_of = dict(zip(cells, comp_idx.tolist()))
     return Stratum(group, class_id, basis, h, bbox, comp_of, components,
-                   weyl_perm, orbits, sing)
+                   weyl_perm, orbits)
 
 
 def cached_stratum(cache: dict | None, group: FiniteGroupRep, omega: DomainExpr,

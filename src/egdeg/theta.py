@@ -34,14 +34,7 @@ from .errors import AdditionUndefined, ConfigError, UnsupportedRep
 from .groups import CircleRep, FiniteGroupRep, antipodal
 from .maps import LocalGradientMap, StratumField, make_map, restrict_to_stratum
 from .params import Numerics
-from .perturb import (
-    ClassGeometry,
-    HomotopyFamily,
-    SplitParts,
-    perturb,
-    select_tube,
-    split,
-)
+from .perturb import HomotopyFamily, SplitParts, perturb, select_tube, split
 from .potentials import PolynomialPotential
 from .strata import Stratum, cached_stratum, iso_types
 from .tubes import TubeSpec
@@ -217,10 +210,9 @@ def recursion(group: FiniteGroupRep, omega: DomainExpr, f: LocalGradientMap,
             (step.restricted, step.zeros, step.ambient, step.margin,
              step.newton) = _stratum_zero_pass(f_i, step.stratum, num)
         if index < last:
-            geom = ClassGeometry.for_class(group, cid)
-            step.tube = select_tube(f_i, geom, step.ambient, num, step.stratum)
-            f_pert, step.family = perturb(f_i, geom, step.tube, num.mu_kind)
-            step.parts = split(f_pert, geom, step.tube)
+            step.tube = select_tube(f_i, cid, step.ambient, num)
+            f_pert, step.family = perturb(f_i, step.tube, num.mu_kind)
+            step.parts = split(f_pert, step.tube)
             _assert_domain_shrinks(f_i, step.parts.off_stratum, num)
             f_i = step.parts.off_stratum
         yield step

@@ -193,9 +193,8 @@ class TubeGeometry:
     def trivial_normal(self) -> bool:
         return self.family.k == self.family.dim
 
-    def sample_tube(self, n: int, rng: np.random.Generator,
-                    eps_scale: float = 1.0) -> np.ndarray:
-        """Random points of U^(scale*eps), uniform-ish over centers."""
+    def sample_tube(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """Random points of U^eps, uniform-ish over centers."""
         if self.spec.is_empty:
             return np.empty((0, self.family.dim))
         if self.trivial_normal:
@@ -203,7 +202,7 @@ class TubeGeometry:
             return self._sample_chunked(
                 n, rng, lambda: self._draw_base(rng)[:1],
                 lambda x: (x, self._center_distance(x) < self.spec.rho))
-        eps = self.spec.epsilon * eps_scale
+        eps = self.spec.epsilon
 
         def attempt():
             x, j = self._draw_base(rng)

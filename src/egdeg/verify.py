@@ -433,10 +433,9 @@ def criterion_quotient_division(ctx):
             quotient = dg.quotient_intersection(fld, stratum, qlabel, num,
                                                 records=recs)
             # independent oracle: group the zeros into stabilizer orbits
-            weyl = [stratum.basis.T @ group.elements[w] @ stratum.basis
-                    for w in stratum.record.weyl_coset_reps]
             oracle_total, sizes = _orbit_count_oracle(
-                pts, [r.index for r in recs], weyl, stab)
+                pts, [r.index for r in recs],
+                group.lattice.weyl_matrices(target), stab)
             case_ok = (total == stab * quotient and oracle_total == quotient
                        and sizes == {stab})
             ok = ok and case_ok

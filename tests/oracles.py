@@ -268,14 +268,14 @@ def orbit_closure_loop(group, points):
     return np.array(keep)[order]
 
 
-def sample_tube_loop(geo, n, rng, eps_scale=1.0):
+def sample_tube_loop(geo, n, rng):
     """Random points of the tube, testing each attempt's candidate with its
     own decompose before the next attempt draws."""
     if geo.spec.is_empty:
         return np.empty((0, geo.family.dim))
     out = []
     centers = geo.spec.centers
-    eps = geo.spec.epsilon * eps_scale
+    eps = geo.spec.epsilon
     attempts = 0
     while len(out) < n and attempts < 200 * n:
         attempts += 1
@@ -327,3 +327,37 @@ def sample_base_loop(geo, n, rng):
         if geo.decompose(x[None])["dcen"][0] < spec.rho:
             out.append(x)
     return np.array(out) if out else np.empty((0, geo.family.dim))
+
+
+def singular_family_loop(group, class_id):
+    """Bases of the fixed spaces of the subgroups strictly containing the
+    class representative, one per distinct projector (1e-9 max-abs), in the
+    order of ``class_members``."""
+    from egdeg.groups import fixed_subspace
+    lat = group.lattice
+    rep = set(lat.records[class_id].member_indices)
+    bases, projs = [], []
+    for members_list in lat.class_members:
+        for members in members_list:
+            s = set(members)
+            if rep < s:
+                b = fixed_subspace(group, s)
+                p = b @ b.T
+                if not any(np.max(np.abs(p - q)) <= 1e-9 for q in projs):
+                    projs.append(p)
+                    bases.append(b)
+    return bases
+
+
+def conjugate_bases_loop(group, class_id):
+    """Bases g V^H over the group elements in order, one per distinct
+    projector (1e-9 max-abs)."""
+    basis = group.lattice.records[class_id].fixed_basis
+    bases, projs = [], []
+    for g in range(group.order):
+        bg = group.elements[g] @ basis
+        pg = bg @ bg.T
+        if not any(np.max(np.abs(pg - p)) <= 1e-9 for p in projs):
+            projs.append(pg)
+            bases.append(bg)
+    return bases

@@ -159,7 +159,7 @@ class TestBatchedHelpers:
         for field in (two_layers, fld):
             got = dg.fd_jacobian(field, pts)
             assert got.tobytes() == axis_fd_jacobian(field, pts, dg.FD_STEP).tobytes()
-        want = axis_fd_jacobian(two_layers, pts, mp.FD_HESS_STEP)
+        want = axis_fd_jacobian(two_layers, pts, dg.FD_STEP)
         want = 0.5 * (want + np.swapaxes(want, 1, 2))
         assert two_layers.hess(pts).tobytes() == want.tobytes()
 

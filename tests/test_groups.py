@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+from oracles import conjugate_bases_loop, singular_family_loop
 
 from egdeg import groups as gr
 from egdeg.errors import ClosureOverflow, IsotropyAmbiguous, NotOrthogonal
@@ -310,6 +311,33 @@ def test_fixed_projector_invariant_under_class_representative():
         # conjugate subgroups have conjugate fixed spaces; projector norms agree
         dims = {np.linalg.matrix_rank(p, tol=1e-9) for p in projs}
         assert len(dims) == 1
+
+
+@pytest.mark.parametrize("group", [
+    gr.dihedral(3), gr.dihedral(6), gr.symmetric(4),
+    gr.from_generators([np.eye(3)[[1, 0, 2]], np.eye(3)[[1, 2, 0]],
+                        np.diag([-1.0, 1.0, 1.0])])], ids=["D3", "D6", "S4", "B3"])
+def test_class_geometry_equals_loops(group):
+    lat = group.lattice
+    for cid in range(lat.n_classes):
+        family, singular = lat.family(cid), lat.singular(cid)
+        want = conjugate_bases_loop(group, cid)
+        assert len(family.bases) == len(want)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(family.bases, want))
+        want = singular_family_loop(group, cid)
+        assert (singular is None) == (not want)
+        got = singular.bases if singular is not None else []
+        assert len(got) == len(want)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+        basis = lat.records[cid].fixed_basis
+        want = [basis.T @ group.elements[w] @ basis
+                for w in lat.records[cid].weyl_coset_reps]
+        got = lat.weyl_matrices(cid)
+        assert len(got) == len(want)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+        # built once: later reads return the same objects
+        assert lat.family(cid) is family and lat.singular(cid) is singular
+        assert lat.weyl_matrices(cid) is got
 
 
 # ---------------------------------------------------------------------------

@@ -128,13 +128,12 @@ class TestDisjointUnion:
 class TestSerialization:
     def test_roundtrip_values_exact(self):
         from egdeg.factory import catalog
-        from egdeg.perturb import ClassGeometry, perturb, select_tube
+        from egdeg.perturb import perturb, select_tube
         from egdeg.params import Numerics
         g, om, f = catalog("z2_line_max").build()
         num = Numerics(grid_h=0.1, bbox=2.0)
-        geom = ClassGeometry.for_class(g, 0)
-        tube = select_tube(f, geom, np.empty((0, 1)), num, None)
-        fp, _ = perturb(f, geom, tube)
+        tube = select_tube(f, 0, np.empty((0, 1)), num)
+        fp, _ = perturb(f, tube)
         desc = json.loads(json.dumps(sz.map_descriptor(fp)))
         fp2 = sz.map_from_descriptor(desc, g)
         pts = np.random.default_rng(5).uniform(-2, 2, size=(100, 1))

@@ -16,14 +16,7 @@ from egdeg.degree import GridRegion, find_zeros
 from egdeg.errors import AmbiguousProjection, OutOfRange
 from egdeg.factory import catalog, orbit_normal
 from egdeg.params import Numerics
-from egdeg.perturb import (
-    ClassGeometry,
-    _orbit_closure,
-    perturb,
-    select_tube,
-    split,
-    verify_partition,
-)
+from egdeg.perturb import _orbit_closure, perturb, select_tube, split, verify_partition
 from egdeg.profiles import bump_mu, bump_mu_deriv, well_omega, well_omega_deriv
 from egdeg.strata import build_stratum, iso_types
 from egdeg.theta import recursion
@@ -119,7 +112,7 @@ class TestTubeDecompose:
         g = gr.dihedral(3)
         lat = g.lattice
         refl_class = next(r.class_id for r in lat.records if r.order == 2)
-        fam = SubspaceFamily(lat.conjugate_bases(refl_class))
+        fam = lat.family(refl_class)
         spec = TubeSpec(refl_class, np.array([[1.0, 0.0]]), 0.2, 0.5)
         geo = TubeGeometry(fam, spec)
         # a point equidistant from the axis at 0 and the axis at 60 degrees
@@ -135,8 +128,7 @@ class TestTubeDecompose:
         assert steps
         for step in steps:
             g = step.f.group
-            geo = TubeGeometry(ClassGeometry.for_class(g, step.class_id).family,
-                               step.tube)
+            geo = TubeGeometry(g.lattice.family(step.class_id), step.tube)
             single = [int(geo.decompose(c[None])["idx"][0])
                       for c in step.tube.centers]
             assert geo.center_idx.tolist() == single
@@ -146,9 +138,7 @@ class TestTubeDecompose:
 
 
 def _step_geometries(name):
-    return [TubeGeometry(ClassGeometry.for_class(step.f.group,
-                                                 step.class_id).family,
-                         step.tube)
+    return [TubeGeometry(step.f.group.lattice.family(step.class_id), step.tube)
             for step in _tube_steps(name)]
 
 
@@ -195,10 +185,8 @@ class TestSamplers:
                 == geo.sample_shell(40, slow).tobytes())
 
     def check(self, geo, n, seed):
-        for scale in (1.0, 1.0 / 3):
-            self.assert_same_draws(
-                geo, lambda r: geo.sample_tube(n, r, eps_scale=scale),
-                lambda r: sample_tube_loop(geo, n, r, eps_scale=scale), seed)
+        self.assert_same_draws(geo, lambda r: geo.sample_tube(n, r),
+                               lambda r: sample_tube_loop(geo, n, r), seed)
         self.assert_same_draws(geo, lambda r: geo.sample_base(n, r),
                                lambda r: sample_base_loop(geo, n, r), seed)
 
@@ -246,8 +234,7 @@ class TestSamplers:
 class TestSelectTube:
     def test_origin_well_tube(self):
         g, om, f = catalog("z2_line_min").build()
-        geom = ClassGeometry.for_class(g, 0)
-        tube = select_tube(f, geom, np.empty((0, 1)), NUM, None)
+        tube = select_tube(f, 0, np.empty((0, 1)), NUM)
         assert tube.point_stratum and not tube.is_empty
         assert tube.margin == float("inf")  # empty lateral shell
 
@@ -262,9 +249,7 @@ class TestSelectTube:
         g2, om2, f2 = catalog("d3_axis_orbit_normal").build()
         lat = iso_types(g2, om2, NUM.grid_h, NUM.bbox)
         free_class = lat.class_ids[-1]
-        stratum = build_stratum(g2, om2, free_class, NUM.grid_h, NUM.bbox)
-        geom = ClassGeometry.for_class(g2, free_class)
-        tube = select_tube(f2, geom, np.empty((0, 2)), NUM, stratum)
+        tube = select_tube(f2, free_class, np.empty((0, 2)), NUM)
         assert tube.is_empty
 
     def test_tight_geometry_halves_or_fails(self):
@@ -272,9 +257,7 @@ class TestSelectTube:
         om = dm.punctured_space()
         f = orbit_normal(g, om, [1.0, 0.0], 0.2, bbox=2.0)
         lat = iso_types(g, om, NUM.grid_h, NUM.bbox)
-        stratum = build_stratum(g, om, lat.class_ids[0], NUM.grid_h, NUM.bbox)
-        geom = ClassGeometry.for_class(g, lat.class_ids[0])
-        tube = select_tube(f, geom, np.array([[1.0, 0.0]]), NUM, stratum)
+        tube = select_tube(f, lat.class_ids[0], np.array([[1.0, 0.0]]), NUM)
         # the domain is a ball of radius 0.2: epsilon must have shrunk below it
         assert tube.epsilon < 0.2
         assert np.hypot(tube.rho, tube.epsilon) < 0.2
@@ -304,9 +287,8 @@ class TestPerturbedPotential:
     def test_line_formula_matches_closed_form(self):
         from oracles import perturbed_line_potential
         g, om, f = catalog("z2_line_max").build()
-        geom = ClassGeometry.for_class(g, 0)
-        tube = select_tube(f, geom, np.empty((0, 1)), NUM, None)
-        fp, _ = perturb(f, geom, tube)
+        tube = select_tube(f, 0, np.empty((0, 1)), NUM)
+        fp, _ = perturb(f, tube)
         vs = np.linspace(-1.5, 1.5, 301)[:, None]
         expected = perturbed_line_potential(vs[:, 0], tube.epsilon, -1.0)
         assert np.max(np.abs(fp.phi(vs) - expected)) <= 1e-12
@@ -317,9 +299,8 @@ class TestPerturbedPotential:
 
     def test_empty_tube_is_identity(self):
         g, om, f = catalog("z2_line_min").build()
-        geom = ClassGeometry.for_class(g, 0)
         empty = TubeSpec(0, np.empty((0, 1)), 0.2, 0.0, point_stratum=True)
-        fp, _ = perturb(f, geom, empty)
+        fp, _ = perturb(f, empty)
         pts = np.linspace(-1.5, 1.5, 100)[:, None]
         assert np.array_equal(fp.grad(pts), f.grad(pts))
 
@@ -331,10 +312,8 @@ class TestPerturbedPotential:
         om = dm.punctured_space()
         f = orbit_normal(g, om, [1.0, 0.0], 0.2, bbox=2.0)
         lat = iso_types(g, om, NUM.grid_h, NUM.bbox)
-        stratum = build_stratum(g, om, lat.class_ids[0], NUM.grid_h, NUM.bbox)
-        geom = ClassGeometry.for_class(g, lat.class_ids[0])
-        tube = select_tube(f, geom, np.array([[1.0, 0.0]]), NUM, stratum)
-        fp, _ = perturb(f, geom, tube)
+        tube = select_tube(f, lat.class_ids[0], np.array([[1.0, 0.0]]), NUM)
+        fp, _ = perturb(f, tube)
         eps = tube.epsilon
         xs = np.array([1.0 + d for d in (-0.01, 0.0, 0.01)])
         for x in xs:
@@ -349,10 +328,9 @@ class TestPerturbedPotential:
 class TestSplit:
     def build_split(self):
         g, om, f = catalog("z2_line_max").build()
-        geom = ClassGeometry.for_class(g, 0)
-        tube = select_tube(f, geom, np.empty((0, 1)), NUM, None)
-        fp, fam = perturb(f, geom, tube)
-        return g, om, f, tube, fp, fam, split(fp, geom, tube)
+        tube = select_tube(f, 0, np.empty((0, 1)), NUM)
+        fp, fam = perturb(f, tube)
+        return g, om, f, tube, fp, fam, split(fp, tube)
 
     def test_core_domain_is_inner_tube(self):
         g, om, f, tube, fp, fam, parts = self.build_split()
@@ -419,9 +397,8 @@ def _tube_steps(name):
 class TestVerifyPartition:
     def test_line_partition(self):
         g, om, f = catalog("z2_line_max").build()
-        geom = ClassGeometry.for_class(g, 0)
-        tube = select_tube(f, geom, np.empty((0, 1)), NUM, None)
-        _, fam = perturb(f, geom, tube)
+        tube = select_tube(f, 0, np.empty((0, 1)), NUM)
+        _, fam = perturb(f, tube)
         report = verify_partition(fam, 1000)
         assert report["violations"] == 0
         assert report["margin_C"] > 0
@@ -431,14 +408,13 @@ class TestVerifyPartition:
         g, om, f = catalog("d3_axis_orbit_normal").build()
         lat = iso_types(g, om, NUM.grid_h, NUM.bbox)
         stratum = build_stratum(g, om, lat.class_ids[0], NUM.grid_h, NUM.bbox)
-        geom = ClassGeometry.for_class(g, lat.class_ids[0])
         fld = mp.restrict_to_stratum(f, stratum)
         ambient = []
         for comp in stratum.components:
             for rec in find_zeros(fld, GridRegion(stratum, comp), NUM):
                 ambient.append(stratum.to_ambient(np.array(rec.point))[0])
-        tube = select_tube(f, geom, np.array(ambient), NUM, stratum)
-        _, fam = perturb(f, geom, tube)
+        tube = select_tube(f, lat.class_ids[0], np.array(ambient), NUM)
+        _, fam = perturb(f, tube)
         report = verify_partition(fam, 1000)
         assert report["violations"] == 0
         assert report["margin_C"] > 0
@@ -469,14 +445,13 @@ class TestLayeredEquivariance:
         g, om, f = catalog("d3_axis_orbit_normal").build()
         lat = iso_types(g, om, NUM.grid_h, NUM.bbox)
         stratum = build_stratum(g, om, lat.class_ids[0], NUM.grid_h, NUM.bbox)
-        geom = ClassGeometry.for_class(g, lat.class_ids[0])
         fld = mp.restrict_to_stratum(f, stratum)
         ambient = []
         for comp in stratum.components:
             for rec in find_zeros(fld, GridRegion(stratum, comp), NUM):
                 ambient.append(stratum.to_ambient(np.array(rec.point))[0])
-        tube = select_tube(f, geom, np.array(ambient), NUM, stratum)
-        fp, _ = perturb(f, geom, tube)
+        tube = select_tube(f, lat.class_ids[0], np.array(ambient), NUM)
+        fp, _ = perturb(f, tube)
         assert mp.equivariance_residual(fp, n_samples=200) <= 1e-7
 
     def test_zero_orbit_invariance(self):

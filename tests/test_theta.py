@@ -217,6 +217,26 @@ def _catalog_case(name):
     return build
 
 
+class TestLatticeGeometry:
+    """Every stratum, tube and exclusion of a run reads its subspaces from
+    the subgroup lattice, which builds each of them once."""
+
+    @pytest.mark.parametrize("build", [_readme_d3, _catalog_case("s3_perm_radial")],
+                             ids=["readme_d3", "s3_perm_radial"])
+    def test_steps_share_the_lattice_objects(self, build):
+        g, om, f, num = build()
+        lat = g.lattice
+        steps = list(recursion(g, om, f, num))
+        assert len(steps) >= 2 and any(s.f.layers for s in steps)
+        for step in steps:
+            if step.stratum is not None:
+                assert step.stratum.family is lat.family(step.class_id)
+                assert step.stratum.singular is lat.singular(step.class_id)
+            layers = step.f.layers + ((step.family.layer,) if step.family else ())
+            for layer in layers:
+                assert layer.geometry.family is lat.family(layer.spec.class_id)
+
+
 class TestZeroPass:
     """The one Newton batch per stratum against one find_zeros per component."""
 
