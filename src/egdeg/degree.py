@@ -5,7 +5,9 @@ of its zeros.  Three routes are implemented and cross-checked:
 
 * Morse route: multi-start damped Newton from grid cell centers, dedupe,
   then sum the signs of the Hessian determinants (only when every zero is
-  nondegenerate).
+  nondegenerate).  Each Newton step factors each Jacobian once: in dims up
+  to 3 by cofactors (``_solve_batched``), whose determinant also decides
+  regularity, with a pseudo-inverse step on near-singular rows.
 * Kronecker route: a boundary degree over a region bounded by oriented
   axis facets, taken by one integrator (``frontier_degree``): endpoint signs
   in dim 1, winding of the field angle along the facets in dim 2, where each
@@ -20,8 +22,8 @@ of its zeros.  Three routes are implemented and cross-checked:
   to agree.
 
 The Morse index of a zero, on the field and on a tilted field alike, is the
-Jacobian determinant sign, confirmed by a local boundary degree
-(``_zero_indices``).
+sign of the Jacobian determinant that the Newton step uses (``_det``),
+confirmed by a local boundary degree (``_zero_indices``).
 
 The quotient intersection number divides the representative component count
 by the component stabilizer order; the division must be exact.
@@ -164,10 +166,14 @@ def newton_zeros(field, seeds: np.ndarray, num: Numerics,
                  max_iter: int = 80) -> tuple[np.ndarray, dict]:
     """Damped Newton from every seed; returns polished points and stats.
 
-    Steps leaving the domain or increasing the residual are halved; seeds
-    that cannot improve are dropped.  A point counts as converged when its
+    Each step solves J s = -f once per row (``_solve_batched``: cofactors
+    for k <= 3, pinv on near-singular rows).  Steps leaving the domain or
+    not lowering the residual are halved, up to eight times; seeds that
+    cannot improve are dropped.  A point counts as converged when its
     residual is at most POLISH_TOL after polishing (the iteration itself
     targets num.newton_tol, which Numerics keeps at or below POLISH_TOL).
+    Only the open rows are iterated, held as their seed index with point,
+    field vector and residual; rows that converge or stall leave that set.
     Every step is taken row by row, so a seed's point does not depend on
     the other seeds of the batch.  The points come back in seed order, and
     ``stats["kept"]`` holds the index of each one's seed.
@@ -177,51 +183,52 @@ def newton_zeros(field, seeds: np.ndarray, num: Numerics,
         return np.empty((0, field.dim)), {"seeds": 0, "converged": 0,
                                           "stalled": 0,
                                           "kept": np.empty(0, dtype=int)}
-    active = field.member(pts).copy()
     fvals = np.full(len(pts), np.inf)
-    fvecs = np.zeros_like(pts)
-    if np.any(active):
-        fvecs[active] = field.grad(pts[active])
-        fvals[active] = np.linalg.norm(fvecs[active], axis=1)
-    active &= np.isfinite(fvals)
+    active = field.member(pts).copy()
+    # the working set: seed index, point, field vector and residual per row
+    idx = np.flatnonzero(active)
+    cur = pts[idx]
+    vecs = np.zeros_like(cur)
+    if len(idx):
+        vecs[:] = field.grad(cur)
+    vals = np.linalg.norm(vecs, axis=1)
+    fvals[idx] = vals
+    active[idx[~np.isfinite(vals)]] = False
+    open_rows = np.isfinite(vals) & (vals > num.newton_tol)
+    idx, cur, vecs, vals = idx[open_rows], cur[open_rows], vecs[open_rows], vals[open_rows]
 
     for _ in range(max_iter):
-        work = np.nonzero(active & (fvals > num.newton_tol))[0]
-        if len(work) == 0:
+        if len(idx) == 0:
             break
-        jac = fd_jacobian(field, pts[work])
-        steps = _solve_batched(jac, -fvecs[work])
-        cur_pts = pts[work]
-        cur_vals = fvals[work]
-        new_pts = cur_pts.copy()
-        new_vecs = fvecs[work].copy()
-        new_vals = cur_vals.copy()
-        accepted = np.zeros(len(work), dtype=bool)
-        lam = np.ones((len(work), 1))
+        steps = _solve_batched(fd_jacobian(field, cur), -vecs)
+        # every open row of round r tries the step factor 0.5 ** r; an
+        # accepted row is updated in place, and an open row keeps the point
+        # and residual it had when the round began
+        accepted = np.zeros(len(idx), dtype=bool)
+        rows = np.arange(len(idx))
+        lam = 1.0
         for _ in range(9):
-            open_idx = np.nonzero(~accepted)[0]
-            if len(open_idx) == 0:
+            if len(rows) == 0:
                 break
-            trial = cur_pts[open_idx] + lam[open_idx] * steps[open_idx]
+            trial = cur[rows] + lam * steps[rows]
             memb = field.member(trial)
-            tvec = np.zeros_like(trial)
-            tval = np.full(len(trial), np.inf)
-            if np.any(memb):
-                tvec[memb] = field.grad(trial[memb])
-                tval[memb] = np.linalg.norm(tvec[memb], axis=1)
-            good = np.isfinite(tval) & (tval < cur_vals[open_idx])
-            hit = open_idx[good]
-            new_pts[hit] = trial[good]
-            new_vecs[hit] = tvec[good]
-            new_vals[hit] = tval[good]
-            accepted[hit] = True
-            lam[open_idx[~good]] *= 0.5
-        stalled = work[~accepted]
-        active[stalled] = False
-        moved = work[accepted]
-        pts[moved] = new_pts[accepted]
-        fvecs[moved] = new_vecs[accepted]
-        fvals[moved] = new_vals[accepted]
+            if not memb.all():
+                rows, trial = rows[memb], trial[memb]
+            if len(rows):
+                tvec = field.grad(trial)
+                tval = np.linalg.norm(tvec, axis=1)
+                good = np.isfinite(tval) & (tval < vals[rows])
+                hit = rows[good]
+                cur[hit], vecs[hit], vals[hit] = trial[good], tvec[good], tval[good]
+                accepted[hit] = True
+            rows = np.flatnonzero(~accepted)
+            lam *= 0.5
+        active[idx[~accepted]] = False
+        done = ~accepted | (vals <= num.newton_tol)
+        pts[idx[done]], fvals[idx[done]] = cur[done], vals[done]
+        keep = ~done
+        idx, cur, vecs, vals = idx[keep], cur[keep], vecs[keep], vals[keep]
+    pts[idx], fvals[idx] = cur, vals
 
     good = fvals <= POLISH_TOL
     stats = {"seeds": len(pts), "converged": int(np.sum(good)),
@@ -230,16 +237,79 @@ def newton_zeros(field, seeds: np.ndarray, num: Numerics,
     return pts[good], stats
 
 
+def _cofactors(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Determinants and cofactors of a stack of k x k matrices, k <= 3,
+    held entry first: ``a[i, j]`` is entry (i, j) of every matrix.
+
+    Everything is taken elementwise across the stack, so a matrix's result
+    does not depend on the others.  In dim 3, C_ij = a_(i+1)(j+1) a_(i+2)(j+2)
+    - a_(i+1)(j+2) a_(i+2)(j+1), indices mod 3, and the determinant is the
+    first row's expansion (a_00 C_00 + a_01 C_01) + a_02 C_02; in dim 2 it
+    is a_00 a_11 - a_01 a_10.
+    """
+    k = a.shape[0]
+    if k == 1:
+        return a[0, 0], np.ones_like(a)
+    if k == 2:
+        cof = np.stack([a[1, 1], -a[1, 0], -a[0, 1], a[0, 0]]).reshape(a.shape)
+        return a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0], cof
+    cof = np.empty_like(a)
+    for i, j in np.ndindex(3, 3):
+        r0, r1, c0, c1 = (i + 1) % 3, (i + 2) % 3, (j + 1) % 3, (j + 2) % 3
+        np.subtract(a[r0, c0] * a[r1, c1], a[r0, c1] * a[r1, c0], out=cof[i, j])
+    det = (a[0, 0] * cof[0, 0] + a[0, 1] * cof[0, 1]) + a[0, 2] * cof[0, 2]
+    return det, cof
+
+
+def _det(jac: np.ndarray) -> np.ndarray:
+    """Determinants of a stack of square matrices: cofactors for k <= 3."""
+    if 1 <= jac.shape[1] <= 3:
+        return _cofactors(jac.transpose(1, 2, 0))[0]
+    return np.linalg.det(jac)
+
+
 def _solve_batched(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    finite = np.isfinite(jac).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=1)
-    with np.errstate(invalid="ignore"):
-        dets = np.abs(np.linalg.det(np.where(finite[:, None, None], jac, 0.0)))
-    scale = np.maximum(1e-300,
-                       np.linalg.norm(np.nan_to_num(jac), axis=(1, 2)) ** jac.shape[1])
-    regular = finite & (dets > 1e-12 * scale)
-    steps = np.zeros_like(rhs)
-    if np.any(regular):
-        steps[regular] = np.linalg.solve(jac[regular], rhs[regular][..., None])[..., 0]
+    """Newton steps J s = rhs, one factorization per row.
+
+    A finite row is regular when |det J| > 1e-12 ||J||_F^k; its step is
+    adj(J) rhs / det J from cofactors for k <= 3, and LAPACK's solve above.
+    Near-singular rows take the pinv step and rows that are not finite
+    step 0.
+    """
+    k = jac.shape[1]
+    # entry first, so every entry of the stack is one contiguous vector
+    a = np.ascontiguousarray(jac.transpose(1, 2, 0))
+    r = np.ascontiguousarray(rhs.T)
+    finite = np.isfinite(a).all(axis=(0, 1)) & np.isfinite(r).all(axis=0)
+    if not finite.all():
+        a = np.where(finite, a, 0.0)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # ||J||_F^k with the squares summed in row-major order and the
+        # power taken by repeated products
+        square = (a * a).reshape(k * k, -1)
+        fro2 = square[0]
+        for entry in square[1:]:
+            fro2 = fro2 + entry
+        fro = np.sqrt(fro2)
+        scale = fro
+        for _ in range(k - 1):
+            scale = scale * fro
+        scale = np.maximum(1e-300, scale)
+        if k <= 3:
+            # (adj rhs)_i = sum_j C_ji rhs_j, summed in order of j
+            det, cof = _cofactors(a)
+            regular = finite & (np.abs(det) > 1e-12 * scale)
+            acc = cof[0] * r[0]
+            for j in range(1, k):
+                acc = acc + cof[j] * r[j]
+            steps = np.where(regular, acc / det, 0.0).T
+        else:
+            regular = finite & (np.abs(np.linalg.det(a.transpose(2, 0, 1)))
+                                > 1e-12 * scale)
+            steps = np.zeros_like(rhs)
+            if np.any(regular):
+                steps[regular] = np.linalg.solve(jac[regular],
+                                                 rhs[regular][..., None])[..., 0]
     singular = finite & ~regular
     if np.any(singular):
         steps[singular] = (np.linalg.pinv(jac[singular], rcond=1e-10)
@@ -352,7 +422,7 @@ def _zero_indices(field, pts: np.ndarray, h: float, num: Numerics) -> list[int]:
     else:
         nearest_other = np.full(1, np.inf)
     svals = np.linalg.svd(jac, compute_uv=False)
-    indices = np.where(np.linalg.det(jac) > 0, 1, -1)
+    indices = np.where(_det(jac) > 0, 1, -1)
     indices[svals[:, -1] <= DEGENERACY_RATIO * np.maximum(1.0, svals[:, 0])] = 0
     certify_floor = max(10 * num.newton_tol, 1e-12)
     nondegenerate = np.nonzero(indices)[0]
@@ -575,6 +645,7 @@ class _Enclosure:
             frontier = {c for c, good in zip(cand, ok) if good}
             cells |= frontier
         self.cells = cells
+        self._cell_rows = np.array(sorted(cells), dtype=int).reshape(-1, self.dim)
 
     def _cell_of(self, p) -> tuple[int, ...]:
         return tuple(int(c) for c in np.floor(np.asarray(p, dtype=float) / self.step))
@@ -608,11 +679,8 @@ class _Enclosure:
         return self._center(arr)
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        out = np.zeros(len(pts), dtype=bool)
-        for i, p in enumerate(pts):
-            out[i] = self._cell_of(p) in self.cells
-        return out
+        cells = np.floor(np.atleast_2d(pts) / self.step).astype(int)
+        return _rows_in(cells, self._cell_rows)
 
     def ring_points(self) -> np.ndarray:
         """Frontier cell centers plus the midpoint of each frontier facet.
@@ -620,37 +688,54 @@ class _Enclosure:
         Midpoints may leave the domain; callers filter by membership before
         taking the margin minimum.
         """
-        pts = []
-        for center, axis, side in _cell_frontier(self.cells, self.step):
-            probe = center.copy()
-            probe[axis] += side * self.step / 2
-            pts += [center, probe]
-        if not pts:
+        centers, axes, sides = _cell_frontier(self.cells, self.step)
+        if len(axes) == 0:
             return np.empty((0, self.dim))
-        return np.unique(np.round(np.array(pts), 12), axis=0)
+        probes = centers.copy()
+        probes[np.arange(len(axes)), axes] += sides * self.step / 2
+        pts = np.stack([centers, probes], axis=1).reshape(-1, self.dim)
+        return np.unique(np.round(pts, 12), axis=0)
+
+
+def _rows_in(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Whether each integer row is a row of the table, whose rows are
+    distinct and in lexicographic order."""
+    out = np.zeros(len(rows), dtype=bool)
+    if len(table) == 0 or len(rows) == 0:
+        return out
+    lo = table.min(axis=0)
+    span = table.max(axis=0) - lo + 1
+    inside = np.all((rows >= lo) & (rows < lo + span), axis=1)
+    # row-major keys of lexicographically sorted rows are sorted
+    keys = np.ravel_multi_index(tuple((table - lo).T), span)
+    query = np.ravel_multi_index(tuple((rows[inside] - lo).T), span)
+    at = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+    out[inside] = keys[at] == query
+    return out
 
 
 def _cell_frontier(cells: set, step: float):
-    """Walk the frontier of a union of grid cells of the given step: yield
-    (cell center, axis, side) for every cell face not shared with a cell."""
-    for cell in sorted(cells):
-        center = (np.array(cell, dtype=float) + 0.5) * step
-        for axis in range(len(cell)):
-            for side in (-1, 1):
-                nb = list(cell)
-                nb[axis] += side
-                if tuple(nb) not in cells:
-                    yield center, axis, side
+    """Frontier of a union of grid cells of the given step: the cell center,
+    axis and side of every cell face not shared with a cell, ordered by
+    sorted cell, then axis, then side."""
+    arr = np.array(sorted(cells), dtype=int)
+    if len(arr) == 0:
+        return np.empty((0, 0)), np.empty(0, dtype=int), np.empty(0, dtype=int)
+    n, dim = arr.shape
+    # shifts[axis, s] moves a cell by side (-1, then 1) along axis
+    shifts = np.eye(dim, dtype=int)[:, None, :] * np.array([-1, 1])[None, :, None]
+    neighbours = (arr[:, None, None, :] + shifts).reshape(-1, dim)
+    cell, axis, side = np.nonzero(~_rows_in(neighbours, arr).reshape(n, dim, 2))
+    return (arr[cell] + 0.5) * step, axis, 2 * side - 1
 
 
 def cell_facets(cells: set, step: float) -> list:
     """Oriented frontier facets ``(lo, hi, axis, side)`` of a cell union."""
-    out = []
-    for center, axis, side in _cell_frontier(cells, step):
-        lo, hi = center - step / 2, center + step / 2
-        lo[axis] = hi[axis] = center[axis] + side * step / 2
-        out.append((lo, hi, axis, side))
-    return out
+    centers, axes, sides = _cell_frontier(cells, step)
+    lo, hi = centers - step / 2, centers + step / 2
+    rows = np.arange(len(axes))
+    lo[rows, axes] = hi[rows, axes] = centers[rows, axes] + sides * step / 2
+    return list(zip(lo, hi, axes.tolist(), sides.tolist()))
 
 
 def _enclosure_tilt(field, region, enclosure: _Enclosure,

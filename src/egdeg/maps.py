@@ -24,7 +24,7 @@ from .potentials import (
     validate_invariance,
 )
 from .profiles import PerturbationLayer, bump_mu, bump_mu_deriv, well_omega, well_omega_deriv
-from .tubes import TubeGeometry
+from .tubes import TubeGeometry, row_matmul
 
 
 @dataclass(frozen=True)
@@ -202,13 +202,13 @@ class StratumField:
         return self.basis.shape[1]
 
     def ambient(self, coords: np.ndarray) -> np.ndarray:
-        return np.atleast_2d(coords) @ self.basis.T
+        return row_matmul(np.atleast_2d(coords), self.basis.T)
 
     def value(self, coords: np.ndarray) -> np.ndarray:
         return self.map.phi(self.ambient(coords))
 
     def grad(self, coords: np.ndarray) -> np.ndarray:
-        return self.map.grad(self.ambient(coords)) @ self.basis
+        return row_matmul(self.map.grad(self.ambient(coords)), self.basis)
 
     def hess(self, coords: np.ndarray) -> np.ndarray:
         h = self.map.hess(self.ambient(coords))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NotInvariant
-from .tubes import SubspaceFamily
+from .tubes import SubspaceFamily, row_matmul
 
 Terms = dict[tuple[int, ...], float]
 
@@ -318,7 +318,7 @@ class LiftedPotential(Potential):
         for j in range(self.family.count):
             mask = idx == j
             if np.any(mask):
-                coords = x[mask] @ self.family.bases[j]
+                coords = row_matmul(x[mask], self.family.bases[j])
                 out[mask] = self.stratum_poly.value(coords)
         return out + 0.5 * np.sum(v * v, axis=1)
 
@@ -330,8 +330,8 @@ class LiftedPotential(Potential):
             mask = idx == j
             if np.any(mask):
                 b = self.family.bases[j]
-                coords = x[mask] @ b
-                out[mask] = self.stratum_poly.grad(coords) @ b.T
+                coords = row_matmul(x[mask], b)
+                out[mask] = row_matmul(self.stratum_poly.grad(coords), b.T)
         return out + v
 
     def hess(self, pts):

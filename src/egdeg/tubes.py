@@ -23,6 +23,19 @@ _CHUNK_ROWS = 1024
 _CHUNK_CELLS = 1 << 15
 
 
+def row_matmul(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """``rows @ mat`` for a batch of rows, with a single row taken as two.
+
+    numpy hands a one-row product to another BLAS routine, which can round
+    the row differently from the same row inside a larger batch; the doubled
+    row rounds as in a batch, so a field gives each point the same bits
+    whether it is evaluated alone or among others.
+    """
+    if len(rows) == 1:
+        return (np.concatenate([rows, rows]) @ mat)[:1]
+    return rows @ mat
+
+
 class SubspaceFamily:
     """The distinct conjugate subspaces g V^H with projection helpers."""
 
@@ -43,7 +56,7 @@ class SubspaceFamily:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         out = np.empty((self.count, pts.shape[0]))
         for j, proj in enumerate(self.projectors):
-            out[j] = np.linalg.norm(pts - pts @ proj.T, axis=1)
+            out[j] = np.linalg.norm(pts - row_matmul(pts, proj.T), axis=1)
         return out
 
     def decompose(self, points: np.ndarray):
@@ -72,7 +85,7 @@ class SubspaceFamily:
         for j in range(self.count):
             mask = idx == j
             if np.any(mask):
-                out[mask] = vecs[mask] @ self.projectors[j].T
+                out[mask] = row_matmul(vecs[mask], self.projectors[j].T)
         return out
 
     def min_distance(self, points: np.ndarray) -> np.ndarray:

@@ -5,6 +5,7 @@ the package's layer evaluation or degree machinery, so that agreement is a
 genuine cross-check rather than a tautology.
 """
 import itertools
+import math
 
 import numpy as np
 
@@ -153,21 +154,134 @@ def axis_fd_jacobian(field, pts, step):
     return out
 
 
+def cofactor_det_adjugate(a):
+    """Determinant and adjugate of one k x k matrix (lists of floats),
+    k <= 3, from its cofactors; in dim 3 the determinant is the first row's
+    expansion (a00 C00 + a01 C01) + a02 C02."""
+    k = len(a)
+    if k == 1:
+        return a[0][0], [[1.0]]
+    if k == 2:
+        return (a[0][0] * a[1][1] - a[0][1] * a[1][0],
+                [[a[1][1], -a[0][1]], [-a[1][0], a[0][0]]])
+    cof = [[a[(i + 1) % 3][(j + 1) % 3] * a[(i + 2) % 3][(j + 2) % 3]
+            - a[(i + 1) % 3][(j + 2) % 3] * a[(i + 2) % 3][(j + 1) % 3]
+            for j in range(3)] for i in range(3)]
+    det = (a[0][0] * cof[0][0] + a[0][1] * cof[0][1]) + a[0][2] * cof[0][2]
+    return det, [[cof[j][i] for j in range(3)] for i in range(3)]
+
+
 def rowwise_newton_steps(jac, rhs):
-    """Newton steps J s = rhs: solve on well-conditioned rows, one pinv per
-    singular row, zero on rows that are not finite."""
-    finite = np.isfinite(jac).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=1)
-    with np.errstate(invalid="ignore"):
-        dets = np.abs(np.linalg.det(np.where(finite[:, None, None], jac, 0.0)))
-    scale = np.maximum(1e-300,
-                       np.linalg.norm(np.nan_to_num(jac), axis=(1, 2)) ** jac.shape[1])
-    regular = finite & (dets > 1e-12 * scale)
+    """Newton steps J s = rhs, one row at a time over Python floats.
+
+    A finite row is regular when |det J| > 1e-12 ||J||_F^k, with the squares
+    summed in row-major order and the power taken by repeated products.  A
+    regular row steps adj(J) rhs / det J from cofactors for k <= 3 and by
+    LAPACK's solve above; a near-singular row takes one pinv, and a row
+    that is not finite steps 0."""
+    n, k = rhs.shape
     steps = np.zeros_like(rhs)
-    if np.any(regular):
-        steps[regular] = np.linalg.solve(jac[regular], rhs[regular][..., None])[..., 0]
-    for i in np.nonzero(finite & ~regular)[0]:
+    for i in range(n):
+        a, r = jac[i].tolist(), rhs[i].tolist()
+        flat = [x for row in a for x in row]
+        if not all(math.isfinite(x) for x in flat + r):
+            continue
+        fro2 = flat[0] * flat[0]
+        for x in flat[1:]:
+            fro2 += x * x
+        fro = math.sqrt(fro2)
+        scale = fro
+        for _ in range(k - 1):
+            scale *= fro
+        floor = 1e-12 * max(1e-300, scale)
+        if k <= 3:
+            det, adj = cofactor_det_adjugate(a)
+            if abs(det) > floor:
+                for p in range(k):
+                    acc = adj[p][0] * r[0]
+                    for j in range(1, k):
+                        acc += adj[p][j] * r[j]
+                    steps[i, p] = acc / det
+                continue
+        elif abs(np.linalg.det(jac[i])) > floor:
+            steps[i] = np.linalg.solve(jac[i], rhs[i])
+            continue
         steps[i] = np.linalg.pinv(jac[i], rcond=1e-10) @ rhs[i]
     return steps
+
+
+def cell_frontier_loop(cells, step):
+    """(cell center, axis, side) of every face of a cell union not shared
+    with a cell: one set lookup per face, in sorted cell, axis, side order."""
+    out = []
+    for cell in sorted(cells):
+        center = (np.array(cell, dtype=float) + 0.5) * step
+        for axis in range(len(cell)):
+            for side in (-1, 1):
+                nb = list(cell)
+                nb[axis] += side
+                if tuple(nb) not in cells:
+                    out.append((center, axis, side))
+    return out
+
+
+def cell_facets_loop(cells, step):
+    """Oriented frontier facets (lo, hi, axis, side), one face at a time."""
+    out = []
+    for center, axis, side in cell_frontier_loop(cells, step):
+        lo, hi = center - step / 2, center + step / 2
+        lo[axis] = hi[axis] = center[axis] + side * step / 2
+        out.append((lo, hi, axis, side))
+    return out
+
+
+def ring_points_loop(cells, step, dim):
+    """Frontier cell centers plus each frontier face midpoint, rounded to 12
+    places and deduplicated."""
+    pts = []
+    for center, axis, side in cell_frontier_loop(cells, step):
+        probe = center.copy()
+        probe[axis] += side * step / 2
+        pts += [center, probe]
+    if not pts:
+        return np.empty((0, dim))
+    return np.unique(np.round(np.array(pts), 12), axis=0)
+
+
+def cells_contain_loop(cells, step, pts):
+    """Whether the grid cell of each point is one of the cells."""
+    return np.array([tuple(int(c) for c in np.floor(p / step)) in cells
+                     for p in np.atleast_2d(pts)], dtype=bool)
+
+
+def newton_row_loop(field, seed, tol, max_iter=80):
+    """Damped Newton from one seed, alone: a step of factor 1, 1/2, ...,
+    1/256 is taken when its point is a domain member with a smaller
+    residual, and the seed stalls when none is.  Returns the last point and
+    its residual (inf outside the domain)."""
+    from egdeg.degree import fd_jacobian
+    x = np.array(seed, dtype=float)[None]
+    if not field.member(x)[0]:
+        return x[0], np.inf
+    f = field.grad(x)
+    val = np.linalg.norm(f, axis=1)[0]
+    for _ in range(max_iter):
+        if not np.isfinite(val) or val <= tol:
+            break
+        step = rowwise_newton_steps(fd_jacobian(field, x), -f)
+        lam = 1.0
+        for _ in range(9):
+            trial = x + lam * step
+            if field.member(trial)[0]:
+                tf = field.grad(trial)
+                tv = np.linalg.norm(tf, axis=1)[0]
+                if np.isfinite(tv) and tv < val:
+                    x, f, val = trial, tf, tv
+                    break
+            lam *= 0.5
+        else:
+            break
+    return x[0], val
 
 
 def linkage_clusters(points, radius):

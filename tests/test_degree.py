@@ -1,11 +1,14 @@
 """Degree machinery tests: zero finding, boundary degrees, cross-oracles."""
 import itertools
+import re
 
 import numpy as np
 import pytest
 
-from oracles import (axis_fd_jacobian, circle_winding, greedy_dedupe,
-                     linkage_clusters, quotient_orbit_count, rowwise_newton_steps)
+from oracles import (axis_fd_jacobian, cell_facets_loop, cells_contain_loop,
+                     circle_winding, greedy_dedupe, linkage_clusters,
+                     newton_row_loop, quotient_orbit_count, ring_points_loop,
+                     rowwise_newton_steps)
 
 from egdeg import degree as dg
 from egdeg import domains as dm
@@ -15,7 +18,7 @@ from egdeg import potentials as pt
 from egdeg.errors import (ConfigError, DimensionUnsupported, MarginTooSmall,
                           RefinementOverflow)
 from egdeg.factory import catalog
-from egdeg.params import Numerics
+from egdeg.params import POLISH_TOL, Numerics
 from egdeg.strata import build_stratum, iso_types
 from egdeg.theta import recursion
 
@@ -179,6 +182,33 @@ class TestBatchedHelpers:
         assert dg._linkage_clusters(chain, 0.15) == linkage_clusters(chain, 0.15)
         assert len(dg._linkage_clusters(chain, 0.15)) == 1 + 15
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_cell_facets_equal_face_loop(self, dim):
+        rng = np.random.default_rng(11 + dim)
+        for step in (0.5, 0.125, 1 / 3):
+            cells = {c for c in block(-3, 4, dim) if rng.random() < 0.6}
+            got, want = dg.cell_facets(cells, step), cell_facets_loop(cells, step)
+            assert len(got) == len(want) > 0
+            for (lo, hi, axis, side), (wlo, whi, waxis, wside) in zip(got, want):
+                assert (lo.tobytes(), hi.tobytes(), axis, side) == \
+                    (wlo.tobytes(), whi.tobytes(), waxis, wside)
+                assert type(axis) is int and type(side) is int
+        assert dg.cell_facets(set(), 0.5) == []
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_enclosure_queries_equal_cell_loops(self, dim):
+        rng = np.random.default_rng(dim)
+        fld = dg.FieldAdapter(lambda u: u, dim,
+                              member=lambda u: np.linalg.norm(u, axis=1) > 0.3)
+        region = dg.BoxRegion([-1.0] * dim, [1.0] * dim, 0.2)
+        enc = dg._Enclosure(region, fld, rng.uniform(-0.8, 0.8, size=(3, dim)))
+        assert not enc.empty
+        pts = rng.uniform(-1.5, 1.5, size=(500, dim))
+        assert np.array_equal(enc.contains(pts),
+                              cells_contain_loop(enc.cells, enc.step, pts))
+        assert enc.ring_points().tobytes() == \
+            ring_points_loop(enc.cells, enc.step, dim).tobytes()
+
     def test_fd_jacobian_makes_one_grad_call(self):
         rows = []
 
@@ -190,7 +220,7 @@ class TestBatchedHelpers:
 
     def test_newton_steps_equal_rowwise_pinv(self):
         rng = np.random.default_rng(7)
-        for dim in (1, 2, 3):
+        for dim in (1, 2, 3, 4):
             jac = rng.normal(size=(40, dim, dim))
             jac[::4, :, 0] = 0.0                          # rank deficient
             jac[1::4, -1] = 1e-9 * jac[1::4, 0]           # nearly so
@@ -199,9 +229,75 @@ class TestBatchedHelpers:
             rhs[3::8, 0] = np.inf
             got = dg._solve_batched(jac, rhs)
             assert got.tobytes() == rowwise_newton_steps(jac, rhs).tobytes()
-            assert np.all(got[2::8] == 0.0)
+            assert np.all(got[2::8] == 0.0) and np.all(got[3::8] == 0.0)
             # a rank-deficient row takes the pinv step, nonzero from dim 2
             assert dim == 1 or np.all(np.any(got[::4] != 0.0, axis=1))
+            # against LAPACK: the regular rows of the determinant rule as
+            # LAPACK computes it have a small backward error, and the others
+            # take the pinv step
+            finite = np.isfinite(jac).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=1)
+            clean = np.where(finite[:, None, None], jac, 0.0)
+            regular = finite & (np.abs(np.linalg.det(clean))
+                                > 1e-12 * np.linalg.norm(clean, axis=(1, 2)) ** dim)
+            assert regular.sum() >= 10 and (finite & ~regular).sum() >= 10
+            norms = np.linalg.norm(jac[regular], axis=(1, 2))
+            residual = np.linalg.norm(
+                (jac[regular] @ got[regular][..., None])[..., 0] - rhs[regular], axis=1)
+            assert np.all(residual <= 1e-12 * norms * np.linalg.norm(got[regular], axis=1))
+            for i in np.flatnonzero(finite & ~regular):
+                assert np.array_equal(got[i], np.linalg.pinv(jac[i], rcond=1e-10) @ rhs[i])
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_newton_structure(self, dim, monkeypatch):
+        # one cofactor solve per step, no LAPACK factorization; grad is
+        # called once on the seeds, then per iteration once for the Jacobian
+        # of the open rows and once per line-search round
+        def refuse(*args, **kwargs):
+            raise AssertionError("LAPACK factorization in a Newton step")
+        monkeypatch.setattr(np.linalg, "det", refuse)
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        calls = []
+        target = np.array([0.3, -0.2, 0.1][:dim])
+
+        def grad(u):
+            calls.append(("g", len(u)))
+            return u + 0.4 * u ** 3 - target      # Jacobian I + 1.2 diag(u^2)
+
+        def member(u):
+            calls.append(("m", len(u)))
+            return np.all(np.abs(u) < 2.5, axis=1)
+        seeds = dg.BoxRegion([-2.0] * dim, [2.0] * dim, 0.5).seed_points()
+        pts, stats = dg.newton_zeros(dg.FieldAdapter(grad, dim, member), seeds, NUM)
+        assert stats["converged"] == len(seeds) and stats["stalled"] == 0
+        assert np.all(np.linalg.norm(grad(pts), axis=1) <= 1e-9)
+        kinds, prev = "", None
+        for kind, rows in calls[:-1]:
+            kinds += "J" if kind == "g" and prev != "m" else kind
+            prev = kind
+        assert re.fullmatch(r"mg(J(mg)+)+", kinds)
+        for i, (kind, rows) in enumerate(calls[2:-1], start=2):
+            if kinds[i] == "J":
+                assert rows == 2 * dim * calls[i + 1][1]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_newton_equals_row_loop(self, dim):
+        # u^3 - u - t has singular Jacobians on |u_i| = 3^-1/2, so steps
+        # overshoot, halve, leave the domain, take pinv steps and stall
+        target = np.array([0.3, -0.2, 0.1][:dim])
+        fld = dg.FieldAdapter(lambda u: u * u * u - u - target, dim,
+                              lambda u: np.all(np.abs(u) < 1.6, axis=1))
+        seeds = dg.BoxRegion([-1.9] * dim, [1.9] * dim, 0.3).seed_points()
+        pts, stats = dg.newton_zeros(fld, seeds, NUM)
+        want = [newton_row_loop(fld, s, NUM.newton_tol) for s in seeds]
+        kept = [i for i, (_, val) in enumerate(want) if val <= POLISH_TOL]
+        assert stats["kept"].tolist() == kept and 0 < len(kept) < len(seeds)
+        assert pts.tobytes() == np.array([want[i][0] for i in kept]).tobytes()
+
+    def test_det_equals_lapack(self):
+        rng = np.random.default_rng(3)
+        for dim in (1, 2, 3, 4):
+            jac = rng.normal(size=(50, dim, dim))
+            assert np.allclose(dg._det(jac), np.linalg.det(jac), rtol=1e-12, atol=0)
 
 
 class TestKronecker:

@@ -237,6 +237,33 @@ class TestLatticeGeometry:
                 assert layer.geometry.family is lat.family(layer.spec.class_id)
 
 
+class TestRowIndependence:
+    """A restricted field rounds each row the same whether it is evaluated
+    in one batch, one row at a time or in small chunks."""
+
+    @pytest.mark.parametrize("build", [
+        _readme_d3, _catalog_case("s3_perm_radial"), _b3_bench],
+        ids=["readme_d3", "s3_perm_radial", "b3_stack"])
+    def test_grad_rows_equal_batch(self, build):
+        g, om, f, num = build()
+        rng = np.random.default_rng(5)
+        steps = [s for s in recursion(g, om, f, num, strata_cache=CACHE)
+                 if s.stratum is not None]
+        assert any(s.f.layers for s in steps)
+        for step in steps:
+            fld = step.restricted
+            centers = np.concatenate([c.centers for c in step.stratum.components])
+            pts = np.concatenate([
+                rng.uniform(-num.bbox, num.bbox, size=(600, fld.dim)),
+                centers + rng.normal(scale=0.01, size=centers.shape)])
+            pts = pts[fld.member(pts)][:400]
+            batch = fld.grad(pts)
+            for size in (1, 2, 3, 7):
+                chunks = [fld.grad(pts[i:i + size])
+                          for i in range(0, len(pts), size)]
+                assert np.concatenate(chunks).tobytes() == batch.tobytes(), size
+
+
 class TestZeroPass:
     """The one Newton batch per stratum against one find_zeros per component."""
 
