@@ -98,13 +98,13 @@ class TiltedField:
 
 def fd_jacobian(field, pts: np.ndarray) -> np.ndarray:
     """Central-difference Jacobians of step FD_STEP, with all 2 k n probes in
-    one grad call."""
+    one grad call; the (n, k, k) result is a view, so callers copy once."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     n, k = pts.shape
     e = FD_STEP * np.eye(k)[:, None]
     probes = np.concatenate([pts + e, pts - e]).reshape(-1, k)
     g = field.grad(probes).reshape(2, k, n, k)
-    return np.ascontiguousarray(((g[0] - g[1]) / (2 * FD_STEP)).transpose(1, 2, 0))
+    return ((g[0] - g[1]) / (2 * FD_STEP)).transpose(1, 2, 0)
 
 
 class GridRegion:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, NotInvariant
-from .tubes import SubspaceFamily, TubeGeometry
+from .tubes import SubspaceFamily, TubeGeometry, nearest_center_distance
 
 EXACT_TOL = 1e-11  # relative threshold for "lies on a removed subspace"
 
@@ -171,8 +171,7 @@ class ClosedSetSpec:
         return d <= 0.0
 
     def distance(self, pts: np.ndarray) -> np.ndarray:
-        diffs = pts[:, None, :] - self.centers[None, :, :]
-        return np.min(np.linalg.norm(diffs, axis=2), axis=1) - self.radius
+        return nearest_center_distance(pts, self.centers) - self.radius
 
 
 @dataclass(frozen=True)
@@ -183,8 +182,7 @@ class BallUnionRegion:
     radius: float
 
     def nearest_distance(self, pts: np.ndarray) -> np.ndarray:
-        diffs = pts[:, None, :] - self.centers[None, :, :]
-        return np.min(np.linalg.norm(diffs, axis=2), axis=1)
+        return nearest_center_distance(pts, self.centers)
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
         return self.nearest_distance(pts) < self.radius

@@ -2,11 +2,12 @@
 
 All strata in this package are open subsets of finite unions of linear
 subspaces (the conjugates g V^H), so tubular neighbourhoods reduce to
-orthogonal projection: a point z near the stratum decomposes uniquely as
-z = x + v with x the projection to the nearest conjugate subspace and v the
-normal offset.  The invariant neighbourhood U is stored as the rho-ball
-neighbourhood of a finite set of stratum centers, which makes membership,
-boundary and distance computations exact up to a conservative bound.
+orthogonal projection, one stacked product onto all the subspaces per query:
+a point z near the stratum decomposes uniquely as z = x + v with x the
+projection to the nearest conjugate subspace and v the normal offset.  The
+invariant neighbourhood U is stored as the rho-ball neighbourhood of a
+finite set of stratum centers, which makes membership, boundary and
+distance computations exact up to a conservative bound.
 """
 from __future__ import annotations
 
@@ -29,15 +30,24 @@ def row_matmul(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
     numpy hands a one-row product to another BLAS routine, which can round
     the row differently from the same row inside a larger batch; the doubled
     row rounds as in a batch, so a field gives each point the same bits
-    whether it is evaluated alone or among others.
+    whether it is evaluated alone or among others.  This covers stacked
+    products too: ``mat`` may be a (J, d, e) stack, and the row axis is the
+    one doubled.
     """
-    if len(rows) == 1:
-        return (np.concatenate([rows, rows]) @ mat)[:1]
+    if rows.shape[-2] == 1:
+        return (np.concatenate([rows, rows], axis=-2) @ mat)[..., :1, :]
     return rows @ mat
 
 
+def nearest_center_distance(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Distance from each point to its nearest center."""
+    return np.min(np.linalg.norm(points[:, None] - centers[None], axis=2), axis=1)
+
+
 class SubspaceFamily:
-    """The distinct conjugate subspaces g V^H with projection helpers."""
+    """The distinct conjugate subspaces g V^H with projection helpers; a
+    query makes one stacked (J, N, d) product, by ``row_matmul`` so that a
+    lone row rounds as in a batch, and reads everything from it."""
 
     def __init__(self, bases: list[np.ndarray]):
         if not bases:
@@ -53,43 +63,39 @@ class SubspaceFamily:
 
     def distances(self, points: np.ndarray) -> np.ndarray:
         """(J, N) distances from each point to each subspace."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.empty((self.count, pts.shape[0]))
-        for j, proj in enumerate(self.projectors):
-            out[j] = np.linalg.norm(pts - row_matmul(pts, proj.T), axis=1)
-        return out
+        return self._split(points)[3]
 
     def decompose(self, points: np.ndarray):
         """Split points into base + normal against the nearest subspace.
 
-        Returns (idx, x, v, s, gap): nearest subspace index per point, the
-        projections x, normal offsets v, their norms s, and the distance gap
-        to the second-nearest subspace (inf when there is only one).
+        Returns (idx, x, v, s, gap): nearest subspace index per point (the
+        first on a tie), projections x, normal offsets v, their norms s and
+        the gap to the second-nearest distance (inf when there is only one).
         """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        dists = self.distances(pts)
+        pts, proj, diff, dists = self._split(points)
         idx = np.argmin(dists, axis=0)
-        x = self.project(pts, idx)
-        v = pts - x
-        s = np.linalg.norm(v, axis=1)
+        rows = np.arange(len(pts))
         if self.count == 1:
-            gap = np.full(pts.shape[0], np.inf)
+            gap = np.full(len(pts), np.inf)
         else:
             sorted_d = np.sort(dists, axis=0)
             gap = sorted_d[1] - sorted_d[0]
-        return idx, x, v, s, gap
+        return idx, proj[idx, rows], diff[idx, rows], dists[idx, rows], gap
 
     def project(self, vecs: np.ndarray, idx: np.ndarray) -> np.ndarray:
         """Row i of ``vecs`` projected onto subspace ``idx[i]``."""
-        out = np.empty_like(vecs)
-        for j in range(self.count):
-            mask = idx == j
-            if np.any(mask):
-                out[mask] = row_matmul(vecs[mask], self.projectors[j].T)
-        return out
+        proj = row_matmul(vecs, self.projectors.transpose(0, 2, 1))
+        return proj[idx, np.arange(len(vecs))]
 
     def min_distance(self, points: np.ndarray) -> np.ndarray:
         return np.min(self.distances(points), axis=0)
+
+    def _split(self, points: np.ndarray):
+        """Points, (J, N, d) projections and offsets, (J, N) distances."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        proj = row_matmul(pts, self.projectors.transpose(0, 2, 1))
+        diff = pts - proj
+        return pts, proj, diff, np.linalg.norm(diff, axis=2)
 
 
 @dataclass(frozen=True)
@@ -138,7 +144,7 @@ class TubeGeometry:
         if self.spec.is_empty:
             dcen = np.full(pts.shape[0], np.inf)
         else:
-            dcen = self._center_distance(x)
+            dcen = nearest_center_distance(x, self.spec.centers)
         return {"idx": idx, "x": x, "v": v, "s": s, "dcen": dcen, "gap": gap}
 
     def decompose_checked(self, point: np.ndarray):
@@ -214,7 +220,8 @@ class TubeGeometry:
             # the tube of a full-dimensional stratum is the base set
             return self._sample_chunked(
                 n, rng, lambda: self._draw_base(rng)[:1],
-                lambda x: (x, self._center_distance(x) < self.spec.rho))
+                lambda x: (x, nearest_center_distance(x, self.spec.centers)
+                           < self.spec.rho))
         eps = self.spec.epsilon
 
         def attempt():
@@ -297,11 +304,6 @@ class TubeGeometry:
             count += len(hits)
         return np.concatenate(kept) if count else np.empty((0, self.family.dim))
 
-    def _center_distance(self, points: np.ndarray) -> np.ndarray:
-        """Distance from each point to its nearest center."""
-        diffs = points[:, None, :] - self.spec.centers[None, :, :]
-        return np.min(np.linalg.norm(diffs, axis=2), axis=1)
-
     def sample_shell(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Random points of B^epsilon; empty when the shell is empty.
 
@@ -324,8 +326,7 @@ class TubeGeometry:
                 break
             u = rng.normal(size=b.shape[1])
             x = c + (b @ u) * (self.spec.rho / (np.linalg.norm(u) + 1e-300))
-            diffs = np.linalg.norm(x[None] - centers, axis=1)
-            if np.min(diffs) < self.spec.rho * (1 - 1e-9):
+            if nearest_center_distance(x[None], centers)[0] < self.spec.rho * (1 - 1e-9):
                 continue  # interior of another ball, not on the boundary
             if self.trivial_normal:
                 out.append(x)

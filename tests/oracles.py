@@ -475,3 +475,43 @@ def conjugate_bases_loop(group, class_id):
             projs.append(pg)
             bases.append(bg)
     return bases
+
+
+def subspace_distances_loop(family, points):
+    """(J, N) distances to the subspaces, one product and one norm per
+    subspace."""
+    from egdeg.tubes import row_matmul
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    out = np.empty((family.count, pts.shape[0]))
+    for j, proj in enumerate(family.projectors):
+        out[j] = np.linalg.norm(pts - row_matmul(pts, proj.T), axis=1)
+    return out
+
+
+def subspace_project_loop(family, vecs, idx):
+    """Row i of vecs projected onto subspace idx[i], one product per
+    subspace over the rows that pick it."""
+    from egdeg.tubes import row_matmul
+    out = np.empty_like(vecs)
+    for j in range(family.count):
+        mask = idx == j
+        if np.any(mask):
+            out[mask] = row_matmul(vecs[mask], family.projectors[j].T)
+    return out
+
+
+def subspace_decompose_loop(family, points):
+    """(idx, x, v, s, gap) against the nearest subspace: the distances by
+    the loop, then a second projection of each point and a second norm."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    dists = subspace_distances_loop(family, pts)
+    idx = np.argmin(dists, axis=0)
+    x = subspace_project_loop(family, pts, idx)
+    v = pts - x
+    s = np.linalg.norm(v, axis=1)
+    if family.count == 1:
+        gap = np.full(pts.shape[0], np.inf)
+    else:
+        sorted_d = np.sort(dists, axis=0)
+        gap = sorted_d[1] - sorted_d[0]
+    return idx, x, v, s, gap

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import orbit_closure_loop, sample_base_loop, sample_tube_loop
+from oracles import (orbit_closure_loop, sample_base_loop, sample_tube_loop,
+                     subspace_decompose_loop, subspace_distances_loop,
+                     subspace_project_loop)
 
 from egdeg import domains as dm
 from egdeg import groups as gr
@@ -135,6 +137,73 @@ class TestTubeDecompose:
         empty = TubeGeometry(SubspaceFamily([np.eye(2)[:, :1]]),
                              TubeSpec(0, np.empty((0, 2)), 0.2, 0.5))
         assert len(empty.center_idx) == 0
+
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 1000])
+    @pytest.mark.parametrize("dim,k", [(d, k) for d in range(1, 5)
+                                       for k in sorted({0, 1, d - 1, d})])
+    @pytest.mark.parametrize("count", range(1, 7))
+    def test_stacked_equals_loop(self, count, dim, k, n):
+        # one stacked product per query gives the bits of one product and
+        # one norm per subspace, argmin ties included
+        rng = np.random.default_rng([count, dim, k, n])
+        fam = _mixed_family(rng, dim, k, count)
+        pts, kinds = _probe_points(rng, fam, n)
+        got, want = fam.decompose(pts), subspace_decompose_loop(fam, pts)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        dists = fam.distances(pts)
+        assert dists.tobytes() == subspace_distances_loop(fam, pts).tobytes()
+        if count >= 2:
+            ties = kinds == 2
+            assert np.array_equal(dists[0, ties], dists[1, ties])
+        on = kinds == 1
+        assert np.all(np.min(dists[:, on], axis=0) < 1e-12)
+        idx = rng.integers(0, count, size=n)
+        vecs = rng.normal(size=(n, dim))
+        assert (fam.project(vecs, idx).tobytes()
+                == subspace_project_loop(fam, vecs, idx).tobytes())
+
+    def test_project_rows_independent(self):
+        # a row projects to the same bits alone as inside a batch
+        rng = np.random.default_rng(5)
+        g = gr.symmetric(3)
+        fams = [g.lattice.family(r.class_id) for r in g.lattice.records]
+        fams.append(_mixed_family(rng, 3, 2, 5))
+        for fam in fams:
+            vecs = rng.normal(size=(50, fam.dim))
+            idx = rng.integers(0, fam.count, size=50)
+            batch = fam.project(vecs, idx)
+            for i in range(50):
+                alone = fam.project(vecs[i:i + 1], idx[i:i + 1])
+                assert alone.tobytes() == batch[i:i + 1].tobytes()
+
+
+def _mixed_family(rng, dim, k, count):
+    """count k-dimensional subspaces of R^dim: the first two span k cyclically
+    consecutive axes, from axis 0 and from axis 1, the others are random."""
+    eye = np.eye(dim)
+    bases = [eye[:, [(j + i) % dim for i in range(k)]] if j < 2
+             else np.linalg.qr(rng.normal(size=(dim, dim)))[0][:, :k]
+             for j in range(count)]
+    return SubspaceFamily(bases)
+
+
+def _probe_points(rng, fam, n):
+    """n points and their kinds, cycling through: 0 a random point, 1 a point
+    on one of the subspaces, 2 a point whose coordinates are all equal in
+    size, so exactly as far from the first subspace as from the second."""
+    kinds = (np.arange(n) + n) % 3
+    rows = []
+    for i, kind in enumerate(kinds):
+        if kind == 0:
+            rows.append(rng.normal(size=fam.dim))
+        elif kind == 1:
+            b = fam.bases[i % fam.count]
+            rows.append(b @ rng.normal(size=b.shape[1]))
+        else:
+            rows.append(rng.normal() * rng.choice([-1.0, 1.0], size=fam.dim))
+    return np.array(rows).reshape(n, fam.dim), kinds
 
 
 def _step_geometries(name):
