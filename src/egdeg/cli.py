@@ -29,6 +29,7 @@ from .errors import (
     ResolutionTooCoarse,
     TubeSelectionFailed,
     UnknownName,
+    WeylTransportFailed,
 )
 from .factory import catalog
 from .groups import CircleRep
@@ -41,7 +42,7 @@ VALIDATION_ERRORS = (ConfigError, NotInvariant, NotOrthogonal, UnknownName,
                      FileNotFoundError, KeyError, ValueError)
 NUMERIC_ERRORS = (TubeSelectionFailed, DegenerateUnresolved,
                   DivisibilityViolation, ResolutionTooCoarse, MarginTooSmall,
-                  RefinementOverflow)
+                  RefinementOverflow, WeylTransportFailed)
 
 
 def _emit(payload: dict, output: str | None):

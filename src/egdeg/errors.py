@@ -93,6 +93,10 @@ class AdditionUndefined(EgdegError):
     """Both summands carry a set origin slot; their sum is not defined."""
 
 
+class WeylTransportFailed(EgdegError):
+    """A Weyl image of a representative zero is not a zero of the field."""
+
+
 class UnsupportedRep(EgdegError):
     """Circle demo accepts a single nonzero weight and no trivial block."""
 

@@ -2,7 +2,8 @@
 
 Orbit types are processed maximal first.  ``recursion`` is the one place the
 loop is written: at every positive-dimensional type it finds the zeros of
-the current map restricted to the stratum chart, and at every type but the
+the current map restricted to the stratum chart (Newton on one component
+per quotient orbit, Weyl transport to the others), and at every type but the
 last it perturbs the map around those zeros and restricts it off the stratum
 before the next type is processed.  It yields one ``Step`` per type.
 ``theta`` folds the steps into the invariant: a zero-dimensional top type
@@ -30,14 +31,15 @@ from .degree import (
     quotient_intersection,
 )
 from .domains import DomainExpr, full_space, punctured_space
-from .errors import AdditionUndefined, ConfigError, UnsupportedRep
+from .errors import (AdditionUndefined, ConfigError, UnsupportedRep,
+                     WeylTransportFailed)
 from .groups import CircleRep, FiniteGroupRep, antipodal
 from .maps import LocalGradientMap, StratumField, make_map, restrict_to_stratum
-from .params import Numerics
+from .params import POLISH_TOL, Numerics
 from .perturb import HomotopyFamily, SplitParts, perturb, select_tube, split
 from .potentials import PolynomialPotential
-from .strata import Stratum, cached_stratum, iso_types
-from .tubes import TubeSpec
+from .strata import Stratum, StratumComponent, cached_stratum, iso_types
+from .tubes import TubeSpec, row_matmul
 
 
 @dataclass(frozen=True)
@@ -112,47 +114,109 @@ def _compact_margin(f: LocalGradientMap, h: float) -> float:
 
 
 def _stratum_zero_pass(f: LocalGradientMap, stratum: Stratum, num: Numerics):
-    """Zeros of the restricted field per component, from one Newton batch.
+    """Zeros of the restricted field per component: one Newton batch over the
+    representative components of the quotient orbits, Weyl transport to the
+    other components.
 
-    Each component's seeds (its cell centers, then the seed hints inside it)
-    are tagged with the component and go through one ``newton_zeros`` call.
-    ``classify_zeros`` takes each component's points from its own seeds
-    only, so a zero reached from a neighbouring component's seed does not
-    count where it lands.  Newton is row-wise, so the records equal those of
-    one ``find_zeros`` per component.  Also returns the ambient positions of
-    the zeros, the compact margin and the batch's Newton counts.
+    Each representative's seeds (its cell centers, then the seed hints of
+    its orbit, a hint in another component moved into it by a Weyl element)
+    are tagged with it and go through one ``newton_zeros`` call;
+    ``classify_zeros`` takes each representative's points from its own
+    seeds only.  Newton is row-wise, so these records equal those of one
+    ``find_zeros`` over the same seeds.  The field is Weyl-equivariant, so
+    every other component gets its representative's records mapped by a
+    Weyl matrix (``_transport``).  Also returns the ambient positions of the
+    zeros in component order, the compact margin and the batch's Newton
+    counts.
     """
     fld = restrict_to_stratum(f, stratum)
     margin = _compact_margin(f, num.grid_h)
-    hints = np.empty((0, stratum.dim))
+    rep_of = {}
+    for orb in stratum.quotient_orbits:
+        rep = stratum.representative_component(orb.quotient_label).index
+        rep_of.update(dict.fromkeys(orb.members, rep))
+    hints, hint_rep = np.empty((0, stratum.dim)), np.empty(0, dtype=int)
     if f.seed_hints:
         pts = np.array(f.seed_hints, dtype=float)
         proj = pts @ stratum.basis @ stratum.basis.T
         on = np.linalg.norm(pts - proj, axis=1) <= 1e-9 * (1 + np.linalg.norm(pts, axis=1))
-        hints = pts[on] @ stratum.basis
-    regions = [GridRegion(stratum, comp) for comp in stratum.components]
+        if np.any(on):
+            hints, hint_rep = _hints_to_representatives(
+                stratum, rep_of, pts[on] @ stratum.basis)
+    regions = {rep: GridRegion(stratum, stratum.components[rep])
+               for rep in sorted(set(rep_of.values()))}
     seeds, tags = [], []
-    for region in regions:
-        comp_seeds = region.seed_points()
-        if len(hints):
-            comp_seeds = np.concatenate([comp_seeds, hints[region.contains(hints)]])
+    for rep, region in regions.items():
+        comp_seeds = np.concatenate([region.seed_points(), hints[hint_rep == rep]])
         seeds.append(comp_seeds)
-        tags.append(np.full(len(comp_seeds), region.component.index))
+        tags.append(np.full(len(comp_seeds), rep))
     seeds, tags = np.concatenate(seeds), np.concatenate(tags)
     member = fld.member(seeds)
     pts, stats = newton_zeros(fld, seeds[member], num)
     tags = tags[member][stats["kept"]]
+    records = {rep: classify_zeros(fld, region, pts[tags == rep], num, margin)
+               for rep, region in regions.items()}
     per_component = {}
     ambient = []
-    for region in regions:
-        index = region.component.index
-        recs = classify_zeros(fld, region, pts[tags == index], num, margin)
-        per_component[index] = recs
+    for comp in stratum.components:
+        rep = rep_of[comp.index]
+        recs = records[rep] if rep == comp.index else _transport(
+            fld, stratum, records[rep], rep, comp)
+        per_component[comp.index] = recs
         for r in recs:
             ambient.append(stratum.to_ambient(np.array(r.point))[0])
     ambient = np.array(ambient) if ambient else np.empty((0, f.dim))
     newton = {key: stats[key] for key in ("seeds", "converged", "stalled")}
     return fld, per_component, ambient, margin, newton
+
+
+def _weyl_matrix(stratum: Stratum, src: int, dst: int) -> np.ndarray:
+    """The Weyl matrix, in stratum coordinates, of the first coset rep in
+    ``weyl_coset_reps`` order that maps component ``src`` to ``dst``."""
+    mats = stratum.group.lattice.weyl_matrices(stratum.class_id)
+    return next(mat for w, mat in zip(stratum.record.weyl_coset_reps, mats)
+                if stratum.weyl_perm[w][src] == dst)
+
+
+def _hints_to_representatives(stratum: Stratum, rep_of: dict, hints: np.ndarray):
+    """Seed hints in stratum coordinates, each moved from its component into
+    the representative of its quotient orbit by the first Weyl element that
+    carries it there.  A hint's component is its grid lookup; hints near no
+    kept cell are left out.  Returns the moved hints and the representative
+    of each."""
+    comp = stratum.components_of(hints)
+    hints, comp = hints[comp >= 0], comp[comp >= 0]
+    moved = hints.copy()
+    for c in np.unique(comp).tolist():
+        if rep_of[c] != c:
+            rows = comp == c
+            moved[rows] = row_matmul(hints[rows], _weyl_matrix(stratum, c, rep_of[c]).T)
+    return moved, np.array([rep_of[c] for c in comp.tolist()], dtype=int)
+
+
+def _transport(fld: StratumField, stratum: Stratum, records: list[ZeroRecord],
+               rep: int, comp: StratumComponent) -> list[ZeroRecord]:
+    """The representative's zero records mapped into another component of
+    its quotient orbit by the first Weyl element that carries it there,
+    sorted lexicographically.  Each image keeps its zero's index, since
+    det(W J W^T) = det J, and must have a residual of at most POLISH_TOL,
+    or ``WeylTransportFailed`` is raised."""
+    if not records:
+        return []
+    wmat = _weyl_matrix(stratum, rep, comp.index)
+    pts = row_matmul(np.array([r.point for r in records]), wmat.T)
+    residual = np.linalg.norm(fld.grad(pts), axis=1)
+    worst = int(np.argmax(residual))
+    if not residual[worst] <= POLISH_TOL:
+        raise WeylTransportFailed(
+            f"Weyl image of a {stratum.group.lattice.class_label(stratum.class_id)}"
+            f" zero in component {comp.label_str} has residual "
+            f"{residual[worst]:.3e} > {POLISH_TOL:g}; the field is not "
+            f"Weyl-equivariant to working precision")
+    quotient = stratum.orbit_of_component(comp.index).quotient_label
+    return [ZeroRecord(tuple(float(c) for c in pts[i]), records[i].index,
+                       comp.label_str, quotient)
+            for i in np.lexsort(pts.T[::-1]).tolist()]
 
 
 @dataclass
@@ -161,9 +225,12 @@ class Step:
 
     ``f`` is the map entering the step.  Positive-dimensional types carry
     the stratum, the field restricted to it, the zero records per component
-    index, their ambient positions, the compact margin of the zero pass and
-    the seed, converged and stalled counts of its Newton batch (``newton``;
-    the trace leaves them out, so its bytes depend on the records alone).
+    index (solved on each quotient orbit's representative, Weyl images of
+    those on the other components), their ambient positions in component
+    order, the compact margin of the zero pass and the seed, converged and
+    stalled counts of its Newton batch, which runs on the representatives
+    only (``newton``; the trace leaves them out, so its bytes depend on the
+    records alone).
     Every step but the last carries the tube, its homotopy family and the
     split of the perturbed map; ``parts.off_stratum`` is the next step's
     ``f``.

@@ -1,4 +1,6 @@
 """Invariant tests: the line oracle, vector algebra, the circle demo."""
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,20 +8,23 @@ from hypothesis import strategies as st
 
 from oracles import line_theta_oracle
 
+from egdeg import cli
 from egdeg import degree as dg
 from egdeg import domains as dm
 from egdeg import groups as gr
 from egdeg import maps as mp
 from egdeg import potentials as pt
 from egdeg.errors import (AdditionUndefined, ResolutionTooCoarse,
-                          UnsupportedRep)
+                          UnsupportedRep, WeylTransportFailed)
 from egdeg.factory import catalog, orbit_normal
 from egdeg.groups import CircleRep
 from egdeg.params import Numerics
 from egdeg.strata import iso_types
+from egdeg.tubes import row_matmul
 from egdeg.theta import (ThetaVector, recursion, theta, theta_add,
                          theta_radial_s1)
 
+theta_mod = importlib.import_module("egdeg.theta")  # the package exports theta()
 NUM = Numerics(grid_h=0.1, bbox=2.0)
 CACHE = {}
 
@@ -209,6 +214,22 @@ def _b3_bench():
             Numerics(grid_h=0.25, bbox=1.6))
 
 
+def _c3_flip():
+    # C3 about the x3 axis times the flip of x3: the two halves x3 > 0 and
+    # x3 < 0 of the free stratum form one quotient orbit, and each half's
+    # stabilizer C3 turns it, so several Weyl elements carry one half to
+    # the other
+    c, s = np.cos(2 * np.pi / 3), np.sin(2 * np.pi / 3)
+    g = gr.from_generators([np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]),
+                            np.diag([1.0, 1.0, -1.0])])
+    om = dm.full_space()
+    phi = pt.PolynomialPotential.from_expression(
+        "0.3*(x1^3 - 3*x1*x2^2) + (x1^2 + x2^2)^2 - 0.5*(x1^2 + x2^2)"
+        " + (x3^2 - 1)^2", 3)
+    return (g, om, mp.make_map(g, dm.MapDomain(om, 2.0), phi),
+            Numerics(grid_h=0.25, bbox=2.0))
+
+
 def _catalog_case(name):
     def build():
         g, om, f = catalog(name).build()
@@ -264,14 +285,48 @@ class TestRowIndependence:
                 assert np.concatenate(chunks).tobytes() == batch.tobytes(), size
 
 
+def _stratum_hints(step) -> np.ndarray:
+    """The seed hints of the step's map that lie on its stratum, in stratum
+    coordinates."""
+    stratum = step.stratum
+    if not step.f.seed_hints:
+        return np.empty((0, stratum.dim))
+    amb = np.array(step.f.seed_hints, dtype=float)
+    off = np.linalg.norm(amb - amb @ stratum.basis @ stratum.basis.T, axis=1)
+    return amb[off <= 1e-9 * (1 + np.linalg.norm(amb, axis=1))] @ stratum.basis
+
+
+def _first_weyl(stratum, src: int, dst: int) -> np.ndarray:
+    """Weyl matrix of the first coset rep that maps component src to dst."""
+    mats = stratum.group.lattice.weyl_matrices(stratum.class_id)
+    for w, wmat in zip(stratum.record.weyl_coset_reps, mats):
+        if stratum.weyl_perm[w][src] == dst:
+            return wmat
+    raise AssertionError(f"no Weyl element maps {src} to {dst}")
+
+
+def _free_orbit_normal():
+    # the unit generator on a free D3 orbit: one seed hint per chamber, so
+    # five of the six are moved into the representative
+    g, om = gr.dihedral(3), dm.punctured_space()
+    a = np.pi / 6
+    return g, om, orbit_normal(g, om, (1.2 * np.cos(a), 1.2 * np.sin(a)), 0.25), NUM
+
+
 class TestZeroPass:
-    """The one Newton batch per stratum against one find_zeros per component."""
+    """One Newton batch per stratum over the representatives of the
+    quotient orbits, and Weyl transport to the other components."""
 
     @pytest.mark.parametrize("build", [
         _readme_d3, _catalog_case("s3_perm_radial"), _b3_bench,
-        _catalog_case("d3_axis_orbit_normal")],
-        ids=["readme_d3", "s3_perm_radial", "b3_stack", "d3_axis_orbit_normal"])
+        _catalog_case("d3_axis_orbit_normal"), _free_orbit_normal, _c3_flip],
+        ids=["readme_d3", "s3_perm_radial", "b3_stack", "d3_axis_orbit_normal",
+             "free_orbit_normal", "c3_flip"])
     def test_batch_equals_per_component(self, build, monkeypatch):
+        """Each representative's records equal one find_zeros over its seeds,
+        every other component's equal the representative's mapped by the
+        first Weyl element that carries it there, and the batch's Newton
+        counts are the sums over the representatives' runs."""
         g, om, f, num = build()
         steps = [s for s in recursion(g, om, f, num, strata_cache=CACHE)
                  if s.stratum is not None]
@@ -286,18 +341,16 @@ class TestZeroPass:
         hinted = 0
         for step in steps:
             stratum, fld = step.stratum, step.restricted
-            hints = np.empty((0, stratum.dim))
-            if step.f.seed_hints:
-                amb = np.array(step.f.seed_hints, dtype=float)
-                off = np.linalg.norm(amb - amb @ stratum.basis @ stratum.basis.T,
-                                     axis=1)
-                hints = amb[off <= 1e-9 * (1 + np.linalg.norm(amb, axis=1))] \
-                    @ stratum.basis
+            hints = _stratum_hints(step)
+            owner = stratum.components_of(hints) if len(hints) else np.empty(0, int)
             del newton_stats[:]
-            ambient = []
-            for comp in stratum.components:
-                region = dg.GridRegion(stratum, comp)
-                extra = hints[region.contains(hints)] if len(hints) else hints
+            for orb in stratum.quotient_orbits:
+                rep = stratum.representative_component(orb.quotient_label)
+                region = dg.GridRegion(stratum, rep)
+                # the hints of every component of the orbit, moved into rep
+                extra = np.concatenate([hints[owner == rep.index]] + [
+                    row_matmul(hints[owner == c], _first_weyl(stratum, c, rep.index).T)
+                    for c in orb.members if c != rep.index and np.any(owner == c)])
                 if len(extra):
                     hinted += 1
                     seeds = np.concatenate([region.seed_points(), extra])
@@ -306,16 +359,150 @@ class TestZeroPass:
                 else:
                     recs = dg.find_zeros(fld, region, num,
                                          compact_margin=step.margin)
-                assert step.zeros[comp.index] == recs
-                ambient += [stratum.to_ambient(np.array(r.point))[0] for r in recs]
+                assert step.zeros[rep.index] == recs
+                points = np.array([r.point for r in recs]).reshape(-1, stratum.dim)
+                for c in orb.members:
+                    if c == rep.index:
+                        continue
+                    comp = stratum.components[c]
+                    img = row_matmul(points, _first_weyl(stratum, rep.index, c).T)
+                    assert step.zeros[c] == [
+                        dg.ZeroRecord(tuple(map(float, img[i])), recs[i].index,
+                                      comp.label_str, orb.quotient_label)
+                        for i in np.lexsort(img.T[::-1])]
+            ambient = [stratum.to_ambient(np.array(r.point))[0]
+                       for comp in stratum.components
+                       for r in step.zeros[comp.index]]
             assert np.array_equal(step.ambient,
                                   np.array(ambient).reshape(-1, g.dim))
-            # the batch's counts are the sums of the per-component runs
+            # the batch's counts are the sums of the representatives' runs
             for key in ("seeds", "converged", "stalled"):
                 assert step.newton[key] == sum(s[key] for s in newton_stats)
             assert step.newton["converged"] + step.newton["stalled"] \
                 <= step.newton["seeds"]
         assert steps and (hinted > 0) == bool(f.seed_hints)
+
+    @pytest.mark.parametrize("build", [
+        _readme_d3, _catalog_case("d3_axis_orbit_normal"), _free_orbit_normal],
+        ids=["readme_d3", "d3_axis_orbit_normal", "free_orbit_normal"])
+    def test_only_representatives_are_solved(self, build, monkeypatch):
+        """Newton seeds, Newton points and certified zeros all lie in
+        representative components, and every seed hint in a component
+        reaches its representative as a seed."""
+        g, om, f, num = build()
+        seeds, certified = [], []
+        newton_zeros, zero_indices = theta_mod.newton_zeros, dg._zero_indices
+
+        def spy_newton(field, pts, *args, **kwargs):
+            seeds.append(pts)
+            return newton_zeros(field, pts, *args, **kwargs)
+
+        def spy_indices(field, pts, *args, **kwargs):
+            certified.append(pts)
+            return zero_indices(field, pts, *args, **kwargs)
+        monkeypatch.setattr(theta_mod, "newton_zeros", spy_newton)
+        monkeypatch.setattr(dg, "_zero_indices", spy_indices)
+        moved = 0
+        for step in recursion(g, om, f, num, strata_cache=CACHE):
+            stratum = step.stratum
+            if stratum is None:
+                continue
+            reps = {stratum.representative_component(q).index
+                    for q in stratum.quotient_labels()}
+            (batch,) = seeds
+            found = np.concatenate(certified) if certified else batch[:0]
+            assert set(stratum.components_of(batch).tolist()) <= reps
+            assert set(stratum.components_of(found).tolist()) <= reps
+            assert len(batch) == step.newton["seeds"]
+            hints = _stratum_hints(step)
+            comp = stratum.components_of(hints) if len(hints) else []
+            for hint, c in zip(hints, np.asarray(comp).tolist()):
+                if c < 0:
+                    continue
+                rep = stratum.representative_component(
+                    stratum.orbit_of_component(c).quotient_label).index
+                target = row_matmul(hint[None], _first_weyl(stratum, c, rep).T)
+                assert np.any(np.all(batch == target, axis=1))
+                assert stratum.components_of(target)[0] == rep
+                moved += c != rep
+            del seeds[:], certified[:]
+        assert (moved > 0) == (build is _free_orbit_normal)
+
+    def test_moved_hints_keep_rows_and_records(self):
+        """On a free orbit the moved hints polish to the zeros the
+        representative's own seeds reach: the row is the unit vector and
+        every record is a single orbit point within 1e-12."""
+        g, om, f, num = _free_orbit_normal()
+        vec, _ = theta(g, om, f, num, strata_cache=CACHE)
+        assert dict(vec.entries) == {("(e)", "q0"): 1}
+        step = [s for s in recursion(g, om, f, num, strata_cache=CACHE)
+                if s.label == "(e)"][0]
+        orbit = np.array(f.seed_hints)
+        for recs in step.zeros.values():
+            assert [r.index for r in recs] == [1]
+            assert np.min(np.abs(orbit - recs[0].point).max(axis=1)) <= 1e-12
+
+    def test_broken_equivariance_raises(self, monkeypatch):
+        """A field that is not Weyl-equivariant fails the image residual
+        check loudly, naming the class and the component."""
+        restrict = theta_mod.restrict_to_stratum
+        turn = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+        class Skewed(mp.StratumField):
+            # a quarter turn commutes with rotations but not with mirrors
+            def grad(self, coords):
+                return super().grad(coords) + 1e-3 * np.atleast_2d(coords) @ turn.T
+
+        def skewed(f, stratum):
+            return Skewed(f, stratum) if stratum.dim == 2 else restrict(f, stratum)
+        monkeypatch.setattr(theta_mod, "restrict_to_stratum", skewed)
+        g, om, f, num = _readme_d3()
+        with pytest.raises(WeylTransportFailed,
+                           match=r"\(e\) zero in component c[-0-9,]+ has residual"):
+            theta(g, om, f, num)
+        assert WeylTransportFailed in cli.NUMERIC_ERRORS
+
+
+def _planar_case(n):
+    def build():
+        return (*_planar(n), NUM)
+    return build
+
+
+class TestWeylClosure:
+    """Every stratum's zero set is closed under its Weyl group: to 1e-12
+    where component stabilizers fix their components pointwise, and to the
+    Newton polish where a stabilizer turns its component (c3_flip), since a
+    representative's own zeros are Newton points, not images."""
+
+    @pytest.mark.parametrize("build, tol", [
+        (_readme_d3, 1e-12), (_catalog_case("s3_perm_radial"), 1e-12),
+        (_b3_bench, 1e-12), (_planar_case(6), 1e-12), (_c3_flip, 1e-9)],
+        ids=["readme_d3", "s3_perm_radial", "b3_stack", "d6", "c3_flip"])
+    def test_zero_sets_closed_under_weyl(self, build, tol):
+        g, om, f, num = build()
+        steps = list(recursion(g, om, f, num, strata_cache=CACHE))
+        for step in steps:
+            stratum = step.stratum
+            if stratum is None:
+                continue
+            mats = g.lattice.weyl_matrices(step.class_id)
+            for w, wmat in zip(stratum.record.weyl_coset_reps, mats):
+                for c, recs in step.zeros.items():
+                    target = step.zeros[stratum.weyl_perm[w][c]]
+                    assert len(recs) == len(target)
+                    if not recs:
+                        continue
+                    img = np.array([r.point for r in recs]) @ wmat.T
+                    tgt = np.array([r.point for r in target])
+                    dist = np.abs(img[:, None] - tgt[None]).max(axis=2)
+                    match = dist.argmin(axis=1)
+                    assert dist[np.arange(len(img)), match].max() <= tol
+                    assert sorted(match.tolist()) == list(range(len(tgt)))
+                    assert [r.index for r in recs] == [target[i].index for i in match]
+        if build is _b3_bench:
+            # one orbit of centers per tube, no near-duplicate copies
+            assert [s.tube.centers.shape[0] for s in steps[1:4]] == [6, 8, 12]
 
 
 class TestCircleDemo:
