@@ -2,9 +2,15 @@
 
 Open invariant subsets of the ambient space are written in a small
 constructor algebra (full space, origin-centered balls and annuli, punctured
-space, boolean combinations).  A runtime MapDomain couples such an expression
-with the exclusions that accumulate while a map is perturbed: removed strata,
-lateral tube shells, closed tube cores and user-supplied closed sets.
+space, boolean combinations); that tree is the configured Omega.  A runtime
+MapDomain is such an expression inside a list of kept open regions and
+outside a list of removed closed sets, all answering the same two queries:
+``contains`` and ``boundary_distance``.  Each step that changes a map's
+domain adds one region: ``orbit_normal`` keeps open balls, ``h_normal_lift``
+and the split's core keep an open tube, ``with_layer`` removes the layer's
+lateral shell, the split removes the orbit type's subspaces and then the
+closed inner tube, ``restrict_off`` removes closed balls and
+``disjoint_union`` keeps the union of its parts' domains.
 """
 from __future__ import annotations
 
@@ -141,168 +147,133 @@ def validate_invariance(expr: DomainExpr, group, bbox: float,
 
 
 # ---------------------------------------------------------------------------
-# runtime domains with exclusions
+# regions and runtime map domains
+#
+# A region answers ``contains`` and ``boundary_distance``, a lower bound on
+# the distance to its frontier.
 
 
 @dataclass(frozen=True)
-class StratumExclusion:
-    """Points lying exactly on any conjugate subspace of one orbit type."""
+class Subspaces:
+    """Points lying exactly on a conjugate subspace of one orbit type."""
 
-    class_id: int
     family: SubspaceFamily
 
-    def excluded(self, pts: np.ndarray) -> np.ndarray:
+    def contains(self, pts: np.ndarray) -> np.ndarray:
         scale = 1.0 + np.linalg.norm(pts, axis=1)
         return self.family.min_distance(pts) <= EXACT_TOL * scale
 
-    def distance(self, pts: np.ndarray) -> np.ndarray:
+    def boundary_distance(self, pts: np.ndarray) -> np.ndarray:
         return self.family.min_distance(pts)
 
 
 @dataclass(frozen=True)
-class ClosedSetSpec:
-    """Union of closed balls (used by restrict_off)."""
+class Balls:
+    """Union of balls around a point set, open or closed."""
 
     centers: np.ndarray
     radius: float
+    closed: bool
 
-    def excluded(self, pts: np.ndarray) -> np.ndarray:
-        d = self.distance(pts)
-        return d <= 0.0
+    def contains(self, pts: np.ndarray) -> np.ndarray:
+        d = nearest_center_distance(pts, self.centers)
+        return d <= self.radius if self.closed else d < self.radius
 
-    def distance(self, pts: np.ndarray) -> np.ndarray:
-        return nearest_center_distance(pts, self.centers) - self.radius
+    def boundary_distance(self, pts: np.ndarray) -> np.ndarray:
+        return np.abs(self.radius - nearest_center_distance(pts, self.centers))
 
 
 @dataclass(frozen=True)
-class BallUnionRegion:
-    """Open union of balls around a point set (orbit tube domains)."""
+class Tube:
+    """U^(scale*epsilon) of a tube, open or closed."""
 
-    centers: np.ndarray
-    radius: float
-
-    def nearest_distance(self, pts: np.ndarray) -> np.ndarray:
-        return nearest_center_distance(pts, self.centers)
+    geometry: TubeGeometry
+    scale: float
+    closed: bool
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
-        return self.nearest_distance(pts) < self.radius
+        dec = self.geometry.decompose(pts)
+        rho, eps = self.geometry.spec.rho, self.geometry.spec.epsilon * self.scale
+        if self.closed:
+            return (dec["dcen"] <= rho) & (dec["s"] <= eps)
+        return (dec["dcen"] < rho) & (dec["s"] < eps)
 
     def boundary_distance(self, pts: np.ndarray) -> np.ndarray:
-        return np.abs(self.radius - self.nearest_distance(pts))
+        dec = self.geometry.decompose(pts)
+        rho, eps = self.geometry.spec.rho, self.geometry.spec.epsilon * self.scale
+        if self.closed:   # lower bound on the distance to the closed tube
+            return np.hypot(np.maximum(0.0, dec["dcen"] - rho),
+                            np.maximum(0.0, dec["s"] - eps))
+        return np.minimum(np.abs(rho - dec["dcen"]), np.abs(eps - dec["s"]))
+
+
+@dataclass(frozen=True)
+class Shell:
+    """The lateral shell B^epsilon of a tube (measure zero); the tube must
+    have centers and a stratum of positive dimension."""
+
+    geometry: TubeGeometry
+
+    def contains(self, pts: np.ndarray) -> np.ndarray:
+        dec = self.geometry.decompose(pts)
+        spec = self.geometry.spec
+        return (dec["dcen"] == spec.rho) & (dec["s"] <= spec.epsilon)
+
+    def boundary_distance(self, pts: np.ndarray) -> np.ndarray:
+        dec = self.geometry.decompose(pts)
+        spec = self.geometry.spec
+        return np.hypot(np.abs(dec["dcen"] - spec.rho),
+                        np.maximum(0.0, dec["s"] - spec.epsilon))
+
+
+@dataclass(frozen=True)
+class AnyOf:
+    """Union of disjoint map domains."""
+
+    parts: tuple
+
+    def contains(self, pts: np.ndarray) -> np.ndarray:
+        ok = np.zeros(len(pts), dtype=bool)
+        for p in self.parts:
+            ok |= p.contains(pts)
+        return ok
+
+    def boundary_distance(self, pts: np.ndarray) -> np.ndarray:
+        dist = np.full(len(pts), np.inf)
+        for p in self.parts:
+            dist = np.minimum(dist, p.boundary_distance(pts))
+        return dist
 
 
 @dataclass(frozen=True)
 class MapDomain:
-    """Open invariant domain of a local map, with accumulated exclusions."""
+    """Open invariant domain of a local map: the points of ``expr`` inside
+    every ``kept`` region and outside every ``removed`` closed set."""
 
     expr: DomainExpr
     bbox: float
-    ball_restriction: BallUnionRegion | None = None  # keep only these balls
-    tube_restriction: TubeGeometry | None = None     # keep only U^(scale*eps)
-    tube_restriction_scale: float = 1.0
-    excluded_strata: tuple[StratumExclusion, ...] = ()
-    excluded_shells: tuple[TubeGeometry, ...] = ()
-    excluded_closed_tubes: tuple[tuple[TubeGeometry, float], ...] = ()
-    excluded_sets: tuple[ClosedSetSpec, ...] = ()
+    kept: tuple = ()
+    removed: tuple = ()
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         ok = self.expr.contains(pts)
-        if self.ball_restriction is not None:
-            ok &= self.ball_restriction.contains(pts)
-        if self.tube_restriction is not None:
-            geo = self.tube_restriction
-            dec = geo.decompose(pts)
-            eps = geo.spec.epsilon * self.tube_restriction_scale
-            ok &= (dec["dcen"] < geo.spec.rho) & (dec["s"] < eps)
-        for excl in self.excluded_strata:
-            ok &= ~excl.excluded(pts)
-        for geo in self.excluded_shells:
-            ok &= ~geo.in_shell(pts)
-        for geo, scale in self.excluded_closed_tubes:
-            ok &= ~geo.in_closed_tube(pts, scale)
-        for cs in self.excluded_sets:
-            ok &= ~cs.excluded(pts)
+        for region in self.kept:
+            ok &= region.contains(pts)
+        for region in self.removed:
+            ok &= ~region.contains(pts)
         return ok
 
     def boundary_distance(self, points: np.ndarray) -> np.ndarray:
         """Lower bound on the distance to the domain boundary (for members)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         dist = self.expr.boundary_distance(pts)
-        if self.ball_restriction is not None:
-            dist = np.minimum(dist, self.ball_restriction.boundary_distance(pts))
-        if self.tube_restriction is not None:
-            geo = self.tube_restriction
-            dec = geo.decompose(pts)
-            eps = geo.spec.epsilon * self.tube_restriction_scale
-            dist = np.minimum(dist, np.abs(geo.spec.rho - dec["dcen"]))
-            dist = np.minimum(dist, np.abs(eps - dec["s"]))
-        for excl in self.excluded_strata:
-            dist = np.minimum(dist, excl.distance(pts))
-        for geo in self.excluded_shells:
-            dist = np.minimum(dist, geo.shell_distance(pts))
-        for geo, scale in self.excluded_closed_tubes:
-            dist = np.minimum(dist, geo.closed_tube_distance(pts, scale))
-        for cs in self.excluded_sets:
-            dist = np.minimum(dist, np.abs(cs.distance(pts)))
+        for region in self.kept + self.removed:
+            dist = np.minimum(dist, region.boundary_distance(pts))
         return dist
 
-    # shrink operations used along the perturbation recursion
+    def within(self, region) -> "MapDomain":
+        return replace(self, kept=self.kept + (region,))
 
-    def without_stratum(self, exclusion: StratumExclusion) -> "MapDomain":
-        return replace(self, excluded_strata=self.excluded_strata + (exclusion,))
-
-    def without_shell(self, geo: TubeGeometry) -> "MapDomain":
-        if geo.spec.point_stratum or geo.spec.is_empty:
-            return self
-        return replace(self, excluded_shells=self.excluded_shells + (geo,))
-
-    def without_closed_tube(self, geo: TubeGeometry, scale: float) -> "MapDomain":
-        return replace(self, excluded_closed_tubes=
-                       self.excluded_closed_tubes + ((geo, scale),))
-
-    def without_set(self, cs: ClosedSetSpec) -> "MapDomain":
-        return replace(self, excluded_sets=self.excluded_sets + (cs,))
-
-    def restricted_to_tube(self, geo: TubeGeometry, scale: float) -> "MapDomain":
-        return replace(self, tube_restriction=geo, tube_restriction_scale=scale)
-
-
-class UnionDomain:
-    """Union of disjoint map domains; shrink operations apply to each part."""
-
-    def __init__(self, parts: list):
-        self.parts = list(parts)
-        self.bbox = max(p.bbox for p in parts)
-
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        ok = np.zeros(len(pts), dtype=bool)
-        for p in self.parts:
-            ok |= p.contains(pts)
-        return ok
-
-    def boundary_distance(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        dist = np.full(len(pts), np.inf)
-        for p in self.parts:
-            dist = np.minimum(dist, p.boundary_distance(pts))
-        return dist
-
-    def _map(self, method: str, *args) -> "UnionDomain":
-        return UnionDomain([getattr(p, method)(*args) for p in self.parts])
-
-    def without_stratum(self, exclusion) -> "UnionDomain":
-        return self._map("without_stratum", exclusion)
-
-    def without_shell(self, geo) -> "UnionDomain":
-        return self._map("without_shell", geo)
-
-    def without_closed_tube(self, geo, scale) -> "UnionDomain":
-        return self._map("without_closed_tube", geo, scale)
-
-    def without_set(self, cs) -> "UnionDomain":
-        return self._map("without_set", cs)
-
-    def restricted_to_tube(self, geo, scale) -> "UnionDomain":
-        return self._map("restricted_to_tube", geo, scale)
+    def without(self, region) -> "MapDomain":
+        return replace(self, removed=self.removed + (region,))

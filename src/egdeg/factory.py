@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domains import (
-    BallUnionRegion,
-    ClosedSetSpec,
+    Balls,
     DomainExpr,
     MapDomain,
+    Tube,
     ball,
     full_space,
     punctured_space,
@@ -58,7 +58,7 @@ def orbit_normal(group: FiniteGroupRep, omega: DomainExpr, point, epsilon: float
         shell = p[None] + epsilon * 0.999 * _unit_cloud(rng, group.dim, 100)
         if not np.all(omega.contains(shell)):
             raise TubeTooWide("orbit tube leaves the domain")
-    domain = MapDomain(omega, bbox, ball_restriction=BallUnionRegion(pts, epsilon))
+    domain = MapDomain(omega, bbox, kept=(Balls(pts, epsilon, closed=False),))
     potential = OrbitWellPotential(pts)
     f = LocalGradientMap(group, domain, potential,
                          seed_hints=tuple(map(tuple, pts)))
@@ -92,7 +92,7 @@ def h_normal_lift(group: FiniteGroupRep, stratum: Stratum,
         if np.max(np.abs(moved - base_vals)) > 1e-8 * (1 + np.max(np.abs(base_vals))):
             raise TubeTooWide("stratum potential is not Weyl invariant")
     potential = LiftedPotential(stratum_poly, fam)
-    domain = MapDomain(omega, bbox, tube_restriction=geo)
+    domain = MapDomain(omega, bbox, kept=(Tube(geo, 1.0, closed=False),))
     hints = tuple(map(tuple, centers))
     return LocalGradientMap(group, domain, potential, seed_hints=hints)
 
@@ -105,7 +105,7 @@ def restrict_off(f: LocalGradientMap, centers, radius: float,
     sampled over the removed region and must stay above a positive margin.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    spec = ClosedSetSpec(centers, float(radius))
+    removed = Balls(centers, float(radius), closed=True)
     rng = np.random.default_rng(seed)
     samples = [c for c in centers]
     while len(samples) < n_samples:
@@ -124,12 +124,12 @@ def restrict_off(f: LocalGradientMap, centers, radius: float,
         ambient = FieldAdapter(f.grad, f.dim, f.member, f.domain.boundary_distance)
         adapter_pts, _ = newton_zeros(ambient, samples[inside],
                                       Numerics(newton_tol=1e-10), max_iter=30)
-        if len(adapter_pts) and np.any(spec.excluded(adapter_pts)):
+        if len(adapter_pts) and np.any(removed.contains(adapter_pts)):
             raise ZeroOnY("removed set covers a zero of the field")
     for hint in f.seed_hints:
-        if spec.excluded(np.array([hint]))[0]:
+        if removed.contains(np.array([hint]))[0]:
             raise ZeroOnY("removed set covers a known zero")
-    return f.with_domain(f.domain.without_set(spec))
+    return f.with_domain(f.domain.without(removed))
 
 
 # ---------------------------------------------------------------------------

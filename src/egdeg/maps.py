@@ -14,11 +14,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .degree import fd_jacobian
-from .domains import MapDomain, UnionDomain, validate_invariance as _dom_invariance
+from .domains import AnyOf, MapDomain, Shell, ball, full_space
+from .domains import validate_invariance as _dom_invariance
 from .errors import DomainsOverlap, NotInvariant, OutsideDomain
 from .groups import FiniteGroupRep
 from .potentials import (
     PiecewisePotential,
+    PolynomialPotential,
     Potential,
     validate_gradient_consistency,
     validate_invariance,
@@ -32,7 +34,7 @@ class LocalGradientMap:
     """An equivariant gradient local map f = grad(phi)."""
 
     group: FiniteGroupRep
-    domain: MapDomain | UnionDomain
+    domain: MapDomain
     potential: Potential
     layers: tuple[PerturbationLayer, ...] = ()
     seed_hints: tuple = ()   # ambient points worth seeding the solver with
@@ -98,7 +100,12 @@ class LocalGradientMap:
     # -- structural updates ------------------------------------------------
 
     def with_layer(self, layer: PerturbationLayer) -> "LocalGradientMap":
-        domain = self.domain.without_shell(layer.geometry)
+        """Append a layer; the domain loses the layer's lateral shell, which
+        is empty for an empty tube or a point stratum."""
+        spec = layer.geometry.spec
+        domain = self.domain
+        if not (spec.point_stratum or spec.is_empty):
+            domain = domain.without(Shell(layer.geometry))
         return replace(self, domain=domain, layers=self.layers + (layer,))
 
     def with_domain(self, domain) -> "LocalGradientMap":
@@ -239,7 +246,7 @@ def restrict_to_stratum(f: LocalGradientMap, stratum) -> StratumField:
 def disjoint_union(f: LocalGradientMap, g: LocalGradientMap,
                    n_samples: int = 2000, seed: int = 23) -> LocalGradientMap:
     """Union of two maps with disjoint domains over the same action."""
-    if f.group is not g.group and f.group.order != g.group.order:
+    if f.group.content_key != g.group.content_key:
         raise DomainsOverlap("maps live over different groups")
     if f.layers or g.layers:
         raise DomainsOverlap("take unions before perturbing")
@@ -257,10 +264,7 @@ def disjoint_union(f: LocalGradientMap, g: LocalGradientMap,
         if len(inner) and np.any(other.member(inner)):
             raise DomainsOverlap("domains overlap on interior samples")
 
-    f_parts = f.domain.parts if isinstance(f.domain, UnionDomain) else [f.domain]
-    g_parts = g.domain.parts if isinstance(g.domain, UnionDomain) else [g.domain]
-    union_domain = UnionDomain(f_parts + g_parts)
-
+    union_domain = MapDomain(full_space(), bbox, kept=(AnyOf((f.domain, g.domain)),))
     pieces = []
     for src in (f, g):
         if isinstance(src.potential, PiecewisePotential):
@@ -274,8 +278,6 @@ def disjoint_union(f: LocalGradientMap, g: LocalGradientMap,
 
 def empty_map(group: FiniteGroupRep, bbox: float = 1.0) -> LocalGradientMap:
     """The natural base point: a map with empty domain."""
-    from .domains import ball
-    from .potentials import PolynomialPotential
     dom = MapDomain(ball(0.0), bbox)
     pot = PolynomialPotential({}, group.dim)
     return LocalGradientMap(group, dom, pot)

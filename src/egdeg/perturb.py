@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import StratumExclusion
+from .domains import Subspaces, Tube
 from .errors import PartitionViolation, TubeSelectionFailed
 from .maps import LocalGradientMap, layer_grad
 from .params import Numerics
@@ -188,14 +188,11 @@ def split(f_pert: LocalGradientMap, tube: TubeSpec) -> SplitParts:
     """
     family = f_pert.group.lattice.family(tube.class_id)
     geo = TubeGeometry(family, tube)
-    exclusion = StratumExclusion(tube.class_id, family)
-    off = f_pert.with_domain(f_pert.domain.without_stratum(exclusion))
+    off = f_pert.with_domain(f_pert.domain.without(Subspaces(family)))
+    core = f_pert.with_domain(f_pert.domain.within(Tube(geo, 1.0 / 3, closed=False)))
     if tube.is_empty:
-        return SplitParts(core=f_pert.with_domain(
-                              f_pert.domain.restricted_to_tube(geo, 1.0 / 3)),
-                          off_stratum=off, trimmed=off)
-    core = f_pert.with_domain(f_pert.domain.restricted_to_tube(geo, 1.0 / 3))
-    trimmed = off.with_domain(off.domain.without_closed_tube(geo, 1.0 / 3))
+        return SplitParts(core=core, off_stratum=off, trimmed=off)
+    trimmed = off.with_domain(off.domain.without(Tube(geo, 1.0 / 3, closed=True)))
     return SplitParts(core=core, off_stratum=off, trimmed=trimmed)
 
 

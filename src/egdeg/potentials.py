@@ -434,10 +434,6 @@ class PiecewisePotential(Potential):
     def scaled(self, lam: float) -> "PiecewisePotential":
         return PiecewisePotential([(d, p.scaled(lam)) for d, p in self.pieces])
 
-    def descriptor(self):
-        return {"kind": "piecewise",
-                "pieces": [p.descriptor() for _, p in self.pieces]}
-
 
 # ---------------------------------------------------------------------------
 # validation

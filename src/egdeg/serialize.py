@@ -1,19 +1,21 @@
 """Descriptors for maps and their parts: JSON-able, evaluation-exact.
 
 Floats survive a JSON round trip exactly (repr-based encoding), so a
-reconstructed map reproduces values bit-for-bit; the round-trip test pins
-that at 1e-12.
+reconstructed map reproduces values bit-for-bit, as the round-trip tests pin.
+A domain is its expression, its bbox and two lists of tagged regions, the
+kept and the removed ones.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .domains import (
-    BallUnionRegion,
-    ClosedSetSpec,
+    AnyOf,
+    Balls,
     MapDomain,
-    StratumExclusion,
-    UnionDomain,
+    Shell,
+    Subspaces,
+    Tube,
     expr_from_config,
     expr_to_config,
 )
@@ -47,71 +49,51 @@ def tube_from_descriptor(desc: dict) -> TubeGeometry:
     return TubeGeometry(fam, spec)
 
 
-def domain_descriptor(domain) -> dict:
-    if isinstance(domain, UnionDomain):
-        return {"kind": "union_domain",
-                "parts": [domain_descriptor(p) for p in domain.parts]}
-    out = {
-        "kind": "map_domain",
-        "expr": expr_to_config(domain.expr),
-        "bbox": domain.bbox,
-        "excluded_strata": [
-            {"class_id": e.class_id, "bases": [b.tolist() for b in e.family.bases]}
-            for e in domain.excluded_strata],
-        "excluded_shells": [tube_descriptor(g) for g in domain.excluded_shells],
-        "excluded_closed_tubes": [
-            {"tube": tube_descriptor(g), "scale": s}
-            for g, s in domain.excluded_closed_tubes],
-        "excluded_sets": [
-            {"centers": c.centers.tolist(), "radius": c.radius}
-            for c in domain.excluded_sets],
-    }
-    if domain.ball_restriction is not None:
-        out["ball_restriction"] = {
-            "centers": domain.ball_restriction.centers.tolist(),
-            "radius": domain.ball_restriction.radius}
-    if domain.tube_restriction is not None:
-        out["tube_restriction"] = tube_descriptor(domain.tube_restriction)
-        out["tube_restriction_scale"] = domain.tube_restriction_scale
-    return out
+def region_descriptor(region) -> dict:
+    if isinstance(region, Subspaces):
+        return {"kind": "subspaces",
+                "bases": [b.tolist() for b in region.family.bases]}
+    if isinstance(region, Balls):
+        return {"kind": "balls", "centers": region.centers.tolist(),
+                "radius": region.radius, "closed": region.closed}
+    if isinstance(region, Tube):
+        return {"kind": "tube", "tube": tube_descriptor(region.geometry),
+                "scale": region.scale, "closed": region.closed}
+    if isinstance(region, Shell):
+        return {"kind": "shell", "tube": tube_descriptor(region.geometry)}
+    return {"kind": "any_of", "parts": [domain_descriptor(p) for p in region.parts]}
 
 
-def domain_from_descriptor(desc: dict):
-    if desc["kind"] == "union_domain":
-        return UnionDomain([domain_from_descriptor(p) for p in desc["parts"]])
-    if desc["kind"] != "map_domain":
-        raise ConfigError(f"unknown domain descriptor {desc['kind']!r}")
-    ball = None
-    if "ball_restriction" in desc:
-        br = desc["ball_restriction"]
-        ball = BallUnionRegion(np.array(br["centers"]), br["radius"])
-    tube = None
-    scale = 1.0
-    if "tube_restriction" in desc:
-        tube = tube_from_descriptor(desc["tube_restriction"])
-        scale = desc["tube_restriction_scale"]
+def region_from_descriptor(desc: dict):
+    kind = desc["kind"]
+    if kind == "subspaces":
+        return Subspaces(SubspaceFamily([np.array(b) for b in desc["bases"]]))
+    if kind == "balls":
+        return Balls(np.array(desc["centers"]), desc["radius"], desc["closed"])
+    if kind == "tube":
+        return Tube(tube_from_descriptor(desc["tube"]), desc["scale"],
+                    desc["closed"])
+    if kind == "shell":
+        return Shell(tube_from_descriptor(desc["tube"]))
+    if kind == "any_of":
+        return AnyOf(tuple(domain_from_descriptor(p) for p in desc["parts"]))
+    raise ConfigError(f"unknown region descriptor {kind!r}")
+
+
+def domain_descriptor(domain: MapDomain) -> dict:
+    return {"expr": expr_to_config(domain.expr), "bbox": domain.bbox,
+            "kept": [region_descriptor(r) for r in domain.kept],
+            "removed": [region_descriptor(r) for r in domain.removed]}
+
+
+def domain_from_descriptor(desc: dict) -> MapDomain:
     return MapDomain(
-        expr=expr_from_config(desc["expr"]),
-        bbox=desc["bbox"],
-        ball_restriction=ball,
-        tube_restriction=tube,
-        tube_restriction_scale=scale,
-        excluded_strata=tuple(
-            StratumExclusion(e["class_id"],
-                             SubspaceFamily([np.array(b) for b in e["bases"]]))
-            for e in desc["excluded_strata"]),
-        excluded_shells=tuple(tube_from_descriptor(d)
-                              for d in desc["excluded_shells"]),
-        excluded_closed_tubes=tuple(
-            (tube_from_descriptor(d["tube"]), d["scale"])
-            for d in desc["excluded_closed_tubes"]),
-        excluded_sets=tuple(
-            ClosedSetSpec(np.array(e["centers"]), e["radius"])
-            for e in desc["excluded_sets"]),
-    )
+        expr_from_config(desc["expr"]), desc["bbox"],
+        kept=tuple(region_from_descriptor(r) for r in desc["kept"]),
+        removed=tuple(region_from_descriptor(r) for r in desc["removed"]))
 
 
-def potential_descriptor(pot, domain) -> dict:
+def potential_descriptor(pot) -> dict:
     if isinstance(pot, PiecewisePotential):
         return {"kind": "piecewise",
                 "pieces": [{"domain": domain_descriptor(d),
@@ -133,7 +115,7 @@ def map_descriptor(f: LocalGradientMap) -> dict:
     return {
         "schema": "egdeg/1",
         "domain": domain_descriptor(f.domain),
-        "potential": potential_descriptor(f.potential, f.domain),
+        "potential": potential_descriptor(f.potential),
         "layers": [{"tube": tube_descriptor(layer.geometry),
                     "mu_kind": layer.mu_kind} for layer in f.layers],
         "seed_hints": [list(h) for h in f.seed_hints],

@@ -171,41 +171,6 @@ class TubeGeometry:
             dec = self.decompose(points)
         return (dec["dcen"] < self.spec.rho) & (dec["s"] < self.spec.epsilon)
 
-    def in_closed_tube(self, points: np.ndarray, scale: float = 1.0) -> np.ndarray:
-        """Mask for cl(U^(scale * epsilon))."""
-        dec = self.decompose(points)
-        eps = self.spec.epsilon * scale
-        return (dec["dcen"] <= self.spec.rho) & (dec["s"] <= eps)
-
-    def in_shell(self, points: np.ndarray) -> np.ndarray:
-        """Mask for the lateral shell B^epsilon (exact, measure zero)."""
-        if self.spec.point_stratum or self.spec.is_empty:
-            return np.zeros(np.atleast_2d(points).shape[0], dtype=bool)
-        dec = self.decompose(points)
-        return (dec["dcen"] == self.spec.rho) & (dec["s"] <= self.spec.epsilon)
-
-    # -- distances (conservative lower bounds inside U) -------------------
-
-    def shell_distance(self, points: np.ndarray) -> np.ndarray:
-        """Lower bound on the distance to B^epsilon; inf when B is empty."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.spec.point_stratum or self.spec.is_empty:
-            return np.full(pts.shape[0], np.inf)
-        dec = self.decompose(pts)
-        radial = np.abs(dec["dcen"] - self.spec.rho)
-        lateral = np.maximum(0.0, dec["s"] - self.spec.epsilon)
-        return np.hypot(radial, lateral)
-
-    def closed_tube_distance(self, points: np.ndarray, scale: float = 1.0) -> np.ndarray:
-        """Lower bound on the distance to cl(U^(scale*epsilon))."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.spec.is_empty:
-            return np.full(pts.shape[0], np.inf)
-        dec = self.decompose(pts)
-        radial = np.maximum(0.0, dec["dcen"] - self.spec.rho)
-        lateral = np.maximum(0.0, dec["s"] - self.spec.epsilon * scale)
-        return np.hypot(radial, lateral)
-
     # -- sampling ----------------------------------------------------------
 
     @property
