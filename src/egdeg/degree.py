@@ -7,7 +7,11 @@ of its zeros.  Three routes are implemented and cross-checked:
   then sum the signs of the Hessian determinants (only when every zero is
   nondegenerate).  Each Newton step factors each Jacobian once: in dims up
   to 3 by cofactors (``_solve_batched``), whose determinant also decides
-  regularity, with a pseudo-inverse step on near-singular rows.
+  regularity, with a pseudo-inverse step on near-singular rows.  On a
+  stratum field, a row whose residual falls by a steady factor (linear
+  convergence, as at a singular root) within the compact margin of the
+  stratum's singular set is retired: it is bound for a zero of a larger
+  orbit type, which the margin filter drops in any case.
 * Kronecker route: a boundary degree over a region bounded by oriented
   axis facets, taken by one integrator (``frontier_degree``): endpoint signs
   in dim 1, winding of the field angle along the facets in dim 2, where each
@@ -47,6 +51,8 @@ FD_STEP = 1e-6
 DEGENERACY_RATIO = 1e-5   # sigma_min below this times scale means degenerate
 DEDUPE_FACTOR = 1e-2      # dedupe radius: 10 h * 1e-3
 ENCLOSURE_DILATION = 2.5  # enclosure growth around a cluster, in region steps
+RETIRE_STEPS = 3          # accepted Newton steps whose residual ratios must agree
+RETIRE_SPREAD = 1e-2      # ... to within this relative spread before a row retires
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +169,7 @@ class BoxRegion:
 
 
 def newton_zeros(field, seeds: np.ndarray, num: Numerics,
+                 compact_margin: float | None = None,
                  max_iter: int = 80) -> tuple[np.ndarray, dict]:
     """Damped Newton from every seed; returns polished points and stats.
 
@@ -174,18 +181,35 @@ def newton_zeros(field, seeds: np.ndarray, num: Numerics,
     targets num.newton_tol, which Numerics keeps at or below POLISH_TOL).
     Only the open rows are iterated, held as their seed index with point,
     field vector and residual; rows that converge or stall leave that set.
+
+    A field with a singular family (``singular_distance``: a stratum
+    field) also retires rows, given the band ``compact_margin``: a row
+    whose last RETIRE_STEPS accepted residual ratios lie within
+    RETIRE_SPREAD of each other (linear convergence, as at a singular root)
+    and whose point lies within the band of the singular set leaves the
+    working set and is not returned.  Such a row is bound for a zero of a
+    larger orbit type, which an earlier step split off: the domain avoids
+    every larger type's subspaces, so its boundary distance is at most the
+    singular distance and ``classify_zeros`` drops the point at the same
+    margin.  Other fields never retire and skip the ratio bookkeeping.
+
     Every step is taken row by row, so a seed's point does not depend on
     the other seeds of the batch.  The points come back in seed order, and
-    ``stats["kept"]`` holds the index of each one's seed.
+    ``stats["kept"]`` holds the index of each one's seed; a retired row
+    counts as neither converged nor stalled.
     """
     pts = np.atleast_2d(np.asarray(seeds, dtype=float)).copy()
     if len(pts) == 0:
         return np.empty((0, field.dim)), {"seeds": 0, "converged": 0,
-                                          "stalled": 0,
+                                          "stalled": 0, "retired": 0,
                                           "kept": np.empty(0, dtype=int)}
+    singular_distance = getattr(field, "singular_distance", None)
+    band = None if singular_distance is None else compact_margin
     fvals = np.full(len(pts), np.inf)
     active = field.member(pts).copy()
-    # the working set: seed index, point, field vector and residual per row
+    retired = np.zeros(len(pts), dtype=bool)
+    # the working set: seed index, point, field vector and residual per row,
+    # plus the last accepted residual ratios when rows can retire
     idx = np.flatnonzero(active)
     cur = pts[idx]
     vecs = np.zeros_like(cur)
@@ -196,11 +220,14 @@ def newton_zeros(field, seeds: np.ndarray, num: Numerics,
     active[idx[~np.isfinite(vals)]] = False
     open_rows = np.isfinite(vals) & (vals > num.newton_tol)
     idx, cur, vecs, vals = idx[open_rows], cur[open_rows], vecs[open_rows], vals[open_rows]
+    if band is not None:
+        ratios = np.full((len(idx), RETIRE_STEPS), np.nan)
 
     for _ in range(max_iter):
         if len(idx) == 0:
             break
         steps = _solve_batched(fd_jacobian(field, cur), -vecs)
+        before = vals.copy() if band is not None else None
         # every open row of round r tries the step factor 0.5 ** r; an
         # accepted row is updated in place, and an open row keeps the point
         # and residual it had when the round began
@@ -225,14 +252,24 @@ def newton_zeros(field, seeds: np.ndarray, num: Numerics,
             lam *= 0.5
         active[idx[~accepted]] = False
         done = ~accepted | (vals <= num.newton_tol)
+        if band is not None:
+            ratios = np.concatenate([ratios[:, 1:], (vals / before)[:, None]], axis=1)
+            steady = ~done & (ratios.max(axis=1) <= (1 + RETIRE_SPREAD) * ratios.min(axis=1))
+            rows = np.flatnonzero(steady)
+            if len(rows):
+                rows = rows[singular_distance(cur[rows]) <= band]
+                retired[idx[rows]] = done[rows] = True
         pts[idx[done]], fvals[idx[done]] = cur[done], vals[done]
         keep = ~done
         idx, cur, vecs, vals = idx[keep], cur[keep], vecs[keep], vals[keep]
+        if band is not None:
+            ratios = ratios[keep]
     pts[idx], fvals[idx] = cur, vals
 
-    good = fvals <= POLISH_TOL
+    good = (fvals <= POLISH_TOL) & ~retired
     stats = {"seeds": len(pts), "converged": int(np.sum(good)),
              "stalled": int(np.sum(~active & ~good)),
+             "retired": int(np.sum(retired)),
              "kept": np.nonzero(good)[0]}
     return pts[good], stats
 
@@ -371,11 +408,13 @@ def find_zeros(field, region, num: Numerics,
     """Multi-start Newton zeros of the field on one component.
 
     Newton runs from the region's seed points that lie in the domain, and
-    ``classify_zeros`` turns the converged points into records.
+    ``classify_zeros`` turns the converged points into records; both take
+    the same compact margin (``region.h`` by default).
     """
+    margin = compact_margin if compact_margin is not None else region.h
     seeds = region.seed_points()
-    pts, _ = newton_zeros(field, seeds[field.member(seeds)], num)
-    return classify_zeros(field, region, pts, num, compact_margin)
+    pts, _ = newton_zeros(field, seeds[field.member(seeds)], num, margin)
+    return classify_zeros(field, region, pts, num, margin)
 
 
 def classify_zeros(field, region, pts: np.ndarray, num: Numerics,

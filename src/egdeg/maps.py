@@ -227,6 +227,13 @@ class StratumField:
     def boundary_distance(self, coords: np.ndarray) -> np.ndarray:
         return self.map.domain.boundary_distance(self.ambient(coords))
 
+    def singular_distance(self, coords: np.ndarray) -> np.ndarray:
+        """Distance to the singular set of V^H (inf when it is empty)."""
+        singular = self.stratum.singular
+        if singular is None:
+            return np.full(len(np.atleast_2d(coords)), np.inf)
+        return singular.min_distance(self.ambient(coords))
+
     def tangency_residual(self, coords: np.ndarray) -> float:
         """Norm of the gradient component normal to the stratum (should be 0)."""
         amb = self.ambient(coords)

@@ -152,7 +152,7 @@ def _stratum_zero_pass(f: LocalGradientMap, stratum: Stratum, num: Numerics):
         tags.append(np.full(len(comp_seeds), rep))
     seeds, tags = np.concatenate(seeds), np.concatenate(tags)
     member = fld.member(seeds)
-    pts, stats = newton_zeros(fld, seeds[member], num)
+    pts, stats = newton_zeros(fld, seeds[member], num, margin)
     tags = tags[member][stats["kept"]]
     records = {rep: classify_zeros(fld, region, pts[tags == rep], num, margin)
                for rep, region in regions.items()}
@@ -166,7 +166,7 @@ def _stratum_zero_pass(f: LocalGradientMap, stratum: Stratum, num: Numerics):
         for r in recs:
             ambient.append(stratum.to_ambient(np.array(r.point))[0])
     ambient = np.array(ambient) if ambient else np.empty((0, f.dim))
-    newton = {key: stats[key] for key in ("seeds", "converged", "stalled")}
+    newton = {key: stats[key] for key in ("seeds", "converged", "stalled", "retired")}
     return fld, per_component, ambient, margin, newton
 
 
@@ -227,10 +227,13 @@ class Step:
     the stratum, the field restricted to it, the zero records per component
     index (solved on each quotient orbit's representative, Weyl images of
     those on the other components), their ambient positions in component
-    order, the compact margin of the zero pass and the seed, converged and
-    stalled counts of its Newton batch, which runs on the representatives
-    only (``newton``; the trace leaves them out, so its bytes depend on the
-    records alone).
+    order, the compact margin of the zero pass and the seed, converged,
+    stalled and retired counts of its Newton batch, which runs on the
+    representatives only (``newton``; the trace leaves them out, so its
+    bytes depend on the records alone).  A retired row ran linearly onto
+    the singular set, within the compact margin: a zero of a larger orbit
+    type, split off by an earlier step, that the margin filter would drop
+    anyway, so retiring it changes no record.
     Every step but the last carries the tube, its homotopy family and the
     split of the perturbed map; ``parts.off_stratum`` is the next step's
     ``f``.

@@ -254,17 +254,23 @@ def cells_contain_loop(cells, step, pts):
                      for p in np.atleast_2d(pts)], dtype=bool)
 
 
-def newton_row_loop(field, seed, tol, max_iter=80):
+def newton_row_loop(field, seed, tol, compact_margin=None, max_iter=80):
     """Damped Newton from one seed, alone: a step of factor 1, 1/2, ...,
     1/256 is taken when its point is a domain member with a smaller
-    residual, and the seed stalls when none is.  Returns the last point and
-    its residual (inf outside the domain)."""
+    residual, and the seed stalls when none is.  A field with
+    ``singular_distance`` retires the row, given the band
+    ``compact_margin``, once the ratios of new to old residual over its
+    last three steps lie within 1% of each other and its point lies within
+    the band of the singular set.  Returns the last point, its residual
+    (inf outside the domain) and whether the row retired."""
     from egdeg.degree import fd_jacobian
+    band = compact_margin if hasattr(field, "singular_distance") else None
     x = np.array(seed, dtype=float)[None]
     if not field.member(x)[0]:
-        return x[0], np.inf
+        return x[0], np.inf, False
     f = field.grad(x)
     val = np.linalg.norm(f, axis=1)[0]
+    ratios = []
     for _ in range(max_iter):
         if not np.isfinite(val) or val <= tol:
             break
@@ -276,12 +282,17 @@ def newton_row_loop(field, seed, tol, max_iter=80):
                 tf = field.grad(trial)
                 tv = np.linalg.norm(tf, axis=1)[0]
                 if np.isfinite(tv) and tv < val:
+                    ratios.append(tv / val)
                     x, f, val = trial, tf, tv
                     break
             lam *= 0.5
         else:
             break
-    return x[0], val
+        if band is not None and val > tol and len(ratios) >= 3:
+            last = ratios[-3:]
+            if max(last) <= 1.01 * min(last) and field.singular_distance(x)[0] <= band:
+                return x[0], val, True
+    return x[0], val, False
 
 
 def linkage_clusters(points, radius):

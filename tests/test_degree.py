@@ -81,7 +81,7 @@ class TestFindZeros:
         assert np.array_equal(pab, np.concatenate([pa, pb]))
         assert np.array_equal(sab["kept"],
                               np.concatenate([sa["kept"], sb["kept"] + len(a)]))
-        for key in ("seeds", "converged", "stalled"):
+        for key in ("seeds", "converged", "stalled", "retired"):
             assert sab[key] == sa[key] + sb[key]
         # each kept index names the seed its point was polished from
         for i, k in enumerate(sab["kept"]):
@@ -289,9 +289,39 @@ class TestBatchedHelpers:
         seeds = dg.BoxRegion([-1.9] * dim, [1.9] * dim, 0.3).seed_points()
         pts, stats = dg.newton_zeros(fld, seeds, NUM)
         want = [newton_row_loop(fld, s, NUM.newton_tol) for s in seeds]
-        kept = [i for i, (_, val) in enumerate(want) if val <= POLISH_TOL]
+        kept = [i for i, (_, val, _) in enumerate(want) if val <= POLISH_TOL]
         assert stats["kept"].tolist() == kept and 0 < len(kept) < len(seeds)
         assert pts.tobytes() == np.array([want[i][0] for i in kept]).tobytes()
+        assert stats["retired"] == 0 and not any(w[2] for w in want)
+
+    def test_stratum_newton_equals_row_loop(self):
+        # the free stratum of the README D3 map: rows that run onto a mirror
+        # converge at a steady residual ratio and retire, the others polish;
+        # each row is the loop's, alone or in either half of the batch
+        g, om = gr.dihedral(3), dm.punctured_space()
+        phi = pt.PolynomialPotential.from_expression(
+            "(x1^2 + x2^2)^2 - x1^2 - x2^2", 2)
+        num = Numerics(grid_h=0.1, bbox=2.0)
+        step = [s for s in recursion(g, om, mp.make_map(g, dm.MapDomain(om, 2.0), phi),
+                                     num) if s.label == "(e)"][0]
+        fld, margin, stratum = step.restricted, step.margin, step.stratum
+        seeds = np.concatenate([stratum.representative_component(q).centers
+                                for q in stratum.quotient_labels()])
+        seeds = seeds[fld.member(seeds)]
+        pts, stats = dg.newton_zeros(fld, seeds, num, margin)
+        want = [newton_row_loop(fld, s, num.newton_tol, margin) for s in seeds]
+        kept = [i for i, (_, val, retired) in enumerate(want)
+                if val <= POLISH_TOL and not retired]
+        assert stats["kept"].tolist() == kept and kept
+        assert stats["retired"] == sum(w[2] for w in want) > 0
+        assert pts.tobytes() == np.array([want[i][0] for i in kept]).tobytes()
+        half = len(seeds) // 2
+        pa, sa = dg.newton_zeros(fld, seeds[:half], num, margin)
+        pb, sb = dg.newton_zeros(fld, seeds[half:], num, margin)
+        assert np.concatenate([pa, pb]).tobytes() == pts.tobytes()
+        assert np.array_equal(stats["kept"], np.concatenate([sa["kept"], sb["kept"] + half]))
+        for key in ("seeds", "converged", "stalled", "retired"):
+            assert stats[key] == sa[key] + sb[key]
 
     def test_det_equals_lapack(self):
         rng = np.random.default_rng(3)
@@ -413,6 +443,23 @@ class TestFrontierDegree:
         for fld, expected in fields:
             assert dg.kronecker_degree(fld, [0.0] * dim, [2.0] * dim) == \
                 cell_union_degree(fld, block(0, 4, dim)) == expected
+
+    @pytest.mark.xfail(strict=True, reason="dim-3 solid angles of unit facets "
+                       "always sum to a multiple of 4 pi, so a coarse "
+                       "triangulation passes the integrality test (ROADMAP item 5)")
+    def test_l_shape_twisted_field(self):
+        # R_z(12 u_3)(u - c) has one zero c of degree 1 in the L; the
+        # triangulation at ENCLOSURE_RESOLUTION misses its twist and gives 0,
+        # 4 per side gives 1
+        cells = {c for c in block(0, 3, 3) if sum(map(bool, c)) <= 1}
+        c = np.array([0.2, 0.15, 0.1])
+
+        def fn(u):
+            v, t = u - c, 12 * u[:, 2]
+            return np.column_stack([np.cos(t) * v[:, 0] - np.sin(t) * v[:, 1],
+                                    np.sin(t) * v[:, 0] + np.cos(t) * v[:, 1],
+                                    v[:, 2]])
+        assert cell_union_degree(dg.FieldAdapter(fn, 3), cells) == 1
 
     def test_refinement_stays_on_the_bad_side(self):
         # the zero (1/3, -1) sits on the bottom side, so its angle step stays

@@ -354,7 +354,7 @@ class TestZeroPass:
                 if len(extra):
                     hinted += 1
                     seeds = np.concatenate([region.seed_points(), extra])
-                    pts, _ = recorded(fld, seeds[fld.member(seeds)], num)
+                    pts, _ = recorded(fld, seeds[fld.member(seeds)], num, step.margin)
                     recs = dg.classify_zeros(fld, region, pts, num, step.margin)
                 else:
                     recs = dg.find_zeros(fld, region, num,
@@ -376,10 +376,10 @@ class TestZeroPass:
             assert np.array_equal(step.ambient,
                                   np.array(ambient).reshape(-1, g.dim))
             # the batch's counts are the sums of the representatives' runs
-            for key in ("seeds", "converged", "stalled"):
+            for key in ("seeds", "converged", "stalled", "retired"):
                 assert step.newton[key] == sum(s[key] for s in newton_stats)
             assert step.newton["converged"] + step.newton["stalled"] \
-                <= step.newton["seeds"]
+                + step.newton["retired"] <= step.newton["seeds"]
         assert steps and (hinted > 0) == bool(f.seed_hints)
 
     @pytest.mark.parametrize("build", [
@@ -461,6 +461,36 @@ class TestZeroPass:
                            match=r"\(e\) zero in component c[-0-9,]+ has residual"):
             theta(g, om, f, num)
         assert WeylTransportFailed in cli.NUMERIC_ERRORS
+
+
+class TestNewtonRetirement:
+    """Newton rows that run onto the singular set retire early; every record
+    and ambient zero is bitwise the one a run without retirement gives."""
+
+    @pytest.mark.parametrize("build", [
+        _readme_d3, _b3_bench, _catalog_case("s3_perm_radial"), _c3_flip],
+        ids=["readme_d3", "b3_stack", "s3_perm_radial", "c3_flip"])
+    def test_retirement_keeps_records(self, build, monkeypatch):
+        # rows retire on every case: 9 on readme_d3's free stratum, 19 over
+        # b3_stack's 1-d and 2-d strata, 34 on s3_perm_radial, 208 on c3_flip
+        g, om, f, num = build()
+
+        def run():
+            return [s for s in recursion(g, om, f, num, strata_cache=CACHE)
+                    if s.stratum is not None]
+        steps = run()
+        monkeypatch.delattr(mp.StratumField, "singular_distance")
+        plain = run()
+        assert len(steps) == len(plain)
+        for step, ref in zip(steps, plain):
+            assert step.zeros == ref.zeros
+            points = [np.array([r.point for r in recs]).tobytes()
+                      for recs in step.zeros.values()]
+            assert points == [np.array([r.point for r in recs]).tobytes()
+                              for recs in ref.zeros.values()]
+            assert step.ambient.tobytes() == ref.ambient.tobytes()
+            assert ref.newton["retired"] == 0
+        assert sum(s.newton["retired"] for s in steps) > 0
 
 
 def _planar_case(n):
