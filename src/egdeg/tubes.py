@@ -8,6 +8,12 @@ projection to the nearest conjugate subspace and v the normal offset.  The
 invariant neighbourhood U is stored as the rho-ball neighbourhood of a
 finite set of stratum centers, which makes membership, boundary and
 distance computations exact up to a conservative bound.
+
+The samplers that validate a tube draw their attempts in blocks: a block of
+m attempts makes one generator call per quantity (centers, in-subspace
+directions, radii, normal directions, depths, in that order), builds and
+tests its m candidates elementwise, and keeps the accepted ones in draw
+order.  A candidate's bits depend only on its own draws.
 """
 from __future__ import annotations
 
@@ -17,9 +23,9 @@ import numpy as np
 
 from .errors import AmbiguousProjection
 
-# the samplers test membership in chunks of at most _CHUNK_ROWS attempts and
-# _CHUNK_CELLS (attempt, center) pairs, which bounds decompose's
-# (rows, centers, dim) difference array
+# a sampler block has at most _CHUNK_ROWS attempts and _CHUNK_CELLS
+# (attempt, center) pairs, which bounds the (rows, centers, dim) difference
+# array of its center-distance test
 _CHUNK_ROWS = 1024
 _CHUNK_CELLS = 1 << 15
 
@@ -37,6 +43,13 @@ def row_matmul(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
     if rows.shape[-2] == 1:
         return (np.concatenate([rows, rows], axis=-2) @ mat)[..., :1, :]
     return rows @ mat
+
+
+def _apply(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Row i of ``vecs`` times matrix i of the (m, d, e) stack ``mats``, as
+    an elementwise product summed row by row, so a row's bits do not depend
+    on the others."""
+    return np.sum(mats * vecs[:, None, :], axis=2)
 
 
 def nearest_center_distance(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -127,8 +140,10 @@ class TubeGeometry:
     def __init__(self, family: SubspaceFamily, spec: TubeSpec):
         self.family = family
         self.spec = spec
-        # nearest subspace of each center, read by the samplers
+        # nearest subspace of each center and the (J, d, k) stacked bases,
+        # read by the samplers
         self.center_idx = np.argmin(family.distances(spec.centers), axis=0)
+        self.basis_stack = np.stack(family.bases)
 
     # -- decomposition ---------------------------------------------------
 
@@ -178,32 +193,22 @@ class TubeGeometry:
         return self.family.k == self.family.dim
 
     def sample_tube(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Random points of U^eps, uniform-ish over centers."""
+        """Random points of U^eps, uniform-ish over centers: base points
+        moved by a normal offset of uniform length in [0, eps)."""
         if self.spec.is_empty:
             return np.empty((0, self.family.dim))
         if self.trivial_normal:
             # the tube of a full-dimensional stratum is the base set
-            return self._sample_chunked(
-                n, rng, lambda: self._draw_base(rng)[:1],
-                lambda x: (x, nearest_center_distance(x, self.spec.centers)
-                           < self.spec.rho))
-        eps = self.spec.epsilon
+            return self.sample_base(n, rng)
+        spec = self.spec
 
-        def attempt():
-            x, j = self._draw_base(rng)
-            w = rng.normal(size=self.family.dim)
-            w = w - self.family.projectors[j] @ w
-            nw = np.linalg.norm(w)
-            if nw < 1e-12:
-                return None
-            return x, w, rng.uniform(0, eps) / nw
-
-        def inside(x, w, scale):
-            z = x + w * scale[:, None]
+        def draw(m):
+            x, j = self._draw_base(m, rng)
+            z, ok = self._draw_offset(x, j, rng)
             dec = self.decompose(z)
-            return z, (dec["dcen"] < self.spec.rho) & (dec["s"] < eps)
+            return z, ok & (dec["dcen"] < spec.rho) & (dec["s"] < spec.epsilon)
 
-        return self._sample_chunked(n, rng, attempt, inside)
+        return self._sample_blocks(n, 200 * n, draw)
 
     def sample_base(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Random points of U itself; n copies of the origin for a point
@@ -212,95 +217,78 @@ class TubeGeometry:
             return np.empty((0, self.family.dim))
         if self.spec.point_stratum:
             return np.zeros((n, self.family.dim))
-        return self._sample_chunked(
-            n, rng, lambda: self._draw_base(rng)[:1],
-            lambda x: (x, self.decompose(x)["dcen"] < self.spec.rho))
 
-    def _draw_base(self, rng: np.random.Generator):
-        """A random center, moved by a uniform radius in [0, rho) along a
-        random direction of its subspace unless the stratum is a point;
-        returns the point and the subspace index."""
-        i = rng.integers(0, len(self.spec.centers))
-        c, j = self.spec.centers[i], int(self.center_idx[i])
-        b = self.family.bases[j]
-        if b.shape[1] > 0 and not self.spec.point_stratum:
-            u = rng.normal(size=b.shape[1])
-            r = rng.uniform(0, self.spec.rho)
-            c = c + (b @ u) * (r / (np.linalg.norm(u) + 1e-300))
-        return c, j
+        def draw(m):
+            x = self._draw_base(m, rng)[0]
+            return x, self.decompose(x)["dcen"] < self.spec.rho
 
-    def _sample_chunked(self, n: int, rng: np.random.Generator,
-                        attempt, inside) -> np.ndarray:
-        """Keep accepted candidates, in order, until n are kept or 200 n
-        attempts have run.
-
-        ``attempt()`` makes one attempt's generator calls and returns the
-        parts of its candidate as a tuple, or None when it has none.
-        ``inside`` takes each part stacked over a chunk's candidates and
-        returns the candidate points and their membership mask.  The
-        attempts run one at a time; the points are built and tested once per
-        chunk.  When the n-th acceptance falls inside a chunk, the generator
-        is set back to its state right after that attempt, so the points,
-        the attempt count and the generator's later draws are those of
-        testing each candidate before the next attempt.
-        """
-        cap = 200 * n
-        limit = min(_CHUNK_ROWS, max(1, _CHUNK_CELLS // len(self.spec.centers)))
-        kept, count, attempts = [], 0, 0
-        while count < n and attempts < cap:
-            need = n - count
-            # enough attempts for the remaining need at the rate seen so far
-            rows = need if attempts == 0 else -(-need * attempts // max(count, 1))
-            rows = min(rows, limit, cap - attempts)
-            cands, states = [], []
-            for _ in range(rows):
-                cand = attempt()
-                if cand is not None:
-                    cands.append(cand)
-                    states.append(rng.bit_generator.state)
-            attempts += rows
-            if not cands:
-                continue
-            pts, mask = inside(*(np.array(part) for part in zip(*cands)))
-            hits = np.flatnonzero(mask)[:need]
-            if len(hits) == need:
-                rng.bit_generator.state = states[hits[-1]]
-            kept.append(pts[hits])
-            count += len(hits)
-        return np.concatenate(kept) if count else np.empty((0, self.family.dim))
+        return self._sample_blocks(n, 200 * n, draw)
 
     def sample_shell(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Random points of B^epsilon; empty when the shell is empty.
 
-        Unlike the other samplers this one stays a one-at-a-time loop: its
-        interior test (the base point inside another center's ball) decides
-        whether the normal offset is drawn at all, and it needs only center
-        distances, never a ``decompose``.
+        A base point lies on the sphere of radius rho around its center in
+        the subspace, and counts only outside every other center's ball; it
+        is then moved by a normal offset of uniform length in [0, eps).
         """
-        if self.spec.point_stratum or self.spec.is_empty:
+        spec = self.spec
+        if spec.point_stratum or spec.is_empty or self.family.k == 0:
             return np.empty((0, self.family.dim))
-        out = []
-        centers = self.spec.centers
-        attempts = 0
-        while len(out) < n and attempts < 50 * n:
-            attempts += 1
-            i = rng.integers(0, len(centers))
-            c, j = centers[i], int(self.center_idx[i])
-            b = self.family.bases[j]
-            if b.shape[1] == 0:
-                break
-            u = rng.normal(size=b.shape[1])
-            x = c + (b @ u) * (self.spec.rho / (np.linalg.norm(u) + 1e-300))
-            if nearest_center_distance(x[None], centers)[0] < self.spec.rho * (1 - 1e-9):
-                continue  # interior of another ball, not on the boundary
+
+        def draw(m):
+            x, j = self._draw_base(m, rng, radius=spec.rho)
+            boundary = (nearest_center_distance(x, spec.centers)
+                        >= spec.rho * (1 - 1e-9))
             if self.trivial_normal:
-                out.append(x)
-                continue
-            w = rng.normal(size=self.family.dim)
-            w = w - self.family.projectors[j] @ w
-            nw = np.linalg.norm(w)
-            if nw < 1e-12:
-                continue
-            s = rng.uniform(0, self.spec.epsilon)
-            out.append(x + w * (s / nw))
-        return np.array(out) if out else np.empty((0, self.family.dim))
+                return x, boundary
+            z, ok = self._draw_offset(x, j, rng)
+            return z, boundary & ok
+
+        return self._sample_blocks(n, 50 * n, draw)
+
+    def _draw_base(self, m: int, rng: np.random.Generator, radius=None):
+        """m random centers, each moved along a random direction of its
+        subspace (unless the stratum is a point) by a uniform radius in
+        [0, rho), or by ``radius``; returns the points and subspace indices.
+        """
+        i = rng.integers(0, len(self.spec.centers), size=m)
+        x, j = self.spec.centers[i], self.center_idx[i]
+        if self.family.k > 0 and not self.spec.point_stratum:
+            u = rng.normal(size=(m, self.family.k))
+            if radius is None:
+                radius = rng.uniform(0, self.spec.rho, size=m)
+            scale = radius / (np.linalg.norm(u, axis=1) + 1e-300)
+            x = x + _apply(self.basis_stack[j], u) * scale[:, None]
+        return x, j
+
+    def _draw_offset(self, x: np.ndarray, j: np.ndarray, rng: np.random.Generator):
+        """Each x moved by a random normal direction of subspace j, scaled
+        to a uniform length in [0, eps); the mask drops the directions of
+        norm below 1e-12."""
+        w = rng.normal(size=x.shape)
+        w = w - _apply(self.family.projectors[j], w)
+        nw = np.linalg.norm(w, axis=1)
+        ok = nw >= 1e-12
+        s = rng.uniform(0, self.spec.epsilon, size=len(x))
+        return x + w * (s / np.where(ok, nw, 1.0))[:, None], ok
+
+    def _sample_blocks(self, n: int, cap: int, draw) -> np.ndarray:
+        """The first n accepted candidates in draw order, or all of them
+        once ``cap`` attempts have run.
+
+        ``draw(m)`` makes m attempts, one generator call per quantity, and
+        returns their candidate points and acceptance mask.  The first block
+        has n attempts; each later one has enough for the remaining need at
+        the acceptance rate seen so far, within the chunk bound and the cap.
+        """
+        limit = min(_CHUNK_ROWS, max(1, _CHUNK_CELLS // len(self.spec.centers)))
+        kept, count, attempts = [], 0, 0
+        while count < n and attempts < cap:
+            need = n - count
+            rows = need if attempts == 0 else -(-need * attempts // max(count, 1))
+            rows = min(rows, limit, cap - attempts)
+            pts, mask = draw(rows)
+            attempts += rows
+            kept.append(pts[mask][:need])
+            count += len(kept[-1])
+        return np.concatenate(kept) if count else np.empty((0, self.family.dim))

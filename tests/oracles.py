@@ -393,65 +393,93 @@ def orbit_closure_loop(group, points):
     return np.array(keep)[order]
 
 
+def _sample_blocks_loop(geo, n, cap, rng, kind):
+    """The samplers' block contract, one candidate at a time.
+
+    Each block of m attempts draws the centers, the in-subspace directions,
+    the radii (none on the shell, whose radius is rho), the normal
+    directions and the depths with one generator call each, in that order;
+    the blocks are sized as in ``TubeGeometry._sample_blocks``.  Each
+    candidate is then built from its own draws and tested alone, with a
+    one-row decompose or its distances to the centers, and the first n
+    accepted ones are kept in draw order.
+    """
+    from egdeg.tubes import _CHUNK_CELLS, _CHUNK_ROWS
+    spec, fam = geo.spec, geo.family
+    centers = spec.centers
+    moved = fam.k > 0 and not spec.point_stratum
+    offset = kind != "base" and not geo.trivial_normal
+    limit = min(_CHUNK_ROWS, max(1, _CHUNK_CELLS // len(centers)))
+    out, attempts = [], 0
+    while len(out) < n and attempts < cap:
+        need = n - len(out)
+        m = need if attempts == 0 else -(-need * attempts // max(len(out), 1))
+        m = min(m, limit, cap - attempts)
+        attempts += m
+        idx = rng.integers(0, len(centers), size=m)
+        if moved:
+            u = rng.normal(size=(m, fam.k))
+            r = (np.full(m, spec.rho) if kind == "shell"
+                 else rng.uniform(0, spec.rho, size=m))
+        if offset:
+            w = rng.normal(size=(m, fam.dim))
+            s = rng.uniform(0, spec.epsilon, size=m)
+        for t in range(m):
+            c = centers[idx[t]]
+            j = int(geo.decompose(c[None])["idx"][0])
+            x = c
+            if moved:
+                scale = r[t] / (np.linalg.norm(u[t][None], axis=1)[0] + 1e-300)
+                x = c + np.sum(fam.bases[j] * u[t], axis=1) * scale
+            z = x
+            if offset:
+                wt = w[t] - np.sum(fam.projectors[j] * w[t], axis=1)
+                nw = np.linalg.norm(wt[None], axis=1)[0]
+                if nw < 1e-12:
+                    continue
+                z = x + wt * (s[t] / nw)
+            nearest = np.min(np.linalg.norm(x[None] - centers, axis=1))
+            if kind == "shell":
+                ok = nearest >= spec.rho * (1 - 1e-9)
+            elif kind == "base":
+                ok = geo.decompose(x[None])["dcen"][0] < spec.rho
+            elif not offset:
+                ok = nearest < spec.rho
+            else:
+                dec = geo.decompose(z[None])
+                ok = dec["dcen"][0] < spec.rho and dec["s"][0] < spec.epsilon
+            if ok and len(out) < n:
+                out.append(z)
+    return np.array(out) if out else np.empty((0, fam.dim))
+
+
 def sample_tube_loop(geo, n, rng):
-    """Random points of the tube, testing each attempt's candidate with its
-    own decompose before the next attempt draws."""
+    """Random points of the tube by the block contract: base point plus
+    normal offset, tested by a one-row decompose; the base point alone,
+    tested by its center distances, when the normal space is trivial."""
     if geo.spec.is_empty:
         return np.empty((0, geo.family.dim))
-    out = []
-    centers = geo.spec.centers
-    eps = geo.spec.epsilon
-    attempts = 0
-    while len(out) < n and attempts < 200 * n:
-        attempts += 1
-        i = rng.integers(0, len(centers))
-        c, j = centers[i], int(geo.center_idx[i])
-        b = geo.family.bases[j]
-        if b.shape[1] > 0 and not geo.spec.point_stratum:
-            u = rng.normal(size=b.shape[1])
-            r = rng.uniform(0, geo.spec.rho)
-            x = c + (b @ u) * (r / (np.linalg.norm(u) + 1e-300))
-        else:
-            x = c
-        if geo.trivial_normal:
-            if np.min(np.linalg.norm(x[None] - centers, axis=1)) < geo.spec.rho:
-                out.append(x)
-            continue
-        w = rng.normal(size=geo.family.dim)
-        w = w - geo.family.projectors[j] @ w
-        nw = np.linalg.norm(w)
-        if nw < 1e-12:
-            continue
-        s = rng.uniform(0, eps)
-        z = x + w * (s / nw)
-        dec = geo.decompose(z[None])
-        if dec["dcen"][0] < geo.spec.rho and dec["s"][0] < eps:
-            out.append(z)
-    return np.array(out) if out else np.empty((0, geo.family.dim))
+    return _sample_blocks_loop(geo, n, 200 * n, rng, "tube")
 
 
 def sample_base_loop(geo, n, rng):
-    """Random points of the base set, decomposing each drawn center to find
-    its subspace and each candidate to test it."""
-    spec = geo.spec
-    if spec.is_empty:
+    """Random points of the base set by the block contract, each tested by
+    a one-row decompose; n origins for a point stratum."""
+    if geo.spec.is_empty:
         return np.empty((0, geo.family.dim))
-    if spec.point_stratum:
+    if geo.spec.point_stratum:
         return np.zeros((n, geo.family.dim))
-    out = []
-    centers = spec.centers
-    attempts = 0
-    while len(out) < n and attempts < 200 * n:
-        attempts += 1
-        c = centers[rng.integers(0, len(centers))]
-        j = int(geo.decompose(c[None])["idx"][0])
-        b = geo.family.bases[j]
-        u = rng.normal(size=b.shape[1])
-        r = rng.uniform(0, spec.rho)
-        x = c + (b @ u) * (r / (np.linalg.norm(u) + 1e-300))
-        if geo.decompose(x[None])["dcen"][0] < spec.rho:
-            out.append(x)
-    return np.array(out) if out else np.empty((0, geo.family.dim))
+    return _sample_blocks_loop(geo, n, 200 * n, rng, "base")
+
+
+def sample_shell_loop(geo, n, rng):
+    """Random points of the lateral shell by the block contract: base points
+    at distance rho from their center and at least rho(1 - 1e-9) from every
+    center, plus a normal offset; empty for a point stratum, an empty tube
+    or a zero-dimensional subspace."""
+    if geo.spec.is_empty or geo.spec.point_stratum or geo.family.k == 0:
+        return np.empty((0, geo.family.dim))
+    return _sample_blocks_loop(geo, n, 50 * n, rng, "shell")
 
 
 def singular_family_loop(group, class_id):

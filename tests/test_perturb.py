@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import (orbit_closure_loop, sample_base_loop, sample_tube_loop,
-                     subspace_decompose_loop, subspace_distances_loop,
-                     subspace_project_loop)
+from oracles import (orbit_closure_loop, sample_base_loop, sample_shell_loop,
+                     sample_tube_loop, subspace_decompose_loop,
+                     subspace_distances_loop, subspace_project_loop)
 
 from egdeg import domains as dm
 from egdeg import groups as gr
@@ -239,8 +239,9 @@ def _sampler_cases():
 
 
 class TestSamplers:
-    """The chunked samplers against their one-at-a-time loops: the same
-    points bit for bit, and the generator left in the same state."""
+    """The block samplers against per-candidate oracles of the block
+    contract: the same points bit for bit, and the generator left in the
+    same state."""
 
     @staticmethod
     def assert_same_draws(geo, chunked, loop, seed):
@@ -258,6 +259,8 @@ class TestSamplers:
                                lambda r: sample_tube_loop(geo, n, r), seed)
         self.assert_same_draws(geo, lambda r: geo.sample_base(n, r),
                                lambda r: sample_base_loop(geo, n, r), seed)
+        self.assert_same_draws(geo, lambda r: geo.sample_shell(n, r),
+                               lambda r: sample_shell_loop(geo, n, r), seed)
 
     @pytest.mark.parametrize("name", ["b3_quartic", "s3_perm_radial"])
     def test_recursion_tubes(self, name):
@@ -300,6 +303,73 @@ class TestSamplers:
         assert chunk_peak < loop_peak + 2 * _CHUNK_CELLS * 3 * 8
 
 
+class TestSamplerProperties:
+    """What every sampled point satisfies, on the recursion tubes and the
+    hand-made geometries."""
+
+    SOURCES = ["b3_quartic", "s3_perm_radial", "cases"]
+
+    @staticmethod
+    def geometries(source):
+        if source == "cases":
+            return list(_sampler_cases().values())
+        return _step_geometries(source)
+
+    @staticmethod
+    def centers_on_subspaces(geo):
+        # false for no_acceptance, whose centers lie off the axis
+        return np.max(geo.family.min_distance(geo.spec.centers)) <= 1e-12
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_tube_points_in_open_tube(self, source):
+        for seed, geo in enumerate(self.geometries(source)):
+            pts = geo.sample_tube(500, np.random.default_rng(seed))
+            assert np.all(geo.in_open_tube(pts))
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_shell_points_on_lateral_boundary(self, source):
+        # some subspace j splits each point into a base point on the rho
+        # sphere of its nearest center, outside every other ball, and a
+        # normal offset shorter than epsilon
+        for seed, geo in enumerate(self.geometries(source)):
+            spec = geo.spec
+            pts = geo.sample_shell(500, np.random.default_rng(seed))
+            if spec.is_empty or spec.point_stratum:
+                assert pts.shape == (0, geo.family.dim)
+                continue
+            assert len(pts) > 0
+            if not self.centers_on_subspaces(geo):
+                continue
+            base = np.einsum("jab,nb->jna", geo.family.projectors, pts)
+            offset = np.linalg.norm(pts - base, axis=2)
+            nearest = np.min(np.linalg.norm(
+                base[:, :, None] - spec.centers[None, None], axis=3), axis=2)
+            on_sphere = np.abs(nearest - spec.rho) <= 1e-9 * spec.rho
+            assert np.all(np.any(on_sphere & (offset < spec.epsilon), axis=0))
+
+    def test_empty_shells_draw_nothing(self):
+        cases = _sampler_cases()
+        zero_dim = TubeGeometry(SubspaceFamily([np.zeros((3, 0))]),
+                                TubeSpec(0, np.zeros((1, 3)), 0.2, 0.2))
+        for geo in (cases["point"], cases["empty"], zero_dim):
+            rng = np.random.default_rng(0)
+            before = rng.bit_generator.state
+            assert geo.sample_shell(50, rng).shape == (0, 3)
+            assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_every_center_drawn(self, source):
+        for seed, geo in enumerate(self.geometries(source)):
+            spec = geo.spec
+            if spec.is_empty or not self.centers_on_subspaces(geo):
+                continue
+            for sample in (geo.sample_tube, geo.sample_base):
+                pts = sample(500, np.random.default_rng(seed))
+                base = geo.decompose(pts)["x"]
+                dist = np.linalg.norm(base[:, None] - spec.centers[None], axis=2)
+                assert np.all(np.min(dist, axis=0) < spec.rho)
+
+
 class TestSelectTube:
     def test_origin_well_tube(self):
         g, om, f = catalog("z2_line_min").build()
@@ -330,6 +400,21 @@ class TestSelectTube:
         # the domain is a ball of radius 0.2: epsilon must have shrunk below it
         assert tube.epsilon < 0.2
         assert np.hypot(tube.rho, tube.epsilon) < 0.2
+
+    # the (H6a) tube of the b3 quartic at epsilon = 0.15 holds about 0.55%
+    # of points with a projection gap <= epsilon/10, so 500 validation
+    # samples miss them about 6% of the time and the sampler seed decides
+    # the tube; the sampler seeds are those of benchmark seeds 1, 8, 9, 22
+    @pytest.mark.xfail(strict=True, reason="sampled tube validation misses "
+                       "ambiguous projections (ROADMAP item 12)")
+    def test_epsilon_does_not_depend_on_sampler_seed(self):
+        g, om, f, num = _b3_quartic()
+        step = next(s for s in recursion(g, om, f, num, tubes_only=True)
+                    if s.label == "(H6a)")
+        eps = {select_tube(step.f, step.class_id, step.ambient,
+                           num.with_(seed=seed)).epsilon
+               for seed in (1381391841, 90078207, 197150937, 1468014689)}
+        assert len(eps) == 1
 
 
 class TestOrbitClosure:
