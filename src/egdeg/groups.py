@@ -7,8 +7,9 @@ subgroups, normalizers, Weyl coset representatives and fixed subspaces, which
 is everything the stratification layer needs.
 
 Groups are capped at order 64.  Subgroups are boolean member masks over the
-multiplication table: closure is a mask fixpoint, and enumeration joins each
-subgroup with the cyclic subgroups it does not contain (cyclic extension).
+multiplication table: closure is a mask fixpoint, and enumeration joins one
+representative per conjugacy class with the cyclic subgroups it does not
+contain (cyclic extension).
 """
 from __future__ import annotations
 
@@ -333,32 +334,9 @@ def _subgroup_closure(mul_table: np.ndarray, mask: np.ndarray) -> np.ndarray:
     m[0] = True
     while True:
         idx = np.flatnonzero(m)
-        m[mul_table[np.ix_(idx, idx)]] = True
+        m[mul_table[idx[:, None], idx]] = True
         if np.count_nonzero(m) == len(idx):
             return m
-
-
-def _enumerate_subgroups(group: FiniteGroupRep) -> list[np.ndarray]:
-    """Member masks of all subgroups, sorted by (order, sorted members).
-
-    Cyclic extension: a subgroup H is the join C_1 v ... v C_k of the cyclic
-    subgroups generated by its elements, and every partial join
-    C_1 v ... v C_j is itself a subgroup.  So joining each subgroup found,
-    once, with each cyclic subgroup it does not contain reaches every
-    subgroup from the trivial one, at most (#subgroups x #cyclic) closures.
-    """
-    mul = group.mul_table
-    unit = np.eye(group.order, dtype=bool)
-    cyclic = {c.tobytes(): c for c in (_subgroup_closure(mul, g) for g in unit)}
-    subs, seen = [unit[0]], {unit[0].tobytes()}
-    for s in subs:  # appended to while iterated: each subgroup is extended once
-        for c in cyclic.values():
-            if np.any(c & ~s):
-                j = _subgroup_closure(mul, s | c)
-                if j.tobytes() not in seen:
-                    seen.add(j.tobytes())
-                    subs.append(j)
-    return sorted(subs, key=lambda m: (np.count_nonzero(m), _members(m)))
 
 
 def fixed_subspace(group: FiniteGroupRep, members) -> np.ndarray:
@@ -383,26 +361,44 @@ def fixed_subspace(group: FiniteGroupRep, members) -> np.ndarray:
 
 
 def subgroup_lattice(group: FiniteGroupRep) -> SubgroupLattice:
-    """Enumerate all subgroups, conjugacy classes, and the subconjugacy order."""
+    """Enumerate all subgroups, conjugacy classes, and the subconjugacy order.
+
+    Cyclic extension over class representatives: a subgroup H is the join
+    C_1 v ... v C_k of the cyclic subgroups generated by its elements, and
+    H' = C_1 v ... v C_(k-1) is a subgroup, so H' = g^-1 R g for some class
+    representative R and g H g^-1 = R v g C_k g^-1.  So joining each
+    representative with each cyclic subgroup it does not contain reaches
+    every class from the trivial one.  A new join is conjugated once: its
+    images form its class, and the smallest member set represents it.
+    """
     if group.order > DEFAULT_CAP:
         raise ClosureOverflow(f"lattice restricted to order <= {DEFAULT_CAP}")
     n = group.order
     mul = group.mul_table
     conj = mul[mul, group.inv_table[:, None]]  # conj[g, h] = g h g^-1
     rows = np.arange(n)[:, None]
-    assigned: set[bytes] = set()
-    classes = []  # (representative mask, conjugate masks, normalizer)
-    for s in _enumerate_subgroups(group):
-        if s.tobytes() in assigned:
-            continue
-        # s is the lexicographically smallest member set of its class: the
-        # enumeration is sorted by (order, members) and conjugates share order
+    unit = np.eye(n, dtype=bool)
+    cyclic = np.array(list({c.tobytes(): c for c in (
+        _subgroup_closure(mul, g) for g in unit)}.values()))
+    classes, found = [], set()  # (representative, conjugates, normalizer)
+
+    def add_class(s):
         images = np.zeros((n, n), dtype=bool)
         images[rows, conj[:, s]] = True  # images[g] = g s g^-1
         distinct = {img.tobytes(): img for img in images}
-        assigned.update(distinct)
-        normalizer = np.flatnonzero(np.all(images == s, axis=1))
-        classes.append((s, sorted(distinct.values(), key=_members), normalizer))
+        found.update(distinct)
+        conjugates = sorted(distinct.values(), key=_members)
+        rep = conjugates[0]
+        # rep's own normalizer: s's is a conjugate of it, not the same set
+        normalizer = np.flatnonzero(np.all(rep[conj[:, rep]], axis=1))
+        classes.append((rep, conjugates, normalizer))
+
+    add_class(unit[0])
+    for rep, _, _ in classes:  # appended to while iterated
+        for c in cyclic[np.any(cyclic & ~rep, axis=1)]:
+            j = _subgroup_closure(mul, rep | c)
+            if j.tobytes() not in found:
+                add_class(j)
 
     # stable class ids: decreasing subgroup order, then smallest member set
     classes.sort(key=lambda cls: (-np.count_nonzero(cls[0]), _members(cls[0])))

@@ -554,3 +554,62 @@ def subspace_decompose_loop(family, points):
         sorted_d = np.sort(dists, axis=0)
         gap = sorted_d[1] - sorted_d[0]
     return idx, x, v, s, gap
+
+
+def subgroup_lattice_loop(group):
+    """(records, class_members, leq) of the subgroup lattice by cyclic
+    extension of every subgroup: each subgroup found is joined once with
+    each cyclic subgroup it does not contain, the masks are sorted by
+    (order, members), and each unassigned mask opens a class of its own
+    conjugates, so the first of a class is its smallest member set."""
+    from egdeg.groups import SubgroupRecord, _subgroup_closure, fixed_subspace
+
+    def members_of(mask):
+        return tuple(np.flatnonzero(mask).tolist())
+
+    n, mul = group.order, group.mul_table
+    unit = np.eye(n, dtype=bool)
+    cyclic = {c.tobytes(): c for c in (_subgroup_closure(mul, g) for g in unit)}
+    subs, seen = [unit[0]], {unit[0].tobytes()}
+    for s in subs:
+        for c in cyclic.values():
+            if np.any(c & ~s):
+                j = _subgroup_closure(mul, s | c)
+                if j.tobytes() not in seen:
+                    seen.add(j.tobytes())
+                    subs.append(j)
+    subs.sort(key=lambda m: (np.count_nonzero(m), members_of(m)))
+
+    assigned, classes = set(), []
+    for s in subs:
+        if s.tobytes() in assigned:
+            continue
+        images = np.zeros((n, n), dtype=bool)
+        for g in range(n):
+            for h in np.flatnonzero(s):
+                images[g, group.conj(g, h)] = True
+        distinct = {img.tobytes(): img for img in images}
+        assigned.update(distinct)
+        normalizer = np.flatnonzero(np.all(images == s, axis=1))
+        classes.append((s, sorted(distinct.values(), key=members_of), normalizer))
+    classes.sort(key=lambda cls: (-np.count_nonzero(cls[0]), members_of(cls[0])))
+
+    records = []
+    for cid, (rep, _, normalizer) in enumerate(classes):
+        members = members_of(rep)
+        reps, covered = [], set()
+        for g in normalizer.tolist():
+            if g not in covered:
+                reps.append(g)
+                covered.update(group.mul(g, h) for h in members)
+        records.append(SubgroupRecord(
+            member_indices=members, order=len(members),
+            normalizer_indices=tuple(normalizer.tolist()),
+            weyl_coset_reps=tuple(reps),
+            fixed_basis=fixed_subspace(group, members), class_id=cid))
+
+    leq = np.zeros((len(classes), len(classes)), dtype=bool)
+    for a, (_, conjugates, _) in enumerate(classes):
+        for b, (rep, _, _) in enumerate(classes):
+            leq[a, b] = any(not np.any(c & ~rep) for c in conjugates)
+    return records, [[members_of(c) for c in cls[1]] for cls in classes], leq

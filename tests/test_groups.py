@@ -4,12 +4,15 @@ Derived expectations are computed by independent brute-force oracles in this
 file (repeated multiplication for closures, subset enumeration for subgroup
 lattices) rather than trusted from the implementation under test.
 """
+import functools
 import itertools
 import time
 
 import numpy as np
 import pytest
-from oracles import conjugate_bases_loop, singular_family_loop
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import conjugate_bases_loop, singular_family_loop, subgroup_lattice_loop
 
 from egdeg import groups as gr
 from egdeg.errors import ClosureOverflow, IsotropyAmbiguous, NotOrthogonal
@@ -72,6 +75,35 @@ def hyperoctahedral3():
     """B3: signed 3 x 3 permutation matrices, order 48."""
     return gr.from_generators([np.eye(3)[[1, 0, 2]], np.eye(3)[[1, 2, 0]],
                                np.diag([-1.0, 1.0, 1.0])])
+
+
+def d4_z2():
+    """D4 on the (x, y) plane times {1, -1} on z, order 16."""
+    quarter = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    return gr.from_generators([quarter, np.diag([1.0, -1.0, 1.0]),
+                               np.diag([1.0, 1.0, -1.0])])
+
+
+def sign_group(d):
+    """(Z2)^d: the coordinate sign flips of d-space, order 2^d."""
+    return gr.from_generators([np.diag(np.where(np.arange(d) == i, -1.0, 1.0))
+                               for i in range(d)])
+
+
+# larger groups for the lattice properties, besides each test's own cases
+PROPERTY_GROUPS = [(hyperoctahedral3, "B3"), (lambda: gr.symmetric(4), "S4"),
+                   (lambda: gr.dihedral(32), "D32"), (d4_z2, "D4xZ2")]
+
+
+def group_cases(cases):
+    """Parametrize ``make`` over (factory, id) pairs."""
+    return pytest.mark.parametrize("make", [m for m, _ in cases],
+                                   ids=[i for _, i in cases])
+
+
+def property_cases(*own):
+    """Parametrize ``make`` over the pairs ``own`` and then PROPERTY_GROUPS."""
+    return group_cases(list(own) + PROPERTY_GROUPS)
 
 
 def all_subgroups(lat):
@@ -224,11 +256,55 @@ def test_every_two_generated_subgroup_enumerated(make):
 
 def test_lattice_time_gate():
     # on a 2-core x86 VM, joining all pairs of known subgroups took about
-    # 10 s for B3 and cyclic extension takes about 0.2 s
+    # 10 s for B3, and extending the class representatives takes about
+    # 0.04 s for B3 and 0.035 s for D32
+    for g in [hyperoctahedral3(), gr.dihedral(32)]:
+        start = time.perf_counter()
+        g.lattice
+        assert time.perf_counter() - start < 0.5
+
+
+LATTICE_ORACLE_GROUPS = (
+    [(lambda: gr.antipodal(1), "antipodal1"), (lambda: gr.trivial(2), "trivial2")]
+    + [(functools.partial(gr.cyclic, n), f"C{n}") for n in range(1, 13)]
+    + [(functools.partial(gr.dihedral, n), f"D{n}") for n in range(2, 13)]
+    + [(lambda: gr.dihedral(32), "D32"), (lambda: gr.symmetric(3), "S3"),
+       (lambda: gr.symmetric(4), "S4"), (hyperoctahedral3, "B3"),
+       (d4_z2, "D4xZ2"), (lambda: sign_group(4), "Z2^4")])
+
+
+@group_cases(LATTICE_ORACLE_GROUPS)
+def test_lattice_equals_loop(make):
+    g = make()
+    lat = g.lattice
+    records, class_members, leq = subgroup_lattice_loop(g)
+    assert len(lat.records) == len(records)
+    for got, want in zip(lat.records, records):
+        assert got.member_indices == want.member_indices
+        assert got.order == want.order
+        assert got.normalizer_indices == want.normalizer_indices
+        assert got.weyl_coset_reps == want.weyl_coset_reps
+        assert got.class_id == want.class_id
+        assert got.fixed_basis.shape == want.fixed_basis.shape
+        assert got.fixed_basis.tobytes() == want.fixed_basis.tobytes()
+    assert lat.class_members == class_members
+    assert lat.leq.dtype == leq.dtype and lat.leq.shape == leq.shape
+    assert lat.leq.tobytes() == leq.tobytes()
+
+
+@pytest.fixture(scope="module")
+def b3_and_loop_lattice():
     g = hyperoctahedral3()
-    start = time.perf_counter()
-    g.lattice
-    assert time.perf_counter() - start < 2.0
+    return g, subgroup_lattice_loop(g)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(gens=st.lists(st.integers(0, 47), min_size=1, max_size=3))
+def test_generated_subgroup_of_b3_in_loop_class(b3_and_loop_lattice, gens):
+    g, (_, class_members, _) = b3_and_loop_lattice
+    members = bfs_closure(g, gens)
+    cid = g.lattice.class_of_members(members)
+    assert tuple(sorted(members)) in class_members[cid]
 
 
 def test_class_of_members_round_trip():
@@ -241,26 +317,52 @@ def test_class_of_members_round_trip():
         lat.class_of_members(frozenset({0, 1, 2, 3}))  # 4 does not divide 6
 
 
-def test_class_representative_is_lex_smallest():
-    lat = gr.dihedral(3).lattice
+@property_cases((lambda: gr.dihedral(3), "D3"))
+def test_class_representative_is_lex_smallest(make):
+    lat = make().lattice
     for rec, members in zip(lat.records, lat.class_members):
         assert rec.member_indices == min(members)
 
 
-def test_weyl_coset_count():
-    for g in [gr.dihedral(3), gr.symmetric(3), gr.cyclic(4)]:
-        for rec in g.lattice.records:
-            assert rec.weyl_order * rec.order == len(rec.normalizer_indices)
+def conjugate_of(g, x, members):
+    return frozenset(g.conj(x, h) for h in members)
 
 
-def test_conjugate_subgroup_same_class():
-    g = gr.dihedral(3)
+@property_cases((lambda: gr.dihedral(3), "D3"), (lambda: gr.symmetric(3), "S3"),
+                (lambda: gr.cyclic(4), "C4"))
+def test_weyl_coset_count(make):
+    g = make()
+    for rec in g.lattice.records:
+        assert rec.weyl_order * rec.order == len(rec.normalizer_indices)
+        # oracle: the normalizer and its cosets by brute force over sets
+        h = frozenset(rec.member_indices)
+        normalizer = {x for x in range(g.order) if conjugate_of(g, x, h) == h}
+        assert set(rec.normalizer_indices) == normalizer
+        assert set(rec.weyl_coset_reps) <= normalizer
+        cosets = {frozenset(g.mul(w, k) for k in h) for w in rec.weyl_coset_reps}
+        assert len(cosets) == rec.weyl_order == len(normalizer) // len(h)
+
+
+@property_cases((lambda: gr.dihedral(3), "D3"))
+def test_conjugate_subgroup_same_class(make):
+    g = make()
     lat = g.lattice
     for cid, members in enumerate(lat.class_members):
         base = set(members[0])
         for h in range(g.order):
             conj = frozenset(g.conj(h, x) for x in base)
             assert conj in set(map(frozenset, members))
+
+
+@property_cases((lambda: gr.symmetric(3), "S3"))
+def test_leq_is_subconjugacy(make):
+    g = make()
+    lat = g.lattice
+    reps = [frozenset(rec.member_indices) for rec in lat.records]
+    for a, rep_a in enumerate(reps):
+        conjugates = {conjugate_of(g, x, rep_a) for x in range(g.order)}
+        for b, rep_b in enumerate(reps):
+            assert lat.leq[a, b] == any(c <= rep_b for c in conjugates)
 
 
 # ---------------------------------------------------------------------------
