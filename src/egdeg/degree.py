@@ -7,11 +7,15 @@ of its zeros.  Three routes are implemented and cross-checked:
   then sum the signs of the Hessian determinants (only when every zero is
   nondegenerate).  Each Newton step factors each Jacobian once: in dims up
   to 3 by cofactors (``_solve_batched``), whose determinant also decides
-  regularity, with a pseudo-inverse step on near-singular rows.  On a
-  stratum field, a row whose residual falls by a steady factor (linear
-  convergence, as at a singular root) within the compact margin of the
-  stratum's singular set is retired: it is bound for a zero of a larger
-  orbit type, which the margin filter drops in any case.
+  regularity, with a pseudo-inverse step on near-singular rows, and its
+  line search takes two field calls: the full steps, then every halving
+  of the rejected rows at once.  A row whose residual falls by a steady
+  factor converges linearly, as onto a singular root.  On a stratum field
+  such a row within the compact margin of the stratum's singular set is
+  retired: it is bound for a zero of a larger orbit type, which the margin
+  filter drops in any case.  On every field, any other such row near its
+  zero takes one multiplicity step, the Newton step scaled by the
+  multiplicity its displacements show (3 at a triple root).
 * Kronecker route: a boundary degree over a region bounded by oriented
   axis facets, taken by one integrator (``frontier_degree``): endpoint signs
   in dim 1, winding of the field angle along the facets in dim 2, where each
@@ -53,6 +57,9 @@ DEDUPE_FACTOR = 1e-2      # dedupe radius: 10 h * 1e-3
 ENCLOSURE_DILATION = 2.5  # enclosure growth around a cluster, in region steps
 RETIRE_STEPS = 3          # accepted Newton steps whose residual ratios must agree
 RETIRE_SPREAD = 1e-2      # ... to within this relative spread before a row retires
+TAIL_RESIDUAL = 1e-4      # a steady row takes a multiplicity step below this residual
+TAIL_RATIO = 0.2          # ... while its residual ratio stays above this
+LINE_SEARCH = (np.ones(1), 0.5 ** np.arange(1, 9))  # step factors of its two calls
 
 
 # ---------------------------------------------------------------------------
@@ -174,42 +181,55 @@ def newton_zeros(field, seeds: np.ndarray, num: Numerics,
     """Damped Newton from every seed; returns polished points and stats.
 
     Each step solves J s = -f once per row (``_solve_batched``: cofactors
-    for k <= 3, pinv on near-singular rows).  Steps leaving the domain or
-    not lowering the residual are halved, up to eight times; seeds that
-    cannot improve are dropped.  A point counts as converged when its
-    residual is at most POLISH_TOL after polishing (the iteration itself
-    targets num.newton_tol, which Numerics keeps at or below POLISH_TOL).
-    Only the open rows are iterated, held as their seed index with point,
-    field vector and residual; rows that converge or stall leave that set.
+    for k <= 3, pinv on near-singular rows).  A row takes the first of the
+    steps lam s, lam = 1, 1/2, ..., 1/256, that stays in the domain and
+    lowers the residual (``_line_search``); seeds that cannot improve are
+    dropped.  A point counts as converged when its residual is at most
+    POLISH_TOL after polishing (the iteration itself targets
+    num.newton_tol, which Numerics keeps at or below POLISH_TOL).  Only the
+    open rows are iterated, held as their seed index with point, field
+    vector and residual; rows that converge or stall leave that set.
 
-    A field with a singular family (``singular_distance``: a stratum
-    field) also retires rows, given the band ``compact_margin``: a row
-    whose last RETIRE_STEPS accepted residual ratios lie within
-    RETIRE_SPREAD of each other (linear convergence, as at a singular root)
-    and whose point lies within the band of the singular set leaves the
+    A row is steady when its last RETIRE_STEPS accepted residual ratios lie
+    within RETIRE_SPREAD of each other: linear convergence, as at a singular
+    root.  On a field with a singular family (``singular_distance``: a
+    stratum field), given the band ``compact_margin``, a steady row whose
+    point lies within the band of the singular set retires: it leaves the
     working set and is not returned.  Such a row is bound for a zero of a
     larger orbit type, which an earlier step split off: the domain avoids
     every larger type's subspaces, so its boundary distance is at most the
     singular distance and ``classify_zeros`` drops the point at the same
-    margin.  Other fields never retire and skip the ratio bookkeeping.
+    margin.  Any other steady row whose residual is below TAIL_RESIDUAL
+    and whose ratio is above TAIL_RATIO takes one multiplicity step at its
+    next iteration (Schroeder): the Newton step times 1 / (1 - q), where
+    q < 1 is the ratio of its last two accepted displacements, which is
+    (m - 1) / m at a root of multiplicity m.  Both must be full Newton
+    steps: a row that crawls on damped steps is not converging onto a
+    multiple root, and its boosted step would lie beyond every halving the
+    line search tries.  The line search still guards the step, and the
+    row's ratio history starts again after it.  These tests are the same on
+    every field, so a row that does not retire takes the same steps whether
+    or not the field has a singular family.
 
     Every step is taken row by row, so a seed's point does not depend on
     the other seeds of the batch.  The points come back in seed order, and
     ``stats["kept"]`` holds the index of each one's seed; a retired row
-    counts as neither converged nor stalled.
+    counts as neither converged nor stalled, and ``stats["accelerated"]``
+    counts the rows that took a multiplicity step.
     """
     pts = np.atleast_2d(np.asarray(seeds, dtype=float)).copy()
     if len(pts) == 0:
         return np.empty((0, field.dim)), {"seeds": 0, "converged": 0,
                                           "stalled": 0, "retired": 0,
+                                          "accelerated": 0,
                                           "kept": np.empty(0, dtype=int)}
     singular_distance = getattr(field, "singular_distance", None)
     band = None if singular_distance is None else compact_margin
     fvals = np.full(len(pts), np.inf)
     active = field.member(pts).copy()
     retired = np.zeros(len(pts), dtype=bool)
-    # the working set: seed index, point, field vector and residual per row,
-    # plus the last accepted residual ratios when rows can retire
+    accelerated = np.zeros(len(pts), dtype=bool)
+    # the working set: seed index, point, field vector and residual per row
     idx = np.flatnonzero(active)
     cur = pts[idx]
     vecs = np.zeros_like(cur)
@@ -220,58 +240,87 @@ def newton_zeros(field, seeds: np.ndarray, num: Numerics,
     active[idx[~np.isfinite(vals)]] = False
     open_rows = np.isfinite(vals) & (vals > num.newton_tol)
     idx, cur, vecs, vals = idx[open_rows], cur[open_rows], vecs[open_rows], vals[open_rows]
-    if band is not None:
-        ratios = np.full((len(idx), RETIRE_STEPS), np.nan)
+    # and its history: each row of ``ratios`` and ``moves`` is one 1-D array
+    # over the working set (the last RETIRE_STEPS residual ratios, the last
+    # two accepted displacements, nan for a damped one), with 1 - q of a
+    # multiplicity step due at the next iteration in ``shrink`` (1 if none)
+    ratios = np.full((RETIRE_STEPS, len(idx)), np.nan)
+    moves = np.full((2, len(idx)), np.nan)
+    shrink = np.ones(len(idx))
 
     for _ in range(max_iter):
         if len(idx) == 0:
             break
         steps = _solve_batched(fd_jacobian(field, cur), -vecs)
-        before = vals.copy() if band is not None else None
-        # every open row of round r tries the step factor 0.5 ** r; an
-        # accepted row is updated in place, and an open row keeps the point
-        # and residual it had when the round began
-        accepted = np.zeros(len(idx), dtype=bool)
-        rows = np.arange(len(idx))
-        lam = 1.0
-        for _ in range(9):
-            if len(rows) == 0:
-                break
-            trial = cur[rows] + lam * steps[rows]
-            memb = field.member(trial)
-            if not memb.all():
-                rows, trial = rows[memb], trial[memb]
-            if len(rows):
-                tvec = field.grad(trial)
-                tval = np.linalg.norm(tvec, axis=1)
-                good = np.isfinite(tval) & (tval < vals[rows])
-                hit = rows[good]
-                cur[hit], vecs[hit], vals[hit] = trial[good], tvec[good], tval[good]
-                accepted[hit] = True
-            rows = np.flatnonzero(~accepted)
-            lam *= 0.5
+        steps /= shrink[:, None]
+        accelerated[idx[shrink != 1.0]] = True
+        shrink[:] = 1.0
+        before = vals.copy()
+        lam = _line_search(field, cur, vecs, vals, steps)
+        accepted = lam > 0
         active[idx[~accepted]] = False
         done = ~accepted | (vals <= num.newton_tol)
-        if band is not None:
-            ratios = np.concatenate([ratios[:, 1:], (vals / before)[:, None]], axis=1)
-            steady = ~done & (ratios.max(axis=1) <= (1 + RETIRE_SPREAD) * ratios.min(axis=1))
-            rows = np.flatnonzero(steady)
-            if len(rows):
-                rows = rows[singular_distance(cur[rows]) <= band]
-                retired[idx[rows]] = done[rows] = True
+        ratios[:-1] = ratios[1:]
+        ratios[-1] = vals / before
+        moves[0] = moves[1]
+        moves[1] = np.where(lam == 1.0, np.linalg.norm(steps, axis=1), np.nan)
+        hi = lo = ratios[0]
+        for r in ratios[1:]:
+            hi, lo = np.maximum(hi, r), np.minimum(lo, r)
+        rows = np.flatnonzero(~done & (hi <= (1 + RETIRE_SPREAD) * lo))
+        if len(rows) and band is not None:
+            near = singular_distance(cur[rows]) <= band
+            retired[idx[rows[near]]] = done[rows[near]] = True
+            rows = rows[~near]
+        q = moves[1, rows] / moves[0, rows]
+        tail = (vals[rows] < TAIL_RESIDUAL) & (ratios[-1, rows] > TAIL_RATIO) & (q < 1)
+        shrink[rows[tail]] = 1 - q[tail]
+        ratios[:, rows[tail]] = np.nan
         pts[idx[done]], fvals[idx[done]] = cur[done], vals[done]
         keep = ~done
         idx, cur, vecs, vals = idx[keep], cur[keep], vecs[keep], vals[keep]
-        if band is not None:
-            ratios = ratios[keep]
+        ratios, moves, shrink = ratios[:, keep], moves[:, keep], shrink[keep]
     pts[idx], fvals[idx] = cur, vals
 
     good = (fvals <= POLISH_TOL) & ~retired
     stats = {"seeds": len(pts), "converged": int(np.sum(good)),
              "stalled": int(np.sum(~active & ~good)),
              "retired": int(np.sum(retired)),
+             "accelerated": int(np.sum(accelerated)),
              "kept": np.nonzero(good)[0]}
     return pts[good], stats
+
+
+def _line_search(field, cur, vecs, vals, steps) -> np.ndarray:
+    """Damped Newton steps for a working set, in two member + grad calls.
+
+    Each row takes the first factor lam of 1, 1/2, ..., 1/256 whose point
+    cur + lam s is a domain member with a finite residual below the row's:
+    the first call tries every full step, the second all eight halvings of
+    the rows the first rejects at once.  A row's trials depend on its own
+    point, step and residual alone, so each row ends as a search of one
+    factor per round would leave it.  Accepted rows are updated in place;
+    returns lam per row, 0 where no factor was accepted.
+    """
+    lam = np.zeros(len(cur))
+    rows = np.arange(len(cur))
+    for factors in LINE_SEARCH:
+        trial = (cur[rows] + factors[:, None, None] * steps[rows]).reshape(-1, cur.shape[1])
+        memb = field.member(trial)
+        tvec, tval = np.empty_like(trial), np.full(len(trial), np.inf)
+        if memb.any():
+            vec = field.grad(trial[memb])
+            tvec[memb], tval[memb] = vec, np.linalg.norm(vec, axis=1)
+        # the first factor of each row that lowers its residual
+        better = tval.reshape(len(factors), -1) < vals[rows]
+        took = better.any(axis=0)
+        first = better.argmax(axis=0)[took]
+        at, hit = first * len(rows) + np.flatnonzero(took), rows[took]
+        cur[hit], vecs[hit], vals[hit], lam[hit] = trial[at], tvec[at], tval[at], factors[first]
+        rows = rows[~took]
+        if len(rows) == 0:
+            break
+    return lam
 
 
 def _cofactors(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -166,7 +166,8 @@ def _stratum_zero_pass(f: LocalGradientMap, stratum: Stratum, num: Numerics):
         for r in recs:
             ambient.append(stratum.to_ambient(np.array(r.point))[0])
     ambient = np.array(ambient) if ambient else np.empty((0, f.dim))
-    newton = {key: stats[key] for key in ("seeds", "converged", "stalled", "retired")}
+    newton = {key: stats[key] for key in ("seeds", "converged", "stalled", "retired",
+                                          "accelerated")}
     return fld, per_component, ambient, margin, newton
 
 
@@ -228,12 +229,13 @@ class Step:
     index (solved on each quotient orbit's representative, Weyl images of
     those on the other components), their ambient positions in component
     order, the compact margin of the zero pass and the seed, converged,
-    stalled and retired counts of its Newton batch, which runs on the
-    representatives only (``newton``; the trace leaves them out, so its
-    bytes depend on the records alone).  A retired row ran linearly onto
+    stalled, retired and accelerated counts of its Newton batch, which runs
+    on the representatives only (``newton``; the trace leaves them out, so
+    its bytes depend on the records alone).  A retired row ran linearly onto
     the singular set, within the compact margin: a zero of a larger orbit
     type, split off by an earlier step, that the margin filter would drop
-    anyway, so retiring it changes no record.
+    anyway, so retiring it changes no record.  An accelerated row ran
+    linearly onto a degenerate zero elsewhere and took a multiplicity step.
     Every step but the last carries the tube, its homotopy family and the
     split of the perturbed map; ``parts.off_stratum`` is the next step's
     ``f``.

@@ -257,12 +257,16 @@ def cells_contain_loop(cells, step, pts):
 def newton_row_loop(field, seed, tol, compact_margin=None, max_iter=80):
     """Damped Newton from one seed, alone: a step of factor 1, 1/2, ...,
     1/256 is taken when its point is a domain member with a smaller
-    residual, and the seed stalls when none is.  A field with
-    ``singular_distance`` retires the row, given the band
-    ``compact_margin``, once the ratios of new to old residual over its
-    last three steps lie within 1% of each other and its point lies within
-    the band of the singular set.  Returns the last point, its residual
-    (inf outside the domain) and whether the row retired."""
+    residual, one factor per round, and the seed stalls when none is.  The
+    row is steady once the ratios of new to old residual over its last
+    three steps lie within 1% of each other.  A field with
+    ``singular_distance`` retires a steady row, given the band
+    ``compact_margin``, when its point lies within the band of the singular
+    set.  Any other steady row with residual below 1e-4, last ratio above
+    0.2 and q < 1, q the ratio of its last two accepted displacements when
+    both were full steps, divides its next Newton step by 1 - q and starts
+    its ratios again.  Returns the last point, its residual (inf outside
+    the domain) and whether the row retired."""
     from egdeg.degree import fd_jacobian
     band = compact_margin if hasattr(field, "singular_distance") else None
     x = np.array(seed, dtype=float)[None]
@@ -270,11 +274,13 @@ def newton_row_loop(field, seed, tol, compact_margin=None, max_iter=80):
         return x[0], np.inf, False
     f = field.grad(x)
     val = np.linalg.norm(f, axis=1)[0]
-    ratios = []
+    ratios, moves, shrink = [], [], 1.0
     for _ in range(max_iter):
         if not np.isfinite(val) or val <= tol:
             break
         step = rowwise_newton_steps(fd_jacobian(field, x), -f)
+        if shrink != 1.0:
+            step, shrink = step / shrink, 1.0
         lam = 1.0
         for _ in range(9):
             trial = x + lam * step
@@ -283,15 +289,21 @@ def newton_row_loop(field, seed, tol, compact_margin=None, max_iter=80):
                 tv = np.linalg.norm(tf, axis=1)[0]
                 if np.isfinite(tv) and tv < val:
                     ratios.append(tv / val)
+                    moves.append(np.linalg.norm(step, axis=1)[0] if lam == 1.0
+                                 else np.nan)
                     x, f, val = trial, tf, tv
                     break
             lam *= 0.5
         else:
             break
-        if band is not None and val > tol and len(ratios) >= 3:
+        if val > tol and len(ratios) >= 3:
             last = ratios[-3:]
-            if max(last) <= 1.01 * min(last) and field.singular_distance(x)[0] <= band:
-                return x[0], val, True
+            if max(last) <= 1.01 * min(last):
+                if band is not None and field.singular_distance(x)[0] <= band:
+                    return x[0], val, True
+                q = moves[-1] / moves[-2]
+                if val < 1e-4 and last[-1] > 0.2 and q < 1:
+                    shrink, ratios = 1 - q, []
     return x[0], val, False
 
 

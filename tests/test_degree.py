@@ -21,6 +21,7 @@ from egdeg.factory import catalog
 from egdeg.params import POLISH_TOL, Numerics
 from egdeg.strata import build_stratum, iso_types
 from egdeg.theta import recursion
+from egdeg.verify import _random_confined
 
 NUM = Numerics(grid_h=0.15, bbox=3.0)
 
@@ -251,7 +252,10 @@ class TestBatchedHelpers:
     def test_newton_structure(self, dim, monkeypatch):
         # one cofactor solve per step, no LAPACK factorization; grad is
         # called once on the seeds, then per iteration once for the Jacobian
-        # of the open rows and once per line-search round
+        # of the open rows, once for their full steps and at most once more
+        # for all the halvings of the rows that step rejects: a full Newton
+        # step on arctan overshoots, and from 3 off the root it takes two
+        # halvings to lower the residual
         def refuse(*args, **kwargs):
             raise AssertionError("LAPACK factorization in a Newton step")
         monkeypatch.setattr(np.linalg, "det", refuse)
@@ -261,12 +265,13 @@ class TestBatchedHelpers:
 
         def grad(u):
             calls.append(("g", len(u)))
-            return u + 0.4 * u ** 3 - target      # Jacobian I + 1.2 diag(u^2)
+            return np.concatenate([np.arctan(u[:, :1] - target[0]),
+                                   u[:, 1:] - target[1:]], axis=1)
 
         def member(u):
             calls.append(("m", len(u)))
-            return np.all(np.abs(u) < 2.5, axis=1)
-        seeds = dg.BoxRegion([-2.0] * dim, [2.0] * dim, 0.5).seed_points()
+            return np.all(np.abs(u) < 1e6, axis=1)
+        seeds = dg.BoxRegion([-3.0] * dim, [3.0] * dim, 0.5).seed_points()
         pts, stats = dg.newton_zeros(dg.FieldAdapter(grad, dim, member), seeds, NUM)
         assert stats["converged"] == len(seeds) and stats["stalled"] == 0
         assert np.all(np.linalg.norm(grad(pts), axis=1) <= 1e-9)
@@ -274,7 +279,7 @@ class TestBatchedHelpers:
         for kind, rows in calls[:-1]:
             kinds += "J" if kind == "g" and prev != "m" else kind
             prev = kind
-        assert re.fullmatch(r"mg(J(mg)+)+", kinds)
+        assert re.fullmatch(r"mg(J(mg){1,2})+", kinds) and "Jmgmg" in kinds
         for i, (kind, rows) in enumerate(calls[2:-1], start=2):
             if kinds[i] == "J":
                 assert rows == 2 * dim * calls[i + 1][1]
@@ -293,6 +298,71 @@ class TestBatchedHelpers:
         assert stats["kept"].tolist() == kept and 0 < len(kept) < len(seeds)
         assert pts.tobytes() == np.array([want[i][0] for i in kept]).tobytes()
         assert stats["retired"] == 0 and not any(w[2] for w in want)
+
+    @staticmethod
+    def _assert_batch_equals_row_loop(fld, seeds):
+        # each row is the loop's, in the whole batch and in either half
+        pts, stats = dg.newton_zeros(fld, seeds, NUM)
+        want = [newton_row_loop(fld, s, NUM.newton_tol) for s in seeds]
+        kept = [i for i, (_, val, _) in enumerate(want) if val <= POLISH_TOL]
+        assert stats["kept"].tolist() == kept and kept
+        assert pts.tobytes() == np.array([want[i][0] for i in kept]).tobytes()
+        half = len(seeds) // 2
+        pa, sa = dg.newton_zeros(fld, seeds[:half], NUM)
+        pb, sb = dg.newton_zeros(fld, seeds[half:], NUM)
+        assert np.concatenate([pa, pb]).tobytes() == pts.tobytes()
+        for key in ("seeds", "converged", "stalled", "retired", "accelerated"):
+            assert stats[key] == sa[key] + sb[key]
+        return stats
+
+    def test_triple_root_takes_multiplicity_steps(self, monkeypatch):
+        # u0^3 has a triple root: plain Newton shrinks u0 by 2/3 a step and
+        # needs 19 steps from u0 = 0.8; the multiplicity step of factor
+        # 1 / (1 - 2/3) = 3 lands on the root
+        fld = dg.FieldAdapter(
+            lambda u: np.stack([u[:, 0] ** 3, u[:, 1] - 0.2, u[:, 2] + 0.1], axis=1), 3)
+        seeds = dg.BoxRegion([-1.0] * 3, [1.0] * 3, 0.4).seed_points()
+        stats = self._assert_batch_equals_row_loop(fld, seeds)
+        assert stats["converged"] == len(seeds) and stats["stalled"] == 0
+        assert stats["accelerated"] == np.sum(seeds[:, 0] != 0) > 0
+        jacobians = []
+        fd_jacobian = dg.fd_jacobian
+
+        def counted(field, pts):
+            jacobians.append(len(pts))
+            return fd_jacobian(field, pts)
+        monkeypatch.setattr(dg, "fd_jacobian", counted)
+        dg.newton_zeros(fld, seeds, NUM)
+        assert len(jacobians) <= 12
+
+    def test_multiplicity_step_loses_no_zero(self, monkeypatch):
+        # rows of this confined cubic end in crawls of damped steps at a
+        # steady residual ratio near 0.97; a multiplicity step there would
+        # lie beyond every halving the line search tries and stall the row
+        fld = dg.FieldAdapter(_random_confined(np.random.default_rng(427205), 3).grad, 3)
+        seeds = dg.BoxRegion([-2.0] * 3, [2.0] * 3, 0.25).seed_points()
+        stats = dg.newton_zeros(fld, seeds, NUM)[1]
+        monkeypatch.setattr(dg, "TAIL_RESIDUAL", 0.0)
+        plain = dg.newton_zeros(fld, seeds, NUM)[1]
+        assert stats["accelerated"] > 0 and plain["accelerated"] == 0
+        assert set(plain["kept"].tolist()) <= set(stats["kept"].tolist())
+        assert stats["stalled"] <= plain["stalled"]
+
+    def test_line_search_with_rejected_halvings(self):
+        # thin slabs cut out of the domain reject some halvings of a step
+        # and accept a later one
+        target = np.array([0.3, -0.2])
+        seen = []
+
+        def member(u):
+            ok = np.all(np.abs(u) < 1.6, axis=1) & (np.abs(np.sin(9 * u[:, 0])) > 0.3)
+            seen.append(int(np.sum(~ok)))
+            return ok
+        fld = dg.FieldAdapter(lambda u: u * u * u - u - target, 2, member)
+        seeds = dg.BoxRegion([-1.9] * 2, [1.9] * 2, 0.2).seed_points()
+        stats = dg.newton_zeros(fld, seeds, NUM)[1]
+        assert sum(seen[1:]) > 0 and stats["stalled"] > 0
+        self._assert_batch_equals_row_loop(fld, seeds)
 
     def test_stratum_newton_equals_row_loop(self):
         # the free stratum of the README D3 map: rows that run onto a mirror

@@ -493,6 +493,33 @@ class TestNewtonRetirement:
         assert sum(s.newton["retired"] for s in steps) > 0
 
 
+class TestNewtonMultiplicity:
+    """Rows that converge linearly onto degenerate zeros take a
+    multiplicity step, which cuts the field evaluations of a theta run."""
+
+    def test_b3_stack_grad_calls(self, monkeypatch):
+        # b3_stack's kept zeros at u = +-1/3 on its 1-d and 2-d strata are
+        # triple roots; the run made 233 grad calls without the step
+        calls, accelerated = [], []
+        grad, newton_zeros = mp.LocalGradientMap.grad, theta_mod.newton_zeros
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return grad(self, *args, **kwargs)
+
+        def recorded(*args, **kwargs):
+            out = newton_zeros(*args, **kwargs)
+            accelerated.append(out[1]["accelerated"])
+            return out
+        monkeypatch.setattr(mp.LocalGradientMap, "grad", counted)
+        monkeypatch.setattr(theta_mod, "newton_zeros", recorded)
+        g, om, f, num = _b3_bench()
+        vec, _ = theta(g, om, f, num, strata_cache=CACHE)
+        assert vec.origin_slot == 1 and vec.as_dict() == {}
+        assert len(calls) < 233
+        assert sum(accelerated) >= 1
+
+
 def _planar_case(n):
     def build():
         return (*_planar(n), NUM)
