@@ -23,7 +23,9 @@ of its zeros.  Three routes are implemented and cross-checked:
   triangulated solid-angle sum over all facets at once in dim 3.
   ``kronecker_degree`` takes it over an axis box; a degenerate cluster gets
   it over the cell union of an enclosure grown around the cluster inside
-  the component.
+  the component, one ring of axis neighbours per batch.  A cell set is one
+  sorted integer array, its rows found by ``strata.row_positions``, and a
+  facet set the four arrays ``(lo, hi, axis, side)``.
 * Tilt route: when the enclosure degree cannot be certified, shift the
   field by a small deterministic constant vector, recount the now
   nondegenerate zeros by the Morse route, and require two tilt directions
@@ -50,6 +52,8 @@ from .errors import (
     RefinementOverflow,
 )
 from .params import POLISH_TOL, Numerics
+from .strata import row_positions
+from .tubes import row_matmul
 
 FD_STEP = 1e-6
 DEGENERACY_RATIO = 1e-5   # sigma_min below this times scale means degenerate
@@ -69,11 +73,10 @@ LINE_SEARCH = (np.ones(1), 0.5 ** np.arange(1, 9))  # step factors of its two ca
 class FieldAdapter:
     """Wrap a plain callable (N,k)->(N,k) as a degree-computable field."""
 
-    def __init__(self, fn, dim: int, member=None, boundary_distance=None):
+    def __init__(self, fn, dim: int, member=None):
         self._fn = fn
         self.dim = dim
         self._member = member
-        self._bdist = boundary_distance
 
     def grad(self, pts: np.ndarray) -> np.ndarray:
         return self._fn(np.atleast_2d(np.asarray(pts, dtype=float)))
@@ -85,10 +88,7 @@ class FieldAdapter:
         return self._member(pts)
 
     def boundary_distance(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if self._bdist is None:
-            return np.full(len(pts), np.inf)
-        return self._bdist(pts)
+        return np.full(len(np.atleast_2d(pts)), np.inf)
 
 
 class TiltedField:
@@ -535,21 +535,21 @@ def kronecker_degree(field, lo, hi, margin_min: float = 1e-9) -> int:
     """Boundary degree of the field over an axis box, dims 1 to 3."""
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    facets = []
-    for axis in range(len(lo)):
-        for side in (-1, 1):
-            a, b = lo.copy(), hi.copy()
-            a[axis] = b[axis] = hi[axis] if side > 0 else lo[axis]
-            facets.append((a, b, axis, side))
-    return frontier_degree(field, facets, BOX_RESOLUTION, margin_min)
+    # facets by axis, then side -1 and 1
+    axes, sides = np.repeat(np.arange(len(lo)), 2), np.tile([-1, 1], len(lo))
+    a, b = np.tile(lo, (len(axes), 1)), np.tile(hi, (len(axes), 1))
+    rows = np.arange(len(axes))
+    a[rows, axes] = b[rows, axes] = np.where(sides > 0, hi[axes], lo[axes])
+    return frontier_degree(field, (a, b, axes, sides), BOX_RESOLUTION, margin_min)
 
 
 def frontier_degree(field, facets, resolution: dict, margin_min: float) -> int:
     """Degree of the field over a region bounded by oriented axis facets.
 
-    A facet ``(lo, hi, axis, side)`` is the axis-aligned box ``[lo, hi]``,
-    flat along ``axis``, with outward normal ``side * e_axis``.  In dim 1
-    the degree is the sum of ``side * sign(f) / 2`` over the facet points.
+    The facets are the parallel arrays ``(lo, hi, axis, side)``: facet i is
+    the box ``[lo[i], hi[i]]``, flat along ``axis[i]``, with outward normal
+    ``side[i] e_axis[i]``.  In dim 1 the degree is the sum of
+    ``side * sign(f) / 2`` over the facet points.
     In dim 2 each facet is sampled at n + 1 points as a counterclockwise
     polyline, and each round halves every sample interval whose wrapped
     field angle step is pi/4 or more, with the midpoints of all facets in
@@ -562,7 +562,8 @@ def frontier_degree(field, facets, resolution: dict, margin_min: float) -> int:
     MarginTooSmall when the field comes within ``margin_min`` of zero on a
     sample and RefinementOverflow when the rounds run out.
     """
-    dim = len(facets[0][0])
+    lo, hi, axes, sides = facets
+    dim = lo.shape[1]
     if dim > 3:
         raise DimensionUnsupported(
             f"boundary degree implemented for dim <= 3, got {dim}")
@@ -575,16 +576,12 @@ def frontier_degree(field, facets, resolution: dict, margin_min: float) -> int:
         return vals.reshape(pts.shape)
 
     if dim == 1:
-        vals = sample(np.array([lo for lo, _, _, _ in facets]))[:, 0]
-        sides = np.array([side for _, _, _, side in facets])
-        return int(np.sum(sides * np.sign(vals))) // 2
+        return int(np.sum(sides * np.sign(sample(lo)[:, 0]))) // 2
     n, rounds = resolution[dim]
     if dim == 2:
         # counterclockwise travel: +e_1 on the +e_0 facet, -e_0 on the +e_1 facet
-        starts = np.array([lo if (side > 0) == (axis == 0) else hi
-                           for lo, hi, axis, side in facets])
-        ends = np.array([hi if (side > 0) == (axis == 0) else lo
-                         for lo, hi, axis, side in facets])
+        ccw = ((sides > 0) == (axes == 0))[:, None]
+        starts, ends = np.where(ccw, lo, hi), np.where(ccw, hi, lo)
 
         def angles(facet, t):
             vals = sample(starts[facet] + t[:, None] * (ends - starts)[facet])
@@ -593,7 +590,7 @@ def frontier_degree(field, facets, resolution: dict, margin_min: float) -> int:
         # sample intervals [t0, t1] of the facets, with the field angle at
         # both ends; a bad interval is halved at its midpoint, which lies on
         # the grid of the next doubling
-        count = len(facets)
+        count = len(axes)
         ts = np.linspace(0.0, 1.0, n + 1)
         ang = angles(np.repeat(np.arange(count), n + 1),
                      np.tile(ts, count)).reshape(count, n + 1)
@@ -615,10 +612,6 @@ def frontier_degree(field, facets, resolution: dict, margin_min: float) -> int:
             if len(facet) == 0:
                 return int(round(total / (2 * np.pi)))
         raise RefinementOverflow("winding number did not stabilize")
-    lo = np.array([f[0] for f in facets])
-    hi = np.array([f[1] for f in facets])
-    axes = np.array([f[2] for f in facets])
-    sides = np.array([f[3] for f in facets])
     # vertex (i, j) of a facet has sample i on the first of its other two
     # axes (u) and sample j on the second (v); the flat axis is constant.
     # e_u x e_v is -e_1 on axis 1, so swapping p10 and p01 on the facets in
@@ -697,11 +690,12 @@ class _Enclosure:
     thin clearance band blocks breadth-first growth from crossing removed
     walls while keeping the frontier much closer to the holes than the
     conservative component grid, so zero sets that hug a hole stay strictly
-    interior.
+    interior.  The cells are one integer array in lexicographic order; each
+    ring of growth is the last ring's axis neighbours that are not cells
+    yet, checked in one batch.
     """
 
-    def __init__(self, region, field, cluster_pts: np.ndarray,
-                 subdiv: int = 2,
+    def __init__(self, region, field, cluster_pts: np.ndarray, subdiv: int = 2,
                  exclude_pts: np.ndarray | None = None):
         self.region = region
         self.field = field
@@ -709,66 +703,37 @@ class _Enclosure:
         self.dim = region.dim
         self._exclude = (np.atleast_2d(exclude_pts)
                          if exclude_pts is not None and len(exclude_pts) else None)
-        lo, hi = region.bounding_box()
-        self._lo, self._hi = lo, hi
-        seeds = {self._cell_of(p) for p in np.atleast_2d(cluster_pts)}
-        seeds = {c for c in seeds if self._valid_batch(np.array([c]))[0]}
-        cells = set(seeds)
-        steps = max(1, int(np.ceil(ENCLOSURE_DILATION * region.h / self.step)))
-        frontier = set(cells)
-        for _ in range(steps):
-            candidates = set()
-            for cell in frontier:
-                for axis in range(self.dim):
-                    for sv in (-1, 1):
-                        nb = list(cell)
-                        nb[axis] += sv
-                        nb = tuple(nb)
-                        if nb not in cells:
-                            candidates.add(nb)
-            if not candidates:
-                break
-            cand = sorted(candidates)
-            ok = self._valid_batch(np.array(cand))
-            frontier = {c for c, good in zip(cand, ok) if good}
-            cells |= frontier
-        self.cells = cells
-        self._cell_rows = np.array(sorted(cells), dtype=int).reshape(-1, self.dim)
+        self._lo, self._hi = region.bounding_box()
+        ring = unique_rows(np.floor(cluster_pts / self.step).astype(int))
+        self.cells = ring = ring[self._valid(ring)]
+        for _ in range(max(1, int(np.ceil(ENCLOSURE_DILATION * region.h / self.step)))):
+            ring = unique_rows(_neighbours(ring).reshape(-1, self.dim))
+            ring = ring[row_positions(ring, self.cells) < 0]
+            ring = ring[self._valid(ring)]
+            self.cells = unique_rows(np.concatenate([self.cells, ring]))
 
-    def _cell_of(self, p) -> tuple[int, ...]:
-        return tuple(int(c) for c in np.floor(np.asarray(p, dtype=float) / self.step))
-
-    def _center(self, cells_arr: np.ndarray) -> np.ndarray:
-        return (cells_arr + 0.5) * self.step
-
-    def _valid_batch(self, cells_arr: np.ndarray) -> np.ndarray:
-        centers = self._center(np.asarray(cells_arr, dtype=float))
+    def _valid(self, cells: np.ndarray) -> np.ndarray:
+        centers = (cells + 0.5) * self.step
         ok = np.all((centers > self._lo) & (centers < self._hi), axis=1)
         if self._exclude is not None and np.any(ok):
             diffs = centers[:, None, :] - self._exclude[None, :, :]
-            near = np.min(np.linalg.norm(diffs, axis=2), axis=1) <= 0.75 * self.step
-            ok &= ~near
+            ok &= np.min(np.linalg.norm(diffs, axis=2), axis=1) > 0.75 * self.step
         if np.any(ok):
             ok[ok] = self.field.member(centers[ok])
         singular = getattr(getattr(self.region, "stratum", None), "singular", None)
         if singular is not None and np.any(ok):
             # 0.75 step exceeds the half-diagonal, so subspaces through cell
             # corners still punch a hole, and walls always block adjacency
-            ambient = centers[ok] @ self.region.stratum.basis.T
-            ok[ok.nonzero()[0]] = (singular.min_distance(ambient) > 0.75 * self.step)
+            ambient = row_matmul(centers[ok], self.region.stratum.basis.T)
+            ok[ok] = singular.min_distance(ambient) > 0.75 * self.step
         return ok
 
-    @property
-    def empty(self) -> bool:
-        return not self.cells
-
     def centers(self) -> np.ndarray:
-        arr = np.array(sorted(self.cells), dtype=float)
-        return self._center(arr)
+        return (self.cells + 0.5) * self.step
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
         cells = np.floor(np.atleast_2d(pts) / self.step).astype(int)
-        return _rows_in(cells, self._cell_rows)
+        return row_positions(cells, self.cells) >= 0
 
     def ring_points(self) -> np.ndarray:
         """Frontier cell centers plus the midpoint of each frontier facet.
@@ -777,53 +742,44 @@ class _Enclosure:
         taking the margin minimum.
         """
         centers, axes, sides = _cell_frontier(self.cells, self.step)
-        if len(axes) == 0:
-            return np.empty((0, self.dim))
         probes = centers.copy()
         probes[np.arange(len(axes)), axes] += sides * self.step / 2
         pts = np.stack([centers, probes], axis=1).reshape(-1, self.dim)
-        return np.unique(np.round(pts, 12), axis=0)
+        return unique_rows(np.round(pts, 12))
 
 
-def _rows_in(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Whether each integer row is a row of the table, whose rows are
-    distinct and in lexicographic order."""
-    out = np.zeros(len(rows), dtype=bool)
-    if len(table) == 0 or len(rows) == 0:
-        return out
-    lo = table.min(axis=0)
-    span = table.max(axis=0) - lo + 1
-    inside = np.all((rows >= lo) & (rows < lo + span), axis=1)
-    # row-major keys of lexicographically sorted rows are sorted
-    keys = np.ravel_multi_index(tuple((table - lo).T), span)
-    query = np.ravel_multi_index(tuple((rows[inside] - lo).T), span)
-    at = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
-    out[inside] = keys[at] == query
-    return out
+def unique_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of an (n, k) array in lexicographic order, by a
+    lexsort: a plain ``np.unique`` would import ``numpy.ma``."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    return rows[keep]
 
 
-def _cell_frontier(cells: set, step: float):
-    """Frontier of a union of grid cells of the given step: the cell center,
-    axis and side of every cell face not shared with a cell, ordered by
-    sorted cell, then axis, then side."""
-    arr = np.array(sorted(cells), dtype=int)
-    if len(arr) == 0:
-        return np.empty((0, 0)), np.empty(0, dtype=int), np.empty(0, dtype=int)
-    n, dim = arr.shape
-    # shifts[axis, s] moves a cell by side (-1, then 1) along axis
+def _neighbours(cells: np.ndarray) -> np.ndarray:
+    """The (n, k, 2, k) axis neighbours of n cells: by axis, then side -1, 1."""
+    dim = cells.shape[1]
     shifts = np.eye(dim, dtype=int)[:, None, :] * np.array([-1, 1])[None, :, None]
-    neighbours = (arr[:, None, None, :] + shifts).reshape(-1, dim)
-    cell, axis, side = np.nonzero(~_rows_in(neighbours, arr).reshape(n, dim, 2))
-    return (arr[cell] + 0.5) * step, axis, 2 * side - 1
+    return cells[:, None, None, :] + shifts
 
 
-def cell_facets(cells: set, step: float) -> list:
-    """Oriented frontier facets ``(lo, hi, axis, side)`` of a cell union."""
+def _cell_frontier(cells: np.ndarray, step: float):
+    """Frontier of a union of grid cells of the given step: the cell center,
+    axis and side of every face not shared with a cell, in cell, axis, side order."""
+    n, dim = cells.shape
+    outside = row_positions(_neighbours(cells).reshape(-1, dim), cells) < 0
+    cell, axis, side = np.nonzero(outside.reshape(n, dim, 2))
+    return (cells[cell] + 0.5) * step, axis, 2 * side - 1
+
+
+def cell_facets(cells: np.ndarray, step: float):
+    """Oriented frontier facet arrays ``(lo, hi, axis, side)`` of a cell union."""
     centers, axes, sides = _cell_frontier(cells, step)
     lo, hi = centers - step / 2, centers + step / 2
     rows = np.arange(len(axes))
     lo[rows, axes] = hi[rows, axes] = centers[rows, axes] + sides * step / 2
-    return list(zip(lo, hi, axes.tolist(), sides.tolist()))
+    return lo, hi, axes, sides
 
 
 def _enclosure_tilt(field, region, enclosure: _Enclosure,
@@ -903,7 +859,7 @@ def intersection_number(field, region, num: Numerics,
         for subdiv in (2, 4) if region.dim <= 2 else (2,):
             enclosure = _Enclosure(region, field, cluster_pts, subdiv=subdiv,
                                    exclude_pts=other)
-            if enclosure.empty or np.any(~enclosure.contains(cluster_pts)):
+            if not enclosure.contains(cluster_pts).all():
                 continue
             last_enclosure = enclosure
             try:

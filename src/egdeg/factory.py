@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .degree import newton_zeros
 from .domains import (
     Balls,
     DomainExpr,
@@ -120,11 +121,9 @@ def restrict_off(f: LocalGradientMap, centers, radius: float,
             raise ZeroOnY(f"field magnitude {np.min(mags):.2e} inside the removed set")
         # walk a few damped Newton steps from the removed centers: a zero
         # hiding strictly inside the set is then detected by proximity
-        from .degree import FieldAdapter, newton_zeros
-        ambient = FieldAdapter(f.grad, f.dim, f.member, f.domain.boundary_distance)
-        adapter_pts, _ = newton_zeros(ambient, samples[inside],
-                                      Numerics(newton_tol=1e-10), max_iter=30)
-        if len(adapter_pts) and np.any(removed.contains(adapter_pts)):
+        zeros, _ = newton_zeros(f, samples[inside], Numerics(newton_tol=1e-10),
+                                max_iter=30)
+        if len(zeros) and np.any(removed.contains(zeros)):
             raise ZeroOnY("removed set covers a zero of the field")
     for hint in f.seed_hints:
         if removed.contains(np.array([hint]))[0]:

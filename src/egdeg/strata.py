@@ -12,7 +12,6 @@ label.
 """
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -92,8 +91,7 @@ def _grid(k: int, h: float, bbox: float) -> tuple[np.ndarray, np.ndarray]:
     """The cells of the stratum grid, as an (m, k) int array in lexicographic
     order, and their centers in stratum coordinates."""
     n = max(1, int(round(bbox / h)))
-    cells = np.array(list(itertools.product(range(-n, n), repeat=k)),
-                     dtype=int).reshape(-1, k)
+    cells = np.stack(np.indices((2 * n,) * k).reshape(k, -1), axis=1) - n
     return cells, (cells + 0.5) * h
 
 
@@ -110,7 +108,7 @@ def _grid_witness(omega, basis, sing, h, bbox):
 class StratumComponent:
     index: int
     label: tuple[int, ...]
-    cells: list[tuple[int, ...]]
+    cells: np.ndarray              # (n_cells, k) int, lexicographic order
     centers: np.ndarray            # (n_cells, k) stratum coordinates
 
     @property
@@ -130,14 +128,15 @@ class Stratum:
     """Grid model of one positive-dimensional stratum and its quotient."""
 
     def __init__(self, group: FiniteGroupRep, class_id: int, basis: np.ndarray,
-                 h: float, bbox: float, cells: dict, components: list,
-                 weyl_perm: dict, orbits: list):
+                 h: float, bbox: float, cells: np.ndarray, cell_components:
+                 np.ndarray, components: list, weyl_perm: dict, orbits: list):
         self.group = group
         self.class_id = class_id
         self.basis = basis
         self.h = h
         self.bbox = bbox
-        self.cells = cells                       # cell tuple -> component index
+        self.cells = cells                       # kept cells, lexicographic order
+        self.cell_components = cell_components   # component index per kept cell
         self.components = components
         self.weyl_perm = weyl_perm               # coset rep -> list[int]
         self.quotient_orbits = orbits
@@ -185,27 +184,42 @@ class Stratum:
 
     def components_of(self, coords: np.ndarray) -> np.ndarray:
         """Component of each point's nearest kept cell within h, -1 if none."""
-        return nearest_components(coords, self.cells, self.h, self.h)
+        return nearest_components(coords, self.cells, self.cell_components,
+                                  self.h, self.h)
 
 
-def nearest_components(coords, comp_of: dict, h: float, radius: float) -> np.ndarray:
-    """Component of each point's nearest kept cell within the radius, or -1.
+def row_positions(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Position of each integer row in the table, whose rows are distinct
+    and in lexicographic order, or -1 where it is not a row of the table."""
+    out = np.full(len(rows), -1)
+    if len(table) == 0:
+        return out
+    lo = table.min(axis=0)
+    span = table.max(axis=0) - lo + 1
+    inside = np.all((rows >= lo) & (rows < lo + span), axis=1)
+    # row-major keys of lexicographically sorted rows are sorted
+    keys = np.ravel_multi_index(tuple((table - lo).T), span)
+    query = np.ravel_multi_index(tuple((rows[inside] - lo).T), span)
+    at = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+    out[inside] = np.where(keys[at] == query, at, -1)
+    return out
 
-    Of the 4^k cells around a point, in ``itertools.product`` order of their
-    offsets, the first strictly nearest wins.  A per-row matmul takes each
-    distance, rounded as the norm of a single vector is."""
+
+def nearest_components(coords, cells: np.ndarray, cell_components: np.ndarray,
+                       h: float, radius: float) -> np.ndarray:
+    """Component of each point's nearest kept cell (sorted ``cells``, with
+    their ``cell_components``) within the radius, or -1.
+
+    Of the 4^k cells around a point, in lexicographic order of their offsets
+    in {-1, 0, 1, 2}^k, the first strictly nearest wins.  A per-row matmul
+    takes each distance, rounded as the norm of a single vector is."""
     u = np.atleast_2d(np.asarray(coords, dtype=float))
     n, k = u.shape
-    offsets = np.array(list(itertools.product((-1, 0, 1, 2), repeat=k)))
-    cells = np.floor(u / h - 0.5).astype(int)[:, None, :] + offsets
-    # look the candidates up in a dense array over the kept cells' bounding box
-    kept = np.array(list(comp_of), dtype=int).reshape(-1, k)
-    lo = kept.min(axis=0)
-    grid = np.full(kept.max(axis=0) - lo + 1, -1)
-    grid[tuple((kept - lo).T)] = list(comp_of.values())
-    at = np.clip(cells - lo, 0, np.array(grid.shape) - 1)
-    comp = np.where(np.all(at == cells - lo, axis=-1), grid[tuple(at.T)].T, -1)
-    d = (cells + 0.5) * h - u[:, None, :]
+    offsets = np.stack(np.indices((4,) * k).reshape(k, -1), axis=1) - 1
+    near = np.floor(u / h - 0.5).astype(int)[:, None, :] + offsets
+    at = row_positions(near.reshape(-1, k), cells).reshape(n, len(offsets))
+    comp = np.where(at >= 0, cell_components[at], -1)
+    d = (near + 0.5) * h - u[:, None, :]
     dist = np.sqrt(d[..., None, :] @ d[..., None])[..., 0, 0]
     dist[comp < 0] = np.inf
     best = np.arange(n), np.argmin(dist, axis=1)
@@ -249,12 +263,9 @@ def build_stratum(group: FiniteGroupRep, omega: DomainExpr, class_id: int,
                                   return_inverse=True)
     heads = np.sort(first)
     comp_idx = np.argsort(np.argsort(first))[inverse.reshape(-1)]
-    cells = list(map(tuple, cell_arr.tolist()))
-    components = []
-    for c in range(len(heads)):
-        rows = np.nonzero(comp_idx == c)[0]
-        components.append(StratumComponent(c, cells[rows[0]],
-                                           [cells[i] for i in rows], coords[rows]))
+    components = [StratumComponent(c, tuple(cell_arr[head].tolist()),
+                                   cell_arr[comp_idx == c], coords[comp_idx == c])
+                  for c, head in enumerate(heads)]
 
     key_of = {key.tobytes(): c for c, key in enumerate(keys[heads])}
     weyl_perm: dict[int, list[int]] = {}
@@ -267,9 +278,8 @@ def build_stratum(group: FiniteGroupRep, omega: DomainExpr, class_id: int,
                 f" lies in a chamber with no kept cell at h = {h}; refine h")
         weyl_perm[w] = perm
     orbits = _quotient_orbits(rec, components, weyl_perm)
-    comp_of = dict(zip(cells, comp_idx.tolist()))
-    return Stratum(group, class_id, basis, h, bbox, comp_of, components,
-                   weyl_perm, orbits)
+    return Stratum(group, class_id, basis, h, bbox, cell_arr, comp_idx,
+                   components, weyl_perm, orbits)
 
 
 def cached_stratum(cache: dict | None, group: FiniteGroupRep, omega: DomainExpr,

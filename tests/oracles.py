@@ -210,29 +210,53 @@ def rowwise_newton_steps(jac, rhs):
     return steps
 
 
+def cell_set(cells):
+    """The rows of an (n, k) integer cell array as a set of tuples."""
+    return set(map(tuple, np.asarray(cells).tolist()))
+
+
 def cell_frontier_loop(cells, step):
     """(cell center, axis, side) of every face of a cell union not shared
     with a cell: one set lookup per face, in sorted cell, axis, side order."""
+    kept = cell_set(cells)
     out = []
-    for cell in sorted(cells):
+    for cell in sorted(kept):
         center = (np.array(cell, dtype=float) + 0.5) * step
         for axis in range(len(cell)):
             for side in (-1, 1):
                 nb = list(cell)
                 nb[axis] += side
-                if tuple(nb) not in cells:
+                if tuple(nb) not in kept:
                     out.append((center, axis, side))
     return out
 
 
 def cell_facets_loop(cells, step):
-    """Oriented frontier facets (lo, hi, axis, side), one face at a time."""
-    out = []
+    """Oriented frontier facets, one face at a time, stacked into the
+    arrays (lo, hi, axis, side)."""
+    dim = np.shape(cells)[1]
+    lo, hi, axes, sides = [], [], [], []
     for center, axis, side in cell_frontier_loop(cells, step):
-        lo, hi = center - step / 2, center + step / 2
-        lo[axis] = hi[axis] = center[axis] + side * step / 2
-        out.append((lo, hi, axis, side))
-    return out
+        a, b = center - step / 2, center + step / 2
+        a[axis] = b[axis] = center[axis] + side * step / 2
+        lo.append(a)
+        hi.append(b)
+        axes.append(axis)
+        sides.append(side)
+    return (np.array(lo).reshape(-1, dim), np.array(hi).reshape(-1, dim),
+            np.array(axes, dtype=int), np.array(sides, dtype=int))
+
+
+def box_facets_loop(lo, hi):
+    """The 2k oriented facets of an axis box, by axis, then side -1 and 1,
+    stacked into the arrays (lo, hi, axis, side)."""
+    out = []
+    for axis in range(len(lo)):
+        for side in (-1, 1):
+            a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
+            a[axis] = b[axis] = hi[axis] if side > 0 else lo[axis]
+            out.append((a, b, axis, side))
+    return tuple(np.array(col) for col in zip(*out))
 
 
 def ring_points_loop(cells, step, dim):
@@ -250,8 +274,58 @@ def ring_points_loop(cells, step, dim):
 
 def cells_contain_loop(cells, step, pts):
     """Whether the grid cell of each point is one of the cells."""
-    return np.array([tuple(int(c) for c in np.floor(p / step)) in cells
+    kept = cell_set(cells)
+    return np.array([tuple(int(c) for c in np.floor(p / step)) in kept
                      for p in np.atleast_2d(pts)], dtype=bool)
+
+
+def enclosure_cell_valid(region, field, cell, step, exclude):
+    """Whether one enclosure subcell is admissible, checked alone: its
+    center inside the region's box, farther than 0.75 step from every
+    excluded point, a domain member and, on a stratum, farther than 0.75
+    step from the singular set."""
+    from egdeg.tubes import row_matmul
+    center = (np.array(cell, dtype=float) + 0.5) * step
+    lo, hi = region.bounding_box()
+    if not np.all((center > lo) & (center < hi)):
+        return False
+    if exclude is not None and \
+            np.min(np.linalg.norm(center - exclude, axis=1)) <= 0.75 * step:
+        return False
+    if not field.member(center[None])[0]:
+        return False
+    stratum = getattr(region, "stratum", None)
+    if stratum is None or stratum.singular is None:
+        return True
+    ambient = row_matmul(center[None], stratum.basis.T)
+    return bool(stratum.singular.min_distance(ambient)[0] > 0.75 * step)
+
+
+def enclosure_cells_loop(region, field, cluster_pts, subdiv=2, exclude_pts=None):
+    """Enclosure growth over a set of cell tuples: the admissible cells of
+    the cluster points, then breadth-first rings of axis neighbours not yet
+    in the set, each admissible one added, for ceil(2.5 h / step) rings.
+    Returns the cells sorted."""
+    step = region.h / subdiv
+    exclude = (np.atleast_2d(exclude_pts)
+               if exclude_pts is not None and len(exclude_pts) else None)
+
+    def valid(cell):
+        return enclosure_cell_valid(region, field, cell, step, exclude)
+    seeds = {tuple(int(c) for c in np.floor(p / step)) for p in cluster_pts}
+    cells = {c for c in seeds if valid(c)}
+    frontier = set(cells)
+    for _ in range(max(1, math.ceil(2.5 * region.h / step))):
+        candidates = set()
+        for cell in frontier:
+            for axis in range(len(cell)):
+                for side in (-1, 1):
+                    nb = cell[:axis] + (cell[axis] + side,) + cell[axis + 1:]
+                    if nb not in cells:
+                        candidates.add(nb)
+        frontier = {c for c in candidates if valid(c)}
+        cells |= frontier
+    return sorted(cells)
 
 
 def newton_row_loop(field, seed, tol, compact_margin=None, max_iter=80):
@@ -331,9 +405,12 @@ def linkage_clusters(points, radius):
     return [buckets[k] for k in sorted(buckets)]
 
 
-def nearest_component(u, comp_of, h, radius):
+def nearest_component(u, cells, cell_components, h, radius):
     """Component of the nearest kept cell among the 4^k around one point, or
-    None; the first strictly nearest cell in offset order wins."""
+    None; the first strictly nearest cell in offset order wins.  The kept
+    cells are looked up in a dict from cell tuple to component."""
+    comp_of = dict(zip(map(tuple, np.asarray(cells).tolist()),
+                       np.asarray(cell_components).tolist()))
     base = np.floor(u / h - 0.5).astype(int)
     best, best_d = None, np.inf
     for off in itertools.product((-1, 0, 1, 2), repeat=len(u)):
@@ -368,9 +445,10 @@ def eval_terms(terms, pts):
 
 
 def flood_fill_components(kept_cells):
-    """Components of a set of grid cells under axis adjacency, each a sorted
-    cell list, ordered by their minimal cell."""
-    kept = set(kept_cells)
+    """Components of an (n, k) array of grid cells under axis adjacency,
+    each a lexicographically sorted cell array, ordered by their minimal
+    cell."""
+    kept = cell_set(kept_cells)
     seen, buckets = set(), []
     for cell in sorted(kept):
         if cell in seen:
@@ -387,7 +465,7 @@ def flood_fill_components(kept_cells):
                         bucket.append(nb)
                         queue.append(nb)
         buckets.append(sorted(bucket))
-    return sorted(buckets)
+    return [np.array(b, dtype=int) for b in sorted(buckets)]
 
 
 def orbit_closure_loop(group, points):

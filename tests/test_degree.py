@@ -5,10 +5,10 @@ import re
 import numpy as np
 import pytest
 
-from oracles import (axis_fd_jacobian, cell_facets_loop, cells_contain_loop,
-                     circle_winding, greedy_dedupe, linkage_clusters,
-                     newton_row_loop, quotient_orbit_count, ring_points_loop,
-                     rowwise_newton_steps)
+from oracles import (axis_fd_jacobian, box_facets_loop, cell_facets_loop,
+                     cells_contain_loop, circle_winding, enclosure_cells_loop,
+                     greedy_dedupe, linkage_clusters, newton_row_loop,
+                     quotient_orbit_count, ring_points_loop, rowwise_newton_steps)
 
 from egdeg import degree as dg
 from egdeg import domains as dm
@@ -187,14 +187,24 @@ class TestBatchedHelpers:
     def test_cell_facets_equal_face_loop(self, dim):
         rng = np.random.default_rng(11 + dim)
         for step in (0.5, 0.125, 1 / 3):
-            cells = {c for c in block(-3, 4, dim) if rng.random() < 0.6}
+            cells = cell_array({c for c in block(-3, 4, dim) if rng.random() < 0.6})
             got, want = dg.cell_facets(cells, step), cell_facets_loop(cells, step)
-            assert len(got) == len(want) > 0
-            for (lo, hi, axis, side), (wlo, whi, waxis, wside) in zip(got, want):
-                assert (lo.tobytes(), hi.tobytes(), axis, side) == \
-                    (wlo.tobytes(), whi.tobytes(), waxis, wside)
-                assert type(axis) is int and type(side) is int
-        assert dg.cell_facets(set(), 0.5) == []
+            assert len(got[0]) > 0
+            assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+        empty = dg.cell_facets(np.empty((0, dim), dtype=int), 0.5)
+        assert [x.shape for x in empty] == [(0, dim), (0, dim), (0,), (0,)]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_box_facets_equal_face_loop(self, dim, monkeypatch):
+        seen = []
+        monkeypatch.setattr(dg, "frontier_degree",
+                            lambda field, facets, *args: seen.append(facets) or 0)
+        rng = np.random.default_rng(20 + dim)
+        lo, hi = rng.uniform(-2, -0.5, size=dim), rng.uniform(0.5, 2, size=dim)
+        dg.kronecker_degree(None, lo, hi)
+        want = box_facets_loop(lo, hi)
+        assert [x.tobytes() for x in seen[0]] == [x.tobytes() for x in want]
+        assert [x.shape for x in seen[0]] == [(2 * dim, dim)] * 2 + [(2 * dim,)] * 2
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_enclosure_queries_equal_cell_loops(self, dim):
@@ -202,13 +212,43 @@ class TestBatchedHelpers:
         fld = dg.FieldAdapter(lambda u: u, dim,
                               member=lambda u: np.linalg.norm(u, axis=1) > 0.3)
         region = dg.BoxRegion([-1.0] * dim, [1.0] * dim, 0.2)
-        enc = dg._Enclosure(region, fld, rng.uniform(-0.8, 0.8, size=(3, dim)))
-        assert not enc.empty
-        pts = rng.uniform(-1.5, 1.5, size=(500, dim))
-        assert np.array_equal(enc.contains(pts),
-                              cells_contain_loop(enc.cells, enc.step, pts))
-        assert enc.ring_points().tobytes() == \
-            ring_points_loop(enc.cells, enc.step, dim).tobytes()
+        cluster = rng.uniform(-0.8, 0.8, size=(3, dim))
+        for subdiv in (2, 4):
+            for exclude in (None, rng.uniform(-0.8, 0.8, size=(4, dim))):
+                enc = dg._Enclosure(region, fld, cluster, subdiv, exclude)
+                assert len(enc.cells)
+                assert enc.cells.tolist() == [list(c) for c in enclosure_cells_loop(
+                    region, fld, cluster, subdiv, exclude)]
+                pts = rng.uniform(-1.5, 1.5, size=(500, dim))
+                assert np.array_equal(enc.contains(pts),
+                                      cells_contain_loop(enc.cells, enc.step, pts))
+                assert enc.ring_points().tobytes() == \
+                    ring_points_loop(enc.cells, enc.step, dim).tobytes()
+
+    def test_stratum_enclosure_equals_cell_loop(self):
+        # the README D3 map's degenerate circle on its free stratum: the
+        # enclosure grows inside a wedge between mirrors, up to the band
+        # where the clearance from the singular set rejects cells
+        g, om = gr.dihedral(3), dm.punctured_space()
+        phi = pt.PolynomialPotential.from_expression(
+            "(x1^2 + x2^2)^2 - x1^2 - x2^2", 2)
+        num = Numerics(grid_h=0.1, bbox=2.0)
+        step = [s for s in recursion(g, om, mp.make_map(g, dm.MapDomain(om, 2.0), phi),
+                                     num) if s.label == "(e)"][0]
+        rep = step.stratum.representative_component("q0")
+        region = dg.GridRegion(step.stratum, rep)
+        cluster = np.array([r.point for r in step.zeros[rep.index] if r.degenerate])
+        assert len(cluster) > 1
+        for subdiv in (2, 4):
+            for exclude in (None, cluster[::3] + 0.02):
+                enc = dg._Enclosure(region, step.restricted, cluster, subdiv, exclude)
+                want = enclosure_cells_loop(region, step.restricted, cluster,
+                                            subdiv, exclude)
+                assert enc.cells.tolist() == [list(c) for c in want] != []
+                # it reaches that band
+                walls = step.stratum.singular.min_distance(
+                    step.stratum.to_ambient(enc.centers()))
+                assert walls.min() <= 1.5 * enc.step
 
     def test_fd_jacobian_makes_one_grad_call(self):
         rows = []
@@ -446,6 +486,11 @@ def block(lo, hi, dim):
     return set(itertools.product(range(lo, hi), repeat=dim))
 
 
+def cell_array(cells):
+    """A set of cell tuples as the lexicographically sorted cell array."""
+    return np.array(sorted(cells), dtype=int)
+
+
 def two_root_field(a, b):
     """A field with two simple zeros a, b, each of degree +1.
 
@@ -467,7 +512,7 @@ def two_root_field(a, b):
 
 
 def cell_union_degree(fld, cells, step=0.5):
-    return dg.frontier_degree(fld, dg.cell_facets(cells, step),
+    return dg.frontier_degree(fld, dg.cell_facets(cell_array(cells), step),
                               dg.ENCLOSURE_RESOLUTION, 1e-12)
 
 
@@ -548,12 +593,17 @@ class TestFrontierDegree:
         # to a whole number at the first round; a box whose top face is cut
         # in quarters leaves cracks along that face, and zeros just under it
         # take a second round
-        unit = dg.cell_facets(block(0, 1, 3), 1.0)
-        top = [f for f in dg.cell_facets(block(0, 2, 3), 0.5)
-               if (f[2], f[3]) == (2, 1)]
-        quartered = [f for f in unit if (f[2], f[3]) != (2, 1)] + top
-        l_shape = dg.cell_facets({c for c in block(0, 3, 3)
-                                  if sum(map(bool, c)) <= 1}, 0.5)
+        def select(facets, keep):
+            return tuple(x[keep] for x in facets)
+
+        def top_face(facets):
+            return (facets[2] == 2) & (facets[3] == 1)
+        unit = dg.cell_facets(cell_array(block(0, 1, 3)), 1.0)
+        top = dg.cell_facets(cell_array(block(0, 2, 3)), 0.5)
+        quartered = tuple(np.concatenate([a, b]) for a, b in zip(
+            select(unit, ~top_face(unit)), select(top, top_face(top))))
+        l_shape = dg.cell_facets(cell_array({c for c in block(0, 3, 3)
+                                             if sum(map(bool, c)) <= 1}), 0.5)
         base = two_root_field([0.25, 0.98, 0.99], [0.8, 0.4, 0.99])
         n = dg.ENCLOSURE_RESOLUTION[3][0]
         for facets, expected, rounds in ((l_shape, 0, 1), (quartered, 2, 2)):
@@ -564,7 +614,7 @@ class TestFrontierDegree:
                 return base.grad(u)
             assert dg.frontier_degree(dg.FieldAdapter(fn, 3), facets,
                                       dg.ENCLOSURE_RESOLUTION, 1e-12) == expected
-            assert rows == [len(facets) * (n * 2 ** r + 1) ** 2
+            assert rows == [len(facets[0]) * (n * 2 ** r + 1) ** 2
                             for r in range(rounds)]
 
 

@@ -182,50 +182,68 @@ def test_locate_z2_line_quotient():
     assert c1 != c2 and q1 == q2 == "q0"
 
 
-def _loop_components(pts, comp_of, h, radius):
-    found = [nearest_component(u, comp_of, h, radius) for u in pts]
+def _loop_components(pts, cells, cell_components, h, radius):
+    found = [nearest_component(u, cells, cell_components, h, radius) for u in pts]
     return np.array([-1 if c is None else c for c in found])
 
 
 def test_components_of_equals_point_loop(d3, d3_punctured):
     s = st.build_stratum(d3, dom.punctured_space(), d3_punctured.class_ids[-1], H, BBOX)
     rng = np.random.default_rng(5)
-    cells = np.array(list(s.cells), dtype=float)
+    cells = s.cells.astype(float)
     pts = np.concatenate([rng.uniform(-BBOX, BBOX, size=(400, 2)),
                           (cells[::7] + 0.5) * H, cells[::5] * H,
                           (cells[::9] + rng.uniform(-1, 2, size=(1, 2))) * H])
-    want = _loop_components(pts, s.cells, H, H)
+    want = _loop_components(pts, s.cells, s.cell_components, H, H)
     assert np.array_equal(s.components_of(pts), want)
     assert {-1, 0, 1} <= set(want.tolist())
     for i, region in enumerate(s.components):
         assert np.array_equal(GridRegion(s, region).contains(pts), want == i)
 
 
+def test_cells_are_sorted_component_rows(d3, d3_punctured):
+    # the kept cells in lexicographic order, each component's cells the
+    # rows of its index, its label the first of them
+    s = st.build_stratum(d3, dom.punctured_space(), d3_punctured.class_ids[-1], H, BBOX)
+    order = np.lexsort(s.cells.T[::-1])
+    assert np.array_equal(order, np.arange(len(s.cells)))
+    assert len(s.cells) == len(s.cell_components) == sum(
+        len(c.cells) for c in s.components)
+    for comp in s.components:
+        rows = s.cell_components == comp.index
+        assert np.array_equal(comp.cells, s.cells[rows])
+        assert comp.label == tuple(comp.cells[0].tolist())
+        assert st.row_positions(comp.cells, s.cells).tolist() == \
+            np.flatnonzero(rows).tolist()
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_nearest_components_ties_and_radius(k):
     h = 0.25
     rng = np.random.default_rng(k)
-    grid = list(itertools.product(range(-3, 3), repeat=k))
-    comp_of = {c: int(rng.integers(0, 4)) for c in grid if rng.uniform() < 0.6}
+    grid = np.array(list(itertools.product(range(-3, 3), repeat=k)))
+    keep = rng.uniform(size=len(grid)) < 0.6
+    cells, comps = grid[keep], rng.integers(0, 4, size=int(keep.sum()))
     # grid vertices are equidistant from the 2^k cells around them, so the
     # first of those in offset order wins; the rest are random points
-    pts = np.concatenate([np.array(grid, dtype=float) * h,
+    pts = np.concatenate([grid.astype(float) * h,
                           rng.uniform(-1, 1, size=(300, k))])
     for radius in (h, 0.5 * np.sqrt(k) * h, 1.2 * h * np.sqrt(k)):
-        want = _loop_components(pts, comp_of, h, radius)
-        assert np.array_equal(st.nearest_components(pts, comp_of, h, radius), want)
+        want = _loop_components(pts, cells, comps, h, radius)
+        assert np.array_equal(st.nearest_components(pts, cells, comps, h, radius), want)
     # a lone cell: a point exactly at the radius is in, the next float out
-    lone = {(0,) * k: 7}
+    lone = np.zeros((1, k), dtype=int), np.array([7])
     at = np.full(k, 0.125)
     at[0] += h
     past = at.copy()
     past[0] = np.nextafter(at[0], np.inf)
-    got = st.nearest_components(np.stack([at, past]), lone, h, h)
-    assert got.tolist() == _loop_components([at, past], lone, h, h).tolist() == [7, -1]
-    origin = st.nearest_components(np.zeros((1, k)), {c: i for i, c in enumerate(
-        itertools.product((-1, 0), repeat=k))}, h, h)
+    got = st.nearest_components(np.stack([at, past]), *lone, h, h)
+    assert got.tolist() == _loop_components([at, past], *lone, h, h).tolist() == [7, -1]
+    around = np.array(list(itertools.product((-1, 0), repeat=k)))
+    origin = st.nearest_components(np.zeros((1, k)), around, np.arange(len(around)),
+                                   h, h)
     assert origin.tolist() == [0]
-    assert st.nearest_components(np.empty((0, k)), lone, h, h).shape == (0,)
+    assert st.nearest_components(np.empty((0, k)), *lone, h, h).shape == (0,)
 
 
 def test_halving_never_decreases_components(d3, d3_punctured):
@@ -285,7 +303,8 @@ def test_chambers_equal_flood_fill(spec, omega, h, bbox):
         if g.lattice.records[cid].fixed_dim == 0:
             continue
         s = st.build_stratum(g, omega, cid, h, bbox)
-        assert [c.cells for c in s.components] == flood_fill_components(s.cells)
+        assert [c.cells.tolist() for c in s.components] == \
+            [b.tolist() for b in flood_fill_components(s.cells)]
 
 
 def test_weyl_image_without_kept_cell_raises():

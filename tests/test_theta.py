@@ -1,4 +1,6 @@
 """Invariant tests: the line oracle, vector algebra, the circle demo."""
+import copy
+import dataclasses
 import importlib
 
 import numpy as np
@@ -14,7 +16,7 @@ from egdeg import domains as dm
 from egdeg import groups as gr
 from egdeg import maps as mp
 from egdeg import potentials as pt
-from egdeg.errors import (AdditionUndefined, ResolutionTooCoarse,
+from egdeg.errors import (AdditionUndefined, ConfigError, ResolutionTooCoarse,
                           UnsupportedRep, WeylTransportFailed)
 from egdeg.factory import catalog, orbit_normal
 from egdeg.groups import CircleRep
@@ -117,6 +119,31 @@ class TestRecursion:
                             "(x1^2 + x2^2)^2 - x1^2 - x2^2", 2))
         with pytest.raises(ResolutionTooCoarse, match="no grid cell"):
             theta(g, omega, f, NUM)
+
+    @pytest.mark.parametrize("change", ["expr", "kept", "kept_copy"])
+    def test_split_domain_must_extend_previous(self, monkeypatch, change):
+        # the orbit-normal map keeps open balls around its orbit; a split
+        # whose domain has another expression, drops that region or holds an
+        # equal copy of it in its place does not extend the previous domain
+        real = theta_mod.split
+
+        def split(f_pert, tube):
+            parts = real(f_pert, tube)
+            dom = parts.off_stratum.domain
+            expr, kept = dom.expr, dom.kept
+            if change == "expr":
+                expr = dataclasses.replace(expr)
+            else:
+                kept = (kept[1:] if change == "kept"
+                        else (copy.copy(kept[0]),) + kept[1:])
+            off = dataclasses.replace(parts.off_stratum, domain=dataclasses.replace(
+                dom, expr=expr, kept=kept))
+            return dataclasses.replace(parts, off_stratum=off)
+        monkeypatch.setattr(theta_mod, "split", split)
+        g, om, f = catalog("d3_axis_orbit_normal").build()
+        assert f.domain.kept
+        with pytest.raises(ConfigError, match="domain grew"):
+            list(recursion(g, om, f, NUM))
 
     def test_empty_map_vanishes(self):
         g = gr.antipodal(1)
