@@ -5,17 +5,17 @@ of its zeros.  Three routes are implemented and cross-checked:
 
 * Morse route: multi-start damped Newton from grid cell centers, dedupe,
   then sum the signs of the Hessian determinants (only when every zero is
-  nondegenerate).  Each Newton step factors each Jacobian once: in dims up
-  to 3 by cofactors (``_solve_batched``), whose determinant also decides
-  regularity, with a pseudo-inverse step on near-singular rows, and its
-  line search takes two field calls: the full steps, then every halving
-  of the rejected rows at once.  A row whose residual falls by a steady
-  factor converges linearly, as onto a singular root.  On a stratum field
-  such a row within the compact margin of the stratum's singular set is
-  retired: it is bound for a zero of a larger orbit type, which the margin
-  filter drops in any case.  On every field, any other such row near its
-  zero takes one multiplicity step, the Newton step scaled by the
-  multiplicity its displacements show (3 at a triple root).
+  nondegenerate).  Each Newton step writes the Jacobians once, entry first,
+  and factors each once: in dims up to 3 by cofactors (``_solve_batched``),
+  whose determinant also decides regularity, with a pseudo-inverse step on
+  near-singular rows; its line search takes two field calls: all full
+  steps, then every halving of the rejected rows.  A row whose residual
+  falls by a steady factor converges linearly, as onto a singular root.  On
+  a stratum field such a row within the compact margin of the stratum's
+  singular set is retired: it is bound for a zero of a larger orbit type,
+  which the margin filter drops in any case.  On every field, any other
+  such row near its zero takes one multiplicity step, the Newton step
+  scaled by the multiplicity its displacements show (3 at a triple root).
 * Kronecker route: a boundary degree over a region bounded by oriented
   axis facets, taken by one integrator (``frontier_degree``): endpoint signs
   in dim 1, winding of the field angle along the facets in dim 2, where each
@@ -40,6 +40,7 @@ by the component stabilizer order; the division must be exact.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +64,7 @@ RETIRE_STEPS = 3          # accepted Newton steps whose residual ratios must agr
 RETIRE_SPREAD = 1e-2      # ... to within this relative spread before a row retires
 TAIL_RESIDUAL = 1e-4      # a steady row takes a multiplicity step below this residual
 TAIL_RATIO = 0.2          # ... while its residual ratio stays above this
-LINE_SEARCH = (np.ones(1), 0.5 ** np.arange(1, 9))  # step factors of its two calls
+HALVINGS = 0.5 ** np.arange(1, 9)  # step factors of the line search's second call
 
 
 # ---------------------------------------------------------------------------
@@ -111,13 +112,14 @@ class TiltedField:
 
 def fd_jacobian(field, pts: np.ndarray) -> np.ndarray:
     """Central-difference Jacobians of step FD_STEP, with all 2 k n probes in
-    one grad call; the (n, k, k) result is a view, so callers copy once."""
+    one grad call; the (n, k, k) result views a contiguous entry-first stack."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     n, k = pts.shape
-    e = FD_STEP * np.eye(k)[:, None]
-    probes = np.concatenate([pts + e, pts - e]).reshape(-1, k)
-    g = field.grad(probes).reshape(2, k, n, k)
-    return ((g[0] - g[1]) / (2 * FD_STEP)).transpose(1, 2, 0)
+    probes = np.empty((2, k, n, k))
+    probes[0], probes[1] = pts + 0.0, pts  # off axis a: x + 0.0 and x - 0.0 = x
+    probes[:, np.arange(k), :, np.arange(k)] += np.array([[FD_STEP], [-FD_STEP]])
+    g = field.grad(probes.reshape(-1, k)).reshape(2, k, n, k).transpose(0, 3, 1, 2)
+    return (np.subtract(g[0], g[1], order="C") / (2 * FD_STEP)).transpose(2, 0, 1)
 
 
 class GridRegion:
@@ -187,8 +189,9 @@ def newton_zeros(field, seeds: np.ndarray, num: Numerics,
     dropped.  A point counts as converged when its residual is at most
     POLISH_TOL after polishing (the iteration itself targets
     num.newton_tol, which Numerics keeps at or below POLISH_TOL).  Only the
-    open rows are iterated, held as their seed index with point, field
-    vector and residual; rows that converge or stall leave that set.
+    open rows are iterated, as contiguous arrays of seed index, point, field
+    vector, residual (``_row_norms``, as are step lengths) and a history
+    column, compacted on the iterations where a row leaves.
 
     A row is steady when its last RETIRE_STEPS accepted residual ratios lie
     within RETIRE_SPREAD of each other: linear convergence, as at a singular
@@ -232,42 +235,35 @@ def newton_zeros(field, seeds: np.ndarray, num: Numerics,
     # the working set: seed index, point, field vector and residual per row
     idx = np.flatnonzero(active)
     cur = pts[idx]
-    vecs = np.zeros_like(cur)
-    if len(idx):
-        vecs[:] = field.grad(cur)
-    vals = np.linalg.norm(vecs, axis=1)
+    vecs = np.array(field.grad(cur), float, order="C") if len(idx) else np.zeros_like(cur)
+    vals = _row_norms(vecs)
     fvals[idx] = vals
     active[idx[~np.isfinite(vals)]] = False
     open_rows = np.isfinite(vals) & (vals > num.newton_tol)
     idx, cur, vecs, vals = idx[open_rows], cur[open_rows], vecs[open_rows], vals[open_rows]
-    # and its history: each row of ``ratios`` and ``moves`` is one 1-D array
-    # over the working set (the last RETIRE_STEPS residual ratios, the last
-    # two accepted displacements, nan for a damped one), with 1 - q of a
-    # multiplicity step due at the next iteration in ``shrink`` (1 if none)
-    ratios = np.full((RETIRE_STEPS, len(idx)), np.nan)
-    moves = np.full((2, len(idx)), np.nan)
-    shrink = np.ones(len(idx))
+    # and its history, one column per row: the last RETIRE_STEPS residual
+    # ratios, the last two accepted displacements (nan for a damped one) and
+    # 1 - q of a multiplicity step due at the next iteration (1 if none)
+    history = np.full((RETIRE_STEPS + 3, len(idx)), np.nan)
+    history[-1] = 1.0
 
     for _ in range(max_iter):
         if len(idx) == 0:
             break
-        steps = _solve_batched(fd_jacobian(field, cur), -vecs)
-        steps /= shrink[:, None]
-        accelerated[idx[shrink != 1.0]] = True
-        shrink[:] = 1.0
+        ratios, moves, shrink = history[:RETIRE_STEPS], history[RETIRE_STEPS:-1], history[-1]
+        steps = _solve_batched(fd_jacobian(field, cur), np.negative(vecs.T, order="C").T)
+        if np.any(shrink != 1.0):
+            steps /= shrink[:, None]
+            accelerated[idx[shrink != 1.0]] = True
+            shrink[:] = 1.0
         before = vals.copy()
         lam = _line_search(field, cur, vecs, vals, steps)
-        accepted = lam > 0
-        active[idx[~accepted]] = False
-        done = ~accepted | (vals <= num.newton_tol)
+        done = (lam == 0) | (vals <= num.newton_tol)
         ratios[:-1] = ratios[1:]
         ratios[-1] = vals / before
         moves[0] = moves[1]
-        moves[1] = np.where(lam == 1.0, np.linalg.norm(steps, axis=1), np.nan)
-        hi = lo = ratios[0]
-        for r in ratios[1:]:
-            hi, lo = np.maximum(hi, r), np.minimum(lo, r)
-        rows = np.flatnonzero(~done & (hi <= (1 + RETIRE_SPREAD) * lo))
+        moves[1] = np.where(lam == 1.0, _row_norms(steps), np.nan)
+        rows = np.flatnonzero(~done & (ratios.max(0) <= (1 + RETIRE_SPREAD) * ratios.min(0)))
         if len(rows) and band is not None:
             near = singular_distance(cur[rows]) <= band
             retired[idx[rows[near]]] = done[rows[near]] = True
@@ -276,10 +272,13 @@ def newton_zeros(field, seeds: np.ndarray, num: Numerics,
         tail = (vals[rows] < TAIL_RESIDUAL) & (ratios[-1, rows] > TAIL_RATIO) & (q < 1)
         shrink[rows[tail]] = 1 - q[tail]
         ratios[:, rows[tail]] = np.nan
-        pts[idx[done]], fvals[idx[done]] = cur[done], vals[done]
-        keep = ~done
-        idx, cur, vecs, vals = idx[keep], cur[keep], vecs[keep], vals[keep]
-        ratios, moves, shrink = ratios[:, keep], moves[:, keep], shrink[keep]
+        if done.any():
+            active[idx[lam == 0]] = False
+            pts[idx[done]], fvals[idx[done]] = cur[done], vals[done]
+            # a row gather by ``take`` is several times faster than by index
+            keep = np.flatnonzero(~done)
+            idx, cur, vecs, vals = (x.take(keep, axis=0) for x in (idx, cur, vecs, vals))
+            history = history.take(keep, axis=1)
     pts[idx], fvals[idx] = cur, vals
 
     good = (fvals <= POLISH_TOL) & ~retired
@@ -291,35 +290,58 @@ def newton_zeros(field, seeds: np.ndarray, num: Numerics,
     return pts[good], stats
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(x, axis=1)`` bit for bit: for k <= 3, where numpy
+    adds the squares in order, as sqrt((x0^2 + x1^2) + x2^2) over columns."""
+    if x.shape[1] > 3:
+        return np.linalg.norm(x, axis=1)
+    sq = x * x
+    return np.sqrt(sum(sq.T[1:], sq[:, 0]))
+
+
+def _probe(field, trial: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Field vectors and residuals (inf off the domain) at trial points."""
+    memb = field.member(trial)
+    if memb.all():
+        tvec = field.grad(trial)
+        return tvec, _row_norms(tvec)
+    tvec, tval = np.empty_like(trial), np.full(len(trial), np.inf)
+    if memb.any():
+        vec = field.grad(trial[memb])
+        tvec[memb], tval[memb] = vec, _row_norms(vec)
+    return tvec, tval
+
+
 def _line_search(field, cur, vecs, vals, steps) -> np.ndarray:
     """Damped Newton steps for a working set, in two member + grad calls.
 
     Each row takes the first factor lam of 1, 1/2, ..., 1/256 whose point
     cur + lam s is a domain member with a finite residual below the row's:
-    the first call tries every full step, the second all eight halvings of
-    the rows the first rejects at once.  A row's trials depend on its own
-    point, step and residual alone, so each row ends as a search of one
-    factor per round would leave it.  Accepted rows are updated in place;
-    returns lam per row, 0 where no factor was accepted.
+    the first call tries cur + s on the whole set, index free, the second
+    all eight halvings of the rows the first rejects at once.  A row's
+    trials depend on its own point, step and residual alone, so each row
+    ends as a search of one factor per round would leave it.  Accepted rows
+    are updated in place; returns lam per row, 0 where none was accepted.
     """
-    lam = np.zeros(len(cur))
-    rows = np.arange(len(cur))
-    for factors in LINE_SEARCH:
-        trial = (cur[rows] + factors[:, None, None] * steps[rows]).reshape(-1, cur.shape[1])
-        memb = field.member(trial)
-        tvec, tval = np.empty_like(trial), np.full(len(trial), np.inf)
-        if memb.any():
-            vec = field.grad(trial[memb])
-            tvec[memb], tval[memb] = vec, np.linalg.norm(vec, axis=1)
-        # the first factor of each row that lowers its residual
-        better = tval.reshape(len(factors), -1) < vals[rows]
+    trial = cur + steps
+    tvec, tval = _probe(field, trial)
+    took = tval < vals
+    for j in range(cur.shape[1]):
+        np.copyto(cur[:, j], trial[:, j], where=took)
+        np.copyto(vecs[:, j], tvec[:, j], where=took)
+    np.copyto(vals, tval, where=took)
+    lam = took.astype(float)
+    rows = np.flatnonzero(~took)
+    if len(rows):
+        trial = (cur[rows] + HALVINGS[:, None, None] * steps[rows]).reshape(-1, cur.shape[1])
+        tvec, tval = _probe(field, trial)
+        # the first halving of each row that lowers its residual
+        better = tval.reshape(len(HALVINGS), -1) < vals[rows]
         took = better.any(axis=0)
         first = better.argmax(axis=0)[took]
         at, hit = first * len(rows) + np.flatnonzero(took), rows[took]
-        cur[hit], vecs[hit], vals[hit], lam[hit] = trial[at], tvec[at], tval[at], factors[first]
-        rows = rows[~took]
-        if len(rows) == 0:
-            break
+        cur[hit], vecs[hit], vals[hit] = trial[at], tvec[at], tval[at]
+        lam[hit] = HALVINGS[first]
     return lam
 
 
@@ -360,7 +382,8 @@ def _solve_batched(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     A finite row is regular when |det J| > 1e-12 ||J||_F^k; its step is
     adj(J) rhs / det J from cofactors for k <= 3, and LAPACK's solve above.
     Near-singular rows take the pinv step and rows that are not finite
-    step 0.
+    step 0.  It takes ``fd_jacobian``'s view, and rhs as the (n, k) view of
+    a contiguous (k, n) array, uncopied; the steps come back C-contiguous.
     """
     k = jac.shape[1]
     # entry first, so every entry of the stack is one contiguous vector
@@ -373,26 +396,19 @@ def _solve_batched(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         # ||J||_F^k with the squares summed in row-major order and the
         # power taken by repeated products
         square = (a * a).reshape(k * k, -1)
-        fro2 = square[0]
-        for entry in square[1:]:
-            fro2 = fro2 + entry
-        fro = np.sqrt(fro2)
-        scale = fro
-        for _ in range(k - 1):
-            scale = scale * fro
-        scale = np.maximum(1e-300, scale)
+        fro = np.sqrt(sum(square[1:], square[0]))
+        scale = np.maximum(1e-300, math.prod([fro] * k))
         if k <= 3:
             # (adj rhs)_i = sum_j C_ji rhs_j, summed in order of j
             det, cof = _cofactors(a)
             regular = finite & (np.abs(det) > 1e-12 * scale)
-            acc = cof[0] * r[0]
-            for j in range(1, k):
-                acc = acc + cof[j] * r[j]
-            steps = np.where(regular, acc / det, 0.0).T
+            acc = sum((cof[j] * r[j] for j in range(1, k)), cof[0] * r[0])
+            steps = np.zeros(rhs.shape)
+            np.divide(acc, det, out=steps.T, where=regular)
         else:
             regular = finite & (np.abs(np.linalg.det(a.transpose(2, 0, 1)))
                                 > 1e-12 * scale)
-            steps = np.zeros_like(rhs)
+            steps = np.zeros(rhs.shape)
             if np.any(regular):
                 steps[regular] = np.linalg.solve(jac[regular],
                                                  rhs[regular][..., None])[..., 0]

@@ -249,7 +249,7 @@ def verify_partition(family: HomotopyFamily, n_samples: int = 1000,
     dec_a = geo.decompose(pts)
     ts = np.round(rng.uniform(0.0, 0.5, size=len(pts)), 3)
     bad = 0
-    for t in np.unique(ts):
+    for t in np.unique(ts, return_index=True)[0]:  # bare np.unique imports numpy.ma
         sel = ts == t
         h = family.grad_at(float(t), pts[sel])
         fr = family.base.grad(family.retracted(float(t), pts[sel]))
@@ -280,7 +280,7 @@ def verify_partition(family: HomotopyFamily, n_samples: int = 1000,
     if len(pts_c):
         ts = np.round(rng.uniform(0.501, 1.0, size=len(pts_c)), 3)
         mins = np.empty(len(pts_c))
-        for t in np.unique(ts):
+        for t in np.unique(ts, return_index=True)[0]:
             m = ts == t
             mins[m] = np.linalg.norm(family.grad_at(float(t), pts_c[m]), axis=1)
         margin = float(np.min(mins))

@@ -101,7 +101,10 @@ class SubspaceFamily:
         return proj[idx, np.arange(len(vecs))]
 
     def min_distance(self, points: np.ndarray) -> np.ndarray:
-        return np.min(self.distances(points), axis=0)
+        """Distance to the nearest subspace, 256 points per stacked product."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        return np.concatenate([np.min(self.distances(pts[i:i + 256]), axis=0)
+                               for i in range(0, max(len(pts), 1), 256)])
 
     def _split(self, points: np.ndarray):
         """Points, (J, N, d) projections and offsets, (J, N) distances."""

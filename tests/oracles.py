@@ -328,7 +328,7 @@ def enclosure_cells_loop(region, field, cluster_pts, subdiv=2, exclude_pts=None)
     return sorted(cells)
 
 
-def newton_row_loop(field, seed, tol, compact_margin=None, max_iter=80):
+def newton_row_loop(field, seed, tol, compact_margin=None, max_iter=80, info=None):
     """Damped Newton from one seed, alone: a step of factor 1, 1/2, ...,
     1/256 is taken when its point is a domain member with a smaller
     residual, one factor per round, and the seed stalls when none is.  The
@@ -340,14 +340,20 @@ def newton_row_loop(field, seed, tol, compact_margin=None, max_iter=80):
     0.2 and q < 1, q the ratio of its last two accepted displacements when
     both were full steps, divides its next Newton step by 1 - q and starts
     its ratios again.  Returns the last point, its residual (inf outside
-    the domain) and whether the row retired."""
+    the domain) and whether the row retired.  A dict passed as ``info``
+    gets whether the row stalled (it started outside the domain or at a
+    residual that is not finite, or no factor lowered its residual) and
+    whether it took a multiplicity step."""
     from egdeg.degree import fd_jacobian
+    info = {} if info is None else info
+    info.update(stalled=True, accelerated=False)
     band = compact_margin if hasattr(field, "singular_distance") else None
     x = np.array(seed, dtype=float)[None]
     if not field.member(x)[0]:
         return x[0], np.inf, False
     f = field.grad(x)
     val = np.linalg.norm(f, axis=1)[0]
+    info["stalled"] = not np.isfinite(val)
     ratios, moves, shrink = [], [], 1.0
     for _ in range(max_iter):
         if not np.isfinite(val) or val <= tol:
@@ -355,6 +361,7 @@ def newton_row_loop(field, seed, tol, compact_margin=None, max_iter=80):
         step = rowwise_newton_steps(fd_jacobian(field, x), -f)
         if shrink != 1.0:
             step, shrink = step / shrink, 1.0
+            info["accelerated"] = True
         lam = 1.0
         for _ in range(9):
             trial = x + lam * step
@@ -369,6 +376,7 @@ def newton_row_loop(field, seed, tol, compact_margin=None, max_iter=80):
                     break
             lam *= 0.5
         else:
+            info["stalled"] = True
             break
         if val > tol and len(ratios) >= 3:
             last = ratios[-3:]

@@ -24,7 +24,7 @@ from egdeg.verify import (
 
 _CTX = _Ctx()
 _BUDGETS = {1: 1.5, 2: 2.5, 3: 1.0, 4: 18.0, 5: 0.25, 6: 0.25,
-            7: 42.0, 8: 6.0, 9: 3.0}
+            7: 25.0, 8: 6.0, 9: 3.0}
 
 
 def _run(number, name, fn):

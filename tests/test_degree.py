@@ -250,6 +250,18 @@ class TestBatchedHelpers:
                     step.stratum.to_ambient(enc.centers()))
                 assert walls.min() <= 1.5 * enc.step
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_row_norms_equal_numpy_norm(self, dim):
+        # every combination of special values across the columns, then rows
+        # spread over the whole exponent range
+        special = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+                   1.0, -3.0, 1e154, -1e154, 1e200, np.inf, -np.inf, np.nan]
+        rng = np.random.default_rng(dim)
+        spread = rng.normal(size=(20000, dim)) * np.exp(rng.uniform(-700, 700, (20000, dim)))
+        x = np.concatenate([np.array(list(itertools.product(special, repeat=dim))), spread])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert dg._row_norms(x).tobytes() == np.linalg.norm(x, axis=1).tobytes()
+
     def test_fd_jacobian_makes_one_grad_call(self):
         rows = []
 
@@ -355,7 +367,7 @@ class TestBatchedHelpers:
             assert stats[key] == sa[key] + sb[key]
         return stats
 
-    def test_triple_root_takes_multiplicity_steps(self, monkeypatch):
+    def test_triple_root_takes_multiplicity_steps(self):
         # u0^3 has a triple root: plain Newton shrinks u0 by 2/3 a step and
         # needs 19 steps from u0 = 0.8; the multiplicity step of factor
         # 1 / (1 - 2/3) = 3 lands on the root
@@ -365,15 +377,40 @@ class TestBatchedHelpers:
         stats = self._assert_batch_equals_row_loop(fld, seeds)
         assert stats["converged"] == len(seeds) and stats["stalled"] == 0
         assert stats["accelerated"] == np.sum(seeds[:, 0] != 0) > 0
-        jacobians = []
-        fd_jacobian = dg.fd_jacobian
+        # a Jacobian is one batch of probes through grad, the grad call that
+        # follows another grad call with no member call between: 2 k n rows
+        # for the n rows whose full steps are tried next
+        calls = []
+        counted = dg.FieldAdapter(
+            lambda u: calls.append(("g", len(u))) or fld.grad(u), 3,
+            lambda u: calls.append(("m", len(u))) or np.ones(len(u), dtype=bool))
+        dg.newton_zeros(counted, seeds, NUM)
+        probes = [i for i in range(1, len(calls)) if calls[i - 1][0] == calls[i][0] == "g"]
+        assert all(calls[i][1] == 2 * 3 * calls[i + 1][1] for i in probes)
+        assert 1 <= len(probes) <= 12
 
-        def counted(field, pts):
-            jacobians.append(len(pts))
-            return fd_jacobian(field, pts)
-        monkeypatch.setattr(dg, "fd_jacobian", counted)
-        dg.newton_zeros(fld, seeds, NUM)
-        assert len(jacobians) <= 12
+    def test_confined_cubic_slice_equals_row_loop(self):
+        # box_degree's slowest field, draw 5: every 32nd seed of its grid,
+        # where rows stall and take multiplicity steps, and seed 2939, whose
+        # row crawls on damped steps at a steady residual ratio; each row,
+        # and every count of the stats, is the row loop's
+        fld = dg.FieldAdapter(_random_confined(np.random.default_rng(427205), 3).grad, 3)
+        grid = dg.BoxRegion([-2.0] * 3, [2.0] * 3, 0.25).seed_points()
+        assert grid[2939].tolist() == [0.875, -0.125, 0.875]
+        seeds = np.concatenate([grid[::32], grid[2939:2940]])
+        pts, stats = dg.newton_zeros(fld, seeds, NUM)
+        infos = [{} for _ in seeds]
+        want = [newton_row_loop(fld, s, NUM.newton_tol, info=info)
+                for s, info in zip(seeds, infos)]
+        good = [val <= POLISH_TOL and not retired for _, val, retired in want]
+        assert stats["kept"].tolist() == np.flatnonzero(good).tolist()
+        assert pts.tobytes() == np.array([w[0] for w, g in zip(want, good) if g]).tobytes()
+        assert {key: stats[key] for key in stats if key != "kept"} == {
+            "seeds": len(seeds), "converged": sum(good),
+            "stalled": sum(info["stalled"] and not g for info, g in zip(infos, good)),
+            "retired": sum(w[2] for w in want),
+            "accelerated": sum(info["accelerated"] for info in infos)}
+        assert stats["stalled"] > 0 and stats["accelerated"] > 0
 
     def test_multiplicity_step_loses_no_zero(self, monkeypatch):
         # rows of this confined cubic end in crawls of damped steps at a

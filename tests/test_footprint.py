@@ -35,6 +35,7 @@ import numpy as np
 from egdeg import degree as dg
 from egdeg.factory import catalog
 from egdeg.params import Numerics
+from egdeg.perturb import perturb, select_tube, verify_partition
 from egdeg.theta import theta
 from egdeg.verify import _random_confined
 
@@ -48,6 +49,9 @@ dg.kronecker_degree(fld, region.lo, region.hi)
 group, omega, f = catalog("d3_axis_orbit_normal").build()
 assert f.seed_hints
 theta(group, omega, f, Numerics(grid_h=0.1, bbox=2.0))
+_, _, line = catalog("z2_line_max").build()
+tube = select_tube(line, 0, np.empty((0, 1)), Numerics(grid_h=0.1, bbox=2.0))
+assert verify_partition(perturb(line, tube)[1], 50)["violations"] == 0
 print("numpy.ma" in sys.modules)
 """
 
