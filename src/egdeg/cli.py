@@ -183,8 +183,7 @@ def cmd_perturb_trace(args) -> int:
             "shell_margin": shell_margin(tube),
         }
         if not tube.is_empty:
-            region_report = verify_partition(step.family, args.samples,
-                                             zero_thresh=num.zero_thresh)
+            region_report = verify_partition(step.family, args.samples)
             entry_log["regions"] = {
                 "checked": region_report["checked"],
                 "violations": region_report["violations"],

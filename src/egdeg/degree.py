@@ -845,8 +845,7 @@ def _enclosure_tilt(field, region, enclosure: _Enclosure,
 
 
 def intersection_number(field, region, num: Numerics,
-                        records: list[ZeroRecord] | None = None,
-                        compact_margin: float | None = None) -> int:
+                        records: list[ZeroRecord] | None = None) -> int:
     """Signed zero count of the field over one component.
 
     Zeros are grouped into proximity clusters.  A cluster of certified
@@ -854,10 +853,11 @@ def intersection_number(field, region, num: Numerics,
     degenerate zeros contributes the boundary degree over the cell union of
     an enclosure grown around it inside the component; when that degree
     cannot be certified, it contributes its count after a localized tilt
-    with two agreeing directions.
+    with two agreeing directions.  Without ``records``, the zeros are found
+    with the default compact margin.
     """
     if records is None:
-        records = find_zeros(field, region, num, compact_margin=compact_margin)
+        records = find_zeros(field, region, num)
     if not records:
         return 0
     pts = np.array([r.point for r in records])
@@ -895,7 +895,6 @@ def intersection_number(field, region, num: Numerics,
 
 
 def quotient_intersection(field, stratum, quotient_label: str, num: Numerics,
-                          compact_margin: float | None = None,
                           records: list[ZeroRecord] | None = None) -> int:
     """Intersection number on the quotient component.
 
@@ -905,8 +904,7 @@ def quotient_intersection(field, stratum, quotient_label: str, num: Numerics,
     """
     comp = stratum.representative_component(quotient_label)
     region = GridRegion(stratum, comp)
-    total = intersection_number(field, region, num, records=records,
-                                compact_margin=compact_margin)
+    total = intersection_number(field, region, num, records=records)
     stab = region.stabilizer_order
     if total % stab != 0:
         raise DivisibilityViolation(

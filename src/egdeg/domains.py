@@ -193,14 +193,14 @@ class Tube:
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
         dec = self.geometry.decompose(pts)
-        rho, eps = self.geometry.spec.rho, self.geometry.spec.epsilon * self.scale
+        rho, eps = self.geometry.rho, self.geometry.epsilon * self.scale
         if self.closed:
             return (dec["dcen"] <= rho) & (dec["s"] <= eps)
         return (dec["dcen"] < rho) & (dec["s"] < eps)
 
     def boundary_distance(self, pts: np.ndarray) -> np.ndarray:
         dec = self.geometry.decompose(pts)
-        rho, eps = self.geometry.spec.rho, self.geometry.spec.epsilon * self.scale
+        rho, eps = self.geometry.rho, self.geometry.epsilon * self.scale
         if self.closed:   # lower bound on the distance to the closed tube
             return np.hypot(np.maximum(0.0, dec["dcen"] - rho),
                             np.maximum(0.0, dec["s"] - eps))
@@ -215,15 +215,15 @@ class Shell:
     geometry: TubeGeometry
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
-        dec = self.geometry.decompose(pts)
-        spec = self.geometry.spec
-        return (dec["dcen"] == spec.rho) & (dec["s"] <= spec.epsilon)
+        geo = self.geometry
+        dec = geo.decompose(pts)
+        return (dec["dcen"] == geo.rho) & (dec["s"] <= geo.epsilon)
 
     def boundary_distance(self, pts: np.ndarray) -> np.ndarray:
-        dec = self.geometry.decompose(pts)
-        spec = self.geometry.spec
-        return np.hypot(np.abs(dec["dcen"] - spec.rho),
-                        np.maximum(0.0, dec["s"] - spec.epsilon))
+        geo = self.geometry
+        dec = geo.decompose(pts)
+        return np.hypot(np.abs(dec["dcen"] - geo.rho),
+                        np.maximum(0.0, dec["s"] - geo.epsilon))
 
 
 @dataclass(frozen=True)

@@ -53,10 +53,6 @@ class OutOfRange(EgdegError):
     """Profile function argument outside [0, epsilon]."""
 
 
-class AmbiguousProjection(EgdegError):
-    """Two conjugate subspaces are nearly equidistant; tube invalid here."""
-
-
 class TubeSelectionFailed(EgdegError):
     """No tube radius validated after the allowed number of halvings."""
 

@@ -34,7 +34,7 @@ from .potentials import (
     validate_invariance,
 )
 from .strata import Stratum
-from .tubes import TubeGeometry, TubeSpec
+from .tubes import TubeGeometry
 
 
 def orbit_normal(group: FiniteGroupRep, omega: DomainExpr, point, epsilon: float,
@@ -82,8 +82,7 @@ def h_normal_lift(group: FiniteGroupRep, stratum: Stratum,
     omega = omega if omega is not None else full_space()
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     fam = stratum.family
-    spec = TubeSpec(stratum.class_id, centers, rho, epsilon)
-    geo = TubeGeometry(fam, spec)
+    geo = TubeGeometry(fam, centers, rho, epsilon)
     # Weyl invariance of the stratum polynomial
     rng = np.random.default_rng(31)
     coords = rng.uniform(-bbox, bbox, size=(200, stratum.dim))

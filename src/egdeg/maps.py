@@ -1,11 +1,13 @@
 """Gradient local maps: a base potential under a stack of tube perturbations.
 
 Evaluation walks the layer stack top down.  Inside a layer's open tube the
-potential is the underlying potential at the retracted point plus the well
-profile of the normal offset; elsewhere the layer is the identity.  Gradients
-use the exact chain rule through the retraction (the strata are flat, so the
-retraction Jacobian has the closed form P + mu N + (mu'/s) v v^T); Hessians
-through layers fall back to central differences of the gradient.
+potential is the underlying potential at the point retracted by ``bump``
+plus the ``well`` profile of the normal offset; elsewhere the layer is the
+identity.  Gradients use the exact chain rule through the retraction
+(``layer_grad``; the strata are flat, so the retraction Jacobian has the
+closed form P + mu N + (mu'/s) v v^T, with the coefficients of
+``PerturbationLayer.coeffs``); Hessians through layers fall back to central
+differences of the gradient.
 """
 from __future__ import annotations
 
@@ -25,8 +27,8 @@ from .potentials import (
     validate_gradient_consistency,
     validate_invariance,
 )
-from .profiles import PerturbationLayer, bump_mu, bump_mu_deriv, well_omega, well_omega_deriv
-from .tubes import TubeGeometry, row_matmul
+from .profiles import PerturbationLayer, bump, well
+from .tubes import row_matmul
 
 
 @dataclass(frozen=True)
@@ -70,10 +72,10 @@ class LocalGradientMap:
             x = dec["x"][inside]
             v = dec["v"][inside]
             s = dec["s"][inside]
-            eps = layer.epsilon
-            mu = bump_mu(s, eps, layer.mu_kind)
+            mu = bump(s, layer.epsilon, layer.mu_kind)[0]
             retracted = x + mu[:, None] * v
-            out[inside] = self._phi_level(retracted, level - 1) + well_omega(s, eps)
+            out[inside] = (self._phi_level(retracted, level - 1)
+                           + well(s, layer.epsilon)[0])
         return out
 
     def grad(self, points: np.ndarray) -> np.ndarray:
@@ -83,12 +85,8 @@ class LocalGradientMap:
     def _grad_level(self, pts: np.ndarray, level: int) -> np.ndarray:
         if level == 0:
             return self.potential.grad(pts)
-        layer = self.layers[level - 1]
-        eps, kind = layer.epsilon, layer.mu_kind
-        return layer_grad(
-            layer.geometry, pts, lambda p: self._grad_level(p, level - 1),
-            lambda s: (bump_mu(s, eps, kind), bump_mu_deriv(s, eps, kind),
-                       well_omega_deriv(s, eps)))
+        return layer_grad(self.layers[level - 1], pts,
+                          lambda p: self._grad_level(p, level - 1))
 
     def hess(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -102,10 +100,10 @@ class LocalGradientMap:
     def with_layer(self, layer: PerturbationLayer) -> "LocalGradientMap":
         """Append a layer; the domain loses the layer's lateral shell, which
         is empty for an empty tube or a point stratum."""
-        spec = layer.geometry.spec
+        geo = layer.geometry
         domain = self.domain
-        if not (spec.point_stratum or spec.is_empty):
-            domain = domain.without(Shell(layer.geometry))
+        if not (geo.point_stratum or geo.is_empty):
+            domain = domain.without(Shell(geo))
         return replace(self, domain=domain, layers=self.layers + (layer,))
 
     def with_domain(self, domain) -> "LocalGradientMap":
@@ -121,17 +119,20 @@ class LocalGradientMap:
         return map_descriptor(self)
 
 
-def layer_grad(geo: TubeGeometry, pts: np.ndarray, below, coeffs) -> np.ndarray:
-    """Gradient through one tube layer, by the chain rule of its retraction.
+def layer_grad(layer: PerturbationLayer, pts: np.ndarray, below,
+               t: float = 1.0) -> np.ndarray:
+    """Gradient through one tube layer at time t of its homotopy (t = 1 is
+    the perturbed map), by the chain rule of its retraction.
 
-    ``below`` is the gradient under the layer, and ``coeffs(s)`` gives the
-    retraction factor mu, its derivative mu' and the well derivative omega'
-    at normal offsets s.  Off the open tube the layer is the identity.  In
-    it, z = x + v with s = |v| carries the potential phi(x + mu v) + omega(s),
-    whose gradient is (P + mu N + (mu'/s) v v^T) g + (omega'/s) v, with g the
-    gradient below at the retracted point, P the projector onto the subspace
-    of x and N = I - P.
+    ``below`` is the gradient under the layer, and ``layer.coeffs(s, t)``
+    gives the retraction factor mu, its derivative mu' and the well
+    derivative omega' at normal offsets s.  Off the open tube the layer is
+    the identity.  In it, z = x + v with s = |v| carries the potential
+    phi(x + mu v) + omega(s), whose gradient is (P + mu N + (mu'/s) v v^T) g
+    + (omega'/s) v, with g the gradient below at the retracted point, P the
+    projector onto the subspace of x and N = I - P.
     """
+    geo = layer.geometry
     dec = geo.decompose(pts)
     inside = geo.in_open_tube(pts, dec)
     out = np.empty_like(pts)
@@ -139,7 +140,7 @@ def layer_grad(geo: TubeGeometry, pts: np.ndarray, below, coeffs) -> np.ndarray:
         out[~inside] = below(pts[~inside])
     if np.any(inside):
         x, v, s = dec["x"][inside], dec["v"][inside], dec["s"][inside]
-        mu, mu_d, omega_d = coeffs(s)
+        mu, mu_d, omega_d = layer.coeffs(s, t)
         g_below = below(x + mu[:, None] * v)
         proj = geo.family.project(g_below, dec["idx"][inside])
         s_safe = np.where(s > 0, s, 1.0)

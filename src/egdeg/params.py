@@ -7,8 +7,7 @@ from .errors import ConfigError
 
 POLISH_TOL = 1e-9  # newton_zeros keeps only points with residual <= this
 
-_FIELDS = ("grid_h", "bbox", "newton_tol", "zero_thresh", "seed",
-           "max_halvings", "mu_kind")
+_FIELDS = ("grid_h", "bbox", "newton_tol", "seed", "mu_kind")
 
 
 @dataclass(frozen=True)
@@ -16,9 +15,7 @@ class Numerics:
     grid_h: float = 0.1
     bbox: float = 2.0
     newton_tol: float = 1e-10
-    zero_thresh: float = 1e-8
     seed: int = 20240601
-    max_halvings: int = 20
     mu_kind: str = "cubic"
 
     def __post_init__(self):

@@ -3,11 +3,14 @@
 Around the zeros of a map on the current maximal stratum we grow an
 invariant neighbourhood U (balls of radius rho around marked grid cells and
 their group images) and pick the tube radius epsilon by halving until three
-sampled conditions hold: the tube stays in the map domain, the field is
-bounded away from zero on the lateral shell, and the normal decomposition is
-unambiguous.  The perturbed map replaces the potential on the tube by its
-value at the retracted base point plus the well profile; the one-parameter
-family interpolating from the identity is exposed for verification.
+sampled conditions hold: the tube stays in the map domain, the field stays
+above ZERO_THRESH on the lateral shell, and the normal decomposition is
+unambiguous.  ``select_tube`` returns that ``TubeGeometry``,
+which ``perturb`` and ``split`` use as is.  The perturbed map replaces the
+potential on the tube by its value at the retracted base point plus the well
+profile; the one-parameter family interpolating from the identity,
+``HomotopyFamily``, follows ``PerturbationLayer.coeffs`` and is exposed for
+verification.
 """
 from __future__ import annotations
 
@@ -19,8 +22,11 @@ from .domains import Subspaces, Tube
 from .errors import PartitionViolation, TubeSelectionFailed
 from .maps import LocalGradientMap, layer_grad
 from .params import Numerics
-from .profiles import PerturbationLayer, bump_mu, bump_mu_deriv, well_omega_deriv
-from .tubes import TubeGeometry, TubeSpec
+from .profiles import PerturbationLayer
+from .tubes import TubeGeometry
+
+ZERO_THRESH = 1e-8   # field magnitude at or below which a point counts as a zero
+MAX_HALVINGS = 20    # tube radius halvings before tube selection gives up
 
 
 def _orbit_closure(group, points: np.ndarray) -> np.ndarray:
@@ -39,7 +45,7 @@ def _orbit_closure(group, points: np.ndarray) -> np.ndarray:
 
 
 def select_tube(f: LocalGradientMap, class_id: int, zero_points: np.ndarray,
-                num: Numerics) -> TubeSpec:
+                num: Numerics) -> TubeGeometry:
     """Choose (U, epsilon) around the zeros of the map on the stratum of the
     orbit type ``class_id``.
 
@@ -49,7 +55,8 @@ def select_tube(f: LocalGradientMap, class_id: int, zero_points: np.ndarray,
     rho = epsilon = 2h, both radii are halved together until the three tube
     validations pass: the tube stays inside the map domain, the field is
     bounded away from zero on the lateral shell, and the normal projection
-    is unambiguous throughout the tube.
+    is unambiguous throughout the tube.  Returns the validated geometry, its
+    shell margin recorded.
     """
     group = f.group
     lat = group.lattice
@@ -58,7 +65,7 @@ def select_tube(f: LocalGradientMap, class_id: int, zero_points: np.ndarray,
     if point_stratum:
         origin = np.zeros((1, group.dim))
         has_zero = (f.member(origin)[0]
-                    and np.linalg.norm(f.grad(origin)[0]) <= num.zero_thresh)
+                    and np.linalg.norm(f.grad(origin)[0]) <= ZERO_THRESH)
         centers = origin if has_zero else np.empty((0, group.dim))
     else:
         centers = _orbit_closure(group, np.atleast_2d(zero_points)
@@ -69,22 +76,21 @@ def select_tube(f: LocalGradientMap, class_id: int, zero_points: np.ndarray,
             rho0 = min(rho0, 0.9 * clearance)
 
     if len(centers) == 0:
-        return TubeSpec(class_id, np.empty((0, group.dim)), rho0, 0.0,
-                        point_stratum=point_stratum)
+        return TubeGeometry(lat.family(class_id), np.empty((0, group.dim)), rho0,
+                            0.0, point_stratum=point_stratum)
 
     rng = np.random.default_rng(np.random.SeedSequence([num.seed, 101, class_id]))
     rho = eps = rho0
-    for _ in range(num.max_halvings):
-        spec = TubeSpec(class_id, centers, rho, eps, point_stratum=point_stratum)
-        geo = TubeGeometry(lat.family(class_id), spec)
-        ok, margin = _validate_tube(f, geo, num, rng)
+    for _ in range(MAX_HALVINGS):
+        geo = TubeGeometry(lat.family(class_id), centers, rho, eps,
+                           point_stratum=point_stratum)
+        ok, geo.margin = _validate_tube(f, geo, num, rng)
         if ok:
-            return TubeSpec(class_id, centers, rho, eps,
-                            point_stratum=point_stratum, margin=margin)
+            return geo
         rho /= 2
         eps /= 2
     raise TubeSelectionFailed(
-        f"no epsilon validated after {num.max_halvings} halvings "
+        f"no epsilon validated after {MAX_HALVINGS} halvings "
         f"(class {class_id}); shrink grid_h or enlarge the domain")
 
 
@@ -95,13 +101,13 @@ def _validate_tube(f, geo: TubeGeometry, num: Numerics, rng) -> tuple[bool, floa
     if not np.all(f.member(tube_pts)):
         return False, 0.0
     gaps = geo.decompose(tube_pts)["gap"]
-    if np.any(gaps <= geo.spec.epsilon / 10.0):
+    if np.any(gaps <= geo.epsilon / 10.0):
         return False, 0.0
     shell_pts = geo.sample_shell(500, rng)
     if len(shell_pts) == 0:
         return True, float("inf")  # empty lateral boundary
     margin = float(np.min(np.linalg.norm(f.grad(shell_pts), axis=1)))
-    if margin <= num.zero_thresh:
+    if margin <= ZERO_THRESH:
         return False, margin
     return True, margin
 
@@ -116,10 +122,9 @@ class HomotopyFamily:
     ``grad_at(t, pts)`` evaluates the gradient of the interpolated potential:
     retraction toward the stratum during the first half, then the well
     profile is switched on during the second half.  It is the layer chain
-    rule ``maps.layer_grad`` with (mu_t, mu_t', 0), mu_t = 2t mu + 1 - 2t,
-    for t <= 1/2 and with (mu, mu', (2t - 1) omega') beyond.  The section at
-    t=0 is the original map off the lateral shell; the section at t=1 is the
-    perturbed map.
+    rule ``maps.layer_grad`` at time t, with the schedule of
+    ``PerturbationLayer.coeffs``.  The section at t=0 is the original map off
+    the lateral shell; the section at t=1 is the perturbed map.
     """
 
     def __init__(self, base: LocalGradientMap, layer: PerturbationLayer):
@@ -128,16 +133,7 @@ class HomotopyFamily:
 
     def grad_at(self, t: float, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        eps, kind = self.layer.epsilon, self.layer.mu_kind
-
-        def coeffs(s):
-            if t <= 0.5:
-                return (2 * t * bump_mu(s, eps, kind) + (1 - 2 * t),
-                        2 * t * bump_mu_deriv(s, eps, kind), np.zeros_like(s))
-            return (bump_mu(s, eps, kind), bump_mu_deriv(s, eps, kind),
-                    (2 * t - 1) * well_omega_deriv(s, eps))
-
-        return layer_grad(self.layer.geometry, pts, self.base.grad, coeffs)
+        return layer_grad(self.layer, pts, self.base.grad, t)
 
     def retracted(self, t: float, points: np.ndarray) -> np.ndarray:
         """r_{2t}(z) for t <= 1/2, r_1(z) beyond (identity off the tube)."""
@@ -147,24 +143,19 @@ class HomotopyFamily:
         inside = geo.in_open_tube(pts, dec)
         out = pts.copy()
         if np.any(inside):
-            s = dec["s"][inside]
-            eps = self.layer.epsilon
-            tt = min(2 * t, 1.0)
-            mu_t = tt * bump_mu(s, eps, self.layer.mu_kind) + (1 - tt)
+            mu_t = self.layer.coeffs(dec["s"][inside], t)[0]
             out[inside] = dec["x"][inside] + mu_t[:, None] * dec["v"][inside]
         return out
 
 
-def perturb(f: LocalGradientMap, tube: TubeSpec,
+def perturb(f: LocalGradientMap, tube: TubeGeometry,
             mu_kind: str = "cubic") -> tuple[LocalGradientMap, HomotopyFamily]:
-    """Append the tube layer around the subspaces of ``tube.class_id``;
-    returns the perturbed map and its family.
+    """Append the layer of ``tube``; returns the perturbed map and its family.
 
     An empty tube is a no-op layer: the perturbed map equals f (the domain
     still shrinks only when the split removes the stratum).
     """
-    geo = TubeGeometry(f.group.lattice.family(tube.class_id), tube)
-    layer = PerturbationLayer(geo, mu_kind)
+    layer = PerturbationLayer(tube, mu_kind)
     if tube.is_empty:
         return f, HomotopyFamily(f, layer)
     return f.with_layer(layer), HomotopyFamily(f, layer)
@@ -179,20 +170,18 @@ class SplitParts:
     trimmed: LocalGradientMap       # off_stratum minus the closed inner tube
 
 
-def split(f_pert: LocalGradientMap, tube: TubeSpec) -> SplitParts:
+def split(f_pert: LocalGradientMap, tube: TubeGeometry) -> SplitParts:
     """Restrict the perturbed map to its normal core, complement and trim.
 
-    The complement removes the full conjugate subspaces of ``tube.class_id``;
+    The complement removes the full conjugate subspaces of ``tube.family``;
     for the maximal orbit type of the current domain this coincides with
     removing the stratum.
     """
-    family = f_pert.group.lattice.family(tube.class_id)
-    geo = TubeGeometry(family, tube)
-    off = f_pert.with_domain(f_pert.domain.without(Subspaces(family)))
-    core = f_pert.with_domain(f_pert.domain.within(Tube(geo, 1.0 / 3, closed=False)))
+    off = f_pert.with_domain(f_pert.domain.without(Subspaces(tube.family)))
+    core = f_pert.with_domain(f_pert.domain.within(Tube(tube, 1.0 / 3, closed=False)))
     if tube.is_empty:
         return SplitParts(core=core, off_stratum=off, trimmed=off)
-    trimmed = off.with_domain(off.domain.without(Tube(geo, 1.0 / 3, closed=True)))
+    trimmed = off.with_domain(off.domain.without(Tube(tube, 1.0 / 3, closed=True)))
     return SplitParts(core=core, off_stratum=off, trimmed=trimmed)
 
 
@@ -201,7 +190,7 @@ def split(f_pert: LocalGradientMap, tube: TubeSpec) -> SplitParts:
 
 
 def verify_partition(family: HomotopyFamily, n_samples: int = 1000,
-                     seed: int = 29, zero_thresh: float = 1e-8) -> dict:
+                     seed: int = 29) -> dict:
     """Sample the four time-tube regions and check the zero characterizations.
 
     Region A (t in [0,1/2], tube): the family vanishes exactly where the
@@ -212,17 +201,14 @@ def verify_partition(family: HomotopyFamily, n_samples: int = 1000,
     itself): the family equals the map pointwise.
     """
     geo = family.layer.geometry
-    spec = geo.spec
-    if spec.is_empty:
+    if geo.is_empty:
         return {"empty_tube": True, "violations": 0}
     rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
-    eps = spec.epsilon
+    eps = geo.epsilon
     report = {"empty_tube": False, "violations": 0, "margin_C": float("inf"),
               "checked": {}}
 
-    kind = family.layer.mu_kind
-
-    def iff_violations(h, fr, s, t_arr):
+    def iff_violations(h, fr, s, t):
         """Zero-set disagreement beyond the retraction Jacobian bounds.
 
         With h = Dr^T f(r) and sigma the extreme singular values of Dr, a
@@ -230,18 +216,16 @@ def verify_partition(family: HomotopyFamily, n_samples: int = 1000,
         disagree in a way the bounds sigma_min |f| <= |h| <= sigma_max |f|
         cannot explain.
         """
-        tt = np.minimum(2 * t_arr, 1.0)
-        mu_t = tt * bump_mu(s, eps, kind) + (1 - tt)
-        mu_t_d = tt * bump_mu_deriv(s, eps, kind)
+        mu_t, mu_t_d, _ = family.layer.coeffs(s, t)
         radial = mu_t + mu_t_d * s
         sig_min = np.minimum(1.0, np.minimum(mu_t, radial))
         sig_max = np.maximum(1.0, np.maximum(mu_t, radial))
         hn = np.linalg.norm(h, axis=1)
         fn = np.linalg.norm(fr, axis=1)
-        h_zero = hn <= zero_thresh
-        f_zero = fn <= zero_thresh
-        bad_h = h_zero & (fn > zero_thresh / np.maximum(sig_min, 1e-300))
-        bad_f = f_zero & (hn > zero_thresh * sig_max)
+        h_zero = hn <= ZERO_THRESH
+        f_zero = fn <= ZERO_THRESH
+        bad_h = h_zero & (fn > ZERO_THRESH / np.maximum(sig_min, 1e-300))
+        bad_f = f_zero & (hn > ZERO_THRESH * sig_max)
         return int(np.sum(bad_h | bad_f))
 
     # region A
@@ -253,7 +237,7 @@ def verify_partition(family: HomotopyFamily, n_samples: int = 1000,
         sel = ts == t
         h = family.grad_at(float(t), pts[sel])
         fr = family.base.grad(family.retracted(float(t), pts[sel]))
-        bad += iff_violations(h, fr, dec_a["s"][sel], np.full(int(sel.sum()), t))
+        bad += iff_violations(h, fr, dec_a["s"][sel], float(t))
     report["checked"]["A"] = len(pts)
     report["violations"] += bad
 
@@ -266,8 +250,7 @@ def verify_partition(family: HomotopyFamily, n_samples: int = 1000,
         t = float(rng.uniform(0.5, 1.0))
         h = family.grad_at(t, pts_b)
         fr = family.base.grad(family.retracted(0.5, pts_b))
-        report["violations"] += iff_violations(
-            h, fr, dec["s"][sel][:n_samples], np.full(len(pts_b), t))
+        report["violations"] += iff_violations(h, fr, dec["s"][sel][:n_samples], t)
     report["checked"]["B"] = len(pts_b)
 
     # region C: inner tube off the base, 0 < s < 2eps/3; the family can

@@ -1,11 +1,13 @@
 """Radial profile functions for the tube perturbation.
 
-``well_omega`` is the piecewise-quadratic well used to push zeros away from
-the stratum: quadratic growth from a pit of depth eps^2/9, an inverted cap
+``well`` is the piecewise-quadratic well used to push zeros away from the
+stratum: quadratic growth from a pit of depth eps^2/9, an inverted cap
 landing with matching slope, and identically zero on the outer third.  The
-retraction strength ``bump_mu`` vanishes on the inner two thirds and climbs
-to one at the tube boundary via a C^1 smoothstep; the quintic variant exists
-to demonstrate that results do not depend on the choice.
+retraction strength ``bump`` vanishes on the inner two thirds and climbs to
+one at the tube boundary via a C^1 smoothstep; the quintic variant exists to
+demonstrate that results do not depend on the choice.  Both take an array of
+normal offsets s in [0, eps] and return the profile and its derivative.
+``PerturbationLayer.coeffs`` combines them into the homotopy schedule.
 """
 from __future__ import annotations
 
@@ -14,81 +16,50 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfRange
-from .tubes import TubeGeometry, TubeSpec
+from .tubes import TubeGeometry
 
 MU_KINDS = ("cubic", "quintic")
 
 
-def _check_range(s: np.ndarray, eps: float, scalar_input: bool):
+def _checked(s, eps: float) -> np.ndarray:
     if eps <= 0:
         raise OutOfRange("epsilon must be positive")
+    s = np.asarray(s, dtype=float)
     if np.any(s < -1e-15) or np.any(s > eps * (1 + 1e-12)):
-        bad = float(np.asarray(s).ravel()[0]) if scalar_input else None
-        raise OutOfRange(f"argument outside [0, eps]: {bad if bad is not None else ''}")
+        raise OutOfRange(f"argument outside [0, {eps}]: values in "
+                         f"[{float(np.min(s))}, {float(np.max(s))}]")
+    return s
 
 
-def well_omega(s, eps: float):
-    """The well profile: s^2/2 - eps^2/9, then -(s - 2eps/3)^2/2, then 0."""
-    scalar = np.isscalar(s)
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    _check_range(s, eps, scalar)
-    out = np.zeros_like(s)
+def well(s, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """The well profile omega and omega': s^2/2 - eps^2/9 with slope s, then
+    -(s - 2eps/3)^2/2 with slope 2eps/3 - s, then 0."""
+    s = _checked(s, eps)
+    omega, omega_d = np.zeros_like(s), np.zeros_like(s)
     lo = s <= eps / 3
     mid = (s > eps / 3) & (s < 2 * eps / 3)
-    out[lo] = 0.5 * s[lo] ** 2 - eps ** 2 / 9
-    out[mid] = -0.5 * (s[mid] - 2 * eps / 3) ** 2
-    return float(out[0]) if scalar else out
+    omega[lo], omega_d[lo] = 0.5 * s[lo] ** 2 - eps ** 2 / 9, s[lo]
+    omega[mid] = -0.5 * (s[mid] - 2 * eps / 3) ** 2
+    omega_d[mid] = 2 * eps / 3 - s[mid]
+    return omega, omega_d
 
 
-def well_omega_deriv(s, eps: float):
-    scalar = np.isscalar(s)
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    _check_range(s, eps, scalar)
-    out = np.zeros_like(s)
-    lo = s <= eps / 3
-    mid = (s > eps / 3) & (s < 2 * eps / 3)
-    out[lo] = s[lo]
-    out[mid] = 2 * eps / 3 - s[mid]
-    return float(out[0]) if scalar else out
-
-
-def _smoothstep(u: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "cubic":
-        return 3 * u ** 2 - 2 * u ** 3
-    if kind == "quintic":
-        return 6 * u ** 5 - 15 * u ** 4 + 10 * u ** 3
-    raise OutOfRange(f"unknown smoothstep kind {kind!r}")
-
-
-def _smoothstep_deriv(u: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "cubic":
-        return 6 * u - 6 * u ** 2
-    if kind == "quintic":
-        return 30 * u ** 4 - 60 * u ** 3 + 30 * u ** 2
-    raise OutOfRange(f"unknown smoothstep kind {kind!r}")
-
-
-def bump_mu(s, eps: float, kind: str = "cubic"):
-    """Retraction strength: 0 on [0, 2eps/3], smoothstep up to 1 at eps."""
-    scalar = np.isscalar(s)
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    _check_range(s, eps, scalar)
-    out = np.zeros_like(s)
+def bump(s, eps: float, kind: str = "cubic") -> tuple[np.ndarray, np.ndarray]:
+    """Retraction strength mu and mu': 0 on [0, 2eps/3], then the ``kind``
+    smoothstep of u = (s - 2eps/3)/(eps/3) up to 1 at eps."""
+    if kind not in MU_KINDS:
+        raise OutOfRange(f"unknown smoothstep kind {kind!r}")
+    s = _checked(s, eps)
+    mu, mu_d = np.zeros_like(s), np.zeros_like(s)
     hi = s > 2 * eps / 3
-    u = (s[hi] - 2 * eps / 3) / (eps / 3)
-    out[hi] = _smoothstep(np.clip(u, 0.0, 1.0), kind)
-    return float(out[0]) if scalar else out
-
-
-def bump_mu_deriv(s, eps: float, kind: str = "cubic"):
-    scalar = np.isscalar(s)
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    _check_range(s, eps, scalar)
-    out = np.zeros_like(s)
-    hi = s > 2 * eps / 3
-    u = (s[hi] - 2 * eps / 3) / (eps / 3)
-    out[hi] = _smoothstep_deriv(np.clip(u, 0.0, 1.0), kind) / (eps / 3)
-    return float(out[0]) if scalar else out
+    u = np.clip((s[hi] - 2 * eps / 3) / (eps / 3), 0.0, 1.0)
+    if kind == "cubic":
+        mu[hi], du = 3 * u ** 2 - 2 * u ** 3, 6 * u - 6 * u ** 2
+    else:
+        mu[hi] = 6 * u ** 5 - 15 * u ** 4 + 10 * u ** 3
+        du = 30 * u ** 4 - 60 * u ** 3 + 30 * u ** 2
+    mu_d[hi] = du / (eps / 3)
+    return mu, mu_d
 
 
 @dataclass(frozen=True)
@@ -99,9 +70,18 @@ class PerturbationLayer:
     mu_kind: str = "cubic"
 
     @property
-    def spec(self) -> TubeSpec:
-        return self.geometry.spec
-
-    @property
     def epsilon(self) -> float:
-        return self.geometry.spec.epsilon
+        return self.geometry.epsilon
+
+    def coeffs(self, s: np.ndarray, t: float = 1.0):
+        """(mu_t, mu_t', omega_t') at normal offsets s on the homotopy from
+        the identity (t = 0) to this layer (t = 1).
+
+        With tt = min(2t, 1), the retraction factor is mu_t = tt mu + 1 - tt
+        and the well is switched on as max(2t - 1, 0) omega: the first half
+        retracts toward the stratum, the second half deepens the well.
+        """
+        mu, mu_d = bump(s, self.epsilon, self.mu_kind)
+        tt = min(2 * t, 1.0)
+        return (tt * mu + (1 - tt), tt * mu_d,
+                max(2 * t - 1, 0.0) * well(s, self.epsilon)[1])

@@ -23,30 +23,27 @@ from .errors import ConfigError
 from .maps import LocalGradientMap
 from .potentials import PiecewisePotential, potential_from_descriptor
 from .profiles import PerturbationLayer
-from .tubes import SubspaceFamily, TubeGeometry, TubeSpec
+from .tubes import SubspaceFamily, TubeGeometry
 
 
 def tube_descriptor(geo: TubeGeometry) -> dict:
-    spec = geo.spec
     return {
         "bases": [b.tolist() for b in geo.family.bases],
-        "class_id": spec.class_id,
-        "centers": spec.centers.tolist(),
-        "rho": spec.rho,
-        "epsilon": spec.epsilon,
-        "point_stratum": spec.point_stratum,
-        "margin": None if spec.margin == float("inf") else spec.margin,
+        "centers": geo.centers.tolist(),
+        "rho": geo.rho,
+        "epsilon": geo.epsilon,
+        "point_stratum": geo.point_stratum,
+        "margin": None if geo.margin == float("inf") else geo.margin,
     }
 
 
 def tube_from_descriptor(desc: dict) -> TubeGeometry:
     fam = SubspaceFamily([np.array(b) for b in desc["bases"]])
     margin = desc.get("margin")
-    spec = TubeSpec(desc["class_id"], np.array(desc["centers"]).reshape(-1, fam.dim),
-                    desc["rho"], desc["epsilon"],
-                    point_stratum=desc["point_stratum"],
-                    margin=float("inf") if margin is None else margin)
-    return TubeGeometry(fam, spec)
+    return TubeGeometry(fam, np.array(desc["centers"]).reshape(-1, fam.dim),
+                        desc["rho"], desc["epsilon"],
+                        point_stratum=desc["point_stratum"],
+                        margin=float("inf") if margin is None else margin)
 
 
 def region_descriptor(region) -> dict:

@@ -39,7 +39,7 @@ from .params import POLISH_TOL, Numerics
 from .perturb import HomotopyFamily, SplitParts, perturb, select_tube, split
 from .potentials import PolynomialPotential
 from .strata import Stratum, StratumComponent, cached_stratum, iso_types
-from .tubes import TubeSpec, row_matmul
+from .tubes import TubeGeometry, row_matmul
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ class RecursionTrace:
 def _compact_margin(f: LocalGradientMap, h: float) -> float:
     # tube-born zeros sit a third of the tube radius away from the trimmed
     # core, so the compact-support filter must stay below that
-    eps = [layer.epsilon for layer in f.layers if not layer.spec.is_empty]
+    eps = [layer.epsilon for layer in f.layers if not layer.geometry.is_empty]
     if not eps:
         return h
     return min(h, 0.25 * min(eps))
@@ -252,7 +252,7 @@ class Step:
     ambient: np.ndarray | None = None
     margin: float | None = None
     newton: dict | None = None
-    tube: TubeSpec | None = None
+    tube: TubeGeometry | None = None
     family: HomotopyFamily | None = None
     parts: SplitParts | None = None
 
@@ -321,8 +321,7 @@ def fold_steps(steps: Iterable[Step], num: Numerics) -> tuple[ThetaVector, Recur
             for qlabel in stratum.quotient_labels():
                 rep = stratum.representative_component(qlabel)
                 values[qlabel] = quotient_intersection(
-                    step.restricted, stratum, qlabel, num,
-                    compact_margin=step.margin, records=step.zeros[rep.index])
+                    step.restricted, stratum, qlabel, num, records=step.zeros[rep.index])
                 if values[qlabel] != 0:
                     entries[(step.label, qlabel)] = values[qlabel]
             step_log["intersection"] = values
@@ -337,7 +336,7 @@ def fold_steps(steps: Iterable[Step], num: Numerics) -> tuple[ThetaVector, Recur
     return ThetaVector.from_dict(entries, origin_slot), trace
 
 
-def shell_margin(tube: TubeSpec) -> float | None:
+def shell_margin(tube: TubeGeometry) -> float | None:
     """The tube's validated shell margin, None for an empty lateral shell."""
     return None if tube.margin == float("inf") else tube.margin
 

@@ -17,11 +17,7 @@ order.  A candidate's bits depend only on its own draws.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .errors import AmbiguousProjection
 
 # a sampler block has at most _CHUNK_ROWS attempts and _CHUNK_CELLS
 # (attempt, center) pairs, which bounds the (rows, centers, dim) difference
@@ -114,39 +110,35 @@ class SubspaceFamily:
         return pts, proj, diff, np.linalg.norm(diff, axis=2)
 
 
-@dataclass(frozen=True)
-class TubeSpec:
-    """Validated invariant tube data: centers, stratum radius, tube radius.
+class TubeGeometry:
+    """A validated invariant tube and its membership, decomposition and
+    sampling queries.
 
-    ``centers`` lie on the conjugate subspaces and are closed under the group
-    action; U is their open rho-neighbourhood inside the stratum.  ``margin``
-    records the smallest sampled field magnitude on the lateral shell.
-    ``point_stratum`` marks the zero-dimensional case, whose U has empty
-    boundary and therefore an empty shell.
+    ``centers`` (M, d) lie on the conjugate subspaces of ``family`` and are
+    closed under the group action; U is their open rho-neighbourhood inside
+    the stratum, and the tube is U^epsilon.  ``margin`` records the smallest
+    sampled field magnitude on the lateral shell.  ``point_stratum`` marks
+    the zero-dimensional case, whose U has empty boundary and therefore an
+    empty shell.
     """
 
-    class_id: int
-    centers: np.ndarray          # (M, d)
-    rho: float
-    epsilon: float
-    point_stratum: bool = False
-    margin: float = float("inf")
+    def __init__(self, family: SubspaceFamily, centers: np.ndarray, rho: float,
+                 epsilon: float, point_stratum: bool = False,
+                 margin: float = float("inf")):
+        self.family = family
+        self.centers = centers
+        self.rho = rho
+        self.epsilon = epsilon
+        self.point_stratum = point_stratum
+        self.margin = margin
+        # nearest subspace of each center and the (J, d, k) stacked bases,
+        # read by the samplers
+        self.center_idx = np.argmin(family.distances(centers), axis=0)
+        self.basis_stack = np.stack(family.bases)
 
     @property
     def is_empty(self) -> bool:
         return self.centers.shape[0] == 0
-
-
-class TubeGeometry:
-    """Membership, decomposition and distance queries for one tube."""
-
-    def __init__(self, family: SubspaceFamily, spec: TubeSpec):
-        self.family = family
-        self.spec = spec
-        # nearest subspace of each center and the (J, d, k) stacked bases,
-        # read by the samplers
-        self.center_idx = np.argmin(family.distances(spec.centers), axis=0)
-        self.basis_stack = np.stack(family.bases)
 
     # -- decomposition ---------------------------------------------------
 
@@ -159,27 +151,11 @@ class TubeGeometry:
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         idx, x, v, s, gap = self.family.decompose(pts)
-        if self.spec.is_empty:
+        if self.is_empty:
             dcen = np.full(pts.shape[0], np.inf)
         else:
-            dcen = nearest_center_distance(x, self.spec.centers)
+            dcen = nearest_center_distance(x, self.centers)
         return {"idx": idx, "x": x, "v": v, "s": s, "dcen": dcen, "gap": gap}
-
-    def decompose_checked(self, point: np.ndarray):
-        """Single-point decomposition with the ambiguity guard.
-
-        Raises AmbiguousProjection when two conjugate subspaces compete within
-        epsilon/10; returns None when the point is outside the open tube.
-        """
-        dec = self.decompose(np.asarray(point, dtype=float)[None])
-        gap = float(dec["gap"][0])
-        if gap <= self.spec.epsilon / 10.0:
-            raise AmbiguousProjection(
-                f"projection gap {gap:.3e} below epsilon/10")
-        inside = (dec["dcen"][0] < self.spec.rho) and (dec["s"][0] < self.spec.epsilon)
-        if not inside:
-            return None
-        return dec["x"][0], dec["v"][0]
 
     # -- membership ------------------------------------------------------
 
@@ -187,7 +163,7 @@ class TubeGeometry:
         """Mask for U^epsilon = {x + v : x in U, |v| < epsilon}."""
         if dec is None:
             dec = self.decompose(points)
-        return (dec["dcen"] < self.spec.rho) & (dec["s"] < self.spec.epsilon)
+        return (dec["dcen"] < self.rho) & (dec["s"] < self.epsilon)
 
     # -- sampling ----------------------------------------------------------
 
@@ -198,32 +174,30 @@ class TubeGeometry:
     def sample_tube(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Random points of U^eps, uniform-ish over centers: base points
         moved by a normal offset of uniform length in [0, eps)."""
-        if self.spec.is_empty:
+        if self.is_empty:
             return np.empty((0, self.family.dim))
         if self.trivial_normal:
             # the tube of a full-dimensional stratum is the base set
             return self.sample_base(n, rng)
-        spec = self.spec
 
         def draw(m):
             x, j = self._draw_base(m, rng)
             z, ok = self._draw_offset(x, j, rng)
-            dec = self.decompose(z)
-            return z, ok & (dec["dcen"] < spec.rho) & (dec["s"] < spec.epsilon)
+            return z, ok & self.in_open_tube(z)
 
         return self._sample_blocks(n, 200 * n, draw)
 
     def sample_base(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Random points of U itself; n copies of the origin for a point
         stratum."""
-        if self.spec.is_empty:
+        if self.is_empty:
             return np.empty((0, self.family.dim))
-        if self.spec.point_stratum:
+        if self.point_stratum:
             return np.zeros((n, self.family.dim))
 
         def draw(m):
             x = self._draw_base(m, rng)[0]
-            return x, self.decompose(x)["dcen"] < self.spec.rho
+            return x, self.decompose(x)["dcen"] < self.rho
 
         return self._sample_blocks(n, 200 * n, draw)
 
@@ -234,14 +208,13 @@ class TubeGeometry:
         the subspace, and counts only outside every other center's ball; it
         is then moved by a normal offset of uniform length in [0, eps).
         """
-        spec = self.spec
-        if spec.point_stratum or spec.is_empty or self.family.k == 0:
+        if self.point_stratum or self.is_empty or self.family.k == 0:
             return np.empty((0, self.family.dim))
 
         def draw(m):
-            x, j = self._draw_base(m, rng, radius=spec.rho)
-            boundary = (nearest_center_distance(x, spec.centers)
-                        >= spec.rho * (1 - 1e-9))
+            x, j = self._draw_base(m, rng, radius=self.rho)
+            boundary = (nearest_center_distance(x, self.centers)
+                        >= self.rho * (1 - 1e-9))
             if self.trivial_normal:
                 return x, boundary
             z, ok = self._draw_offset(x, j, rng)
@@ -254,12 +227,12 @@ class TubeGeometry:
         subspace (unless the stratum is a point) by a uniform radius in
         [0, rho), or by ``radius``; returns the points and subspace indices.
         """
-        i = rng.integers(0, len(self.spec.centers), size=m)
-        x, j = self.spec.centers[i], self.center_idx[i]
-        if self.family.k > 0 and not self.spec.point_stratum:
+        i = rng.integers(0, len(self.centers), size=m)
+        x, j = self.centers[i], self.center_idx[i]
+        if self.family.k > 0 and not self.point_stratum:
             u = rng.normal(size=(m, self.family.k))
             if radius is None:
-                radius = rng.uniform(0, self.spec.rho, size=m)
+                radius = rng.uniform(0, self.rho, size=m)
             scale = radius / (np.linalg.norm(u, axis=1) + 1e-300)
             x = x + _apply(self.basis_stack[j], u) * scale[:, None]
         return x, j
@@ -272,7 +245,7 @@ class TubeGeometry:
         w = w - _apply(self.family.projectors[j], w)
         nw = np.linalg.norm(w, axis=1)
         ok = nw >= 1e-12
-        s = rng.uniform(0, self.spec.epsilon, size=len(x))
+        s = rng.uniform(0, self.epsilon, size=len(x))
         return x + w * (s / np.where(ok, nw, 1.0))[:, None], ok
 
     def _sample_blocks(self, n: int, cap: int, draw) -> np.ndarray:
@@ -284,7 +257,7 @@ class TubeGeometry:
         has n attempts; each later one has enough for the remaining need at
         the acceptance rate seen so far, within the chunk bound and the cap.
         """
-        limit = min(_CHUNK_ROWS, max(1, _CHUNK_CELLS // len(self.spec.centers)))
+        limit = min(_CHUNK_ROWS, max(1, _CHUNK_CELLS // len(self.centers)))
         kept, count, attempts = [], 0, 0
         while count < n and attempts < cap:
             need = n - count

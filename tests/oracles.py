@@ -34,6 +34,71 @@ def mu_profile(s, eps):
     return np.where(s > 2 * eps / 3, smoothstep_cubic(u), 0.0)
 
 
+# the tube profiles as four masked formulas, one per profile and
+# derivative, each over its own copy of s
+
+
+def well_omega(s, eps):
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    out = np.zeros_like(s)
+    lo = s <= eps / 3
+    mid = (s > eps / 3) & (s < 2 * eps / 3)
+    out[lo] = 0.5 * s[lo] ** 2 - eps ** 2 / 9
+    out[mid] = -0.5 * (s[mid] - 2 * eps / 3) ** 2
+    return out
+
+
+def well_omega_deriv(s, eps):
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    out = np.zeros_like(s)
+    lo = s <= eps / 3
+    mid = (s > eps / 3) & (s < 2 * eps / 3)
+    out[lo] = s[lo]
+    out[mid] = 2 * eps / 3 - s[mid]
+    return out
+
+
+def _smoothstep(u, kind):
+    if kind == "cubic":
+        return 3 * u ** 2 - 2 * u ** 3
+    return 6 * u ** 5 - 15 * u ** 4 + 10 * u ** 3
+
+
+def _smoothstep_deriv(u, kind):
+    if kind == "cubic":
+        return 6 * u - 6 * u ** 2
+    return 30 * u ** 4 - 60 * u ** 3 + 30 * u ** 2
+
+
+def bump_mu(s, eps, kind="cubic"):
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    out = np.zeros_like(s)
+    hi = s > 2 * eps / 3
+    u = (s[hi] - 2 * eps / 3) / (eps / 3)
+    out[hi] = _smoothstep(np.clip(u, 0.0, 1.0), kind)
+    return out
+
+
+def bump_mu_deriv(s, eps, kind="cubic"):
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    out = np.zeros_like(s)
+    hi = s > 2 * eps / 3
+    u = (s[hi] - 2 * eps / 3) / (eps / 3)
+    out[hi] = _smoothstep_deriv(np.clip(u, 0.0, 1.0), kind) / (eps / 3)
+    return out
+
+
+def homotopy_coeffs(s, eps, t, kind="cubic"):
+    """(mu_t, mu_t', omega_t') of the tube homotopy, one branch per half:
+    (2t mu + 1 - 2t, 2t mu', 0) for t <= 1/2, (mu, mu', (2t - 1) omega')
+    beyond."""
+    if t <= 0.5:
+        return (2 * t * bump_mu(s, eps, kind) + (1 - 2 * t),
+                2 * t * bump_mu_deriv(s, eps, kind), np.zeros_like(s))
+    return (bump_mu(s, eps, kind), bump_mu_deriv(s, eps, kind),
+            (2 * t - 1) * well_omega_deriv(s, eps))
+
+
 def perturbed_line_potential(v, eps, sign):
     """Closed form of the perturbed profile for phi = sign * x^2 / 2 on the
     line, tube around the origin: phi(mu(|v|) v) + omega(|v|)."""
@@ -503,9 +568,8 @@ def _sample_blocks_loop(geo, n, cap, rng, kind):
     accepted ones are kept in draw order.
     """
     from egdeg.tubes import _CHUNK_CELLS, _CHUNK_ROWS
-    spec, fam = geo.spec, geo.family
-    centers = spec.centers
-    moved = fam.k > 0 and not spec.point_stratum
+    fam, centers = geo.family, geo.centers
+    moved = fam.k > 0 and not geo.point_stratum
     offset = kind != "base" and not geo.trivial_normal
     limit = min(_CHUNK_ROWS, max(1, _CHUNK_CELLS // len(centers)))
     out, attempts = [], 0
@@ -517,11 +581,11 @@ def _sample_blocks_loop(geo, n, cap, rng, kind):
         idx = rng.integers(0, len(centers), size=m)
         if moved:
             u = rng.normal(size=(m, fam.k))
-            r = (np.full(m, spec.rho) if kind == "shell"
-                 else rng.uniform(0, spec.rho, size=m))
+            r = (np.full(m, geo.rho) if kind == "shell"
+                 else rng.uniform(0, geo.rho, size=m))
         if offset:
             w = rng.normal(size=(m, fam.dim))
-            s = rng.uniform(0, spec.epsilon, size=m)
+            s = rng.uniform(0, geo.epsilon, size=m)
         for t in range(m):
             c = centers[idx[t]]
             j = int(geo.decompose(c[None])["idx"][0])
@@ -538,14 +602,14 @@ def _sample_blocks_loop(geo, n, cap, rng, kind):
                 z = x + wt * (s[t] / nw)
             nearest = np.min(np.linalg.norm(x[None] - centers, axis=1))
             if kind == "shell":
-                ok = nearest >= spec.rho * (1 - 1e-9)
+                ok = nearest >= geo.rho * (1 - 1e-9)
             elif kind == "base":
-                ok = geo.decompose(x[None])["dcen"][0] < spec.rho
+                ok = geo.decompose(x[None])["dcen"][0] < geo.rho
             elif not offset:
-                ok = nearest < spec.rho
+                ok = nearest < geo.rho
             else:
                 dec = geo.decompose(z[None])
-                ok = dec["dcen"][0] < spec.rho and dec["s"][0] < spec.epsilon
+                ok = dec["dcen"][0] < geo.rho and dec["s"][0] < geo.epsilon
             if ok and len(out) < n:
                 out.append(z)
     return np.array(out) if out else np.empty((0, fam.dim))
@@ -555,7 +619,7 @@ def sample_tube_loop(geo, n, rng):
     """Random points of the tube by the block contract: base point plus
     normal offset, tested by a one-row decompose; the base point alone,
     tested by its center distances, when the normal space is trivial."""
-    if geo.spec.is_empty:
+    if geo.is_empty:
         return np.empty((0, geo.family.dim))
     return _sample_blocks_loop(geo, n, 200 * n, rng, "tube")
 
@@ -563,9 +627,9 @@ def sample_tube_loop(geo, n, rng):
 def sample_base_loop(geo, n, rng):
     """Random points of the base set by the block contract, each tested by
     a one-row decompose; n origins for a point stratum."""
-    if geo.spec.is_empty:
+    if geo.is_empty:
         return np.empty((0, geo.family.dim))
-    if geo.spec.point_stratum:
+    if geo.point_stratum:
         return np.zeros((n, geo.family.dim))
     return _sample_blocks_loop(geo, n, 200 * n, rng, "base")
 
@@ -575,7 +639,7 @@ def sample_shell_loop(geo, n, rng):
     at distance rho from their center and at least rho(1 - 1e-9) from every
     center, plus a normal offset; empty for a point stratum, an empty tube
     or a zero-dimensional subspace."""
-    if geo.spec.is_empty or geo.spec.point_stratum or geo.family.k == 0:
+    if geo.is_empty or geo.point_stratum or geo.family.k == 0:
         return np.empty((0, geo.family.dim))
     return _sample_blocks_loop(geo, n, 50 * n, rng, "shell")
 

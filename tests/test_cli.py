@@ -76,6 +76,17 @@ class TestStrata:
         assert main(["strata", cfg]) == 2
         assert "unknown numerics keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("knob", [{"zero_thresh": 1e-8}, {"max_halvings": 20}])
+    def test_tube_selection_key_rejected(self, capsys, tmp_path, knob):
+        # the zero threshold and the halving count are constants of perturb
+        cfg = write_config(tmp_path, "knob.json", {
+            "group": {"kind": "dihedral", "n": 3},
+            "domain": {"kind": "punctured"},
+            "numerics": {"grid_h": 0.1, "bbox": 2.0, **knob},
+        })
+        assert main(["strata", cfg]) == 2
+        assert "unknown numerics keys" in capsys.readouterr().err
+
     def test_punctured_line_two_components(self, capsys, tmp_path):
         cfg = write_config(tmp_path, "line.json", {
             "group": {"kind": "trivial", "dim": 1},
