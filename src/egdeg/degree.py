@@ -54,7 +54,7 @@ from .errors import (
 )
 from .params import POLISH_TOL, Numerics
 from .strata import row_positions
-from .tubes import row_matmul
+from .tubes import distance_blocks, nearest_center_distance, row_matmul, row_norms
 
 FD_STEP = 1e-6
 DEGENERACY_RATIO = 1e-5   # sigma_min below this times scale means degenerate
@@ -190,7 +190,7 @@ def newton_zeros(field, seeds: np.ndarray, num: Numerics,
     POLISH_TOL after polishing (the iteration itself targets
     num.newton_tol, which Numerics keeps at or below POLISH_TOL).  Only the
     open rows are iterated, as contiguous arrays of seed index, point, field
-    vector, residual (``_row_norms``, as are step lengths) and a history
+    vector, residual (``row_norms``, as are step lengths) and a history
     column, compacted on the iterations where a row leaves.
 
     A row is steady when its last RETIRE_STEPS accepted residual ratios lie
@@ -236,7 +236,7 @@ def newton_zeros(field, seeds: np.ndarray, num: Numerics,
     idx = np.flatnonzero(active)
     cur = pts[idx]
     vecs = np.array(field.grad(cur), float, order="C") if len(idx) else np.zeros_like(cur)
-    vals = _row_norms(vecs)
+    vals = row_norms(vecs)
     fvals[idx] = vals
     active[idx[~np.isfinite(vals)]] = False
     open_rows = np.isfinite(vals) & (vals > num.newton_tol)
@@ -262,7 +262,7 @@ def newton_zeros(field, seeds: np.ndarray, num: Numerics,
         ratios[:-1] = ratios[1:]
         ratios[-1] = vals / before
         moves[0] = moves[1]
-        moves[1] = np.where(lam == 1.0, _row_norms(steps), np.nan)
+        moves[1] = np.where(lam == 1.0, row_norms(steps), np.nan)
         rows = np.flatnonzero(~done & (ratios.max(0) <= (1 + RETIRE_SPREAD) * ratios.min(0)))
         if len(rows) and band is not None:
             near = singular_distance(cur[rows]) <= band
@@ -290,25 +290,16 @@ def newton_zeros(field, seeds: np.ndarray, num: Numerics,
     return pts[good], stats
 
 
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm(x, axis=1)`` bit for bit: for k <= 3, where numpy
-    adds the squares in order, as sqrt((x0^2 + x1^2) + x2^2) over columns."""
-    if x.shape[1] > 3:
-        return np.linalg.norm(x, axis=1)
-    sq = x * x
-    return np.sqrt(sum(sq.T[1:], sq[:, 0]))
-
-
 def _probe(field, trial: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Field vectors and residuals (inf off the domain) at trial points."""
     memb = field.member(trial)
     if memb.all():
         tvec = field.grad(trial)
-        return tvec, _row_norms(tvec)
+        return tvec, row_norms(tvec)
     tvec, tval = np.empty_like(trial), np.full(len(trial), np.inf)
     if memb.any():
         vec = field.grad(trial[memb])
-        tvec[memb], tval[memb] = vec, _row_norms(vec)
+        tvec[memb], tval[memb] = vec, row_norms(vec)
     return tvec, tval
 
 
@@ -431,7 +422,7 @@ def dedupe_points(pts: np.ndarray, radius: float) -> np.ndarray:
     rest = pts[np.lexsort(pts.T[::-1])]
     keep: list[np.ndarray] = []
     while len(rest):
-        keep.append(rest[0])
+        keep.append(rest[0].copy())   # a view would hold this sweep's array
         d = rest[1:] - rest[0]
         # a matmul takes one dot product per row, summed as the norm of a
         # single vector is; an axis norm can round the last bit differently
@@ -504,9 +495,8 @@ def classify_zeros(field, region, pts: np.ndarray, num: Numerics,
     pts = dedupe_points(pts, DEDUPE_FACTOR * region.h)
     if len(pts) == 0:
         return []
-    return [ZeroRecord(tuple(float(c) for c in p), index, region.label,
-                       region.quotient_label)
-            for p, index in zip(pts, _zero_indices(field, pts, region.h, num))]
+    return [ZeroRecord(tuple(p), index, region.label, region.quotient_label)
+            for p, index in zip(pts.tolist(), _zero_indices(field, pts, region.h, num))]
 
 
 def _zero_indices(field, pts: np.ndarray, h: float, num: Numerics) -> list[int]:
@@ -518,13 +508,10 @@ def _zero_indices(field, pts: np.ndarray, h: float, num: Numerics) -> list[int]:
     distance to the domain boundary) confirms that sign.
     """
     jac = fd_jacobian(field, pts)
-    if len(pts) > 1:
-        diffs = pts[:, None, :] - pts[None, :, :]
-        dist = np.linalg.norm(diffs, axis=2)
-        np.fill_diagonal(dist, np.inf)
-        nearest_other = dist.min(axis=1)
-    else:
-        nearest_other = np.full(1, np.inf)
+    nearest_other = np.empty(len(pts))
+    for i, dist in distance_blocks(pts, pts):
+        dist[np.arange(len(dist)), np.arange(i, i + len(dist))] = np.inf
+        nearest_other[i:i + len(dist)] = dist.min(axis=1)
     svals = np.linalg.svd(jac, compute_uv=False)
     indices = np.where(_det(jac) > 0, 1, -1)
     indices[svals[:, -1] <= DEGENERACY_RATIO * np.maximum(1.0, svals[:, 0])] = 0
@@ -685,8 +672,7 @@ def _linkage_clusters(points: np.ndarray, radius: float) -> list[list[int]]:
 
     Each cluster grows from its first point one breadth-first ring at a time,
     so no list of close pairs is ever built."""
-    diffs = points[:, None, :] - points[None, :, :]
-    close = np.linalg.norm(diffs, axis=2) <= radius
+    close = np.concatenate([d <= radius for _, d in distance_blocks(points, points)])
     label = np.full(len(points), -1)
     for i in range(len(points)):
         ring = [i] if label[i] < 0 else []
@@ -732,8 +718,7 @@ class _Enclosure:
         centers = (cells + 0.5) * self.step
         ok = np.all((centers > self._lo) & (centers < self._hi), axis=1)
         if self._exclude is not None and np.any(ok):
-            diffs = centers[:, None, :] - self._exclude[None, :, :]
-            ok &= np.min(np.linalg.norm(diffs, axis=2), axis=1) > 0.75 * self.step
+            ok &= nearest_center_distance(centers, self._exclude) > 0.75 * self.step
         if np.any(ok):
             ok[ok] = self.field.member(centers[ok])
         singular = getattr(getattr(self.region, "stratum", None), "singular", None)

@@ -5,21 +5,25 @@ constructor algebra (full space, origin-centered balls and annuli, punctured
 space, boolean combinations); that tree is the configured Omega.  A runtime
 MapDomain is such an expression inside a list of kept open regions and
 outside a list of removed closed sets, all answering the same two queries:
-``contains`` and ``boundary_distance``.  Each step that changes a map's
-domain adds one region: ``orbit_normal`` keeps open balls, ``h_normal_lift``
-and the split's core keep an open tube, ``with_layer`` removes the layer's
-lateral shell, the split removes the orbit type's subspaces and then the
-closed inner tube, ``restrict_off`` removes closed balls and
-``disjoint_union`` keeps the union of its parts' domains.
+``contains`` and ``boundary_distance``; a query projects once onto all the
+distinct families of the regions built on subspaces (``Subspaces``,
+``Tube``, ``Shell``), and each reads its family's split.  Each step that
+changes a map's domain adds one region: ``orbit_normal`` keeps open balls,
+``h_normal_lift`` and the split's core keep an open tube, ``with_layer``
+removes the layer's lateral shell, the split removes the orbit type's
+subspaces and then the closed inner tube, ``restrict_off`` removes closed
+balls and ``disjoint_union`` keeps the union of its parts' domains.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError, NotInvariant
-from .tubes import SubspaceFamily, TubeGeometry, nearest_center_distance
+from .tubes import (ProjectorStack, SubspaceFamily, TubeGeometry,
+                    nearest_center_distance, row_norms)
 
 EXACT_TOL = 1e-11  # relative threshold for "lies on a removed subspace"
 
@@ -36,7 +40,7 @@ class DomainExpr:
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        r = np.linalg.norm(pts, axis=1)
+        r = row_norms(pts)
         if self.kind == "full":
             return np.ones(len(pts), dtype=bool)
         if self.kind == "ball":
@@ -56,7 +60,7 @@ class DomainExpr:
     def boundary_distance(self, points: np.ndarray) -> np.ndarray:
         """Lower bound on the distance to the topological boundary."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        r = np.linalg.norm(pts, axis=1)
+        r = row_norms(pts)
         if self.kind == "full":
             return np.full(len(pts), np.inf)
         if self.kind == "ball":
@@ -150,7 +154,12 @@ def validate_invariance(expr: DomainExpr, group, bbox: float,
 # regions and runtime map domains
 #
 # A region answers ``contains`` and ``boundary_distance``, a lower bound on
-# the distance to its frontier.
+# the distance to its frontier.  ``splits``, when given, is the query's
+# ``ProjectorStack.split`` of the points; without it a region splits alone.
+
+
+def _split(family: SubspaceFamily, pts: np.ndarray, splits):
+    return family.decompose(pts) if splits is None else splits[family]
 
 
 @dataclass(frozen=True)
@@ -159,12 +168,12 @@ class Subspaces:
 
     family: SubspaceFamily
 
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        scale = 1.0 + np.linalg.norm(pts, axis=1)
-        return self.family.min_distance(pts) <= EXACT_TOL * scale
+    def contains(self, pts: np.ndarray, splits=None) -> np.ndarray:
+        scale = 1.0 + row_norms(pts)
+        return self.boundary_distance(pts, splits) <= EXACT_TOL * scale
 
-    def boundary_distance(self, pts: np.ndarray) -> np.ndarray:
-        return self.family.min_distance(pts)
+    def boundary_distance(self, pts: np.ndarray, splits=None) -> np.ndarray:
+        return _split(self.family, pts, splits)[3]
 
 
 @dataclass(frozen=True)
@@ -175,11 +184,11 @@ class Balls:
     radius: float
     closed: bool
 
-    def contains(self, pts: np.ndarray) -> np.ndarray:
+    def contains(self, pts: np.ndarray, splits=None) -> np.ndarray:
         d = nearest_center_distance(pts, self.centers)
         return d <= self.radius if self.closed else d < self.radius
 
-    def boundary_distance(self, pts: np.ndarray) -> np.ndarray:
+    def boundary_distance(self, pts: np.ndarray, splits=None) -> np.ndarray:
         return np.abs(self.radius - nearest_center_distance(pts, self.centers))
 
 
@@ -191,15 +200,15 @@ class Tube:
     scale: float
     closed: bool
 
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        dec = self.geometry.decompose(pts)
+    def contains(self, pts: np.ndarray, splits=None) -> np.ndarray:
         rho, eps = self.geometry.rho, self.geometry.epsilon * self.scale
+        dec = self.geometry.read(_split(self.geometry.family, pts, splits), eps)
         if self.closed:
             return (dec["dcen"] <= rho) & (dec["s"] <= eps)
         return (dec["dcen"] < rho) & (dec["s"] < eps)
 
-    def boundary_distance(self, pts: np.ndarray) -> np.ndarray:
-        dec = self.geometry.decompose(pts)
+    def boundary_distance(self, pts: np.ndarray, splits=None) -> np.ndarray:
+        dec = self.geometry.read(_split(self.geometry.family, pts, splits))
         rho, eps = self.geometry.rho, self.geometry.epsilon * self.scale
         if self.closed:   # lower bound on the distance to the closed tube
             return np.hypot(np.maximum(0.0, dec["dcen"] - rho),
@@ -214,14 +223,14 @@ class Shell:
 
     geometry: TubeGeometry
 
-    def contains(self, pts: np.ndarray) -> np.ndarray:
+    def contains(self, pts: np.ndarray, splits=None) -> np.ndarray:
         geo = self.geometry
-        dec = geo.decompose(pts)
+        dec = geo.read(_split(geo.family, pts, splits), geo.epsilon)
         return (dec["dcen"] == geo.rho) & (dec["s"] <= geo.epsilon)
 
-    def boundary_distance(self, pts: np.ndarray) -> np.ndarray:
+    def boundary_distance(self, pts: np.ndarray, splits=None) -> np.ndarray:
         geo = self.geometry
-        dec = geo.decompose(pts)
+        dec = geo.read(_split(geo.family, pts, splits))
         return np.hypot(np.abs(dec["dcen"] - geo.rho),
                         np.maximum(0.0, dec["s"] - geo.epsilon))
 
@@ -232,13 +241,13 @@ class AnyOf:
 
     parts: tuple
 
-    def contains(self, pts: np.ndarray) -> np.ndarray:
+    def contains(self, pts: np.ndarray, splits=None) -> np.ndarray:
         ok = np.zeros(len(pts), dtype=bool)
         for p in self.parts:
             ok |= p.contains(pts)
         return ok
 
-    def boundary_distance(self, pts: np.ndarray) -> np.ndarray:
+    def boundary_distance(self, pts: np.ndarray, splits=None) -> np.ndarray:
         dist = np.full(len(pts), np.inf)
         for p in self.parts:
             dist = np.minimum(dist, p.boundary_distance(pts))
@@ -255,21 +264,31 @@ class MapDomain:
     kept: tuple = ()
     removed: tuple = ()
 
+    @cached_property
+    def _stack(self):
+        """The projector stack of the distinct families of the regions built
+        on subspaces, in first-use order; None without any."""
+        fams = {id(f): f for f in (getattr(getattr(r, "geometry", r), "family", None)
+                                   for r in self.kept + self.removed) if f is not None}
+        return ProjectorStack(list(fams.values())) if fams else None
+
     def contains(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        splits = self._stack.split(pts) if self._stack else None
         ok = self.expr.contains(pts)
         for region in self.kept:
-            ok &= region.contains(pts)
+            ok &= region.contains(pts, splits)
         for region in self.removed:
-            ok &= ~region.contains(pts)
+            ok &= ~region.contains(pts, splits)
         return ok
 
     def boundary_distance(self, points: np.ndarray) -> np.ndarray:
         """Lower bound on the distance to the domain boundary (for members)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        splits = self._stack.split(pts) if self._stack else None
         dist = self.expr.boundary_distance(pts)
         for region in self.kept + self.removed:
-            dist = np.minimum(dist, region.boundary_distance(pts))
+            dist = np.minimum(dist, region.boundary_distance(pts, splits))
         return dist
 
     def within(self, region) -> "MapDomain":

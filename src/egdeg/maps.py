@@ -63,7 +63,7 @@ class LocalGradientMap:
             return self.potential.value(pts)
         layer = self.layers[level - 1]
         geo = layer.geometry
-        dec = geo.decompose(pts)
+        dec = geo.decompose(pts, geo.epsilon)
         inside = geo.in_open_tube(pts, dec)
         out = np.empty(pts.shape[0])
         if np.any(~inside):
@@ -133,21 +133,22 @@ def layer_grad(layer: PerturbationLayer, pts: np.ndarray, below,
     projector onto the subspace of x and N = I - P.
     """
     geo = layer.geometry
-    dec = geo.decompose(pts)
+    dec = geo.decompose(pts, geo.epsilon)
     inside = geo.in_open_tube(pts, dec)
+    if not inside.any():
+        return below(pts)
     out = np.empty_like(pts)
-    if np.any(~inside):
+    if not inside.all():
         out[~inside] = below(pts[~inside])
-    if np.any(inside):
-        x, v, s = dec["x"][inside], dec["v"][inside], dec["s"][inside]
-        mu, mu_d, omega_d = layer.coeffs(s, t)
-        g_below = below(x + mu[:, None] * v)
-        proj = geo.family.project(g_below, dec["idx"][inside])
-        s_safe = np.where(s > 0, s, 1.0)
-        radial = (mu_d / s_safe) * np.sum(v * g_below, axis=1)
-        carried = proj + mu[:, None] * (g_below - proj) + radial[:, None] * v
-        omega_ratio = np.where(s > 0, omega_d / s_safe, 0.0)
-        out[inside] = carried + omega_ratio[:, None] * v
+    x, v, s = dec["x"][inside], dec["v"][inside], dec["s"][inside]
+    mu, mu_d, omega_d = layer.coeffs(s, t)
+    g_below = below(x + mu[:, None] * v)
+    proj = geo.family.project(g_below, dec["idx"][inside])
+    s_safe = np.where(s > 0, s, 1.0)
+    radial = (mu_d / s_safe) * np.sum(v * g_below, axis=1)
+    carried = proj + mu[:, None] * (g_below - proj) + radial[:, None] * v
+    omega_ratio = np.where(s > 0, omega_d / s_safe, 0.0)
+    out[inside] = carried + omega_ratio[:, None] * v
     return out
 
 

@@ -100,8 +100,7 @@ def _validate_tube(f, geo: TubeGeometry, num: Numerics, rng) -> tuple[bool, floa
         return False, 0.0
     if not np.all(f.member(tube_pts)):
         return False, 0.0
-    gaps = geo.decompose(tube_pts)["gap"]
-    if np.any(gaps <= geo.epsilon / 10.0):
+    if np.any(geo.family.gap(tube_pts) <= geo.epsilon / 10.0):
         return False, 0.0
     shell_pts = geo.sample_shell(500, rng)
     if len(shell_pts) == 0:
@@ -139,7 +138,7 @@ class HomotopyFamily:
         """r_{2t}(z) for t <= 1/2, r_1(z) beyond (identity off the tube)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         geo = self.layer.geometry
-        dec = geo.decompose(pts)
+        dec = geo.decompose(pts, geo.epsilon)
         inside = geo.in_open_tube(pts, dec)
         out = pts.copy()
         if np.any(inside):

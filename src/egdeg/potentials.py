@@ -307,13 +307,9 @@ class LiftedPotential(Potential):
         if stratum_poly.dim != family.k:
             raise ConfigError("stratum polynomial dimension mismatch")
 
-    def _split(self, pts):
-        idx, x, v, s, _ = self.family.decompose(pts)
-        return idx, x, v
-
     def value(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        idx, x, v = self._split(pts)
+        idx, x, v, _ = self.family.decompose(pts)
         out = np.empty(pts.shape[0])
         for j in range(self.family.count):
             mask = idx == j
@@ -324,7 +320,7 @@ class LiftedPotential(Potential):
 
     def grad(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        idx, x, v = self._split(pts)
+        idx, x, v, _ = self.family.decompose(pts)
         out = np.empty_like(pts)
         for j in range(self.family.count):
             mask = idx == j
@@ -336,7 +332,7 @@ class LiftedPotential(Potential):
 
     def hess(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        idx, x, _ = self._split(pts)
+        idx, x, _, _ = self.family.decompose(pts)
         out = np.empty((pts.shape[0], self.dim, self.dim))
         eye = np.eye(self.dim)
         for j in range(self.family.count):

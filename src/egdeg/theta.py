@@ -157,15 +157,12 @@ def _stratum_zero_pass(f: LocalGradientMap, stratum: Stratum, num: Numerics):
     records = {rep: classify_zeros(fld, region, pts[tags == rep], num, margin)
                for rep, region in regions.items()}
     per_component = {}
-    ambient = []
     for comp in stratum.components:
         rep = rep_of[comp.index]
-        recs = records[rep] if rep == comp.index else _transport(
+        per_component[comp.index] = records[rep] if rep == comp.index else _transport(
             fld, stratum, records[rep], rep, comp)
-        per_component[comp.index] = recs
-        for r in recs:
-            ambient.append(stratum.to_ambient(np.array(r.point))[0])
-    ambient = np.array(ambient) if ambient else np.empty((0, f.dim))
+    coords = [r.point for recs in per_component.values() for r in recs]
+    ambient = row_matmul(np.array(coords).reshape(-1, stratum.dim), stratum.basis.T)
     newton = {key: stats[key] for key in ("seeds", "converged", "stalled", "retired",
                                           "accelerated")}
     return fld, per_component, ambient, margin, newton
@@ -215,9 +212,9 @@ def _transport(fld: StratumField, stratum: Stratum, records: list[ZeroRecord],
             f"{residual[worst]:.3e} > {POLISH_TOL:g}; the field is not "
             f"Weyl-equivariant to working precision")
     quotient = stratum.orbit_of_component(comp.index).quotient_label
-    return [ZeroRecord(tuple(float(c) for c in pts[i]), records[i].index,
-                       comp.label_str, quotient)
-            for i in np.lexsort(pts.T[::-1]).tolist()]
+    label, order = comp.label_str, np.lexsort(pts.T[::-1]).tolist()
+    return [ZeroRecord(tuple(p), records[i].index, label, quotient)
+            for i, p in zip(order, pts[order].tolist())]
 
 
 @dataclass

@@ -2,12 +2,13 @@
 
 All strata in this package are open subsets of finite unions of linear
 subspaces (the conjugates g V^H), so tubular neighbourhoods reduce to
-orthogonal projection, one stacked product onto all the subspaces per query:
-a point z near the stratum decomposes uniquely as z = x + v with x the
-projection to the nearest conjugate subspace and v the normal offset.  The
-invariant neighbourhood U is stored as the rho-ball neighbourhood of a
-finite set of stratum centers, which makes membership, boundary and
-distance computations exact up to a conservative bound.
+orthogonal projection: a point z near the stratum decomposes uniquely as
+z = x + v with x the projection to the nearest conjugate subspace and v the
+normal offset.  A query projects onto the subspaces of one or several
+families in one stacked product (``ProjectorStack``); matmul computes each
+item alone, so a family's slice has the bits of its own product.  U is the
+rho-ball neighbourhood of finitely many stratum centers, so membership,
+boundary and distance are exact up to a conservative bound.
 
 The samplers that validate a tube draw their attempts in blocks: a block of
 m attempts makes one generator call per quantity (centers, in-subspace
@@ -41,6 +42,15 @@ def row_matmul(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return rows @ mat
 
 
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(x, axis=-1)`` bit for bit; up to 3 columns, where numpy
+    adds in order, as sqrt((x0^2 + x1^2) + x2^2), skipping its slow reduction."""
+    sq = x * x
+    if x.shape[-1] > 3:
+        return np.sqrt(np.add.reduce(sq, axis=-1))
+    return np.sqrt(sum((sq[..., j] for j in range(1, x.shape[-1])), sq[..., 0]))
+
+
 def _apply(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """Row i of ``vecs`` times matrix i of the (m, d, e) stack ``mats``, as
     an elementwise product summed row by row, so a row's bits do not depend
@@ -48,15 +58,56 @@ def _apply(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return np.sum(mats * vecs[:, None, :], axis=2)
 
 
+def distance_blocks(points: np.ndarray, others: np.ndarray):
+    """(first row, distances to all others) of each block of 256 points; a
+    distance is one row's norm, so its bits do not depend on the blocking."""
+    for i in range(0, max(len(points), 1), 256):
+        yield i, row_norms(points[i:i + 256, None] - others[None])
+
+
 def nearest_center_distance(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Distance from each point to its nearest center."""
-    return np.min(np.linalg.norm(points[:, None] - centers[None], axis=2), axis=1)
+    """Distance from each point to its nearest center (inf without any)."""
+    mins = [d.min(axis=1, initial=np.inf) for _, d in distance_blocks(points, centers)]
+    return mins[0] if len(mins) == 1 else np.concatenate(mins)
+
+
+class ProjectorStack:
+    """The projectors of several subspace families as one (J, d, d) stack."""
+
+    def __init__(self, families):
+        self.families = families
+        self.bounds = np.cumsum([0] + [f.count for f in families]).tolist()
+        self.transposed = np.concatenate([f.projectors for f in families]).transpose(0, 2, 1)
+
+    def products(self, pts: np.ndarray):
+        """(J, N, d) projections and offsets, (J, N) distances."""
+        proj = row_matmul(pts, self.transposed)
+        diff = pts - proj
+        return proj, diff, row_norms(diff)
+
+    def split(self, points: np.ndarray) -> dict:
+        """Each family's (idx, x, v, s) of each point: its nearest subspace
+        in the family (the first on a tie), projection, normal offset and
+        distance, from one stacked product per 256 points."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        parts = {f: [] for f in self.families}
+        for i in range(0, max(len(pts), 1), 256):
+            block = pts[i:i + 256]
+            proj, diff, dists = self.products(block)
+            rows, n = np.arange(len(block)), len(block)
+            proj, diff = proj.reshape(-1, pts.shape[1]), diff.reshape(-1, pts.shape[1])
+            for f, a, b in zip(self.families, self.bounds, self.bounds[1:]):
+                idx = dists[a:b].argmin(axis=0)
+                k = (idx + a) * n + rows
+                parts[f].append((idx, proj.take(k, axis=0), diff.take(k, axis=0),
+                                 dists.reshape(-1).take(k)))
+        return {f: p[0] if len(p) == 1 else tuple(map(np.concatenate, zip(*p)))
+                for f, p in parts.items()}
 
 
 class SubspaceFamily:
     """The distinct conjugate subspaces g V^H with projection helpers; a
-    query makes one stacked (J, N, d) product, by ``row_matmul`` so that a
-    lone row rounds as in a batch, and reads everything from it."""
+    query makes one stacked (J, N, d) product and reads everything from it."""
 
     def __init__(self, bases: list[np.ndarray]):
         if not bases:
@@ -65,6 +116,7 @@ class SubspaceFamily:
         self.dim = self.bases[0].shape[0]
         self.k = self.bases[0].shape[1]
         self.projectors = np.array([b @ b.T for b in self.bases])  # (J, d, d)
+        self.stack = ProjectorStack([self])
 
     @property
     def count(self) -> int:
@@ -72,42 +124,32 @@ class SubspaceFamily:
 
     def distances(self, points: np.ndarray) -> np.ndarray:
         """(J, N) distances from each point to each subspace."""
-        return self._split(points)[3]
+        return self.stack.products(np.atleast_2d(np.asarray(points, dtype=float)))[2]
 
     def decompose(self, points: np.ndarray):
         """Split points into base + normal against the nearest subspace.
 
-        Returns (idx, x, v, s, gap): nearest subspace index per point (the
-        first on a tie), projections x, normal offsets v, their norms s and
-        the gap to the second-nearest distance (inf when there is only one).
+        Returns (idx, x, v, s): nearest subspace index per point (the first
+        on a tie), projections x, normal offsets v and their norms s.
         """
-        pts, proj, diff, dists = self._split(points)
-        idx = np.argmin(dists, axis=0)
-        rows = np.arange(len(pts))
-        if self.count == 1:
-            gap = np.full(len(pts), np.inf)
-        else:
-            sorted_d = np.sort(dists, axis=0)
-            gap = sorted_d[1] - sorted_d[0]
-        return idx, proj[idx, rows], diff[idx, rows], dists[idx, rows], gap
+        return self.stack.split(points)[self]
+
+    def gap(self, points: np.ndarray) -> np.ndarray:
+        """Second-nearest minus nearest subspace distance of each point (inf
+        when there is only one subspace): how far it is from a tie."""
+        d = np.sort(self.distances(points), axis=0)
+        return d[1] - d[0] if self.count > 1 else np.full(d.shape[1], np.inf)
 
     def project(self, vecs: np.ndarray, idx: np.ndarray) -> np.ndarray:
         """Row i of ``vecs`` projected onto subspace ``idx[i]``."""
-        proj = row_matmul(vecs, self.projectors.transpose(0, 2, 1))
+        proj = row_matmul(vecs, self.stack.transposed)
         return proj[idx, np.arange(len(vecs))]
 
     def min_distance(self, points: np.ndarray) -> np.ndarray:
         """Distance to the nearest subspace, 256 points per stacked product."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.concatenate([np.min(self.distances(pts[i:i + 256]), axis=0)
+        return np.concatenate([self.stack.products(pts[i:i + 256])[2].min(axis=0)
                                for i in range(0, max(len(pts), 1), 256)])
-
-    def _split(self, points: np.ndarray):
-        """Points, (J, N, d) projections and offsets, (J, N) distances."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        proj = row_matmul(pts, self.projectors.transpose(0, 2, 1))
-        diff = pts - proj
-        return pts, proj, diff, np.linalg.norm(diff, axis=2)
 
 
 class TubeGeometry:
@@ -142,27 +184,27 @@ class TubeGeometry:
 
     # -- decomposition ---------------------------------------------------
 
-    def decompose(self, points: np.ndarray):
-        """Per-point tube decomposition data.
+    def decompose(self, points: np.ndarray, band: float = np.inf):
+        """Per-point tube decomposition data, as ``read`` gives it."""
+        return self.read(self.family.decompose(points), band)
 
-        Returns a dict of arrays: base points ``x``, offsets ``v``, norms
-        ``s``, nearest-center distance ``dcen`` of the base point, subspace
-        ``idx`` and the projection ``gap``.
-        """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        idx, x, v, s, gap = self.family.decompose(pts)
-        if self.is_empty:
-            dcen = np.full(pts.shape[0], np.inf)
-        else:
-            dcen = nearest_center_distance(x, self.centers)
-        return {"idx": idx, "x": x, "v": v, "s": s, "dcen": dcen, "gap": gap}
+    def read(self, split, band: float = np.inf) -> dict:
+        """The dict of arrays of a family split (idx, x, v, s): subspace ``idx``,
+        base points ``x``, offsets ``v``, their norms ``s`` and the nearest-center
+        distance ``dcen`` of each base point, inf where s exceeds ``band``."""
+        idx, x, v, s = split
+        near = ~(s > band)
+        dcen = np.full(len(x), np.inf)
+        if near.any():
+            dcen[near] = nearest_center_distance(x[near], self.centers)
+        return {"idx": idx, "x": x, "v": v, "s": s, "dcen": dcen}
 
     # -- membership ------------------------------------------------------
 
     def in_open_tube(self, points: np.ndarray, dec=None) -> np.ndarray:
         """Mask for U^epsilon = {x + v : x in U, |v| < epsilon}."""
         if dec is None:
-            dec = self.decompose(points)
+            dec = self.decompose(points, self.epsilon)
         return (dec["dcen"] < self.rho) & (dec["s"] < self.epsilon)
 
     # -- sampling ----------------------------------------------------------
@@ -233,7 +275,7 @@ class TubeGeometry:
             u = rng.normal(size=(m, self.family.k))
             if radius is None:
                 radius = rng.uniform(0, self.rho, size=m)
-            scale = radius / (np.linalg.norm(u, axis=1) + 1e-300)
+            scale = radius / (row_norms(u) + 1e-300)
             x = x + _apply(self.basis_stack[j], u) * scale[:, None]
         return x, j
 
@@ -243,7 +285,7 @@ class TubeGeometry:
         norm below 1e-12."""
         w = rng.normal(size=x.shape)
         w = w - _apply(self.family.projectors[j], w)
-        nw = np.linalg.norm(w, axis=1)
+        nw = row_norms(w)
         ok = nw >= 1e-12
         s = rng.uniform(0, self.epsilon, size=len(x))
         return x + w * (s / np.where(ok, nw, 1.0))[:, None], ok

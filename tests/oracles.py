@@ -775,3 +775,70 @@ def subgroup_lattice_loop(group):
         for b, (rep, _, _) in enumerate(classes):
             leq[a, b] = any(not np.any(c & ~rep) for c in conjugates)
     return records, [[members_of(c) for c in cls[1]] for cls in classes], leq
+
+
+def tube_decompose_loop(geo, points):
+    """x, s and dcen of a tube's points: the loop decomposition against its
+    family, then each base point's distance to its nearest center by one
+    axis norm (inf for an empty tube)."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    _, x, _, s, _ = subspace_decompose_loop(geo.family, pts)
+    if geo.is_empty:
+        dcen = np.full(len(pts), np.inf)
+    else:
+        dcen = np.min(np.linalg.norm(x[:, None] - geo.centers[None], axis=2), axis=1)
+    return x, s, dcen
+
+
+def region_query_loop(region, pts, query):
+    """``contains`` or ``boundary_distance`` (``query``) of one map-domain
+    region on its own: a region built on subspaces decomposes the points
+    against its own family by the loop, a union asks its parts region by
+    region, and balls answer by themselves."""
+    from egdeg import domains as dm
+    contains = query == "contains"
+    if isinstance(region, dm.AnyOf):
+        loop = map_domain_contains_loop if contains else map_domain_boundary_loop
+        parts = [loop(p, pts) for p in region.parts]
+        return np.logical_or.reduce(parts) if contains else np.minimum.reduce(parts)
+    if isinstance(region, dm.Subspaces):
+        dist = np.min(subspace_distances_loop(region.family, pts), axis=0)
+        return dist <= dm.EXACT_TOL * (1.0 + np.linalg.norm(pts, axis=1)) if contains else dist
+    if not isinstance(region, (dm.Tube, dm.Shell)):
+        return getattr(region, query)(pts)
+    geo = region.geometry
+    _, s, dcen = tube_decompose_loop(geo, pts)
+    rho = geo.rho
+    if isinstance(region, dm.Shell):
+        eps = geo.epsilon
+        if contains:
+            return (dcen == rho) & (s <= eps)
+        return np.hypot(np.abs(dcen - rho), np.maximum(0.0, s - eps))
+    eps = geo.epsilon * region.scale
+    if contains:
+        return (dcen <= rho) & (s <= eps) if region.closed else (dcen < rho) & (s < eps)
+    if region.closed:
+        return np.hypot(np.maximum(0.0, dcen - rho), np.maximum(0.0, s - eps))
+    return np.minimum(np.abs(rho - dcen), np.abs(eps - s))
+
+
+def map_domain_contains_loop(domain, points):
+    """MapDomain.contains region by region: inside the expression, every
+    kept region and no removed one, each region queried on its own."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    ok = domain.expr.contains(pts)
+    for region in domain.kept:
+        ok &= region_query_loop(region, pts, "contains")
+    for region in domain.removed:
+        ok &= ~region_query_loop(region, pts, "contains")
+    return ok
+
+
+def map_domain_boundary_loop(domain, points):
+    """MapDomain.boundary_distance region by region: the minimum of the
+    expression's and every region's own boundary distance."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    dist = domain.expr.boundary_distance(pts)
+    for region in domain.kept + domain.removed:
+        dist = np.minimum(dist, region_query_loop(region, pts, "boundary_distance"))
+    return dist

@@ -21,6 +21,7 @@ from egdeg.factory import catalog
 from egdeg.params import POLISH_TOL, Numerics
 from egdeg.strata import build_stratum, iso_types
 from egdeg.theta import recursion
+from egdeg.tubes import row_norms
 from egdeg.verify import _random_confined
 
 NUM = Numerics(grid_h=0.15, bbox=3.0)
@@ -250,17 +251,22 @@ class TestBatchedHelpers:
                     step.stratum.to_ambient(enc.centers()))
                 assert walls.min() <= 1.5 * enc.step
 
-    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("dim", range(1, 7))
     def test_row_norms_equal_numpy_norm(self, dim):
-        # every combination of special values across the columns, then rows
-        # spread over the whole exponent range
+        # every combination of special values across the columns (100000
+        # draws of them past dim 4), then rows spread over the whole
+        # exponent range, as rows and as a (J, N, d) stack
         special = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
                    1.0, -3.0, 1e154, -1e154, 1e200, np.inf, -np.inf, np.nan]
         rng = np.random.default_rng(dim)
+        combos = (np.array(list(itertools.product(special, repeat=dim))) if dim <= 4
+                  else rng.choice(special, size=(100000, dim)))
         spread = rng.normal(size=(20000, dim)) * np.exp(rng.uniform(-700, 700, (20000, dim)))
-        x = np.concatenate([np.array(list(itertools.product(special, repeat=dim))), spread])
+        x = np.concatenate([combos, spread])
+        stack = x[:len(x) // 4 * 4].reshape(4, -1, dim)
         with np.errstate(over="ignore", invalid="ignore"):
-            assert dg._row_norms(x).tobytes() == np.linalg.norm(x, axis=1).tobytes()
+            for arr in (x, stack):
+                assert row_norms(arr).tobytes() == np.linalg.norm(arr, axis=-1).tobytes()
 
     def test_fd_jacobian_makes_one_grad_call(self):
         rows = []

@@ -6,15 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import (bump_mu, bump_mu_deriv, homotopy_coeffs, orbit_closure_loop,
-                     sample_base_loop, sample_shell_loop, sample_tube_loop,
-                     subspace_decompose_loop, subspace_distances_loop,
-                     subspace_project_loop, well_omega, well_omega_deriv)
+from oracles import (bump_mu, bump_mu_deriv, homotopy_coeffs, map_domain_boundary_loop,
+                     map_domain_contains_loop, orbit_closure_loop, sample_base_loop,
+                     sample_shell_loop, sample_tube_loop, subspace_decompose_loop,
+                     subspace_distances_loop, subspace_project_loop,
+                     tube_decompose_loop, well_omega, well_omega_deriv)
 
 from egdeg import domains as dm
 from egdeg import groups as gr
 from egdeg import maps as mp
 from egdeg import potentials as pt
+from egdeg import tubes
 from egdeg.degree import GridRegion, find_zeros
 from egdeg.errors import OutOfRange
 from egdeg.factory import catalog, orbit_normal
@@ -147,7 +149,7 @@ class TestTubeDecompose:
         # a point equidistant from the axis at 0 and the axis at 60 degrees:
         # its gap is within the epsilon/10 that tube validation rejects
         mid = np.array([np.cos(np.pi / 6), np.sin(np.pi / 6)])
-        assert geo.decompose(mid)["gap"][0] <= geo.epsilon / 10
+        assert geo.family.gap(mid)[0] <= geo.epsilon / 10
 
 
     @pytest.mark.parametrize("name", ["s3_perm_radial", "d3_axis_orbit_normal"])
@@ -174,7 +176,8 @@ class TestTubeDecompose:
         rng = np.random.default_rng([count, dim, k, n])
         fam = _mixed_family(rng, dim, k, count)
         pts, kinds = _probe_points(rng, fam, n)
-        got, want = fam.decompose(pts), subspace_decompose_loop(fam, pts)
+        got = fam.decompose(pts) + (fam.gap(pts),)
+        want = subspace_decompose_loop(fam, pts)
         for a, b in zip(got, want):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
         dists = fam.distances(pts)
@@ -642,3 +645,146 @@ class TestLayeredEquivariance:
                     img = g.apply(gi, z)
                     if f.member(img[None])[0]:
                         assert np.linalg.norm(f.grad(img[None])[0]) <= 1e-7
+
+
+@functools.lru_cache(maxsize=None)
+def _recursion_domains(name):
+    """The domain of the map entering each step of a recursion and of the
+    three parts of its split, with the recursion's bbox and dimension."""
+    if name == "b3_quartic":
+        g, om, f, num = _b3_quartic()
+    elif name == "readme_d3":
+        g, om, num = gr.dihedral(3), dm.punctured_space(), NUM
+        f = mp.make_map(g, dm.MapDomain(om, 2.0), pt.PolynomialPotential.from_expression(
+            "(x1^2 + x2^2)^2 - x1^2 - x2^2", 2))
+    else:
+        g, om, f = catalog(name).build()
+        num = NUM
+    domains = []
+    for step in recursion(g, om, f, num, tubes_only=True):
+        parts = step.parts
+        domains += [step.f.domain, parts.core.domain, parts.trimmed.domain,
+                    parts.off_stratum.domain]
+    return domains, num.bbox, g.dim
+
+
+def _unit_rows(x):
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+def _domain_probes(domain, bbox, d, rng):
+    """Probe points of a map domain and their kinds: 0 random points of the
+    box, 1 points on a removed family's subspaces, 2 points on a tube's
+    lateral shell (the base point rho from a center along its subspace),
+    3 points at a tube's normal boundary (|v| = scale * epsilon), 4 ties:
+    the origin, the sum of two subspaces' first basis vectors and sums of
+    coordinate axes."""
+    regions = domain.kept + domain.removed
+    fams = [r.family for r in regions if isinstance(r, dm.Subspaces)]
+    geos = [(r.geometry, getattr(r, "scale", 1.0)) for r in regions
+            if isinstance(r, (dm.Tube, dm.Shell)) and not r.geometry.is_empty]
+    rows = [rng.uniform(-bbox, bbox, size=(100, d))]
+    kinds = [np.zeros(100, dtype=int)]
+    for fam in fams:
+        b = np.stack(fam.bases)[rng.integers(0, fam.count, size=40)]
+        rows.append(np.einsum("nak,nk->na", b, rng.normal(size=(40, fam.k))))
+        kinds.append(np.full(40, 1))
+    for geo, scale in geos:
+        m = 60
+        i = rng.integers(0, len(geo.centers), size=m)
+        b = geo.basis_stack[geo.center_idx[i]]
+        proj = geo.family.projectors[geo.center_idx[i]]
+        u = (_unit_rows(np.einsum("nak,nk->na", b, rng.normal(size=(m, geo.family.k))))
+             if geo.family.k else np.zeros((m, d)))
+        w = rng.normal(size=(m, d))
+        w = _unit_rows(w - np.einsum("nab,nb->na", proj, w))
+        shell = geo.centers[i] + geo.rho * u
+        rows += [shell + rng.uniform(0, geo.epsilon, size=(m, 1)) * w,
+                 geo.centers[i] + 0.5 * geo.rho * u + scale * geo.epsilon * w]
+        kinds += [np.full(m, 2), np.full(m, 3)]
+    axes = np.eye(d)
+    ties = [np.zeros(d), axes[0] + axes[-1], axes.sum(axis=0), 0.7 * axes[0]]
+    for fam in fams + [geo.family for geo, _ in geos]:
+        if fam.count > 1 and fam.k:
+            ties.append(fam.bases[0][:, 0] + fam.bases[1][:, 0])
+    rows.append(np.array(ties))
+    kinds.append(np.full(len(ties), 4))
+    pts, kinds = np.concatenate(rows), np.concatenate(kinds)
+    order = rng.permutation(len(pts))
+    return pts[order], kinds[order]
+
+
+class TestStackedDomainQueries:
+    @pytest.mark.parametrize("name", ["readme_d3", "b3_quartic", "s3_perm_radial"])
+    def test_stacked_equals_region_loop(self, name):
+        # one stacked projection per query gives the bits of every region
+        # queried on its own, on each batch size around the 256-row blocks
+        domains, bbox, dim = _recursion_domains(name)
+        rng = np.random.default_rng(11)
+        hits = {"on_subspace": 0, "on_shell": 0, "on_tube_boundary": 0, "tie": 0}
+        for domain in domains:
+            pts, kinds = _domain_probes(domain, bbox, dim, rng)
+            batches = [pts, pts[:0], pts[:257]] + [pts[kinds == k][:1] for k in range(5)]
+            for batch in batches:
+                got = domain.contains(batch)
+                assert got.tobytes() == map_domain_contains_loop(domain, batch).tobytes()
+                got = domain.boundary_distance(batch)
+                assert got.tobytes() == map_domain_boundary_loop(domain, batch).tobytes()
+            for region in domain.kept + domain.removed:
+                if isinstance(region, dm.Subspaces):
+                    hits["on_subspace"] += int(np.sum(region.contains(pts)))
+                    dists = subspace_distances_loop(region.family, pts)
+                    hits["tie"] += int(np.sum(np.sum(dists == dists.min(axis=0), axis=0) > 1))
+                if isinstance(region, (dm.Shell, dm.Tube)):
+                    geo, scale = region.geometry, getattr(region, "scale", 1.0)
+                    _, s, dcen = tube_decompose_loop(geo, pts)
+                    hits["on_shell"] += int(np.sum((dcen == geo.rho) & (s <= geo.epsilon)))
+                    hits["on_tube_boundary"] += int(np.sum(s == scale * geo.epsilon))
+        assert all(hits.values()), hits
+
+    def test_one_product_per_256_rows(self, monkeypatch):
+        # the deepest b3 domain projects every batch once per 256 rows for
+        # all its families, each family once although a step's shell, tube
+        # and subspaces share it
+        domain = _recursion_domains("b3_quartic")[0][-1]
+        regions = [r for r in domain.kept + domain.removed
+                   if isinstance(r, (dm.Subspaces, dm.Tube, dm.Shell))]
+        fams = {id(getattr(r, "geometry", r).family) for r in regions}
+        assert len(fams) > 1 and len(regions) > len(fams)
+        calls = []
+        product = tubes.row_matmul
+        monkeypatch.setattr(tubes, "row_matmul",
+                            lambda rows, mat: calls.append(mat.shape[0]) or product(rows, mat))
+        rng = np.random.default_rng(3)
+        for n in (0, 1, 256, 257, 600):
+            pts = rng.uniform(-1.6, 1.6, size=(n, 3))
+            for query in (domain.contains, domain.boundary_distance):
+                calls.clear()
+                query(pts)
+                count = sum(f.count for f in domain._stack.families)
+                assert calls == [count] * max(1, -(-n // 256))
+        assert {id(f) for f in domain._stack.families} == fams
+
+
+class TestLayerWalk:
+    def test_batch_off_the_top_tube_takes_the_level_below(self):
+        # a batch with no point in the top layer's open tube goes straight
+        # to the level below and gets the bits of the full walk, in which
+        # the same rows sit beside a point inside the tube
+        steps = _tube_steps("b3_quartic")
+        f = steps[-1].parts.core
+        below = steps[-1].f
+        geo = f.layers[-1].geometry
+        assert below.layers == f.layers[:-1] and len(f.layers) >= 2
+        rng = np.random.default_rng(7)
+        pts = rng.uniform(-1.6, 1.6, size=(400, 3))
+        # the walk takes nearest-center distances only within the normal
+        # radius; the full decomposition gives the same mask
+        assert np.array_equal(geo.in_open_tube(pts), geo.in_open_tube(pts, geo.decompose(pts)))
+        outside = pts[~geo.in_open_tube(pts)]
+        inside = geo.sample_tube(1, rng)
+        assert len(outside) > 100 and geo.in_open_tube(inside)[0]
+        alone = f.grad(outside)
+        assert alone.tobytes() == below.grad(outside).tobytes()
+        walked = f.grad(np.concatenate([outside, inside]))
+        assert alone.tobytes() == walked[:-1].tobytes()
