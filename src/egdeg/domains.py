@@ -40,38 +40,38 @@ class DomainExpr:
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        r = row_norms(pts)
         if self.kind == "full":
             return np.ones(len(pts), dtype=bool)
-        if self.kind == "ball":
-            return r < self.r1
-        if self.kind == "annulus":
-            return (self.r1 < r) & (r < self.r2)
-        if self.kind == "punctured":
-            return r > 0.0
         if self.kind == "diff":
             return self.left.contains(pts) & ~self.right.contains(pts)
         if self.kind == "union":
             return self.left.contains(pts) | self.right.contains(pts)
         if self.kind == "inter":
             return self.left.contains(pts) & self.right.contains(pts)
+        r = row_norms(pts)
+        if self.kind == "ball":
+            return r < self.r1
+        if self.kind == "annulus":
+            return (self.r1 < r) & (r < self.r2)
+        if self.kind == "punctured":
+            return r > 0.0
         raise ConfigError(f"unknown domain kind {self.kind!r}")
 
     def boundary_distance(self, points: np.ndarray) -> np.ndarray:
         """Lower bound on the distance to the topological boundary."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        r = row_norms(pts)
         if self.kind == "full":
             return np.full(len(pts), np.inf)
+        if self.kind in ("diff", "union", "inter"):
+            return np.minimum(self.left.boundary_distance(pts),
+                              self.right.boundary_distance(pts))
+        r = row_norms(pts)
         if self.kind == "ball":
             return np.abs(self.r1 - r)
         if self.kind == "annulus":
             return np.minimum(np.abs(r - self.r1), np.abs(self.r2 - r))
         if self.kind == "punctured":
             return r
-        if self.kind in ("diff", "union", "inter"):
-            return np.minimum(self.left.boundary_distance(pts),
-                              self.right.boundary_distance(pts))
         raise ConfigError(f"unknown domain kind {self.kind!r}")
 
 
@@ -118,21 +118,6 @@ def expr_from_config(cfg: dict) -> DomainExpr:
                 "intersection": intersection}[kind]
         return node(expr_from_config(cfg["left"]), expr_from_config(cfg["right"]))
     raise ConfigError(f"unknown domain kind {kind!r}")
-
-
-def expr_to_config(expr: DomainExpr) -> dict:
-    if expr.kind == "full":
-        return {"kind": "full"}
-    if expr.kind == "ball":
-        return {"kind": "ball", "r": expr.r1}
-    if expr.kind == "annulus":
-        return {"kind": "annulus", "r1": expr.r1, "r2": expr.r2}
-    if expr.kind == "punctured":
-        return {"kind": "punctured"}
-    names = {"diff": "difference", "union": "union", "inter": "intersection"}
-    return {"kind": names[expr.kind],
-            "left": expr_to_config(expr.left),
-            "right": expr_to_config(expr.right)}
 
 
 def validate_invariance(expr: DomainExpr, group, bbox: float,

@@ -301,16 +301,26 @@ class SubgroupLattice:
         return self._geometry[key]
 
 
+def distinct_rows(rows: np.ndarray, tol: float) -> np.ndarray:
+    """Indices, in order, of the rows a greedy pass keeps: a row is kept
+    unless a kept row lies within tol of it in every entry (max-abs).
+
+    Each sweep keeps the first remaining row and drops every remaining row
+    within tol of it, which keeps the same rows as the pass."""
+    left = np.arange(len(rows))
+    keep = []
+    while len(left):
+        keep.append(left[0])
+        left = left[np.max(np.abs(rows[left] - rows[left[0]]), axis=1) > tol]
+    return np.array(keep, dtype=np.intp)
+
+
 def _distinct(bases) -> list[np.ndarray]:
     """The bases whose projectors differ from every earlier one's by more
     than 1e-9 in some entry."""
-    out, projs = [], []
-    for b in bases:
-        p = b @ b.T
-        if not any(np.max(np.abs(p - q)) <= 1e-9 for q in projs):
-            projs.append(p)
-            out.append(b)
-    return out
+    bases = list(bases)
+    projs = np.array([(b @ b.T).ravel() for b in bases])
+    return [bases[i] for i in distinct_rows(projs, 1e-9)]
 
 
 def _mask(n: int, members) -> np.ndarray:
@@ -467,39 +477,11 @@ def isotropy(group: FiniteGroupRep, x) -> Isotropy:
     return Isotropy(_members(fixed), cid)
 
 
-def isotropy_class_map(group: FiniteGroupRep, points: np.ndarray):
-    """Vectorized isotropy classification for a batch of points.
-
-    Returns (class_ids, ok) where class_ids[i] is the conjugacy class of the
-    stabilizer of points[i] and ok[i] is False for points in the ambiguity
-    band or with an unrecognized stabilizer (these get class_id -1).
-    """
-    pts = np.asarray(points, dtype=float)
-    scale = 1.0 + np.linalg.norm(pts, axis=1)
-    n = pts.shape[0]
-    res = np.empty((group.order, n))
-    for g in range(group.order):
-        res[g] = np.linalg.norm(pts @ group.elements[g].T - pts, axis=1)
-    fixed = res <= ISO_TOL * scale[None]
-    band = (~fixed) & (res <= ISO_AMBIG_TOL * scale[None])
-    ok = ~np.any(band, axis=0)
-
-    class_ids = np.full(n, -1, dtype=np.int64)
-    for i in np.flatnonzero(ok):
-        class_ids[i] = group.lattice.class_of_mask(fixed[:, i])
-    ok &= class_ids >= 0
-    return class_ids, ok
-
-
 def orbit(group: FiniteGroupRep, x) -> np.ndarray:
     """Distinct points {Q_g x}; asserts |orbit| * |isotropy| = |G|."""
     x = np.asarray(x, dtype=float)
     images = x @ np.swapaxes(group.elements, 1, 2)
-    keep = []
-    for img in images:
-        if not any(np.max(np.abs(img - k)) <= MATCH_TOL for k in keep):
-            keep.append(img)
-    pts = np.array(keep)
+    pts = images[distinct_rows(images, MATCH_TOL)]
     iso = isotropy(group, x)
     if len(pts) * iso.order != group.order:
         raise IsotropyAmbiguous(

@@ -114,10 +114,6 @@ class LocalGradientMap:
             raise NotInvariant("scale the base potential before perturbing")
         return replace(self, potential=self.potential.scaled(lam))
 
-    def descriptor(self) -> dict:
-        from .serialize import map_descriptor  # local import to avoid a cycle
-        return map_descriptor(self)
-
 
 def layer_grad(layer: PerturbationLayer, pts: np.ndarray, below,
                t: float = 1.0) -> np.ndarray:

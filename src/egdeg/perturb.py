@@ -20,6 +20,7 @@ import numpy as np
 
 from .domains import Subspaces, Tube
 from .errors import PartitionViolation, TubeSelectionFailed
+from .groups import distinct_rows
 from .maps import LocalGradientMap, layer_grad
 from .params import Numerics
 from .profiles import PerturbationLayer
@@ -35,12 +36,7 @@ def _orbit_closure(group, points: np.ndarray) -> np.ndarray:
         return points
     images = np.concatenate([points @ group.elements[g].T
                              for g in range(group.order)], axis=0)
-    # keep the first remaining image and drop every image within 1e-9 of it
-    keep = []
-    while len(images):
-        keep.append(images[0])
-        images = images[np.max(np.abs(images - images[0]), axis=1) > 1e-9]
-    keep = np.array(keep)
+    keep = images[distinct_rows(images, 1e-9)]
     return keep[np.lexsort(keep.T[::-1])]
 
 

@@ -160,7 +160,7 @@ class _Parser:
 
 
 class Potential:
-    """Protocol-ish base: batched value/grad/hess plus a config descriptor."""
+    """Protocol-ish base: batched value/grad/hess."""
 
     dim: int
 
@@ -174,9 +174,6 @@ class Potential:
         raise NotImplementedError
 
     def scaled(self, lam: float) -> "Potential":
-        raise NotImplementedError
-
-    def descriptor(self) -> dict:
         raise NotImplementedError
 
 
@@ -252,10 +249,6 @@ class PolynomialPotential(Potential):
     def scaled(self, lam: float) -> "PolynomialPotential":
         return PolynomialPotential(poly_scale(self.terms, lam), self.dim)
 
-    def descriptor(self):
-        return {"kind": "polynomial", "dim": self.dim,
-                "terms": [[list(e), c] for e, c in sorted(self.terms.items())]}
-
 
 class OrbitWellPotential(Potential):
     """Half squared distance to the nearest of a finite point set."""
@@ -286,9 +279,6 @@ class OrbitWellPotential(Potential):
 
     def scaled(self, lam: float) -> "ScaledPotential":
         return ScaledPotential(self, lam)
-
-    def descriptor(self):
-        return {"kind": "orbit_well", "points": self.points.tolist()}
 
 
 class LiftedPotential(Potential):
@@ -347,11 +337,6 @@ class LiftedPotential(Potential):
     def scaled(self, lam: float) -> "ScaledPotential":
         return ScaledPotential(self, lam)
 
-    def descriptor(self):
-        return {"kind": "lifted",
-                "stratum_poly": self.stratum_poly.descriptor(),
-                "bases": [b.tolist() for b in self.family.bases]}
-
 
 class ScaledPotential(Potential):
     def __init__(self, base: Potential, lam: float):
@@ -370,9 +355,6 @@ class ScaledPotential(Potential):
 
     def scaled(self, lam: float) -> "ScaledPotential":
         return ScaledPotential(self.base, self.lam * lam)
-
-    def descriptor(self):
-        return {"kind": "scaled", "lam": self.lam, "base": self.base.descriptor()}
 
 
 class PiecewisePotential(Potential):
@@ -486,19 +468,3 @@ def validate_gradient_consistency(pot: Potential, bbox: float,
         scale = 1.0 + np.abs(hess[:, :, j])
         if np.any(np.abs(fd - hess[:, :, j]) > 1e-5 * scale):
             raise NotInvariant("hessian does not match finite differences")
-
-
-def potential_from_descriptor(desc: dict) -> Potential:
-    kind = desc.get("kind")
-    if kind == "polynomial":
-        terms = {tuple(e): float(c) for e, c in desc["terms"]}
-        return PolynomialPotential(terms, desc["dim"])
-    if kind == "orbit_well":
-        return OrbitWellPotential(np.array(desc["points"]))
-    if kind == "lifted":
-        poly = potential_from_descriptor(desc["stratum_poly"])
-        fam = SubspaceFamily([np.array(b) for b in desc["bases"]])
-        return LiftedPotential(poly, fam)
-    if kind == "scaled":
-        return ScaledPotential(potential_from_descriptor(desc["base"]), desc["lam"])
-    raise ConfigError(f"unknown potential descriptor kind {kind!r}")

@@ -556,6 +556,18 @@ def orbit_closure_loop(group, points):
     return np.array(keep)[order]
 
 
+def orbit_loop(group, x):
+    """Images Q_g x in element order, keeping an image unless a kept image
+    lies within MATCH_TOL (max-abs) of it."""
+    from egdeg.groups import MATCH_TOL
+    keep = []
+    for g in range(group.order):
+        p = x @ group.elements[g].T
+        if not any(np.max(np.abs(p - q)) <= MATCH_TOL for q in keep):
+            keep.append(p)
+    return np.array(keep)
+
+
 def _sample_blocks_loop(geo, n, cap, rng, kind):
     """The samplers' block contract, one candidate at a time.
 

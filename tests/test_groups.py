@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import conjugate_bases_loop, singular_family_loop, subgroup_lattice_loop
+from oracles import (conjugate_bases_loop, orbit_loop, singular_family_loop,
+                     subgroup_lattice_loop)
 
 from egdeg import groups as gr
 from egdeg.errors import ClosureOverflow, IsotropyAmbiguous, NotOrthogonal
@@ -498,10 +499,21 @@ def test_orbit_isotropy_product():
         assert len(gr.orbit(g, x)) * iso.order == g.order
 
 
-def test_vectorized_isotropy_matches_scalar():
-    g = gr.dihedral(3)
-    pts = np.array([[1.0, 0.0], [0.0, 0.0], [0.3, 0.7], [-1.0, 0.0]])
-    cids, ok = gr.isotropy_class_map(g, pts)
-    assert ok.all()
-    for p, cid in zip(pts, cids):
-        assert gr.isotropy(g, p).class_id == cid
+@pytest.mark.parametrize("group", [
+    gr.from_generators([np.eye(3)[[1, 0, 2]], np.eye(3)[[1, 2, 0]],
+                        np.diag([-1.0, 1.0, 1.0])]),
+    gr.dihedral(12)], ids=["B3", "D12"])
+def test_orbit_rows_equal_loop(group):
+    """Row order and near-duplicate handling of ``orbit`` against a loop."""
+    rng = np.random.default_rng(group.order)
+    pts = rng.uniform(-1, 1, size=(6, group.dim))
+    on_axis = pts[:3] * np.array([1.0] + [0.0] * (group.dim - 1))
+    # repeated points, points on mirrors and the origin, near copies 0.6e-9
+    # apart, and points 0.6e-9 off a mirror, whose images pair up within
+    # MATCH_TOL
+    pts = np.concatenate([pts, pts[:2], np.zeros((1, group.dim)), on_axis,
+                          pts[:2] + 0.6e-9, pts[:2] + 1.2e-9,
+                          on_axis + 0.6e-9 * np.eye(group.dim)[-1]])
+    for x in pts:
+        got, want = gr.orbit(group, x), orbit_loop(group, x)
+        assert got.shape == want.shape and np.array_equal(got, want)

@@ -1,6 +1,4 @@
 """Local map tests: construction, evaluation, restriction, unions."""
-import json
-
 import numpy as np
 import pytest
 
@@ -8,15 +6,8 @@ from egdeg import domains as dm
 from egdeg import groups as gr
 from egdeg import maps as mp
 from egdeg import potentials as pt
-from egdeg import serialize as sz
 from egdeg.errors import DomainsOverlap, NotInvariant, OutsideDomain
-from egdeg.factory import catalog, h_normal_lift, restrict_off
-from egdeg.params import Numerics
-from egdeg.perturb import _orbit_closure, perturb, select_tube, split
 from egdeg.strata import build_stratum, iso_types
-from egdeg.theta import recursion
-
-NUM = Numerics(grid_h=0.1, bbox=2.0)
 
 
 def line_map(expr="0.5*x1^2"):
@@ -138,95 +129,3 @@ class TestDisjointUnion:
         pts = np.linspace(-1.5, 1.5, 11)[:, None]
         assert np.allclose(u.grad(pts), f.grad(pts))
 
-
-def _orbit_normal_step0():
-    g, om, f = catalog("d3_axis_orbit_normal").build()
-    return next(recursion(g, om, f, NUM, tubes_only=True)).parts
-
-
-def _empty_tube_core():
-    g, om, f = catalog("d3_axis_orbit_normal").build()
-    cid = gr.isotropy(g, np.array([1.0, 0.0])).class_id
-    tube = select_tube(f, cid, np.empty((0, 2)), NUM)
-    assert tube.is_empty
-    return split(perturb(f, tube)[0], tube).core
-
-
-def _union():
-    g = gr.antipodal(1)
-    fa = mp.make_map(g, dm.MapDomain(dm.ball(0.5), 2.0),
-                     pt.PolynomialPotential.from_expression("0.5*x1^2", 1))
-    fb = mp.make_map(g, dm.MapDomain(dm.annulus(1.0, 1.8), 2.0),
-                     pt.PolynomialPotential.from_expression("-0.5*x1^2", 1))
-    return mp.disjoint_union(fa, fb)
-
-
-def _restrict_off():
-    return restrict_off(catalog("z2_line_max").build()[2],
-                        np.array([[1.5], [-1.5]]), 0.1)
-
-
-def _normal_lift():
-    g = gr.dihedral(3)
-    om = dm.punctured_space()
-    lat = iso_types(g, om, NUM.grid_h, NUM.bbox)
-    stratum = build_stratum(g, om, lat.class_ids[0], NUM.grid_h, NUM.bbox)
-    k = pt.PolynomialPotential.from_expression("(x1^2-1)^2", 1)
-    centers = _orbit_closure(g, np.array([[1.0, 0.0], [-1.0, 0.0]]))
-    return h_normal_lift(g, stratum, k, centers, rho=0.15, epsilon=0.12,
-                         bbox=2.0, omega=om)
-
-
-def _layered():
-    _, _, f = catalog("z2_line_max").build()
-    tube = select_tube(f, 0, np.empty((0, 1)), NUM)
-    return perturb(f, tube)[0]
-
-
-ROUND_TRIP_MAPS = {
-    "layered": _layered,
-    "core": lambda: _orbit_normal_step0().core,
-    "off_stratum": lambda: _orbit_normal_step0().off_stratum,
-    "trimmed": lambda: _orbit_normal_step0().trimmed,
-    "empty_tube_core": _empty_tube_core,
-    "disjoint_union": _union,
-    "restrict_off": _restrict_off,
-    "h_normal_lift": _normal_lift,
-}
-
-
-class TestSerialization:
-    def test_roundtrip_values_exact(self):
-        from egdeg.factory import catalog
-        from egdeg.perturb import perturb, select_tube
-        from egdeg.params import Numerics
-        g, om, f = catalog("z2_line_max").build()
-        num = Numerics(grid_h=0.1, bbox=2.0)
-        tube = select_tube(f, 0, np.empty((0, 1)), num)
-        fp, _ = perturb(f, tube)
-        desc = json.loads(json.dumps(sz.map_descriptor(fp)))
-        fp2 = sz.map_from_descriptor(desc, g)
-        pts = np.random.default_rng(5).uniform(-2, 2, size=(100, 1))
-        pts = pts[fp.member(pts)]
-        assert np.max(np.abs(fp.phi(pts) - fp2.phi(pts))) <= 1e-12
-        assert np.max(np.abs(fp.grad(pts) - fp2.grad(pts))) <= 1e-12
-
-    @pytest.mark.parametrize("name", sorted(ROUND_TRIP_MAPS))
-    def test_roundtrip_bitwise(self, name):
-        """Every region kind survives a JSON round trip bit for bit."""
-        f = ROUND_TRIP_MAPS[name]()
-        desc = json.loads(json.dumps(sz.map_descriptor(f)))
-        f2 = sz.map_from_descriptor(desc, f.group)
-        assert json.loads(json.dumps(sz.map_descriptor(f2))) == desc
-        rng = np.random.default_rng(11)
-        pts = rng.uniform(-f.bbox, f.bbox, size=(2000, f.dim))
-        if f.seed_hints:
-            hints = np.array(f.seed_hints)
-            near = hints[rng.integers(len(hints), size=1000)]
-            pts = np.concatenate([pts, near + 0.1 * rng.normal(size=near.shape)])
-        member = f.member(pts)
-        assert np.array_equal(member, f2.member(pts))
-        assert member.any() or name == "empty_tube_core"
-        assert (f.domain.boundary_distance(pts).tobytes()
-                == f2.domain.boundary_distance(pts).tobytes())
-        assert f.grad(pts[member]).tobytes() == f2.grad(pts[member]).tobytes()

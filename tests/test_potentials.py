@@ -190,10 +190,3 @@ class TestValidation:
         g = gr.dihedral(3)
         p = pt.PolynomialPotential.from_expression("(x1^2 + x2^2)^2", 2)
         pt.validate_invariance(p, g, 2.0)
-
-    def test_descriptor_roundtrip(self):
-        p = pt.PolynomialPotential.from_expression("(x1^2-1)^2 + x2^2", 2)
-        q = pt.potential_from_descriptor(p.descriptor())
-        pts = np.random.default_rng(0).uniform(-2, 2, size=(20, 2))
-        assert np.array_equal(p.value(pts), q.value(pts))
-        assert np.array_equal(p.grad(pts), q.grad(pts))

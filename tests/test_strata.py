@@ -139,10 +139,8 @@ def test_exact_isotropy_of_cells(d3, d3_punctured):
     s = st.build_stratum(d3, dom.punctured_space(), d3_punctured.class_ids[0],
                          H, BBOX)
     for comp in s.components:
-        pts = s.to_ambient(comp.centers[:50])
-        cids, ok = gr.isotropy_class_map(d3, pts)
-        assert ok.all()
-        assert (cids == s.class_id).all()
+        for p in s.to_ambient(comp.centers[:50]):
+            assert gr.isotropy(d3, p).class_id == s.class_id
 
 
 def test_maximal_stratum_relatively_closed(d3):
