@@ -88,6 +88,10 @@ class FieldAdapter:
             return np.ones(len(pts), dtype=bool)
         return self._member(pts)
 
+    def member_grad(self, pts: np.ndarray):
+        memb = self.member(pts)
+        return memb, self.grad(pts if memb.all() else np.atleast_2d(pts)[memb])
+
     def boundary_distance(self, pts: np.ndarray) -> np.ndarray:
         return np.full(len(np.atleast_2d(pts)), np.inf)
 
@@ -105,6 +109,10 @@ class TiltedField:
 
     def member(self, pts):
         return self.base.member(pts)
+
+    def member_grad(self, pts):
+        memb, vec = self.base.member_grad(pts)
+        return memb, vec + self.offset[None]
 
     def boundary_distance(self, pts):
         return self.base.boundary_distance(pts)
@@ -185,8 +193,8 @@ def newton_zeros(field, seeds: np.ndarray, num: Numerics,
     Each step solves J s = -f once per row (``_solve_batched``: cofactors
     for k <= 3, pinv on near-singular rows).  A row takes the first of the
     steps lam s, lam = 1, 1/2, ..., 1/256, that stays in the domain and
-    lowers the residual (``_line_search``); seeds that cannot improve are
-    dropped.  A point counts as converged when its residual is at most
+    lowers the residual (``_line_search``); seeds off the domain and seeds
+    that cannot improve are dropped.  A point counts as converged when its residual is at most
     POLISH_TOL after polishing (the iteration itself targets
     num.newton_tol, which Numerics keeps at or below POLISH_TOL).  Only the
     open rows are iterated, as contiguous arrays of seed index, point, field
@@ -229,13 +237,14 @@ def newton_zeros(field, seeds: np.ndarray, num: Numerics,
     singular_distance = getattr(field, "singular_distance", None)
     band = None if singular_distance is None else compact_margin
     fvals = np.full(len(pts), np.inf)
-    active = field.member(pts).copy()
+    active, vecs = field.member_grad(pts)
+    active = active.copy()
     retired = np.zeros(len(pts), dtype=bool)
     accelerated = np.zeros(len(pts), dtype=bool)
     # the working set: seed index, point, field vector and residual per row
     idx = np.flatnonzero(active)
     cur = pts[idx]
-    vecs = np.array(field.grad(cur), float, order="C") if len(idx) else np.zeros_like(cur)
+    vecs = np.array(vecs, float, order="C")
     vals = row_norms(vecs)
     fvals[idx] = vals
     active[idx[~np.isfinite(vals)]] = False
@@ -292,19 +301,16 @@ def newton_zeros(field, seeds: np.ndarray, num: Numerics,
 
 def _probe(field, trial: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Field vectors and residuals (inf off the domain) at trial points."""
-    memb = field.member(trial)
+    memb, vec = field.member_grad(trial)
     if memb.all():
-        tvec = field.grad(trial)
-        return tvec, row_norms(tvec)
+        return vec, row_norms(vec)
     tvec, tval = np.empty_like(trial), np.full(len(trial), np.inf)
-    if memb.any():
-        vec = field.grad(trial[memb])
-        tvec[memb], tval[memb] = vec, row_norms(vec)
+    tvec[memb], tval[memb] = vec, row_norms(vec)
     return tvec, tval
 
 
 def _line_search(field, cur, vecs, vals, steps) -> np.ndarray:
-    """Damped Newton steps for a working set, in two member + grad calls.
+    """Damped Newton steps for a working set, in two ``member_grad`` calls.
 
     Each row takes the first factor lam of 1, 1/2, ..., 1/256 whose point
     cur + lam s is a domain member with a finite residual below the row's:
@@ -808,7 +814,7 @@ def _enclosure_tilt(field, region, enclosure: _Enclosure,
         delta = margin / 2
         for _ in range(6):
             tilted = TiltedField(field, delta, direction)
-            pts, _stats = newton_zeros(tilted, seeds[tilted.member(seeds)], num)
+            pts, _stats = newton_zeros(tilted, seeds, num)
             if len(pts):
                 pts = pts[enclosure.contains(pts)]
                 pts = dedupe_points(pts, DEDUPE_FACTOR * region.h)

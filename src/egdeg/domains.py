@@ -7,7 +7,8 @@ MapDomain is such an expression inside a list of kept open regions and
 outside a list of removed closed sets, all answering the same two queries:
 ``contains`` and ``boundary_distance``; a query projects once onto all the
 distinct families of the regions built on subspaces (``Subspaces``,
-``Tube``, ``Shell``), and each reads its family's split.  Each step that
+``Tube``, ``Shell``), and each reads its family's split (a map's
+``member_grad`` shares that split with its layers).  Each step that
 changes a map's domain adds one region: ``orbit_normal`` keeps open balls,
 ``h_normal_lift`` and the split's core keep an open tube, ``with_layer``
 removes the layer's lateral shell, the split removes the orbit type's
@@ -144,7 +145,7 @@ def validate_invariance(expr: DomainExpr, group, bbox: float,
 
 
 def _split(family: SubspaceFamily, pts: np.ndarray, splits):
-    return family.decompose(pts) if splits is None else splits[family]
+    return family.stack.split(pts) if splits is None else splits
 
 
 @dataclass(frozen=True)
@@ -154,11 +155,11 @@ class Subspaces:
     family: SubspaceFamily
 
     def contains(self, pts: np.ndarray, splits=None) -> np.ndarray:
-        scale = 1.0 + row_norms(pts)
-        return self.boundary_distance(pts, splits) <= EXACT_TOL * scale
+        splits = _split(self.family, pts, splits)
+        return self.boundary_distance(pts, splits) <= EXACT_TOL * splits.scale
 
     def boundary_distance(self, pts: np.ndarray, splits=None) -> np.ndarray:
-        return _split(self.family, pts, splits)[3]
+        return _split(self.family, pts, splits)[self.family][3]
 
 
 @dataclass(frozen=True)
@@ -187,13 +188,13 @@ class Tube:
 
     def contains(self, pts: np.ndarray, splits=None) -> np.ndarray:
         rho, eps = self.geometry.rho, self.geometry.epsilon * self.scale
-        dec = self.geometry.read(_split(self.geometry.family, pts, splits), eps)
+        dec = _split(self.geometry.family, pts, splits).read(self.geometry, eps)
         if self.closed:
             return (dec["dcen"] <= rho) & (dec["s"] <= eps)
         return (dec["dcen"] < rho) & (dec["s"] < eps)
 
     def boundary_distance(self, pts: np.ndarray, splits=None) -> np.ndarray:
-        dec = self.geometry.read(_split(self.geometry.family, pts, splits))
+        dec = _split(self.geometry.family, pts, splits).read(self.geometry)
         rho, eps = self.geometry.rho, self.geometry.epsilon * self.scale
         if self.closed:   # lower bound on the distance to the closed tube
             return np.hypot(np.maximum(0.0, dec["dcen"] - rho),
@@ -210,12 +211,12 @@ class Shell:
 
     def contains(self, pts: np.ndarray, splits=None) -> np.ndarray:
         geo = self.geometry
-        dec = geo.read(_split(geo.family, pts, splits), geo.epsilon)
+        dec = _split(geo.family, pts, splits).read(geo, geo.epsilon)
         return (dec["dcen"] == geo.rho) & (dec["s"] <= geo.epsilon)
 
     def boundary_distance(self, pts: np.ndarray, splits=None) -> np.ndarray:
         geo = self.geometry
-        dec = geo.read(_split(geo.family, pts, splits))
+        dec = _split(geo.family, pts, splits).read(geo)
         return np.hypot(np.abs(dec["dcen"] - geo.rho),
                         np.maximum(0.0, dec["s"] - geo.epsilon))
 
@@ -250,16 +251,22 @@ class MapDomain:
     removed: tuple = ()
 
     @cached_property
-    def _stack(self):
-        """The projector stack of the distinct families of the regions built
-        on subspaces, in first-use order; None without any."""
-        fams = {id(f): f for f in (getattr(getattr(r, "geometry", r), "family", None)
-                                   for r in self.kept + self.removed) if f is not None}
-        return ProjectorStack(list(fams.values())) if fams else None
+    def families(self) -> list:
+        """The families of the regions built on subspaces."""
+        fams = (getattr(getattr(r, "geometry", r), "family", None)
+                for r in self.kept + self.removed)
+        return [f for f in fams if f is not None]
 
-    def contains(self, points: np.ndarray) -> np.ndarray:
+    @cached_property
+    def _stack(self):
+        return ProjectorStack(self.families) if self.families else None
+
+    def contains(self, points: np.ndarray, splits=None) -> np.ndarray:
+        """Membership mask; ``splits`` is a split of the points over
+        ``families`` (and maybe more), or None to take one."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        splits = self._stack.split(pts) if self._stack else None
+        if splits is None and self._stack:
+            splits = self._stack.split(pts)
         ok = self.expr.contains(pts)
         for region in self.kept:
             ok &= region.contains(pts, splits)

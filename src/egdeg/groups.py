@@ -227,7 +227,7 @@ class SubgroupLattice:
     It is also the one owner of each orbit type's subspace data: the
     conjugate family of g V^H, the singular family of V^H and the Weyl
     matrices, each built once, on first use, by ``family``, ``singular`` and
-    ``weyl_matrices``.
+    ``weyl_matrices``; ``memo`` holds the strata built over it as well.
     """
 
     def __init__(self, group: FiniteGroupRep, records: list[SubgroupRecord],
@@ -240,8 +240,8 @@ class SubgroupLattice:
         self._class_by_mask = {
             _mask(group.order, members).tobytes(): cid
             for cid, sets in enumerate(class_members) for members in sets}
-        # per-class subspace data of the stratum recursion, see ``_once``
-        self._geometry: dict[tuple[str, int], object] = {}
+        # per-class data of the stratum recursion, see ``memo``
+        self._memo: dict[tuple, object] = {}
 
     @property
     def n_classes(self) -> int:
@@ -271,7 +271,7 @@ class SubgroupLattice:
     def family(self, class_id: int) -> SubspaceFamily:
         """The distinct conjugate fixed subspaces g V^H, built on first use."""
         basis = self.records[class_id].fixed_basis
-        return self._once("family", class_id, lambda: SubspaceFamily(_distinct(
+        return self.memo(("family", class_id), lambda: SubspaceFamily(_distinct(
             self.group.elements[g] @ basis for g in range(self.group.order))))
 
     def singular(self, class_id: int) -> SubspaceFamily | None:
@@ -284,21 +284,21 @@ class SubgroupLattice:
                               for sets in self.class_members for members in sets
                               if rep < set(members))
             return SubspaceFamily(bases) if bases else None
-        return self._once("singular", class_id, build)
+        return self.memo(("singular", class_id), build)
 
     def weyl_matrices(self, class_id: int) -> list[np.ndarray]:
         """The Weyl action in stratum coordinates, basis^T Q_w basis, for each
         ``w`` of ``weyl_coset_reps`` in order; built on first use."""
         rec = self.records[class_id]
         basis = rec.fixed_basis
-        return self._once("weyl", class_id, lambda: [
+        return self.memo(("weyl", class_id), lambda: [
             basis.T @ self.group.elements[w] @ basis for w in rec.weyl_coset_reps])
 
-    def _once(self, kind: str, class_id: int, build):
-        key = (kind, class_id)
-        if key not in self._geometry:
-            self._geometry[key] = build()
-        return self._geometry[key]
+    def memo(self, key: tuple, build):
+        """The value kept under ``key``, made by ``build()`` on first use."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
 
 def distinct_rows(rows: np.ndarray, tol: float) -> np.ndarray:

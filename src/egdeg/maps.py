@@ -8,10 +8,14 @@ identity.  Gradients use the exact chain rule through the retraction
 closed form P + mu N + (mu'/s) v v^T, with the coefficients of
 ``PerturbationLayer.coeffs``); Hessians through layers fall back to central
 differences of the gradient.
+A map query splits its points once onto every family it reads, and each
+layer reads its rows of that split; only the points a layer retracts are
+split again, for the layers below it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -27,8 +31,8 @@ from .potentials import (
     validate_gradient_consistency,
     validate_invariance,
 )
-from .profiles import PerturbationLayer, bump, well
-from .tubes import row_matmul
+from .profiles import PerturbationLayer, well
+from .tubes import ProjectorStack, row_matmul
 
 
 @dataclass(frozen=True)
@@ -52,41 +56,49 @@ class LocalGradientMap:
     def member(self, points: np.ndarray) -> np.ndarray:
         return self.domain.contains(points)
 
+    def member_grad(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The domain mask of the points and the gradient at its members,
+        from one split shared by the domain's regions and the layers."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        split = self._stacks[-1] and self._stacks[-1].split(pts)
+        memb = self.domain.contains(pts, split)
+        if not memb.all():
+            pts, split = pts[memb], split and split.at(memb)
+        return memb, self._walk(pts, len(self.layers), split)
+
+    @cached_property
+    def _stacks(self) -> list:
+        """Entry L >= 1 splits a batch entering layer L, over the families of
+        the first L layers; the last adds the domain's, for ``member_grad``."""
+        fams = [layer.geometry.family for layer in self.layers]
+        query = self.domain.families + fams
+        return ([None] + [ProjectorStack(fams[:n]) for n in range(1, len(fams) + 1)]
+                + [ProjectorStack(query) if query else None])
+
     # -- potential through the layer stack --------------------------------
 
     def phi(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return self._phi_level(pts, len(self.layers))
-
-    def _phi_level(self, pts: np.ndarray, level: int) -> np.ndarray:
-        if level == 0:
-            return self.potential.value(pts)
-        layer = self.layers[level - 1]
-        geo = layer.geometry
-        dec = geo.decompose(pts, geo.epsilon)
-        inside = geo.in_open_tube(pts, dec)
-        out = np.empty(pts.shape[0])
-        if np.any(~inside):
-            out[~inside] = self._phi_level(pts[~inside], level - 1)
-        if np.any(inside):
-            x = dec["x"][inside]
-            v = dec["v"][inside]
-            s = dec["s"][inside]
-            mu = bump(s, layer.epsilon, layer.mu_kind)[0]
-            retracted = x + mu[:, None] * v
-            out[inside] = (self._phi_level(retracted, level - 1)
-                           + well(s, layer.epsilon)[0])
-        return out
+        return self._walk(pts, len(self.layers), None, value=True)
 
     def grad(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return self._grad_level(pts, len(self.layers))
+        return self._walk(pts, len(self.layers), None)
 
-    def _grad_level(self, pts: np.ndarray, level: int) -> np.ndarray:
+    def _walk(self, pts: np.ndarray, level: int, split, value: bool = False):
+        """The gradient, or with ``value`` the potential, at pts through the
+        first ``level`` layers, from a split of pts over their families
+        (taken here when None)."""
         if level == 0:
-            return self.potential.grad(pts)
-        return layer_grad(self.layers[level - 1], pts,
-                          lambda p: self._grad_level(p, level - 1))
+            return self.potential.value(pts) if value else self.potential.grad(pts)
+        layer, split = self.layers[level - 1], split or self._stacks[level].split(pts)
+
+        def below(p, sub):
+            return self._walk(p, level - 1, sub, value)
+        if value:   # the potential below at the retracted point plus the well
+            return through_layer(layer, pts, below, lambda phi, x, v, s, *_:
+                                 phi + well(s, layer.epsilon)[0], split=split)
+        return layer_grad(layer, pts, below, split=split)
 
     def hess(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -115,37 +127,44 @@ class LocalGradientMap:
         return replace(self, potential=self.potential.scaled(lam))
 
 
-def layer_grad(layer: PerturbationLayer, pts: np.ndarray, below,
-               t: float = 1.0) -> np.ndarray:
-    """Gradient through one tube layer at time t of its homotopy (t = 1 is
-    the perturbed map), by the chain rule of its retraction.
-
-    ``below`` is the gradient under the layer, and ``layer.coeffs(s, t)``
-    gives the retraction factor mu, its derivative mu' and the well
-    derivative omega' at normal offsets s.  Off the open tube the layer is
-    the identity.  In it, z = x + v with s = |v| carries the potential
-    phi(x + mu v) + omega(s), whose gradient is (P + mu N + (mu'/s) v v^T) g
-    + (omega'/s) v, with g the gradient below at the retracted point, P the
-    projector onto the subspace of x and N = I - P.
-    """
+def through_layer(layer: PerturbationLayer, pts: np.ndarray, below, inner,
+                  t: float = 1.0, split=None) -> np.ndarray:
+    """A quantity through one tube layer at time t of its homotopy (t = 1 is
+    the perturbed map).  Off the open tube it is ``below(points, sub)``, with
+    ``sub`` the points' rows of ``split`` (a split of pts over the layer's
+    family, taken here when None).  In it, z = x + v with s = |v| retracts to
+    x + mu v, and the quantity is ``inner(q, x, v, s, idx, *coeffs)`` with q
+    ``below`` there (``sub`` None) and ``coeffs = layer.coeffs(s, t)``."""
     geo = layer.geometry
-    dec = geo.decompose(pts, geo.epsilon)
+    dec = (split or geo.family.stack.split(pts)).read(geo, geo.epsilon)
     inside = geo.in_open_tube(pts, dec)
     if not inside.any():
-        return below(pts)
-    out = np.empty_like(pts)
-    if not inside.all():
-        out[~inside] = below(pts[~inside])
+        return below(pts, split)
     x, v, s = dec["x"][inside], dec["v"][inside], dec["s"][inside]
-    mu, mu_d, omega_d = layer.coeffs(s, t)
-    g_below = below(x + mu[:, None] * v)
-    proj = geo.family.project(g_below, dec["idx"][inside])
-    s_safe = np.where(s > 0, s, 1.0)
-    radial = (mu_d / s_safe) * np.sum(v * g_below, axis=1)
-    carried = proj + mu[:, None] * (g_below - proj) + radial[:, None] * v
-    omega_ratio = np.where(s > 0, omega_d / s_safe, 0.0)
-    out[inside] = carried + omega_ratio[:, None] * v
+    coeffs = layer.coeffs(s, t)
+    vals = inner(below(x + coeffs[0][:, None] * v, None), x, v, s, dec["idx"][inside], *coeffs)
+    out = np.empty((len(pts),) + vals.shape[1:])
+    if not inside.all():
+        out[~inside] = below(pts[~inside], split and split.at(~inside))
+    out[inside] = vals
     return out
+
+
+def layer_grad(layer: PerturbationLayer, pts: np.ndarray, below,
+               t: float = 1.0, split=None) -> np.ndarray:
+    """Gradient through one tube layer, by the chain rule of its retraction
+    (``through_layer``): the potential phi(x + mu v) + omega(s) has the
+    gradient (P + mu N + (mu'/s) v v^T) g + (omega'/s) v, with g the
+    gradient below at the retracted point, P the projector onto the
+    subspace of x and N = I - P."""
+    def chain(g, x, v, s, idx, mu, mu_d, omega_d):
+        proj = layer.geometry.family.project(g, idx)
+        positive = s > 0
+        s_safe = np.where(positive, s, 1.0)
+        radial = (mu_d / s_safe) * (v * g).sum(axis=1)
+        carried = proj + mu[:, None] * (g - proj) + radial[:, None] * v
+        return carried + np.where(positive, omega_d / s_safe, 0.0)[:, None] * v
+    return through_layer(layer, pts, below, chain, t, split)
 
 
 def make_map(group: FiniteGroupRep, domain: MapDomain, potential: Potential,
@@ -215,6 +234,10 @@ class StratumField:
     def grad(self, coords: np.ndarray) -> np.ndarray:
         return row_matmul(self.map.grad(self.ambient(coords)), self.basis)
 
+    def member_grad(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        memb, g = self.map.member_grad(self.ambient(coords))
+        return memb, row_matmul(g, self.basis)
+
     def hess(self, coords: np.ndarray) -> np.ndarray:
         h = self.map.hess(self.ambient(coords))
         return np.einsum("ak,nab,bl->nkl", self.basis, h, self.basis)
@@ -240,8 +263,7 @@ class StratumField:
         return float(np.max(np.linalg.norm(g - tangential, axis=1)))
 
 
-def restrict_to_stratum(f: LocalGradientMap, stratum) -> StratumField:
-    return StratumField(f, stratum)
+restrict_to_stratum = StratumField
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import numpy as np
 from .domains import Subspaces, Tube
 from .errors import PartitionViolation, TubeSelectionFailed
 from .groups import distinct_rows
-from .maps import LocalGradientMap, layer_grad
+from .maps import LocalGradientMap, layer_grad, through_layer
 from .params import Numerics
 from .profiles import PerturbationLayer
 from .tubes import TubeGeometry
@@ -128,19 +128,12 @@ class HomotopyFamily:
 
     def grad_at(self, t: float, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return layer_grad(self.layer, pts, self.base.grad, t)
+        return layer_grad(self.layer, pts, lambda p, _: self.base.grad(p), t)
 
     def retracted(self, t: float, points: np.ndarray) -> np.ndarray:
         """r_{2t}(z) for t <= 1/2, r_1(z) beyond (identity off the tube)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        geo = self.layer.geometry
-        dec = geo.decompose(pts, geo.epsilon)
-        inside = geo.in_open_tube(pts, dec)
-        out = pts.copy()
-        if np.any(inside):
-            mu_t = self.layer.coeffs(dec["s"][inside], t)[0]
-            out[inside] = dec["x"][inside] + mu_t[:, None] * dec["v"][inside]
-        return out
+        return through_layer(self.layer, pts, lambda p, _: p, lambda r, *_: r, t)
 
 
 def perturb(f: LocalGradientMap, tube: TubeGeometry,

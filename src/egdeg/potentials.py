@@ -297,42 +297,34 @@ class LiftedPotential(Potential):
         if stratum_poly.dim != family.k:
             raise ConfigError("stratum polynomial dimension mismatch")
 
-    def value(self, pts):
+    def _on_subspaces(self, pts, fn, shape: tuple):
+        """``fn(j, x)`` at the base points x of the points on each subspace
+        j, and the normal offsets of all of them."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         idx, x, v, _ = self.family.decompose(pts)
-        out = np.empty(pts.shape[0])
+        out = np.empty((pts.shape[0],) + shape)
         for j in range(self.family.count):
             mask = idx == j
             if np.any(mask):
-                coords = row_matmul(x[mask], self.family.bases[j])
-                out[mask] = self.stratum_poly.value(coords)
+                out[mask] = fn(j, x[mask])
+        return out, v
+
+    def value(self, pts):
+        out, v = self._on_subspaces(pts, lambda j, x: self.stratum_poly.value(
+            row_matmul(x, self.family.bases[j])), ())
         return out + 0.5 * np.sum(v * v, axis=1)
 
     def grad(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        idx, x, v, _ = self.family.decompose(pts)
-        out = np.empty_like(pts)
-        for j in range(self.family.count):
-            mask = idx == j
-            if np.any(mask):
-                b = self.family.bases[j]
-                coords = row_matmul(x[mask], b)
-                out[mask] = row_matmul(self.stratum_poly.grad(coords), b.T)
+        b = self.family.bases
+        out, v = self._on_subspaces(pts, lambda j, x: row_matmul(
+            self.stratum_poly.grad(row_matmul(x, b[j])), b[j].T), (self.dim,))
         return out + v
 
     def hess(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        idx, x, _, _ = self.family.decompose(pts)
-        out = np.empty((pts.shape[0], self.dim, self.dim))
-        eye = np.eye(self.dim)
-        for j in range(self.family.count):
-            mask = idx == j
-            if np.any(mask):
-                b = self.family.bases[j]
-                hk = self.stratum_poly.hess(x[mask] @ b)
-                proj = self.family.projectors[j]
-                out[mask] = np.einsum("ak,nkl,bl->nab", b, hk, b) + (eye - proj)
-        return out
+        b, eye = self.family.bases, np.eye(self.dim)
+        return self._on_subspaces(pts, lambda j, x: np.einsum(
+            "ak,nkl,bl->nab", b[j], self.stratum_poly.hess(x @ b[j]), b[j])
+            + (eye - self.family.projectors[j]), (self.dim, self.dim))[0]
 
     def scaled(self, lam: float) -> "ScaledPotential":
         return ScaledPotential(self, lam)
@@ -385,29 +377,23 @@ class PiecewisePotential(Potential):
                 m[idx[owner == j]] = True
         return masks
 
-    def value(self, pts):
+    def _dispatch(self, pts, method: str, shape: tuple) -> np.ndarray:
+        """Each piece's ``method`` at the points it owns."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        out = np.empty(pts.shape[0])
+        out = np.empty((pts.shape[0],) + shape)
         for mask, (_, pot) in zip(self._masks(pts), self.pieces):
             if np.any(mask):
-                out[mask] = pot.value(pts[mask])
+                out[mask] = getattr(pot, method)(pts[mask])
         return out
+
+    def value(self, pts):
+        return self._dispatch(pts, "value", ())
 
     def grad(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        out = np.empty_like(pts)
-        for mask, (_, pot) in zip(self._masks(pts), self.pieces):
-            if np.any(mask):
-                out[mask] = pot.grad(pts[mask])
-        return out
+        return self._dispatch(pts, "grad", (self.dim,))
 
     def hess(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        out = np.empty((pts.shape[0], self.dim, self.dim))
-        for mask, (_, pot) in zip(self._masks(pts), self.pieces):
-            if np.any(mask):
-                out[mask] = pot.hess(pts[mask])
-        return out
+        return self._dispatch(pts, "hess", (self.dim, self.dim))
 
     def scaled(self, lam: float) -> "PiecewisePotential":
         return PiecewisePotential([(d, p.scaled(lam)) for d, p in self.pieces])
@@ -417,15 +403,17 @@ class PiecewisePotential(Potential):
 # validation
 
 
+def _samples(seed: int, bbox: float, dim: int, n: int, sample_filter) -> np.ndarray:
+    """The first n of 4n uniform box points that pass the filter."""
+    pts = np.random.default_rng(seed).uniform(-bbox, bbox, size=(4 * n, dim))
+    return (pts if sample_filter is None else pts[sample_filter(pts)])[:n]
+
+
 def validate_invariance(pot: Potential, group, bbox: float,
                         n_samples: int = 500, seed: int = 11,
                         sample_filter=None) -> None:
     """Check |phi(gx) - phi(x)| <= 1e-8 (1 + |phi(x)|) on a sample cloud."""
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(-bbox, bbox, size=(4 * n_samples, group.dim))
-    if sample_filter is not None:
-        pts = pts[sample_filter(pts)]
-    pts = pts[:n_samples]
+    pts = _samples(seed, bbox, group.dim, n_samples, sample_filter)
     if len(pts) == 0:
         return
     base = pot.value(pts)
@@ -444,11 +432,7 @@ def validate_gradient_consistency(pot: Potential, bbox: float,
                                   n_samples: int = 50, seed: int = 13,
                                   sample_filter=None) -> None:
     """Exact derivatives must match central differences at 1e-5 relative."""
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(-bbox, bbox, size=(4 * n_samples, pot.dim))
-    if sample_filter is not None:
-        pts = pts[sample_filter(pts)]
-    pts = pts[:n_samples]
+    pts = _samples(seed, bbox, pot.dim, n_samples, sample_filter)
     if len(pts) == 0:
         return
     step = 1e-5

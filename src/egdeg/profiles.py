@@ -25,7 +25,7 @@ def _checked(s, eps: float) -> np.ndarray:
     if eps <= 0:
         raise OutOfRange("epsilon must be positive")
     s = np.asarray(s, dtype=float)
-    if np.any(s < -1e-15) or np.any(s > eps * (1 + 1e-12)):
+    if (s < -1e-15).any() or (s > eps * (1 + 1e-12)).any():
         raise OutOfRange(f"argument outside [0, {eps}]: values in "
                          f"[{float(np.min(s))}, {float(np.max(s))}]")
     return s
@@ -35,13 +35,13 @@ def well(s, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """The well profile omega and omega': s^2/2 - eps^2/9 with slope s, then
     -(s - 2eps/3)^2/2 with slope 2eps/3 - s, then 0."""
     s = _checked(s, eps)
-    omega, omega_d = np.zeros_like(s), np.zeros_like(s)
-    lo = s <= eps / 3
-    mid = (s > eps / 3) & (s < 2 * eps / 3)
-    omega[lo], omega_d[lo] = 0.5 * s[lo] ** 2 - eps ** 2 / 9, s[lo]
-    omega[mid] = -0.5 * (s[mid] - 2 * eps / 3) ** 2
-    omega_d[mid] = 2 * eps / 3 - s[mid]
-    return omega, omega_d
+    omega = np.where(s <= eps / 3, 0.5 * s ** 2 - eps ** 2 / 9,
+                     np.where(s < 2 * eps / 3, -0.5 * (s - 2 * eps / 3) ** 2, 0.0))
+    return omega, _well_slope(s, eps)
+
+
+def _well_slope(s: np.ndarray, eps: float) -> np.ndarray:
+    return np.where(s <= eps / 3, s, np.where(s < 2 * eps / 3, 2 * eps / 3 - s, 0.0))
 
 
 def bump(s, eps: float, kind: str = "cubic") -> tuple[np.ndarray, np.ndarray]:
@@ -50,16 +50,14 @@ def bump(s, eps: float, kind: str = "cubic") -> tuple[np.ndarray, np.ndarray]:
     if kind not in MU_KINDS:
         raise OutOfRange(f"unknown smoothstep kind {kind!r}")
     s = _checked(s, eps)
-    mu, mu_d = np.zeros_like(s), np.zeros_like(s)
-    hi = s > 2 * eps / 3
-    u = np.clip((s[hi] - 2 * eps / 3) / (eps / 3), 0.0, 1.0)
+    u = np.clip((s - 2 * eps / 3) / (eps / 3), 0.0, 1.0)
     if kind == "cubic":
-        mu[hi], du = 3 * u ** 2 - 2 * u ** 3, 6 * u - 6 * u ** 2
+        mu, du = 3 * u ** 2 - 2 * u ** 3, 6 * u - 6 * u ** 2
     else:
-        mu[hi] = 6 * u ** 5 - 15 * u ** 4 + 10 * u ** 3
+        mu = 6 * u ** 5 - 15 * u ** 4 + 10 * u ** 3
         du = 30 * u ** 4 - 60 * u ** 3 + 30 * u ** 2
-    mu_d[hi] = du / (eps / 3)
-    return mu, mu_d
+    hi = s > 2 * eps / 3
+    return np.where(hi, mu, 0.0), np.where(hi, du / (eps / 3), 0.0)
 
 
 @dataclass(frozen=True)
@@ -81,7 +79,7 @@ class PerturbationLayer:
         and the well is switched on as max(2t - 1, 0) omega: the first half
         retracts toward the stratum, the second half deepens the well.
         """
-        mu, mu_d = bump(s, self.epsilon, self.mu_kind)
+        mu, mu_d = bump(s, self.epsilon, self.mu_kind)   # the one range check
         tt = min(2 * t, 1.0)
         return (tt * mu + (1 - tt), tt * mu_d,
-                max(2 * t - 1, 0.0) * well(s, self.epsilon)[1])
+                max(2 * t - 1, 0.0) * _well_slope(np.asarray(s, float), self.epsilon))

@@ -282,17 +282,13 @@ def build_stratum(group: FiniteGroupRep, omega: DomainExpr, class_id: int,
                    components, weyl_perm, orbits)
 
 
-def cached_stratum(cache: dict | None, group: FiniteGroupRep, omega: DomainExpr,
-                   class_id: int, num: Numerics) -> Stratum:
-    """``build_stratum`` memoized in ``cache`` by group content, not by
-    ``id(group)``, which a different group can reuse once this one is freed."""
-    key = ("stratum", group.content_key, str(omega), class_id, num.grid_h, num.bbox)
-    if cache is not None and key in cache:
-        return cache[key]
-    stratum = build_stratum(group, omega, class_id, num.grid_h, num.bbox)
-    if cache is not None:
-        cache[key] = stratum
-    return stratum
+def cached_stratum(group: FiniteGroupRep, omega: DomainExpr, class_id: int,
+                   num: Numerics) -> Stratum:
+    """``build_stratum`` memoized on the group's lattice, by (omega, class,
+    h, bbox), so every ``theta`` over one group builds each stratum once."""
+    return group.lattice.memo(
+        ("stratum", omega, class_id, num.grid_h, num.bbox),
+        lambda: build_stratum(group, omega, class_id, num.grid_h, num.bbox))
 
 
 def _domain_radii(expr: DomainExpr) -> set[float]:

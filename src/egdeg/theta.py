@@ -8,8 +8,10 @@ last it perturbs the map around those zeros and restricts it off the stratum
 before the next type is processed.  It yields one ``Step`` per type.
 ``theta`` folds the steps into the invariant: a zero-dimensional top type
 gives the {0,1} origin slot, every other type a row of quotient intersection
-numbers.  ``egdeg perturb-trace`` reports the tubes of the same steps, and
-the acceptance suite splits and verifies the maps of its first step.
+numbers.  Each stratum comes from ``strata.cached_stratum``, memoized on the
+group's subgroup lattice, so every run over one group builds it once.
+``egdeg perturb-trace`` reports the tubes of the same steps, and the
+acceptance suite splits and verifies the maps of its first step.
 
 The circle demo reduces the single-weight rotation action on the plane to
 the antipodal line surrogate, whose quotient computation is literally the
@@ -30,7 +32,7 @@ from .degree import (
     newton_zeros,
     quotient_intersection,
 )
-from .domains import DomainExpr, full_space, punctured_space
+from .domains import DomainExpr, MapDomain, full_space, punctured_space
 from .errors import (AdditionUndefined, ConfigError, UnsupportedRep,
                      WeylTransportFailed)
 from .groups import CircleRep, FiniteGroupRep, antipodal
@@ -255,8 +257,7 @@ class Step:
 
 
 def recursion(group: FiniteGroupRep, omega: DomainExpr, f: LocalGradientMap,
-              num: Numerics, strata_cache: dict | None = None, *,
-              tubes_only: bool = False) -> Iterator[Step]:
+              num: Numerics, *, tubes_only: bool = False) -> Iterator[Step]:
     """The stratum recursion, one ``Step`` per orbit type, maximal first.
 
     Each step runs the zero pass on its stratum and, unless it is the last,
@@ -275,7 +276,7 @@ def recursion(group: FiniteGroupRep, omega: DomainExpr, f: LocalGradientMap,
         step = Step(index, cid, group.lattice.class_label(cid), rec.fixed_dim,
                     f_i, ambient=np.empty((0, group.dim)))
         if rec.fixed_dim >= 1:
-            step.stratum = cached_stratum(strata_cache, group, omega, cid, num)
+            step.stratum = cached_stratum(group, omega, cid, num)
             (step.restricted, step.zeros, step.ambient, step.margin,
              step.newton) = _stratum_zero_pass(f_i, step.stratum, num)
         if index < last:
@@ -288,10 +289,10 @@ def recursion(group: FiniteGroupRep, omega: DomainExpr, f: LocalGradientMap,
 
 
 def theta(group: FiniteGroupRep, omega: DomainExpr, f: LocalGradientMap,
-          num: Numerics,
-          strata_cache: dict | None = None) -> tuple[ThetaVector, RecursionTrace]:
-    """Full invariant of a gradient local map over the given domain."""
-    return fold_steps(recursion(group, omega, f, num, strata_cache), num)
+          num: Numerics) -> tuple[ThetaVector, RecursionTrace]:
+    """Full invariant of a gradient local map over the given domain; the
+    strata it builds stay memoized on ``group.lattice``."""
+    return fold_steps(recursion(group, omega, f, num), num)
 
 
 def fold_steps(steps: Iterable[Step], num: Numerics) -> tuple[ThetaVector, RecursionTrace]:
@@ -354,8 +355,7 @@ def _assert_domain_shrinks(f_prev: LocalGradientMap, f_next: LocalGradientMap):
 
 
 def theta_radial_s1(rep: CircleRep, radial_coeffs: dict[int, float],
-                    omega_kind: str, num: Numerics,
-                    strata_cache: dict | None = None) -> tuple[ThetaVector, RecursionTrace]:
+                    omega_kind: str, num: Numerics) -> tuple[ThetaVector, RecursionTrace]:
     """Invariant of a rotation-invariant gradient map on the plane.
 
     ``radial_coeffs`` give the potential as a polynomial in the squared
@@ -378,10 +378,8 @@ def theta_radial_s1(rep: CircleRep, radial_coeffs: dict[int, float],
                        for power, coeff in radial_coeffs.items() if coeff != 0.0}
     group = antipodal(1)
     pot = PolynomialPotential(surrogate_terms, 1)
-    from .domains import MapDomain
-    dom = MapDomain(omega, num.bbox)
-    f = make_map(group, dom, pot)
-    vec, trace = theta(group, omega, f, num, strata_cache=strata_cache)
+    f = make_map(group, MapDomain(omega, num.bbox), pot)
+    vec, trace = theta(group, omega, f, num)
     relabeled = {(f"(Z{k})", comp): val
                  for (label, comp), val in vec.entries}
     return ThetaVector.from_dict(relabeled, vec.origin_slot), trace

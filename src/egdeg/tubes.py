@@ -18,6 +18,8 @@ order.  A candidate's bits depend only on its own draws.
 """
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 # a sampler block has at most _CHUNK_ROWS attempts and _CHUNK_CELLS
@@ -48,7 +50,10 @@ def row_norms(x: np.ndarray) -> np.ndarray:
     sq = x * x
     if x.shape[-1] > 3:
         return np.sqrt(np.add.reduce(sq, axis=-1))
-    return np.sqrt(sum((sq[..., j] for j in range(1, x.shape[-1])), sq[..., 0]))
+    total = sq[..., 0]
+    for j in range(1, x.shape[-1]):
+        total = total + sq[..., j]
+    return np.sqrt(total)
 
 
 def _apply(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -72,10 +77,10 @@ def nearest_center_distance(points: np.ndarray, centers: np.ndarray) -> np.ndarr
 
 
 class ProjectorStack:
-    """The projectors of several subspace families as one (J, d, d) stack."""
+    """The projectors of the distinct families given as one (J, d, d) stack."""
 
     def __init__(self, families):
-        self.families = families
+        self.families = families = list(dict.fromkeys(families))
         self.bounds = np.cumsum([0] + [f.count for f in families]).tolist()
         self.transposed = np.concatenate([f.projectors for f in families]).transpose(0, 2, 1)
 
@@ -85,7 +90,7 @@ class ProjectorStack:
         diff = pts - proj
         return proj, diff, row_norms(diff)
 
-    def split(self, points: np.ndarray) -> dict:
+    def split(self, points: np.ndarray) -> "Split":
         """Each family's (idx, x, v, s) of each point: its nearest subspace
         in the family (the first on a tie), projection, normal offset and
         distance, from one stacked product per 256 points."""
@@ -101,8 +106,36 @@ class ProjectorStack:
                 k = (idx + a) * n + rows
                 parts[f].append((idx, proj.take(k, axis=0), diff.take(k, axis=0),
                                  dists.reshape(-1).take(k)))
-        return {f: p[0] if len(p) == 1 else tuple(map(np.concatenate, zip(*p)))
-                for f, p in parts.items()}
+        return Split(pts, {f: p[0] if len(p) == 1 else tuple(map(np.concatenate, zip(*p)))
+                           for f, p in parts.items()})
+
+
+class Split:
+    """A batch's split: ``split[family]`` is its (idx, x, v, s) at ``rows``
+    (all when None), ``read`` a tube's reading of it, made once per band,
+    ``scale`` 1 + |p|, and ``at(keep)`` the split of the rows under a mask."""
+
+    def __init__(self, pts: np.ndarray, parts: dict, rows=None):
+        self.pts, self.parts, self.rows = pts, parts, rows
+        self.reads: dict = {}
+
+    def __getitem__(self, family) -> tuple:
+        part = self.parts[family]
+        return part if self.rows is None else tuple(a.take(self.rows, axis=0) for a in part)
+
+    def read(self, geometry: "TubeGeometry", band: float = np.inf) -> dict:
+        key = (geometry, band)
+        if key not in self.reads:
+            self.reads[key] = geometry.read(self[geometry.family], band)
+        return self.reads[key]
+
+    def at(self, keep: np.ndarray) -> "Split":
+        rows = np.flatnonzero(keep) if self.rows is None else self.rows[keep]
+        return Split(self.pts, self.parts, rows)
+
+    @cached_property
+    def scale(self) -> np.ndarray:
+        return 1.0 + row_norms(self.pts if self.rows is None else self.pts[self.rows])
 
 
 class SubspaceFamily:

@@ -38,29 +38,22 @@ def _num_for(dim: int) -> Numerics:
     return Numerics(grid_h=0.1, bbox=2.0)
 
 
+_GROUPS = {"antipodal1": lambda: antipodal(1), "antipodal2": lambda: antipodal(2),
+           "d3": lambda: dihedral(3), "s3": lambda: symmetric(3),
+           "z4": lambda: cyclic(4), "z3": lambda: cyclic(3)}
+
+
 class _Ctx:
-    """Shared caches across criteria: strata grids and group structures."""
+    """Groups shared across criteria, so their lattices and the strata
+    memoized on them are built once."""
 
     def __init__(self):
-        self.strata = {}
         self.groups = {}
 
     def group(self, name: str):
         if name not in self.groups:
-            builders = {
-                "antipodal1": lambda: antipodal(1),
-                "antipodal2": lambda: antipodal(2),
-                "d3": lambda: dihedral(3),
-                "s3": lambda: symmetric(3),
-                "z4": lambda: cyclic(4),
-                "z3": lambda: cyclic(3),
-            }
-            self.groups[name] = builders[name]()
+            self.groups[name] = _GROUPS[name]()
         return self.groups[name]
-
-
-def _theta(ctx, group, omega, f, num):
-    return theta(group, omega, f, num, strata_cache=ctx.strata)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +78,7 @@ def _normalization_cases(ctx):
 def _run_normalization_case(ctx, gname, cid, num):
     group = ctx.group(gname)
     omega = full_space()
-    stratum = cached_stratum(ctx.strata, group, omega, cid, num)
+    stratum = cached_stratum(group, omega, cid, num)
     comp = stratum.components[0]
     # most interior cell of the representative component
     if stratum.singular is not None:
@@ -106,7 +99,7 @@ def _run_normalization_case(ctx, gname, cid, num):
             continue
     if f is None:
         return False, {"case": f"{gname}/{label}", "error": "no tube radius fit"}
-    vec = _theta(ctx, group, omega, f, num)
+    vec = theta(group, omega, f, num)[0]
     expected = ThetaVector.from_dict(
         {(label, qlabel): 1},
         0 if vec.origin_slot is not None else None)
@@ -160,9 +153,9 @@ def _run_pair(ctx, spec):
     gname, num, f1, f2, union = spec
     group = ctx.group(gname)
     omega = full_space()
-    v1 = _theta(ctx, group, omega, f1, num)
-    v2 = _theta(ctx, group, omega, f2, num)
-    vu = _theta(ctx, group, omega, union, num)
+    v1 = theta(group, omega, f1, num)[0]
+    v2 = theta(group, omega, f2, num)[0]
+    vu = theta(group, omega, union, num)[0]
     ok = vu == theta_add(v1, v2)
     return ok, {"group": gname, "sum": str(theta_add(v1, v2)), "union": str(vu)}
 
@@ -185,7 +178,7 @@ def criterion_vanishing(ctx):
     details = {"checked": []}
     group = ctx.group("antipodal1")
     num = _num_for(1)
-    vec = _theta(ctx, group, full_space(), empty_map(group, num.bbox), num)
+    vec = theta(group, full_space(), empty_map(group, num.bbox), num)[0]
     ok = vec.is_zero
     details["empty"] = str(vec)
     shells = [(0.3, 0.9), (0.4, 1.1), (0.5, 1.3), (0.6, 1.5)]
@@ -207,7 +200,7 @@ def criterion_vanishing(ctx):
             cases.append((gname, numg, f))
     for gname, numg, f in cases[:10]:
         g = ctx.group(gname)
-        vec = _theta(ctx, g, full_space(), f, numg)
+        vec = theta(g, full_space(), f, numg)[0]
         details["checked"].append(str(vec))
         ok = ok and vec.is_zero
     return ok, details
@@ -223,20 +216,20 @@ def _catalog_checks(ctx, name):
     num = _num_for(group.dim)
     if entry.numerics:
         num = num.with_(**entry.numerics)
-    steps = list(recursion(group, omega, f, num, ctx.strata))
+    steps = list(recursion(group, omega, f, num))
     base, _ = fold_steps(steps, num)
     parts = steps[0].parts
     checks = {}
     # the recursion splits off every orbit type but the last, so a group
     # with a single orbit type has no split to check
     if parts is not None:
-        core = _theta(ctx, group, omega, parts.core, num)
-        trimmed = _theta(ctx, group, omega, parts.trimmed, num)
+        core = theta(group, omega, parts.core, num)[0]
+        trimmed = theta(group, omega, parts.trimmed, num)[0]
         checks["split"] = (base == theta_add(core, trimmed))
     for lam in (0.5, 2.0, 7.0):
         checks[f"scale_{lam}"] = (
-            _theta(ctx, group, omega, f.scaled(lam), num) == base)
-    quintic = _theta(ctx, group, omega, f, num.with_(mu_kind="quintic"))
+            theta(group, omega, f.scaled(lam), num)[0] == base)
+    quintic = theta(group, omega, f, num.with_(mu_kind="quintic"))[0]
     checks["mu_swap"] = (quintic == base)
     return all(checks.values()), {"entry": name,
                                   "failed": [k for k, v in checks.items() if not v]}
@@ -259,7 +252,7 @@ def criterion_line(ctx):
     ok = True
     for name, key in (("z2_line_min", "min"), ("z2_line_max", "max")):
         _, omega, f = catalog(name).build()
-        vec = _theta(ctx, group, omega, f, num)
+        vec = theta(group, omega, f, num)[0]
         want_slot, want_entry = LINE_EXPECTED[key]
         got = (vec.origin_slot, vec.entry("(e)", "q0"))
         out[name] = {"got": list(got), "want": [want_slot, want_entry]}
@@ -271,12 +264,9 @@ def criterion_circle(ctx):
     num = _num_for(1)
     rep = CircleRep((1,))
     out = {}
-    plus, _ = theta_radial_s1(rep, {1: 0.5}, "plane", num,
-                              strata_cache=ctx.strata)
-    minus, _ = theta_radial_s1(rep, {1: -0.5}, "plane", num,
-                               strata_cache=ctx.strata)
-    hat, _ = theta_radial_s1(rep, {2: 0.25, 1: -0.5, 0: 0.25}, "punctured",
-                             num, strata_cache=ctx.strata)
+    plus, _ = theta_radial_s1(rep, {1: 0.5}, "plane", num)
+    minus, _ = theta_radial_s1(rep, {1: -0.5}, "plane", num)
+    hat, _ = theta_radial_s1(rep, {2: 0.25, 1: -0.5, 0: 0.25}, "punctured", num)
     got = {
         "plus": (plus.origin_slot, plus.entry("(Z1)", "q0")),
         "minus": (minus.origin_slot, minus.entry("(Z1)", "q0")),
@@ -398,7 +388,7 @@ def criterion_quotient_division(ctx):
                           if group.lattice.records[c].order == 2)
         else:
             target = lat.class_ids[-1]
-        stratum = cached_stratum(ctx.strata, group, omega, target, num)
+        stratum = cached_stratum(group, omega, target, num)
         found = False
         for attempt in range(30):
             rng = np.random.default_rng(
@@ -483,7 +473,7 @@ def criterion_partition(ctx):
     for name in ("z2_line_max", "d3_axis_orbit_normal"):
         group, omega, f = catalog(name).build()
         num = _num_for(group.dim)
-        step = next(recursion(group, omega, f, num, ctx.strata))
+        step = next(recursion(group, omega, f, num))
         rep = verify_partition(step.family, 1000)
         out[name] = {"violations": rep["violations"],
                      "margin_C": rep["margin_C"]}

@@ -730,6 +730,44 @@ def subspace_decompose_loop(family, points):
     return idx, x, v, s, gap
 
 
+def layer_walk_grad(f, points):
+    """``LocalGradientMap.grad`` by the per-layer walk: each layer splits the
+    points it gets against its own family by the loop decomposition, takes
+    the nearest-center distance of those within epsilon, hands the rows off
+    its open tube to the layer below as they are and its rows in the tube
+    as retracted points x + mu v, and applies the chain rule
+    (P + mu N + (mu'/s) v v^T) g + (omega'/s) v with ``homotopy_coeffs``
+    at t = 1."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+
+    def walk(p, level):
+        if level == 0:
+            return f.potential.grad(p)
+        layer = f.layers[level - 1]
+        geo, eps = layer.geometry, layer.epsilon
+        idx, x, v, s, _ = subspace_decompose_loop(geo.family, p)
+        dcen = np.full(len(p), np.inf)
+        near = s <= eps
+        if np.any(near) and len(geo.centers):
+            diff = x[near][:, None] - geo.centers[None]
+            dcen[near] = np.min(np.linalg.norm(diff, axis=2), axis=1)
+        inside = (dcen < geo.rho) & (s < eps)
+        out = np.empty_like(p)
+        if np.any(~inside):
+            out[~inside] = walk(p[~inside], level - 1)
+        if np.any(inside):
+            x, v, s = x[inside], v[inside], s[inside]
+            mu, mu_d, omega_d = homotopy_coeffs(s, eps, 1.0, layer.mu_kind)
+            g = walk(x + mu[:, None] * v, level - 1)
+            proj = subspace_project_loop(geo.family, g, idx[inside])
+            s_safe = np.where(s > 0, s, 1.0)
+            radial = (mu_d / s_safe) * np.sum(v * g, axis=1)
+            carried = proj + mu[:, None] * (g - proj) + radial[:, None] * v
+            out[inside] = carried + np.where(s > 0, omega_d / s_safe, 0.0)[:, None] * v
+        return out
+    return walk(pts, len(f.layers))
+
+
 def subgroup_lattice_loop(group):
     """(records, class_members, leq) of the subgroup lattice by cyclic
     extension of every subgroup: each subgroup found is joined once with

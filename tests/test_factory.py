@@ -19,7 +19,6 @@ from egdeg.strata import build_stratum, iso_types
 from egdeg.theta import theta
 
 NUM = Numerics(grid_h=0.1, bbox=2.0)
-CACHE = {}
 
 
 class TestOrbitNormal:
@@ -75,8 +74,7 @@ class TestOrbitNormal:
 
     def test_theta_unit_vector(self):
         vec, _ = theta(*catalog("d3_axis_orbit_normal").build()[0:2],
-                       catalog("d3_axis_orbit_normal").build()[2], NUM,
-                       strata_cache=CACHE)
+                       catalog("d3_axis_orbit_normal").build()[2], NUM)
         assert dict(vec.entries) == {("(H2a)", "q1"): 1}
 
 
@@ -104,7 +102,7 @@ class TestNormalLift:
 
     def test_theta_of_lifted_minimum(self):
         g, om, stratum, f = self.lift_on_axis()
-        vec, _ = theta(g, om, f, NUM, strata_cache=CACHE)
+        vec, _ = theta(g, om, f, NUM)
         # one minimum per half axis component, two quotient labels
         assert dict(vec.entries) == {("(H2a)", "q0"): 1, ("(H2a)", "q1"): 1}
 
@@ -120,7 +118,7 @@ class TestNormalLift:
         k = pt.PolynomialPotential.from_expression("-(x1-1)^2", 1)
         f = h_normal_lift(g2, stratum, k, np.array([[1.0, 0.0]]),
                           rho=0.15, epsilon=0.12, bbox=2.0, omega=om)
-        vec, _ = theta(g2, om, f, NUM, strata_cache=CACHE)
+        vec, _ = theta(g2, om, f, NUM)
         assert list(dict(vec.entries).values()) == [-1]
 
     def test_weyl_invariance_enforced(self):
@@ -149,9 +147,9 @@ class TestRestrictOff:
 
     def test_theta_unchanged_off_zero_set(self):
         g, om, f = catalog("z2_line_max").build()
-        base, _ = theta(g, om, f, NUM, strata_cache=CACHE)
+        base, _ = theta(g, om, f, NUM)
         trimmed = restrict_off(f, np.array([[1.2], [-1.2]]), 0.15)
-        after, _ = theta(g, om, trimmed, NUM, strata_cache=CACHE)
+        after, _ = theta(g, om, trimmed, NUM)
         assert base == after
 
 

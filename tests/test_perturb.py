@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import (bump_mu, bump_mu_deriv, homotopy_coeffs, map_domain_boundary_loop,
+from oracles import (bump_mu, bump_mu_deriv, homotopy_coeffs, layer_walk_grad,
+                     map_domain_boundary_loop,
                      map_domain_contains_loop, orbit_closure_loop, sample_base_loop,
                      sample_shell_loop, sample_tube_loop, subspace_decompose_loop,
                      subspace_distances_loop, subspace_project_loop,
@@ -109,13 +110,17 @@ class TestProfiles:
 
     @pytest.mark.parametrize("kind", MU_KINDS)
     def test_coeffs_equal_branch_schedule(self, kind):
-        # one schedule, tt = min(2t, 1), gives the bits of the two branches
-        eps = 0.3
-        s = np.concatenate([np.linspace(0.0, eps, 301), [eps / 3, 2 * eps / 3]])
-        layer = PerturbationLayer(_line_geometry([[0.0, 0.0, 0.0]], eps=eps), kind)
-        for t in (0.0, 0.001, 0.25, 0.4999, 0.5, 0.5001, 0.75, 1.0):
-            for got, want in zip(layer.coeffs(s, t), homotopy_coeffs(s, eps, t, kind)):
-                assert got.tobytes() == want.tobytes()
+        # one schedule, tt = min(2t, 1), gives the bits of the two branches,
+        # from one range check and the well's slope alone, on offsets with
+        # and without the outer third where the retraction climbs
+        for eps in (0.05, 0.3, 1.0 / 3, 2.0):
+            s = np.concatenate([np.linspace(0.0, eps, 301), [eps / 3, 2 * eps / 3, eps]])
+            layer = PerturbationLayer(_line_geometry([[0.0, 0.0, 0.0]], eps=eps), kind)
+            for t in (0.0, 0.001, 0.25, 0.4999, 0.5, 0.5001, 0.75, 1.0):
+                for part in (s, s[s <= 2 * eps / 3], s[:0]):
+                    for got, want in zip(layer.coeffs(part, t),
+                                         homotopy_coeffs(part, eps, t, kind)):
+                        assert got.tobytes() == want.tobytes()
 
 
 def axis_group():
@@ -651,6 +656,13 @@ class TestLayeredEquivariance:
 def _recursion_domains(name):
     """The domain of the map entering each step of a recursion and of the
     three parts of its split, with the recursion's bbox and dimension."""
+    maps, bbox, dim = _recursion_maps(name)
+    return [f.domain for f in maps], bbox, dim
+
+
+def _recursion_steps(name):
+    """The steps of a recursion through its last tube, with its bbox and
+    dimension."""
     if name == "b3_quartic":
         g, om, f, num = _b3_quartic()
     elif name == "readme_d3":
@@ -660,12 +672,18 @@ def _recursion_domains(name):
     else:
         g, om, f = catalog(name).build()
         num = NUM
-    domains = []
-    for step in recursion(g, om, f, num, tubes_only=True):
+    return list(recursion(g, om, f, num, tubes_only=True)), num.bbox, g.dim
+
+
+def _recursion_maps(name):
+    """The map entering each step of a recursion and the three parts of its
+    split, with the recursion's bbox and dimension."""
+    steps, bbox, dim = _recursion_steps(name)
+    maps = []
+    for step in steps:
         parts = step.parts
-        domains += [step.f.domain, parts.core.domain, parts.trimmed.domain,
-                    parts.off_stratum.domain]
-    return domains, num.bbox, g.dim
+        maps += [step.f, parts.core, parts.trimmed, parts.off_stratum]
+    return maps, bbox, dim
 
 
 def _unit_rows(x):
@@ -788,3 +806,49 @@ class TestLayerWalk:
         assert alone.tobytes() == below.grad(outside).tobytes()
         walked = f.grad(np.concatenate([outside, inside]))
         assert alone.tobytes() == walked[:-1].tobytes()
+
+    @pytest.mark.parametrize("name", ["readme_d3", "b3_quartic", "s3_perm_radial"])
+    def test_shared_split_equals_per_layer_walk(self, name):
+        # one split per query gives the bits of the per-layer walk, and
+        # member_grad those of member followed by grad at the members, on
+        # every step map, around the 256-row blocks and on single rows of
+        # each probe kind: lateral shells, tube boundaries, removed
+        # subspaces, ties and points that a layer retracts
+        maps, bbox, dim = _recursion_maps(name)
+        rng = np.random.default_rng(13)
+        retracted = 0
+        for f in maps:
+            pts, kinds = _domain_probes(f.domain, bbox, dim, rng)
+            tubes_in = [layer.geometry.sample_tube(30, rng) for layer in f.layers]
+            pts = np.concatenate([pts] + tubes_in)
+            kinds = np.concatenate([kinds, np.full(len(pts) - len(kinds), 5)])
+            retracted += sum(int(np.sum(layer.geometry.in_open_tube(pts)))
+                             for layer in f.layers)
+            batches = [pts, pts[:0], pts[:1], pts[:257]] + [
+                pts[kinds == k][:1] for k in range(6)]
+            for batch in batches:
+                got = f.grad(batch)
+                assert got.tobytes() == layer_walk_grad(f, batch).tobytes()
+                memb, vec = f.member_grad(batch)
+                want = f.member(batch)
+                assert memb.tobytes() == want.tobytes()
+                assert vec.tobytes() == f.grad(batch[want]).tobytes()
+        assert retracted > 0
+
+    @pytest.mark.parametrize("name", ["readme_d3", "b3_quartic", "s3_perm_radial"])
+    def test_stratum_member_grad(self, name):
+        # a step's restricted field answers member_grad with the bits of
+        # member followed by grad, on its grid and on random chart points
+        steps, bbox, _ = _recursion_steps(name)
+        rng = np.random.default_rng(17)
+        for step in steps:
+            if step.stratum is None:
+                continue
+            field = mp.restrict_to_stratum(step.f, step.stratum)
+            coords = np.concatenate([c.centers for c in step.stratum.components]
+                                    + [rng.uniform(-bbox, bbox, size=(50, field.dim))])
+            for batch in (coords, coords[:0], coords[:1], coords[-1:]):
+                memb, vec = field.member_grad(batch)
+                want = field.member(batch)
+                assert memb.tobytes() == want.tobytes()
+                assert vec.tobytes() == field.grad(batch[want]).tobytes()

@@ -325,18 +325,17 @@ def test_domain_invariance_validation():
     dom.validate_invariance(dom.annulus(0.5, 1.5), g, BBOX)
 
 
-def test_stratum_cache_keyed_by_group_content():
+def test_stratum_memo_on_the_lattice():
     num = Numerics(grid_h=H, bbox=BBOX)
     omega = dom.punctured_space()
-    cache = {}
     first, second, c6 = gr.dihedral(3), gr.dihedral(3), gr.cyclic(6)
-    # (e) has class id 3 in both D3 and C6: only the group tells them apart
+    # (e) has class id 3 in both D3 and C6: each lattice holds its own strata
     free = first.lattice.n_classes - 1
     assert free == c6.lattice.n_classes - 1 == 3
-    s1 = st.cached_stratum(cache, first, omega, free, num)
-    assert st.cached_stratum(cache, second, omega, free, num) is s1
-    assert len(cache) == 1
-    assert c6.content_key != first.content_key
-    s_c6 = st.cached_stratum(cache, c6, omega, free, num)
-    assert len(cache) == 2
+    s1 = st.cached_stratum(first, omega, free, num)
+    assert st.cached_stratum(first, dom.punctured_space(), free, num) is s1
+    s2 = st.cached_stratum(second, omega, free, num)
+    assert s2 is not s1 and s2.cells.tobytes() == s1.cells.tobytes()
+    s_c6 = st.cached_stratum(c6, omega, free, num)
     assert (len(s1.components), len(s_c6.components)) == (6, 1)
+    assert st.cached_stratum(first, omega, free, num.with_(grid_h=H / 2)) is not s1

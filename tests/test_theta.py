@@ -21,6 +21,7 @@ from egdeg.errors import (AdditionUndefined, ConfigError, ResolutionTooCoarse,
 from egdeg.factory import catalog, orbit_normal
 from egdeg.groups import CircleRep
 from egdeg.params import Numerics
+from egdeg import strata as strata_mod
 from egdeg.strata import iso_types
 from egdeg.tubes import row_matmul
 from egdeg.theta import (ThetaVector, recursion, theta, theta_add,
@@ -28,14 +29,13 @@ from egdeg.theta import (ThetaVector, recursion, theta, theta_add,
 
 theta_mod = importlib.import_module("egdeg.theta")  # the package exports theta()
 NUM = Numerics(grid_h=0.1, bbox=2.0)
-CACHE = {}
 
 
 def run_theta(name):
     g, om, f = catalog(name).build()
     entry = catalog(name)
     num = NUM.with_(**entry.numerics) if entry.numerics else NUM
-    return theta(g, om, f, num, strata_cache=CACHE)[0]
+    return theta(g, om, f, num)[0]
 
 
 class TestLineOracle:
@@ -148,7 +148,7 @@ class TestRecursion:
     def test_empty_map_vanishes(self):
         g = gr.antipodal(1)
         f = mp.empty_map(g, bbox=2.0)
-        vec, _ = theta(g, dm.full_space(), f, NUM, strata_cache=CACHE)
+        vec, _ = theta(g, dm.full_space(), f, NUM)
         assert vec.is_zero
         assert vec.origin_slot == 0
 
@@ -156,26 +156,25 @@ class TestRecursion:
         g = gr.antipodal(1)
         f = mp.make_map(g, dm.MapDomain(dm.annulus(0.5, 1.5), 2.0),
                         pt.PolynomialPotential.from_expression("0.5*x1^2", 1))
-        vec, _ = theta(g, dm.full_space(), f, NUM, strata_cache=CACHE)
+        vec, _ = theta(g, dm.full_space(), f, NUM)
         assert vec.is_zero
 
     def test_scale_invariance(self):
         g, om, f = catalog("z2_line_max").build()
-        base, _ = theta(g, om, f, NUM, strata_cache=CACHE)
+        base, _ = theta(g, om, f, NUM)
         for lam in (0.5, 2.0, 7.0):
-            scaled, _ = theta(g, om, f.scaled(lam), NUM, strata_cache=CACHE)
+            scaled, _ = theta(g, om, f.scaled(lam), NUM)
             assert scaled == base
 
     def test_mu_choice_independence(self):
         g, om, f = catalog("z2_line_max").build()
-        cubic, _ = theta(g, om, f, NUM, strata_cache=CACHE)
-        quintic, _ = theta(g, om, f, NUM.with_(mu_kind="quintic"),
-                           strata_cache=CACHE)
+        cubic, _ = theta(g, om, f, NUM)
+        quintic, _ = theta(g, om, f, NUM.with_(mu_kind="quintic"))
         assert cubic == quintic
 
     def test_trace_records_tubes_and_values(self):
         g, om, f = catalog("z2_line_max").build()
-        _, trace = theta(g, om, f, NUM, strata_cache=CACHE)
+        _, trace = theta(g, om, f, NUM)
         assert trace.steps[0]["theta11"] == 1
         assert trace.steps[0]["tube"]["centers"] == 1
         assert trace.steps[1]["intersection"] == {"q0": -1}
@@ -298,7 +297,7 @@ class TestRowIndependence:
     def test_grad_rows_equal_batch(self, build):
         g, om, f, num = build()
         rng = np.random.default_rng(5)
-        steps = [s for s in recursion(g, om, f, num, strata_cache=CACHE)
+        steps = [s for s in recursion(g, om, f, num)
                  if s.stratum is not None]
         assert any(s.f.layers for s in steps)
         for step in steps:
@@ -358,7 +357,7 @@ class TestZeroPass:
         first Weyl element that carries it there, and the batch's Newton
         counts are the sums over the representatives' runs."""
         g, om, f, num = build()
-        steps = [s for s in recursion(g, om, f, num, strata_cache=CACHE)
+        steps = [s for s in recursion(g, om, f, num)
                  if s.stratum is not None]
         newton_stats = []
         newton_zeros = dg.newton_zeros
@@ -433,7 +432,7 @@ class TestZeroPass:
         monkeypatch.setattr(theta_mod, "newton_zeros", spy_newton)
         monkeypatch.setattr(dg, "_zero_indices", spy_indices)
         moved = 0
-        for step in recursion(g, om, f, num, strata_cache=CACHE):
+        for step in recursion(g, om, f, num):
             stratum = step.stratum
             if stratum is None:
                 continue
@@ -463,9 +462,9 @@ class TestZeroPass:
         representative's own seeds reach: the row is the unit vector and
         every record is a single orbit point within 1e-12."""
         g, om, f, num = _free_orbit_normal()
-        vec, _ = theta(g, om, f, num, strata_cache=CACHE)
+        vec, _ = theta(g, om, f, num)
         assert dict(vec.entries) == {("(e)", "q0"): 1}
-        step = [s for s in recursion(g, om, f, num, strata_cache=CACHE)
+        step = [s for s in recursion(g, om, f, num)
                 if s.label == "(e)"][0]
         orbit = np.array(f.seed_hints)
         for recs in step.zeros.values():
@@ -506,7 +505,7 @@ class TestNewtonRetirement:
         g, om, f, num = build()
 
         def run():
-            return [s for s in recursion(g, om, f, num, strata_cache=CACHE)
+            return [s for s in recursion(g, om, f, num)
                     if s.stratum is not None]
         steps = run()
         monkeypatch.delattr(mp.StratumField, "singular_distance")
@@ -523,30 +522,64 @@ class TestNewtonRetirement:
         assert sum(s.newton["retired"] for s in steps) > 0
 
 
+class TestStrataMemo:
+    """Strata are memoized on the group's lattice by (omega, class, h,
+    bbox): every theta over one group builds each stratum once."""
+
+    def test_second_theta_builds_none(self, monkeypatch):
+        built = []
+        build = strata_mod.build_stratum
+
+        def counted(group, omega, class_id, h, bbox):
+            built.append((omega, class_id, h))
+            return build(group, omega, class_id, h, bbox)
+        monkeypatch.setattr(strata_mod, "build_stratum", counted)
+        g, om, f, num = _readme_d3()
+        first, _ = theta(g, om, f, num)
+        assert len(built) == 2   # the mirror stratum and the free one
+        built.clear()
+        again, _ = theta(g, om, f, num)
+        assert built == [] and again == first
+        # a new h or a new omega builds its own strata
+        assert theta(g, om, f, num.with_(grid_h=0.125))[0] == first
+        assert [h for _, _, h in built] == [0.125, 0.125]
+        built.clear()
+        ann = dm.annulus(0.25, 1.5)
+        assert theta(g, ann, mp.make_map(g, dm.MapDomain(ann, 2.0), f.potential),
+                     num)[0] == first
+        assert [(omega, h) for omega, _, h in built] == [(ann, 0.1)] * 2
+
+
 class TestNewtonMultiplicity:
     """Rows that converge linearly onto degenerate zeros take a
     multiplicity step, which cuts the field evaluations of a theta run."""
 
     def test_b3_stack_grad_calls(self, monkeypatch):
         # b3_stack's kept zeros at u = +-1/3 on its 1-d and 2-d strata are
-        # triple roots; the run made 233 grad calls without the step
+        # triple roots; the run made 233 walks of the layer stack without
+        # the step and makes 131 with it, counting ``grad`` and the line
+        # search's ``member_grad`` probes
         calls, accelerated = [], []
-        grad, newton_zeros = mp.LocalGradientMap.grad, theta_mod.newton_zeros
+        newton_zeros = theta_mod.newton_zeros
 
-        def counted(self, *args, **kwargs):
-            calls.append(1)
-            return grad(self, *args, **kwargs)
+        def counted(method):
+            def walk(self, *args, **kwargs):
+                calls.append(1)
+                return method(self, *args, **kwargs)
+            return walk
 
         def recorded(*args, **kwargs):
             out = newton_zeros(*args, **kwargs)
             accelerated.append(out[1]["accelerated"])
             return out
-        monkeypatch.setattr(mp.LocalGradientMap, "grad", counted)
+        for name in ("grad", "member_grad"):
+            monkeypatch.setattr(mp.LocalGradientMap, name,
+                                counted(getattr(mp.LocalGradientMap, name)))
         monkeypatch.setattr(theta_mod, "newton_zeros", recorded)
         g, om, f, num = _b3_bench()
-        vec, _ = theta(g, om, f, num, strata_cache=CACHE)
+        vec, _ = theta(g, om, f, num)
         assert vec.origin_slot == 1 and vec.as_dict() == {}
-        assert len(calls) < 233
+        assert len(calls) <= 131
         assert sum(accelerated) >= 1
 
 
@@ -568,7 +601,7 @@ class TestWeylClosure:
         ids=["readme_d3", "s3_perm_radial", "b3_stack", "d6", "c3_flip"])
     def test_zero_sets_closed_under_weyl(self, build, tol):
         g, om, f, num = build()
-        steps = list(recursion(g, om, f, num, strata_cache=CACHE))
+        steps = list(recursion(g, om, f, num))
         for step in steps:
             stratum = step.stratum
             if stratum is None:
@@ -594,24 +627,20 @@ class TestWeylClosure:
 
 class TestCircleDemo:
     def test_dancer_pair(self):
-        plus, _ = theta_radial_s1(CircleRep((1,)), {1: 0.5}, "plane", NUM,
-                                  strata_cache=CACHE)
-        minus, _ = theta_radial_s1(CircleRep((1,)), {1: -0.5}, "plane", NUM,
-                                   strata_cache=CACHE)
+        plus, _ = theta_radial_s1(CircleRep((1,)), {1: 0.5}, "plane", NUM)
+        minus, _ = theta_radial_s1(CircleRep((1,)), {1: -0.5}, "plane", NUM)
         assert plus.origin_slot == 1 and plus.entries == ()
         assert minus.origin_slot == 1
         assert minus.entry("(Z1)", "q0") == -1
 
     def test_hat_on_punctured_plane(self):
         vec, _ = theta_radial_s1(CircleRep((2,)),
-                                 {2: 0.25, 1: -0.5, 0: 0.25}, "punctured",
-                                 NUM, strata_cache=CACHE)
+                                 {2: 0.25, 1: -0.5, 0: 0.25}, "punctured", NUM)
         assert vec.origin_slot is None
         assert vec.entry("(Z2)", "q0") == 1
 
     def test_weight_relabeling(self):
-        vec, _ = theta_radial_s1(CircleRep((5,)), {1: -0.5}, "plane", NUM,
-                                 strata_cache=CACHE)
+        vec, _ = theta_radial_s1(CircleRep((5,)), {1: -0.5}, "plane", NUM)
         assert vec.entry("(Z5)", "q0") == -1
 
     def test_multi_weight_rejected(self):
@@ -630,5 +659,5 @@ class TestExistence:
             f = mp.make_map(g, dm.MapDomain(dm.annulus(r1, r2), 2.0),
                             pt.PolynomialPotential.from_expression(
                                 "-0.5*x1^2", 1))
-            vec, _ = theta(g, dm.full_space(), f, NUM, strata_cache=CACHE)
+            vec, _ = theta(g, dm.full_space(), f, NUM)
             assert vec.is_zero
