@@ -4,8 +4,9 @@ Math inputs come from a single JSON config; flags cover only paths, suites
 and sample counts.  ``theta`` and ``perturb-trace`` read the same stratum
 recursion (``theta.recursion``): the first sums its steps, the second
 reports the tube of every step but the last, so it lists exactly the layers
-``theta`` builds and none for a group with a single orbit type.  Exit codes:
-0 success, 2 validation, 3 numerics failure, 4 verification failure.
+``theta`` builds and none for a group with a single orbit type; both build
+their map in ``_build_map``, a circle group's as its line surrogate.  Exit
+codes: 0 success, 2 validation, 3 numerics failure, 4 verification failure.
 """
 from __future__ import annotations
 
@@ -15,7 +16,8 @@ import sys
 import numpy as np
 
 from . import degree as dg
-from .config import RunConfig, canonical_json, load_config, potential_from_block
+from .config import (RunConfig, canonical_json, load_config, potential_from_block,
+                     radial_coeffs)
 from .domains import MapDomain, validate_invariance
 from .errors import (
     ConfigError,
@@ -29,17 +31,17 @@ from .errors import (
     ResolutionTooCoarse,
     TubeSelectionFailed,
     UnknownName,
+    UnsupportedRep,
     WeylTransportFailed,
 )
 from .factory import catalog
-from .groups import CircleRep
-from .maps import make_map
+from .maps import circle_surrogate, make_map
 from .perturb import verify_partition
 from .strata import build_stratum, iso_types
-from .theta import recursion, shell_margin, theta, theta_radial_s1
+from .theta import recursion, relabel_free_row, shell_margin, theta
 
 VALIDATION_ERRORS = (ConfigError, NotInvariant, NotOrthogonal, UnknownName,
-                     FileNotFoundError, KeyError, ValueError)
+                     UnsupportedRep, FileNotFoundError, KeyError, ValueError)
 NUMERIC_ERRORS = (TubeSelectionFailed, DegenerateUnresolved,
                   DivisibilityViolation, ResolutionTooCoarse, MarginTooSmall,
                   RefinementOverflow, WeylTransportFailed)
@@ -54,17 +56,23 @@ def _emit(payload: dict, output: str | None):
 
 
 def _build_map(cfg: RunConfig):
+    """(group, omega, map, numerics, row_label) of a config; a circle group or
+    catalog entry gives its line surrogate, whose row (e) is ``row_label``."""
     block = cfg.potential_block
     if block.get("kind") == "catalog":
         entry = catalog(block["name"])
         group, omega, f = entry.build()
         num = cfg.numerics.with_(**entry.numerics) if entry.numerics else cfg.numerics
-        return entry, group, omega, f, num
-    group = cfg.group
-    potential = potential_from_block(block, group.dim)
-    domain = MapDomain(cfg.domain, cfg.numerics.bbox)
-    f = make_map(group, domain, potential)
-    return None, group, cfg.domain, f, cfg.numerics
+        return group, omega, f, num, entry.row_label
+    if cfg.is_circle:
+        if block.get("kind") != "radial_r2":
+            raise ConfigError("a circle group needs a radial_r2 or catalog potential")
+        group, omega, f = circle_surrogate(cfg.group, cfg.domain, radial_coeffs(block),
+                                           cfg.numerics.bbox)
+        return group, omega, f, cfg.numerics, cfg.group.row_label
+    f = make_map(cfg.group, MapDomain(cfg.domain, cfg.numerics.bbox),
+                 potential_from_block(block, cfg.group.dim))
+    return cfg.group, cfg.domain, f, cfg.numerics, None
 
 
 def cmd_strata(args) -> int:
@@ -101,27 +109,10 @@ def cmd_strata(args) -> int:
 
 def cmd_theta(args) -> int:
     cfg = load_config(args.config)
-    block = cfg.potential_block
-    if cfg.is_circle or (block.get("kind") == "catalog"
-                         and catalog(block["name"]).group_kind == "circle"):
-        if block.get("kind") == "catalog":
-            entry = catalog(block["name"])
-            rep = CircleRep((1,))
-            coeffs = {int(k): float(v)
-                      for k, v in entry.radial_coeffs.items()}
-            omega_kind = entry.omega_kind
-            num = cfg.numerics
-        else:
-            rep = cfg.group
-            coeffs = {int(k): float(v)
-                      for k, v in block.get("coeffs", {}).items()}
-            omega_kind = ("punctured"
-                          if cfg.domain.kind == "punctured" else "plane")
-            num = cfg.numerics
-        vec, trace = theta_radial_s1(rep, coeffs, omega_kind, num)
-    else:
-        entry, group, omega, f, num = _build_map(cfg)
-        vec, trace = theta(group, omega, f, num)
+    group, omega, f, num, row_label = _build_map(cfg)
+    vec, trace = theta(group, omega, f, num)
+    if row_label is not None:
+        vec, trace = relabel_free_row(vec, trace, row_label)
     payload = {"schema": "egdeg/1"}
     payload.update(vec.to_json_dict())
     # surface every computed row, zeros included, for the report
@@ -142,9 +133,8 @@ def cmd_degree(args) -> int:
     if cfg.degree_block is None:
         raise ConfigError("degree subcommand needs a 'degree' block")
     block = cfg.degree_block
-    dim = cfg.group.dim if not cfg.is_circle else 2
-    potential = potential_from_block(cfg.potential_block, dim)
-    field = dg.FieldAdapter(lambda u: potential.grad(u), dim)
+    potential = potential_from_block(cfg.potential_block, cfg.group.dim)
+    field = dg.FieldAdapter(lambda u: potential.grad(u), cfg.group.dim)
     lo = np.array(block["box_lo"], dtype=float)
     hi = np.array(block["box_hi"], dtype=float)
     mode = block.get("mode", "kronecker")
@@ -170,7 +160,7 @@ def cmd_degree(args) -> int:
 
 def cmd_perturb_trace(args) -> int:
     cfg = load_config(args.config)
-    entry, group, omega, f, num = _build_map(cfg)
+    group, omega, f, num, _ = _build_map(cfg)  # (e), a surrogate's last type, has no tube
     layers = []
     for step in recursion(group, omega, f, num, tubes_only=True):
         tube = step.tube

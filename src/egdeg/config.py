@@ -105,9 +105,13 @@ def potential_from_block(block: dict, dim: int) -> Potential:
             raise ConfigError("potential block needs an 'expr' string")
         return PolynomialPotential.from_expression(block["expr"], dim)
     if kind == "radial_r2":
-        coeffs = {int(k): float(v) for k, v in block.get("coeffs", {}).items()}
-        return PolynomialPotential.radial_from_r2_poly(coeffs, dim)
+        return PolynomialPotential.radial_from_r2_poly(radial_coeffs(block), dim)
     raise ConfigError(f"unknown potential kind {kind!r}")
+
+
+def radial_coeffs(block: dict) -> dict[int, float]:
+    """Power of r^2 to coefficient, from a ``radial_r2`` potential block."""
+    return {int(k): float(v) for k, v in block.get("coeffs", {}).items()}
 
 
 def canonical_json(obj) -> str:

@@ -469,13 +469,13 @@ def find_zeros(field, region, num: Numerics,
                compact_margin: float | None = None) -> list[ZeroRecord]:
     """Multi-start Newton zeros of the field on one component.
 
-    Newton runs from the region's seed points that lie in the domain, and
-    ``classify_zeros`` turns the converged points into records; both take
-    the same compact margin (``region.h`` by default).
+    Newton runs from the region's seed points (its first domain query drops
+    those off the domain), and ``classify_zeros`` turns the converged points
+    into records; both take the same compact margin (``region.h`` by
+    default).
     """
     margin = compact_margin if compact_margin is not None else region.h
-    seeds = region.seed_points()
-    pts, _ = newton_zeros(field, seeds[field.member(seeds)], num, margin)
+    pts, _ = newton_zeros(field, region.seed_points(), num, margin)
     return classify_zeros(field, region, pts, num, margin)
 
 

@@ -24,8 +24,9 @@ from .domains import (
     punctured_space,
 )
 from .errors import TubeTooWide, UnknownName, ZeroOnY
-from .groups import FiniteGroupRep, antipodal, dihedral, isotropy, orbit, symmetric, trivial
-from .maps import LocalGradientMap, make_map
+from .groups import (CircleRep, FiniteGroupRep, antipodal, dihedral, isotropy, orbit,
+                     symmetric, trivial)
+from .maps import LocalGradientMap, circle_surrogate, make_map
 from .params import Numerics
 from .potentials import (
     LiftedPotential,
@@ -136,20 +137,18 @@ def restrict_off(f: LocalGradientMap, centers, radius: float,
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """A pinned example: builder, expected invariant, provenance tag."""
+    """A pinned example: builder, expected invariant, provenance, free-row name."""
 
     name: str
-    group_kind: str                  # finite | circle
     provenance: str
     expected_theta11: int | None
     expected_entries: tuple = ()
     numerics: dict = field(default_factory=dict)
-    radial_coeffs: dict | None = None
-    omega_kind: str = "full"
+    row_label: str | None = None
 
     def build(self):
-        """Returns (group, omega, map).  Circle entries build the antipodal
-        line surrogate whose quotient computation is identical."""
+        """Returns (group, omega, map).  Circle entries build their antipodal
+        line surrogate (``circle_surrogate``)."""
         return _BUILDERS[self.name]()
 
     def expected_vector(self):
@@ -206,51 +205,49 @@ _BUILDERS = {
     "z2_plane_doublewell": _build_z2_plane_doublewell,
     "d3_axis_orbit_normal": _build_d3_axis_orbit_normal,
     "s3_perm_radial": _build_s3_perm_radial,
-    "s1_dancer_plus": lambda: _build_z2_line(1.0),
-    "s1_dancer_minus": lambda: _build_z2_line(-1.0),
+    "s1_dancer_plus": lambda: circle_surrogate(CircleRep((1,)), full_space(), {1: 0.5}, 2.0),
+    "s1_dancer_minus": lambda: circle_surrogate(CircleRep((1,)), full_space(), {1: -0.5}, 2.0),
 }
 
 _CATALOG = {
     "trivial_identity": CatalogEntry(
-        name="trivial_identity", group_kind="finite",
+        name="trivial_identity",
         provenance="TRIVIAL: single source zero of the identity field",
         expected_theta11=None,
         expected_entries=((("(e)", "q0"), 1),)),
     "z2_line_min": CatalogEntry(
-        name="z2_line_min", group_kind="finite",
+        name="z2_line_min",
         provenance="DERIVED: one-dimensional perturbed-profile oracle",
         expected_theta11=1, expected_entries=()),
     "z2_line_max": CatalogEntry(
-        name="z2_line_max", group_kind="finite",
+        name="z2_line_max",
         provenance="DERIVED: one-dimensional perturbed-profile oracle",
         expected_theta11=1,
         expected_entries=((("(e)", "q0"), -1),)),
     "z2_plane_doublewell": CatalogEntry(
-        name="z2_plane_doublewell", group_kind="finite",
+        name="z2_plane_doublewell",
         provenance="DERIVED: boundary winding bookkeeping oracle",
         expected_theta11=1, expected_entries=()),
     "d3_axis_orbit_normal": CatalogEntry(
-        name="d3_axis_orbit_normal", group_kind="finite",
+        name="d3_axis_orbit_normal",
         provenance="PAPER: unit value of an orbit-normal map",
         expected_theta11=None,
         expected_entries=((("(H2a)", "q1"), 1),)),
     "s3_perm_radial": CatalogEntry(
-        name="s3_perm_radial", group_kind="finite",
+        name="s3_perm_radial",
         provenance="DERIVED: normal-structure recursion, all lower rows vanish",
         expected_theta11=None,
         expected_entries=((("(G)", "q0"), 1),),
         numerics={"grid_h": 0.15, "bbox": 1.6}),
     "s1_dancer_plus": CatalogEntry(
-        name="s1_dancer_plus", group_kind="circle",
+        name="s1_dancer_plus",
         provenance="DERIVED: same oracle as the antipodal line minimum",
-        expected_theta11=1, expected_entries=(),
-        radial_coeffs={1: 0.5}, omega_kind="plane"),
+        expected_theta11=1, expected_entries=(), row_label="(Z1)"),
     "s1_dancer_minus": CatalogEntry(
-        name="s1_dancer_minus", group_kind="circle",
+        name="s1_dancer_minus",
         provenance="DERIVED: same oracle as the antipodal line maximum",
         expected_theta11=1,
-        expected_entries=((("(Z1)", "q0"), -1),),
-        radial_coeffs={1: -0.5}, omega_kind="plane"),
+        expected_entries=((("(Z1)", "q0"), -1),), row_label="(Z1)"),
 }
 
 

@@ -74,6 +74,15 @@ class CircleRep:
         if any(w == 0 for w in self.weights):
             raise ValueError("weights must be nonzero integers")
 
+    @property
+    def dim(self) -> int:
+        return 2 * len(self.weights) + self.trivial_dim
+
+    @property
+    def row_label(self) -> str:
+        """(Zk), the orbit type off the origin of the single weight k."""
+        return f"(Z{abs(self.weights[0])})"
+
 
 class FiniteGroupRep:
     """Finite group of orthogonal matrices with exact index tables."""

@@ -20,10 +20,10 @@ from functools import cached_property
 import numpy as np
 
 from .degree import fd_jacobian
-from .domains import AnyOf, MapDomain, Shell, ball, full_space
+from .domains import AnyOf, DomainExpr, MapDomain, Shell, ball, full_space
 from .domains import validate_invariance as _dom_invariance
-from .errors import DomainsOverlap, NotInvariant, OutsideDomain
-from .groups import FiniteGroupRep
+from .errors import DomainsOverlap, NotInvariant, OutsideDomain, UnsupportedRep
+from .groups import CircleRep, FiniteGroupRep, antipodal
 from .potentials import (
     PiecewisePotential,
     PolynomialPotential,
@@ -178,6 +178,20 @@ def make_map(group: FiniteGroupRep, domain: MapDomain, potential: Potential,
                                       sample_filter=sample_filter)
         _dom_invariance(domain.expr, group, domain.bbox)
     return LocalGradientMap(group, domain, potential)
+
+
+def circle_surrogate(rep: CircleRep, omega: DomainExpr, radial_coeffs: dict[int, float],
+                     bbox: float):
+    """(group, omega, map) of the antipodal line surrogate of one weight k
+    acting on the plane with the potential p(r^2) (``radial_coeffs``: power
+    to coefficient): the even profile p(x^2) on the line, whose free row (e)
+    is the circle's (Zk).  Every domain is radial, so its section by the
+    line has the same quotient ray.  Other representations are unsupported."""
+    if len(rep.weights) != 1 or rep.trivial_dim != 0:
+        raise UnsupportedRep("circle groups support weights=[k], trivial_dim=0")
+    group = antipodal(1)
+    potential = PolynomialPotential.radial_from_r2_poly(radial_coeffs, 1)
+    return group, omega, make_map(group, MapDomain(omega, bbox), potential)
 
 
 def evaluate(f: LocalGradientMap, point) -> tuple[float, np.ndarray, np.ndarray]:

@@ -13,9 +13,9 @@ group's subgroup lattice, so every run over one group builds it once.
 ``egdeg perturb-trace`` reports the tubes of the same steps, and the
 acceptance suite splits and verifies the maps of its first step.
 
-The circle demo reduces the single-weight rotation action on the plane to
-the antipodal line surrogate, whose quotient computation is literally the
-same one-dimensional problem.
+The circle demo computes a single-weight rotation action on a radial domain
+of the plane on its antipodal line surrogate (``maps.circle_surrogate``),
+the same one-dimensional problem, with the free row renamed (Zk).
 """
 from __future__ import annotations
 
@@ -32,14 +32,12 @@ from .degree import (
     newton_zeros,
     quotient_intersection,
 )
-from .domains import DomainExpr, MapDomain, full_space, punctured_space
-from .errors import (AdditionUndefined, ConfigError, UnsupportedRep,
-                     WeylTransportFailed)
-from .groups import CircleRep, FiniteGroupRep, antipodal
-from .maps import LocalGradientMap, StratumField, make_map, restrict_to_stratum
+from .domains import DomainExpr
+from .errors import AdditionUndefined, ConfigError, WeylTransportFailed
+from .groups import CircleRep, FiniteGroupRep
+from .maps import LocalGradientMap, StratumField, circle_surrogate, restrict_to_stratum
 from .params import POLISH_TOL, Numerics
 from .perturb import HomotopyFamily, SplitParts, perturb, select_tube, split
-from .potentials import PolynomialPotential
 from .strata import Stratum, StratumComponent, cached_stratum, iso_types
 from .tubes import TubeGeometry, row_matmul
 
@@ -153,9 +151,8 @@ def _stratum_zero_pass(f: LocalGradientMap, stratum: Stratum, num: Numerics):
         seeds.append(comp_seeds)
         tags.append(np.full(len(comp_seeds), rep))
     seeds, tags = np.concatenate(seeds), np.concatenate(tags)
-    member = fld.member(seeds)
-    pts, stats = newton_zeros(fld, seeds[member], num, margin)
-    tags = tags[member][stats["kept"]]
+    pts, stats = newton_zeros(fld, seeds, num, margin)
+    tags = tags[stats["kept"]]
     records = {rep: classify_zeros(fld, region, pts[tags == rep], num, margin)
                for rep, region in regions.items()}
     per_component = {}
@@ -354,32 +351,18 @@ def _assert_domain_shrinks(f_prev: LocalGradientMap, f_next: LocalGradientMap):
 # circle demo
 
 
+def relabel_free_row(vec: ThetaVector, trace: RecursionTrace,
+                     label: str) -> tuple[ThetaVector, RecursionTrace]:
+    """A line surrogate's invariant with its free orbit type (e) renamed
+    ``label``, in the entries and in the trace steps alike."""
+    entries = {(label if t == "(e)" else t, q): v for (t, q), v in vec.entries}
+    steps = [dict(s, orbit_type=label) if s["orbit_type"] == "(e)" else s for s in trace.steps]
+    return ThetaVector.from_dict(entries, vec.origin_slot), RecursionTrace(steps)
+
+
 def theta_radial_s1(rep: CircleRep, radial_coeffs: dict[int, float],
-                    omega_kind: str, num: Numerics) -> tuple[ThetaVector, RecursionTrace]:
-    """Invariant of a rotation-invariant gradient map on the plane.
-
-    ``radial_coeffs`` give the potential as a polynomial in the squared
-    radius.  Only a single nonzero weight with no trivial block is supported;
-    the rotation quotient reduces the computation to the antipodal action on
-    the line with the even surrogate potential, computed by the standard
-    machinery, and the row is relabeled to the cyclic isotropy type.
-    """
-    if len(rep.weights) != 1 or rep.trivial_dim != 0:
-        raise UnsupportedRep("demo path supports weights=[k], trivial_dim=0")
-    k = abs(rep.weights[0])
-    if omega_kind == "plane":
-        omega = full_space()
-    elif omega_kind == "punctured":
-        omega = punctured_space()
-    else:
-        raise ConfigError(f"omega_kind must be plane or punctured, got {omega_kind!r}")
-
-    surrogate_terms = {(2 * power,): coeff
-                       for power, coeff in radial_coeffs.items() if coeff != 0.0}
-    group = antipodal(1)
-    pot = PolynomialPotential(surrogate_terms, 1)
-    f = make_map(group, MapDomain(omega, num.bbox), pot)
-    vec, trace = theta(group, omega, f, num)
-    relabeled = {(f"(Z{k})", comp): val
-                 for (label, comp), val in vec.entries}
-    return ThetaVector.from_dict(relabeled, vec.origin_slot), trace
+                    omega: DomainExpr, num: Numerics) -> tuple[ThetaVector, RecursionTrace]:
+    """Invariant of a rotation-invariant gradient map on a radial domain of
+    the plane with potential p(r^2) (``radial_coeffs``), on its line surrogate."""
+    vec, trace = theta(*circle_surrogate(rep, omega, radial_coeffs, num.bbox), num)
+    return relabel_free_row(vec, trace, rep.row_label)

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import degree as dg
 from .config import canonical_json
-from .domains import MapDomain, annulus, full_space
+from .domains import MapDomain, annulus, full_space, punctured_space
 from .errors import DomainsOverlap, EgdegError, TubeTooWide
 from .factory import catalog, catalog_names, orbit_normal
 from .groups import CircleRep, antipodal, cyclic, dihedral, symmetric
@@ -264,9 +264,9 @@ def criterion_circle(ctx):
     num = _num_for(1)
     rep = CircleRep((1,))
     out = {}
-    plus, _ = theta_radial_s1(rep, {1: 0.5}, "plane", num)
-    minus, _ = theta_radial_s1(rep, {1: -0.5}, "plane", num)
-    hat, _ = theta_radial_s1(rep, {2: 0.25, 1: -0.5, 0: 0.25}, "punctured", num)
+    plus, _ = theta_radial_s1(rep, {1: 0.5}, full_space(), num)
+    minus, _ = theta_radial_s1(rep, {1: -0.5}, full_space(), num)
+    hat, _ = theta_radial_s1(rep, {2: 0.25, 1: -0.5, 0: 0.25}, punctured_space(), num)
     got = {
         "plus": (plus.origin_slot, plus.entry("(Z1)", "q0")),
         "minus": (minus.origin_slot, minus.entry("(Z1)", "q0")),

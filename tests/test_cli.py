@@ -9,8 +9,7 @@ from egdeg.cli import main
 from egdeg.factory import catalog, catalog_names
 
 theta_mod = importlib.import_module("egdeg.theta")  # the package exports theta()
-FINITE_ENTRIES = [n for n in catalog_names()
-                  if catalog(n).group_kind == "finite"]
+FINITE_ENTRIES = [n for n in catalog_names() if catalog(n).row_label is None]
 
 
 def write_config(tmp_path, name, payload):
@@ -184,6 +183,133 @@ class TestTheta:
         assert data["theta11"] == 1
         assert data["entries"] == [
             {"orbit_type": "(Z2)", "component": "q0", "value": -1}]
+
+
+def _renamed(payload, label):
+    """A theta payload with the orbit type (e) renamed ``label`` in its
+    entries, computed rows and trace steps."""
+    def rows(items):
+        return [dict(r, orbit_type=label) if r["orbit_type"] == "(e)" else r
+                for r in items]
+    return dict(payload, entries=rows(payload["entries"]),
+                computed_rows=rows(payload["computed_rows"]),
+                trace={"steps": rows(payload["trace"]["steps"])})
+
+
+CIRCLE_DOMAINS = {
+    "full": {"kind": "full"},
+    "punctured": {"kind": "punctured"},
+    "ball": {"kind": "ball", "r": 1.0},
+    "annulus": {"kind": "annulus", "r1": 1.5, "r2": 1.9},
+    "ball_and_annulus": {"kind": "union", "left": {"kind": "ball", "r": 0.5},
+                         "right": {"kind": "annulus", "r1": 1.2, "r2": 1.9}},
+}
+
+
+class TestCircleRoute:
+    """A circle group with one weight k is its antipodal line surrogate
+    with the free row (e) named (Zk), on every radial domain."""
+
+    @pytest.mark.parametrize("coeffs", [
+        {"1": -0.5}, {"1": 0.5}, {"2": 0.25, "1": -0.5, "0": 0.25}],
+        ids=["max", "min", "hat"])
+    @pytest.mark.parametrize("domain", list(CIRCLE_DOMAINS))
+    def test_circle_equals_line(self, capsys, tmp_path, domain, coeffs):
+        def run(group):
+            cfg = write_config(tmp_path, "cfg.json", {
+                "group": group, "domain": CIRCLE_DOMAINS[domain],
+                "potential": {"kind": "radial_r2", "coeffs": coeffs},
+                "numerics": {"grid_h": 0.1, "bbox": 2.0}})
+            code, out = run_cli(capsys, "theta", cfg)
+            assert code == 0
+            return json.loads(out)
+        line = run({"kind": "antipodal", "dim": 1})
+        circle = run({"kind": "circle", "weights": [3]})
+        assert circle == _renamed(line, "(Z3)")
+        # one name for the free row across the whole payload
+        labels = {r["orbit_type"] for key in ("entries", "computed_rows")
+                  for r in circle[key]}
+        labels |= {s["orbit_type"] for s in circle["trace"]["steps"]}
+        assert labels - {"(G)"} == {"(Z3)"}
+
+    def test_annulus_has_no_rows(self, capsys, tmp_path):
+        # the annulus holds no zero of -r^2/2 and not the origin
+        cfg = write_config(tmp_path, "ann.json", {
+            "group": {"kind": "circle", "weights": [1]},
+            "domain": CIRCLE_DOMAINS["annulus"],
+            "potential": {"kind": "radial_r2", "coeffs": {"1": -0.5}},
+            "numerics": {"grid_h": 0.1, "bbox": 2.0}})
+        code, out = run_cli(capsys, "theta", cfg)
+        assert code == 0
+        data = json.loads(out)
+        assert data["theta11"] is None and data["entries"] == []
+
+    @pytest.mark.parametrize("name", ["s1_dancer_plus", "s1_dancer_minus"])
+    def test_catalog_entry_labels(self, capsys, tmp_path, name):
+        cfg = write_config(tmp_path, "s1.json", {
+            "group": {"kind": "circle", "weights": [1]},
+            "potential": {"kind": "catalog", "name": name},
+            "numerics": {"grid_h": 0.1, "bbox": 2.0}})
+        code, out = run_cli(capsys, "theta", cfg)
+        assert code == 0
+        data = json.loads(out)
+        assert data["theta11"] == catalog(name).expected_theta11
+        assert [(e["orbit_type"], e["component"], e["value"])
+                for e in data["entries"]] == [
+            (t, q, v) for (t, q), v in catalog(name).expected_entries]
+        assert {s["orbit_type"] for s in data["trace"]["steps"]} == {"(G)", "(Z1)"}
+        assert {r["orbit_type"] for r in data["computed_rows"]} == {"(Z1)"}
+
+
+EXIT_CONFIGS = {
+    "finite": {
+        "group": {"kind": "dihedral", "n": 3},
+        "domain": {"kind": "punctured"},
+        "potential": {"kind": "expr",
+                      "expr": "(x1^2 + x2^2)^2 - x1^2 - x2^2"},
+        "numerics": {"grid_h": 0.1, "bbox": 2.0},
+        "degree": {"box_lo": [-2, -2], "box_hi": [2, 2]}},
+    "circle": {
+        "group": {"kind": "circle", "weights": [1]},
+        "potential": {"kind": "radial_r2", "coeffs": {"1": -0.5}},
+        "numerics": {"grid_h": 0.1, "bbox": 2.0},
+        "degree": {"box_lo": [-1, -1], "box_hi": [1, 1]}},
+    "catalog": {
+        "group": {"kind": "antipodal", "dim": 1},
+        "potential": {"kind": "catalog", "name": "s1_dancer_minus"},
+        "numerics": {"grid_h": 0.1, "bbox": 2.0}},
+}
+# strata needs a finite group; degree needs a field, which a catalog
+# potential does not give
+EXIT_EXPECTED = {("circle", "strata"): 2, ("catalog", "degree"): 2}
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("command", ["theta", "perturb-trace", "strata", "degree"])
+    @pytest.mark.parametrize("kind", list(EXIT_CONFIGS))
+    def test_every_command_exits_with_a_documented_code(self, capsys, tmp_path,
+                                                         kind, command):
+        cfg = write_config(tmp_path, "cfg.json", EXIT_CONFIGS[kind])
+        extra = ["--samples", "100"] if command == "perturb-trace" else []
+        assert main([command, *extra, cfg]) == EXIT_EXPECTED.get((kind, command), 0)
+
+    @pytest.mark.parametrize("command", ["theta", "perturb-trace"])
+    @pytest.mark.parametrize("group,potential", [
+        ({"kind": "circle", "weights": [1]},
+         {"kind": "expr", "expr": "0.5*x1^2 + 0.5*x2^2"}),
+        ({"kind": "circle", "weights": [1]}, {}),
+        ({"kind": "circle", "weights": [1, 2]},
+         {"kind": "radial_r2", "coeffs": {"1": 0.5}}),
+        ({"kind": "circle", "weights": [1], "trivial_dim": 1},
+         {"kind": "radial_r2", "coeffs": {"1": 0.5}})],
+        ids=["expr", "no_potential", "two_weights", "trivial_block"])
+    def test_unsupported_circle_input_exits_2(self, capsys, tmp_path, command,
+                                              group, potential):
+        cfg = write_config(tmp_path, "cfg.json", {
+            "group": group, "potential": potential,
+            "numerics": {"grid_h": 0.1, "bbox": 2.0}})
+        assert main([command, cfg]) == 2
+        assert capsys.readouterr().err.startswith("validation error:")
 
 
 class TestDegree:

@@ -383,7 +383,7 @@ class TestZeroPass:
                 if len(extra):
                     hinted += 1
                     seeds = np.concatenate([region.seed_points(), extra])
-                    pts, _ = recorded(fld, seeds[fld.member(seeds)], num, step.margin)
+                    pts, _ = recorded(fld, seeds, num, step.margin)
                     recs = dg.classify_zeros(fld, region, pts, num, step.margin)
                 else:
                     recs = dg.find_zeros(fld, region, num,
@@ -627,28 +627,28 @@ class TestWeylClosure:
 
 class TestCircleDemo:
     def test_dancer_pair(self):
-        plus, _ = theta_radial_s1(CircleRep((1,)), {1: 0.5}, "plane", NUM)
-        minus, _ = theta_radial_s1(CircleRep((1,)), {1: -0.5}, "plane", NUM)
+        plus, _ = theta_radial_s1(CircleRep((1,)), {1: 0.5}, dm.full_space(), NUM)
+        minus, _ = theta_radial_s1(CircleRep((1,)), {1: -0.5}, dm.full_space(), NUM)
         assert plus.origin_slot == 1 and plus.entries == ()
         assert minus.origin_slot == 1
         assert minus.entry("(Z1)", "q0") == -1
 
     def test_hat_on_punctured_plane(self):
-        vec, _ = theta_radial_s1(CircleRep((2,)),
-                                 {2: 0.25, 1: -0.5, 0: 0.25}, "punctured", NUM)
+        vec, _ = theta_radial_s1(CircleRep((2,)), {2: 0.25, 1: -0.5, 0: 0.25},
+                                 dm.punctured_space(), NUM)
         assert vec.origin_slot is None
         assert vec.entry("(Z2)", "q0") == 1
 
     def test_weight_relabeling(self):
-        vec, _ = theta_radial_s1(CircleRep((5,)), {1: -0.5}, "plane", NUM)
+        vec, _ = theta_radial_s1(CircleRep((5,)), {1: -0.5}, dm.full_space(), NUM)
         assert vec.entry("(Z5)", "q0") == -1
 
     def test_multi_weight_rejected(self):
         with pytest.raises(UnsupportedRep):
-            theta_radial_s1(CircleRep((1, 2)), {1: 0.5}, "plane", NUM)
+            theta_radial_s1(CircleRep((1, 2)), {1: 0.5}, dm.full_space(), NUM)
         with pytest.raises(UnsupportedRep):
             theta_radial_s1(CircleRep((1,), trivial_dim=1), {1: 0.5},
-                            "plane", NUM)
+                            dm.full_space(), NUM)
 
 
 class TestExistence:
