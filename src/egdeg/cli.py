@@ -77,21 +77,28 @@ def _build_map(cfg: RunConfig):
 
 def cmd_strata(args) -> int:
     cfg = load_config(args.config)
-    if cfg.is_circle:
+    if cfg.potential_block.get("kind") == "catalog":
+        # the entry's own group, domain and numerics, as ``theta`` reads them
+        group, omega, _, num, row_label = _build_map(cfg)
+    elif cfg.is_circle:
         raise ConfigError("strata listing needs a finite group")
-    validate_invariance(cfg.domain, cfg.group, cfg.numerics.bbox)
-    num = cfg.numerics
-    lat = iso_types(cfg.group, cfg.domain, num.grid_h, num.bbox)
+    else:
+        group, omega, num, row_label = cfg.group, cfg.domain, cfg.numerics, None
+    validate_invariance(omega, group, num.bbox)
+    lat = iso_types(group, omega, num.grid_h, num.bbox)
+
+    def name(label):  # a surrogate's free row (e) is named as in theta
+        return row_label if row_label is not None and label == "(e)" else label
+
     rows = []
     for cid in lat.class_ids:
-        rec = cfg.group.lattice.records[cid]
-        row = {"orbit_type": cfg.group.lattice.class_label(cid),
+        rec = group.lattice.records[cid]
+        row = {"orbit_type": name(group.lattice.class_label(cid)),
                "subgroup_order": rec.order,
                "fixed_dim": rec.fixed_dim,
                "weyl_order": rec.weyl_order}
         if rec.fixed_dim >= 1:
-            stratum = build_stratum(cfg.group, cfg.domain, cid, num.grid_h,
-                                    num.bbox)
+            stratum = build_stratum(group, omega, cid, num.grid_h, num.bbox)
             row["components"] = [
                 {"label": comp.label_str, "cells": len(comp.cells),
                  "quotient_label": stratum.orbit_of_component(
@@ -103,7 +110,8 @@ def cmd_strata(args) -> int:
                 for orb in stratum.quotient_orbits}
         rows.append(row)
     _emit({"schema": "egdeg/1", "orbit_types": rows,
-           "linear_order": lat.labels()}, cfg.output or args.output)
+           "linear_order": [name(label) for label in lat.labels()]},
+          cfg.output or args.output)
     return 0
 
 

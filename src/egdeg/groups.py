@@ -6,10 +6,11 @@ that the module computes the full subgroup lattice, conjugacy classes of
 subgroups, normalizers, Weyl coset representatives and fixed subspaces, which
 is everything the stratification layer needs.
 
-Groups are capped at order 64.  Subgroups are boolean member masks over the
-multiplication table: closure is a mask fixpoint, and enumeration joins one
-representative per conjugacy class with the cyclic subgroups it does not
-contain (cyclic extension).
+Elements come from a BFS over generator products; the multiplication table
+matches all n^2 products at once by a rounded-entry key, each match checked
+within MATCH_TOL.  The lattice takes order <= 64: subgroups are boolean
+member masks, one batch of row gathers closes a class representative's joins
+with all the cyclic subgroups it lacks, and subconjugacy is a float product.
 """
 from __future__ import annotations
 
@@ -124,9 +125,6 @@ class FiniteGroupRep:
         pts = np.asarray(points, dtype=float)
         return pts @ self.elements[g].T
 
-    def matrix(self, g: int) -> np.ndarray:
-        return self.elements[g]
-
     @property
     def lattice(self) -> "SubgroupLattice":
         if self._lattice is None:
@@ -137,11 +135,9 @@ class FiniteGroupRep:
         return f"FiniteGroupRep(order={self.order}, dim={self.dim})"
 
 
-def _match_index(mat: np.ndarray, elements: np.ndarray) -> int:
-    """Index of mat in elements under the MATCH_TOL identification, or -1."""
-    gaps = np.max(np.abs(elements - mat[None]), axis=(1, 2))
-    idx = int(np.argmin(gaps))
-    return idx if gaps[idx] <= MATCH_TOL else -1
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One sortable void scalar (bytes) per row of a C-contiguous 2-D array."""
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
 
 
 def close_group(generators, cap: int = DEFAULT_CAP) -> FiniteGroupRep:
@@ -151,39 +147,48 @@ def close_group(generators, cap: int = DEFAULT_CAP) -> FiniteGroupRep:
     order, which makes all downstream labels deterministic.  Raises
     ClosureOverflow when more than ``cap`` distinct elements appear and
     NotOrthogonal for bad generators.
+
+    The table looks all n^2 products up at once by a rounded key, checks
+    each guess, and searches densely in the rows where one misses (in all
+    rows when two elements are close enough for a product to match both).
     """
-    gens = []
-    for g in generators:
-        mat = g.matrix if isinstance(g, OrthogonalTransform) else g
-        gens.append(orthonormalize(mat))
+    gens = [orthonormalize(g.matrix if isinstance(g, OrthogonalTransform) else g)
+            for g in generators]
     if not gens:
         raise NotOrthogonal("at least one generator required")
     d = gens[0].shape[0]
     if any(g.shape != (d, d) for g in gens):
         raise NotOrthogonal("generators have mismatched dimensions")
 
-    elements = [np.eye(d)]
-    queue = [0]
-    while queue:
-        i = queue.pop(0)
+    stack = np.eye(d)[None]  # doubled when full
+    n, i, sep = 1, 0, np.inf  # sep: the smallest gap between two elements
+    while i < n:  # the BFS queue is i, ..., n - 1
         for g in gens:
-            prod = g @ elements[i]
-            if _match_index(prod, np.array(elements)) == -1:
-                if len(elements) >= cap:
+            prod = g @ stack[i]
+            gap = np.max(np.abs(stack[:n] - prod), axis=(1, 2)).min()
+            if not gap <= MATCH_TOL:
+                if n >= cap:
                     raise ClosureOverflow(
                         f"closure exceeded cap={cap}; increase cap or check generators")
-                elements.append(prod)
-                queue.append(len(elements) - 1)
+                if n == len(stack):
+                    stack = np.concatenate([stack, stack])
+                stack[n], n, sep = prod, n + 1, min(sep, gap)
+        i += 1
 
-    elems = np.array(elements)
-    n = len(elements)
-    mul_table = np.empty((n, n), dtype=np.int64)
-    for i in range(n):
-        prods = np.einsum("ab,nbc->nac", elems[i], elems)  # elems[i] @ elems[j]
-        gaps = np.max(np.abs(prods[:, None] - elems[None]), axis=(2, 3))
+    elems = stack[:n].copy()
+    prods = np.einsum("iab,jbc->ijac", elems, elems, optimize=True)  # [i] @ [j]
+    # keys: entries rounded to 6 places (+ 0.0 maps -0.0 to 0.0); an entry
+    # at a rounding boundary can split a matching pair, so keys only guess
+    elem_keys, prod_keys = (_row_keys(np.round(a.reshape(-1, d * d), 6) + 0.0)
+                            for a in (elems, prods))
+    order = np.argsort(elem_keys)
+    guess = np.searchsorted(elem_keys[order], prod_keys).clip(max=n - 1)
+    mul_table = order[guess].reshape(n, n).astype(np.int64)
+    ok = np.max(np.abs(prods - elems[mul_table]), axis=(2, 3)) <= MATCH_TOL
+    for i in range(n) if sep <= 3 * MATCH_TOL else np.flatnonzero(~np.all(ok, axis=1)):
+        gaps = np.max(np.abs(prods[i][:, None] - elems[None]), axis=(2, 3))
         nearest = np.argmin(gaps, axis=1)
-        best = gaps[np.arange(n), nearest]
-        if np.any(best > MATCH_TOL):
+        if np.any(gaps[np.arange(n), nearest] > MATCH_TOL):
             raise ClosureOverflow("product fell outside the closed element set")
         # closure must be unambiguous: second-nearest stays clearly apart
         gaps[np.arange(n), nearest] = np.inf
@@ -191,13 +196,10 @@ def close_group(generators, cap: int = DEFAULT_CAP) -> FiniteGroupRep:
             raise NotOrthogonal("two distinct elements collide at matching tolerance")
         mul_table[i] = nearest
 
-    inv_table = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        js = np.nonzero(mul_table[i] == 0)[0]
-        if len(js) != 1:
-            raise ClosureOverflow("inverse not unique; table inconsistent")
-        inv_table[i] = js[0]
-    return FiniteGroupRep(elems, mul_table, inv_table)
+    is_unit = mul_table == 0
+    if np.any(np.count_nonzero(is_unit, axis=1) != 1):
+        raise ClosureOverflow("inverse not unique; table inconsistent")
+    return FiniteGroupRep(elems, mul_table, np.argmax(is_unit, axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -342,20 +344,22 @@ def _members(mask: np.ndarray) -> tuple[int, ...]:
     return tuple(np.flatnonzero(mask).tolist())
 
 
-def _subgroup_closure(mul_table: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Member mask of the subgroup generated by the elements in ``mask``.
-
-    Adds all pairwise products until the set stops growing.  In a finite
-    group closure under products already contains every inverse, because
-    g^-1 is a power of g.
-    """
-    m = mask.copy()
-    m[0] = True
+def _generated(mul_table: np.ndarray, masks: np.ndarray, shared: np.ndarray,
+               own: np.ndarray) -> np.ndarray:
+    """Row r: the mask of the subgroup generated by ``shared`` and
+    ``own[r]``, grown from ``masks[r]`` (a subset of it) by row gathers to a
+    fixpoint.  ``S[mul[x]]`` is the mask of x^-1 S, and the least set holding
+    the identity closed under every x^-1 is the subgroup generated."""
+    out = masks | np.eye(1, masks.shape[1], dtype=bool)
+    m, n = out.shape
+    steps = (np.arange(m)[:, None] * n + mul_table[own]).ravel()  # flat x^-1 S
     while True:
-        idx = np.flatnonzero(m)
-        m[mul_table[idx[:, None], idx]] = True
-        if np.count_nonzero(m) == len(idx):
-            return m
+        size = np.count_nonzero(out)
+        for x in shared.tolist():
+            out |= out[:, mul_table[x]]
+        out |= out.take(steps).reshape(m, n)
+        if np.count_nonzero(out) == size:
+            return out
 
 
 def fixed_subspace(group: FiniteGroupRep, members) -> np.ndarray:
@@ -387,62 +391,60 @@ def subgroup_lattice(group: FiniteGroupRep) -> SubgroupLattice:
     H' = C_1 v ... v C_(k-1) is a subgroup, so H' = g^-1 R g for some class
     representative R and g H g^-1 = R v g C_k g^-1.  So joining each
     representative with each cyclic subgroup it does not contain reaches
-    every class from the trivial one.  A new join is conjugated once: its
-    images form its class, and the smallest member set represents it.
+    every class from the trivial one, in one batched closure per representative;
+    a new join's images form its class, whose smallest member set represents it.
     """
     if group.order > DEFAULT_CAP:
         raise ClosureOverflow(f"lattice restricted to order <= {DEFAULT_CAP}")
-    n = group.order
-    mul = group.mul_table
-    conj = mul[mul, group.inv_table[:, None]]  # conj[g, h] = g h g^-1
-    rows = np.arange(n)[:, None]
-    unit = np.eye(n, dtype=bool)
-    cyclic = np.array(list({c.tobytes(): c for c in (
-        _subgroup_closure(mul, g) for g in unit)}.values()))
-    classes, found = [], set()  # (representative, conjugates, normalizer)
+    n, mul, inv = group.order, group.mul_table, group.inv_table
+    index, no_gens = np.arange(n), np.zeros(0, dtype=np.intp)
+    unconj = mul[mul[inv], index[:, None]]  # unconj[g, t] = g^-1 t g
+    # one generator per distinct cyclic subgroup
+    cyclic, gen = np.unique(_generated(mul, np.eye(n, dtype=bool), no_gens, index),
+                            axis=0, return_index=True)
+    classes, found = [], set()  # (representative, conjugates, normalizer, generators)
 
-    def add_class(s):
-        images = np.zeros((n, n), dtype=bool)
-        images[rows, conj[:, s]] = True  # images[g] = g s g^-1
-        distinct = {img.tobytes(): img for img in images}
-        found.update(distinct)
-        conjugates = sorted(distinct.values(), key=_members)
-        rep = conjugates[0]
-        # rep's own normalizer: s's is a conjugate of it, not the same set
-        normalizer = np.flatnonzero(np.all(rep[conj[:, rep]], axis=1))
-        classes.append((rep, conjugates, normalizer))
+    def add_class(s, gens):
+        images = s[unconj]  # images[g] = g s g^-1
+        keys, first, which = np.unique(_row_keys(images), return_index=True,
+                                       return_inverse=True)
+        found.update(keys.tolist())
+        # among sets of one size, member tuples sort as the masks' bytes reversed
+        conjugates, g = images[first[::-1]], first[-1]  # rep = g s g^-1
+        # x normalizes rep iff (x g) s (x g)^-1 = rep
+        normalizer = np.flatnonzero(which[mul[:, g]] == len(keys) - 1)
+        classes.append((conjugates[0], conjugates, normalizer, unconj[inv[g], gens]))
 
-    add_class(unit[0])
-    for rep, _, _ in classes:  # appended to while iterated
-        for c in cyclic[np.any(cyclic & ~rep, axis=1)]:
-            j = _subgroup_closure(mul, rep | c)
-            if j.tobytes() not in found:
-                add_class(j)
+    add_class(index == 0, no_gens)
+    for rep, _, _, gens in classes:  # appended to while iterated
+        lacks = np.flatnonzero(np.any(cyclic & ~rep, axis=1))
+        joins = _generated(mul, rep | cyclic[lacks], gens, gen[lacks])
+        keys, first = np.unique(_row_keys(joins), return_index=True)
+        for r, key in zip(first.tolist(), keys.tolist()):
+            if key not in found:
+                add_class(joins[r], np.append(gens, gen[lacks[r]]))
 
     # stable class ids: decreasing subgroup order, then smallest member set
     classes.sort(key=lambda cls: (-np.count_nonzero(cls[0]), _members(cls[0])))
 
     records = []
-    for cid, (rep, _, normalizer) in enumerate(classes):
+    for cid, (rep, _, normalizer, _) in enumerate(classes):
         members = _members(rep)
-        reps, seen = [], np.zeros(n, dtype=bool)
-        for g in normalizer.tolist():
-            if not seen[g]:
-                reps.append(g)
-                seen[mul[g, rep]] = True
+        # a coset gH of H in its normalizer is represented by its least element
+        reps = normalizer[mul[normalizer][:, rep].min(axis=1) == normalizer]
         records.append(SubgroupRecord(
-            member_indices=members,
-            order=len(members),
+            member_indices=members, order=len(members),
             normalizer_indices=tuple(normalizer.tolist()),
-            weyl_coset_reps=tuple(reps),
-            fixed_basis=fixed_subspace(group, members),
-            class_id=cid,
-        ))
+            weyl_coset_reps=tuple(reps.tolist()),
+            fixed_basis=fixed_subspace(group, members), class_id=cid))
 
-    # leq[a, b] iff some conjugate of rep a has no member outside rep b
-    outside = (~np.array([cls[0] for cls in classes])).astype(np.int64)
-    leq = np.array([np.any(np.asarray(cls[1], dtype=np.int64) @ outside.T == 0, axis=0)
-                    for cls in classes])
+    # leq[a, b] iff a conjugate of rep a lies in rep b: b = a or b is larger (lower id)
+    reps = np.array([cls[0] for cls in classes])
+    orders, outside = np.count_nonzero(reps, axis=1), 1.0 - reps.T
+    leq = np.eye(len(classes), dtype=bool)
+    for a, (_, conjugates, _, _) in enumerate(classes):
+        larger = np.count_nonzero(orders > orders[a])
+        leq[a, :larger] = np.any(conjugates @ outside[:, :larger] == 0, axis=0)
     return SubgroupLattice(group, records,
                            [[_members(c) for c in cls[1]] for cls in classes],
                            leq)
@@ -526,10 +528,8 @@ def symmetric(n: int) -> FiniteGroupRep:
     """All n x n permutation matrices."""
     if n < 1 or math.factorial(n) > DEFAULT_CAP:
         raise ClosureOverflow(f"symmetric({n}) exceeds the order cap")
-    swap = np.eye(n)[list(range(n))]
-    if n >= 2:
-        swap = np.eye(n)[[1, 0] + list(range(2, n))]
-    cycle = np.eye(n)[[*range(1, n), 0]] if n >= 2 else np.eye(n)
+    swap = np.eye(n)[[1, 0, *range(2, n)]] if n >= 2 else np.eye(n)
+    cycle = np.eye(n)[[*range(1, n), 0]]
     return close_group([swap, cycle], cap=math.factorial(n))
 
 

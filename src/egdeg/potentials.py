@@ -11,7 +11,6 @@ potential used for disjoint unions.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 import numpy as np
 

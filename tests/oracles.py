@@ -768,25 +768,68 @@ def layer_walk_grad(f, points):
     return walk(pts, len(f.layers))
 
 
+def close_group_loop(generators, tol=1e-8, cap=64):
+    """(elements, mul_table, inv_table) of the group the matrices generate:
+    BFS from the identity, the queue in discovery order, each product
+    g @ elements[i] new unless an element lies within tol (max-abs); then
+    each table entry is the nearest element of a product, one at a time."""
+    gens = []
+    for g in generators:
+        u, _, vt = np.linalg.svd(np.asarray(g, dtype=float))
+        gens.append(u @ vt)
+    elements = [np.eye(gens[0].shape[0])]
+    queue = [0]
+    while queue:
+        i = queue.pop(0)
+        for g in gens:
+            prod = g @ elements[i]
+            if min(np.max(np.abs(e - prod)) for e in elements) > tol:
+                assert len(elements) < cap
+                elements.append(prod)
+                queue.append(len(elements) - 1)
+    n, stack = len(elements), np.array(elements)
+    mul = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        for j in range(n):
+            gaps = np.max(np.abs(stack - elements[i] @ elements[j]), axis=(1, 2))
+            assert np.sort(gaps)[0] <= tol and (n == 1 or np.sort(gaps)[1] > tol)
+            mul[i, j] = int(np.argmin(gaps))
+    inv = np.array([list(mul[i]).index(0) for i in range(n)], dtype=np.int64)
+    return np.array(elements), mul, inv
+
+
+def mask_closure_loop(mul, mask):
+    """Member mask of the subgroup generated by the elements in ``mask``:
+    add all pairwise products until the set stops growing (in a finite
+    group that also holds every inverse, a power of its element)."""
+    m = mask.copy()
+    m[0] = True
+    while True:
+        idx = np.flatnonzero(m)
+        m[mul[idx[:, None], idx]] = True
+        if np.count_nonzero(m) == len(idx):
+            return m
+
+
 def subgroup_lattice_loop(group):
     """(records, class_members, leq) of the subgroup lattice by cyclic
     extension of every subgroup: each subgroup found is joined once with
     each cyclic subgroup it does not contain, the masks are sorted by
     (order, members), and each unassigned mask opens a class of its own
     conjugates, so the first of a class is its smallest member set."""
-    from egdeg.groups import SubgroupRecord, _subgroup_closure, fixed_subspace
+    from egdeg.groups import SubgroupRecord, fixed_subspace
 
     def members_of(mask):
         return tuple(np.flatnonzero(mask).tolist())
 
     n, mul = group.order, group.mul_table
     unit = np.eye(n, dtype=bool)
-    cyclic = {c.tobytes(): c for c in (_subgroup_closure(mul, g) for g in unit)}
+    cyclic = {c.tobytes(): c for c in (mask_closure_loop(mul, g) for g in unit)}
     subs, seen = [unit[0]], {unit[0].tobytes()}
     for s in subs:
         for c in cyclic.values():
             if np.any(c & ~s):
-                j = _subgroup_closure(mul, s | c)
+                j = mask_closure_loop(mul, s | c)
                 if j.tobytes() not in seen:
                     seen.add(j.tobytes())
                     subs.append(j)

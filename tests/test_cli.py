@@ -98,6 +98,32 @@ class TestStrata:
         assert [c["label"] for c in row["components"]] == ["c-20", "c0"]
         assert row["quotient_labels"] == ["q0", "q1"]
 
+    def test_catalog_config_lists_the_entry_strata(self, capsys, tmp_path):
+        # the group block says the line; the entry is D3 on the plane
+        cfg = write_config(tmp_path, "cat.json", {
+            "group": {"kind": "antipodal", "dim": 1},
+            "potential": {"kind": "catalog", "name": "d3_axis_orbit_normal"}})
+        code, out = run_cli(capsys, "strata", cfg)
+        assert code == 0
+        data = json.loads(out)
+        assert data["linear_order"] == ["(H2a)", "(e)"]
+        rows = {r["orbit_type"]: r for r in data["orbit_types"]}
+        assert rows["(H2a)"]["subgroup_order"] == 2
+        assert rows["(H2a)"]["quotient_labels"] == ["q0", "q1"]
+        code, out = run_cli(capsys, "theta", cfg)
+        assert code == 0
+        computed = {row["orbit_type"] for row in json.loads(out)["computed_rows"]}
+        assert computed == set(rows)
+
+    def test_circle_catalog_entry_names_the_free_row(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, "dancer.json", {
+            "group": {"kind": "antipodal", "dim": 1},
+            "potential": {"kind": "catalog", "name": "s1_dancer_minus"},
+            "numerics": {"grid_h": 0.1, "bbox": 2.0}})
+        code, out = run_cli(capsys, "strata", cfg)
+        assert code == 0
+        assert json.loads(out)["linear_order"] == ["(G)", "(Z1)"]
+
     def test_non_invariant_domain_rejected(self, capsys, tmp_path):
         # an asymmetric difference of balls is not invariant under D3
         cfg = write_config(tmp_path, "bad.json", {

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import (conjugate_bases_loop, orbit_loop, singular_family_loop,
-                     subgroup_lattice_loop)
+from oracles import (close_group_loop, conjugate_bases_loop, orbit_loop,
+                     singular_family_loop, subgroup_lattice_loop)
 
 from egdeg import groups as gr
 from egdeg.errors import ClosureOverflow, IsotropyAmbiguous, NotOrthogonal
@@ -85,10 +85,24 @@ def d4_z2():
                                np.diag([1.0, 1.0, -1.0])])
 
 
+def sign_flips(d):
+    """Generators of (Z2)^d: the coordinate sign flips of d-space."""
+    return [np.diag(np.where(np.arange(d) == i, -1.0, 1.0)) for i in range(d)]
+
+
 def sign_group(d):
-    """(Z2)^d: the coordinate sign flips of d-space, order 2^d."""
-    return gr.from_generators([np.diag(np.where(np.arange(d) == i, -1.0, 1.0))
-                               for i in range(d)])
+    """(Z2)^d, order 2^d."""
+    return gr.from_generators(sign_flips(d))
+
+
+def rotation_z(angle):
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+# generators of the order-64 point groups of 3-space
+D16H = [rotation_z(2 * np.pi / 16), np.diag([1.0, -1.0, -1.0]), np.diag([1.0, 1.0, -1.0])]
+C32V = [rotation_z(2 * np.pi / 32), np.diag([1.0, -1.0, 1.0])]
 
 
 # larger groups for the lattice properties, besides each test's own cases
@@ -159,6 +173,53 @@ def test_identity_first_and_tables_consistent():
         assert g.mul(g.mul(i, j), k) == g.mul(i, g.mul(j, k))
     for i in range(g.order):
         assert g.mul(i, g.inv(i)) == 0
+
+
+CLOSURE_ORACLE_GENERATORS = {
+    "S4": [np.eye(4)[[1, 0, 2, 3]], np.eye(4)[[1, 2, 3, 0]]],
+    "B3": [np.eye(3)[[1, 0, 2]], np.eye(3)[[1, 2, 0]], np.diag([-1.0, 1.0, 1.0])],
+    "D32": [gr.rotation2(2 * np.pi / 32), gr.reflection2(0.0)],
+    "D16h": D16H, "C32v": C32V, "Z2^6": sign_flips(6)}
+
+
+@pytest.mark.parametrize("name", list(CLOSURE_ORACLE_GENERATORS))
+def test_close_group_equals_loop(name):
+    gens = CLOSURE_ORACLE_GENERATORS[name]
+    g = gr.from_generators(gens)
+    elements, mul_table, inv_table = close_group_loop(gens)
+    assert g.elements.shape == elements.shape
+    assert g.elements.tobytes() == elements.tobytes()
+    assert g.mul_table.dtype == mul_table.dtype and g.inv_table.dtype == inv_table.dtype
+    assert np.array_equal(g.mul_table, mul_table)
+    assert np.array_equal(g.inv_table, inv_table)
+
+
+def test_rounding_boundary_key_misses_take_the_dense_search(monkeypatch):
+    # the reflection's entry cos(2 phi) = 0.1234565 sits on a boundary of the
+    # 6-place key, so some products of it round the other way
+    gens = [gr.rotation2(2 * np.pi / 3), gr.reflection2(0.5 * np.arccos(0.1234565))]
+    keys = []
+    real = gr._row_keys
+    monkeypatch.setattr(gr, "_row_keys", lambda rows: keys.append(real(rows)) or keys[-1])
+    g = gr.from_generators(gens)
+    assert not np.all(np.isin(keys[1], keys[0]))  # some product keys miss
+    elements, mul_table, inv_table = close_group_loop(gens)
+    assert g.elements.tobytes() == elements.tobytes()
+    assert np.array_equal(g.mul_table, mul_table)
+    assert np.array_equal(g.inv_table, inv_table)
+
+
+def test_keys_that_match_nothing_give_the_same_tables(monkeypatch):
+    # every guess is checked, so keys of noise leave every row to the dense search
+    gens = CLOSURE_ORACLE_GENERATORS["B3"]
+    rng = np.random.default_rng(0)
+    real = gr._row_keys
+    monkeypatch.setattr(gr, "_row_keys", lambda rows: real(rng.random(rows.shape)))
+    g = gr.from_generators(gens)
+    elements, mul_table, inv_table = close_group_loop(gens)
+    assert g.elements.tobytes() == elements.tobytes()
+    assert np.array_equal(g.mul_table, mul_table)
+    assert np.array_equal(g.inv_table, inv_table)
 
 
 def test_closure_products_match_unique_elements():
@@ -257,12 +318,23 @@ def test_every_two_generated_subgroup_enumerated(make):
 
 def test_lattice_time_gate():
     # on a 2-core x86 VM, joining all pairs of known subgroups took about
-    # 10 s for B3, and extending the class representatives takes about
-    # 0.04 s for B3 and 0.035 s for D32
+    # 10 s for B3, one closure per join of a class representative with a
+    # cyclic subgroup 0.02 s, and one batched closure per representative
+    # takes about 0.007 s for B3 and 0.005 s for D32
     for g in [hyperoctahedral3(), gr.dihedral(32)]:
         start = time.perf_counter()
         g.lattice
-        assert time.perf_counter() - start < 0.5
+        assert time.perf_counter() - start < 0.035
+
+
+def test_sign_group_lattice_time_gate():
+    # every subgroup of (Z2)^6 is its own class, one per subspace of F_2^6;
+    # about 0.75 s on a 2-core x86 VM (2.6-3.0 s with one closure per join)
+    g = sign_group(6)
+    start = time.perf_counter()
+    lat = g.lattice
+    assert time.perf_counter() - start < 1.5
+    assert lat.n_classes == 2825
 
 
 LATTICE_ORACLE_GROUPS = (
@@ -271,7 +343,9 @@ LATTICE_ORACLE_GROUPS = (
     + [(functools.partial(gr.dihedral, n), f"D{n}") for n in range(2, 13)]
     + [(lambda: gr.dihedral(32), "D32"), (lambda: gr.symmetric(3), "S3"),
        (lambda: gr.symmetric(4), "S4"), (hyperoctahedral3, "B3"),
-       (d4_z2, "D4xZ2"), (lambda: sign_group(4), "Z2^4")])
+       (d4_z2, "D4xZ2"), (lambda: sign_group(4), "Z2^4"),
+       (lambda: gr.from_generators(D16H), "D16h"),
+       (lambda: gr.from_generators(C32V), "C32v")])
 
 
 @group_cases(LATTICE_ORACLE_GROUPS)
