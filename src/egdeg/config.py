@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +19,7 @@ from .groups import (
 )
 from .params import Numerics
 from .potentials import PolynomialPotential, Potential
+from .records import Record
 
 _TOP_KEYS = {"schema", "group", "domain", "potential", "numerics", "output",
              "degree"}
@@ -34,8 +34,7 @@ def _check_keys(block: dict, allowed: set, where: str):
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
-@dataclass
-class RunConfig:
+class RunConfig(Record, frozen=False):
     group: FiniteGroupRep | CircleRep
     domain: DomainExpr
     potential_block: dict

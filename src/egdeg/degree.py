@@ -41,7 +41,6 @@ by the component stabilizer order; the division must be exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,6 +52,7 @@ from .errors import (
     RefinementOverflow,
 )
 from .params import POLISH_TOL, Numerics
+from .records import Record
 from .strata import row_positions
 from .tubes import distance_blocks, nearest_center_distance, row_matmul, row_norms
 
@@ -438,8 +438,7 @@ def dedupe_points(pts: np.ndarray, radius: float) -> np.ndarray:
     return np.array(keep)
 
 
-@dataclass(frozen=True)
-class ZeroRecord:
+class ZeroRecord(Record):
     """One polished zero with its Morse data and labels."""
 
     point: tuple[float, ...]

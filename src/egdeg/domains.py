@@ -17,20 +17,19 @@ balls and ``disjoint_union`` keeps the union of its parts' domains.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError, NotInvariant
+from .records import Record, replace
 from .tubes import (ProjectorStack, SubspaceFamily, TubeGeometry,
                     nearest_center_distance, row_norms)
 
 EXACT_TOL = 1e-11  # relative threshold for "lies on a removed subspace"
 
 
-@dataclass(frozen=True)
-class DomainExpr:
+class DomainExpr(Record):
     """Tree node of the invariant domain algebra."""
 
     kind: str                     # full|ball|annulus|punctured|diff|union|inter
@@ -148,8 +147,7 @@ def _split(family: SubspaceFamily, pts: np.ndarray, splits):
     return family.stack.split(pts) if splits is None else splits
 
 
-@dataclass(frozen=True)
-class Subspaces:
+class Subspaces(Record):
     """Points lying exactly on a conjugate subspace of one orbit type."""
 
     family: SubspaceFamily
@@ -162,8 +160,7 @@ class Subspaces:
         return _split(self.family, pts, splits)[self.family][3]
 
 
-@dataclass(frozen=True)
-class Balls:
+class Balls(Record):
     """Union of balls around a point set, open or closed."""
 
     centers: np.ndarray
@@ -178,8 +175,7 @@ class Balls:
         return np.abs(self.radius - nearest_center_distance(pts, self.centers))
 
 
-@dataclass(frozen=True)
-class Tube:
+class Tube(Record):
     """U^(scale*epsilon) of a tube, open or closed."""
 
     geometry: TubeGeometry
@@ -202,8 +198,7 @@ class Tube:
         return np.minimum(np.abs(rho - dec["dcen"]), np.abs(eps - dec["s"]))
 
 
-@dataclass(frozen=True)
-class Shell:
+class Shell(Record):
     """The lateral shell B^epsilon of a tube (measure zero); the tube must
     have centers and a stratum of positive dimension."""
 
@@ -221,8 +216,7 @@ class Shell:
                         np.maximum(0.0, dec["s"] - geo.epsilon))
 
 
-@dataclass(frozen=True)
-class AnyOf:
+class AnyOf(Record):
     """Union of disjoint map domains."""
 
     parts: tuple
@@ -240,8 +234,7 @@ class AnyOf:
         return dist
 
 
-@dataclass(frozen=True)
-class MapDomain:
+class MapDomain(Record):
     """Open invariant domain of a local map: the points of ``expr`` inside
     every ``kept`` region and outside every ``removed`` closed set."""
 

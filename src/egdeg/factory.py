@@ -9,8 +9,6 @@ expected invariants and the provenance of each expectation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .degree import newton_zeros
@@ -34,6 +32,7 @@ from .potentials import (
     PolynomialPotential,
     validate_invariance,
 )
+from .records import Factory, Record
 from .strata import Stratum
 from .tubes import TubeGeometry
 
@@ -135,15 +134,14 @@ def restrict_off(f: LocalGradientMap, centers, radius: float,
 # catalog
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Record):
     """A pinned example: builder, expected invariant, provenance, free-row name."""
 
     name: str
     provenance: str
     expected_theta11: int | None
     expected_entries: tuple = ()
-    numerics: dict = field(default_factory=dict)
+    numerics: dict = Factory(dict)
     row_label: str | None = None
 
     def build(self):

@@ -15,12 +15,12 @@ with all the cyclic subgroups it lacks, and subconjugacy is a float product.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ClosureOverflow, IsotropyAmbiguous, NotOrthogonal
+from .records import Record
 from .tubes import SubspaceFamily
 
 MATCH_TOL = 1e-8          # two transforms are identified below this max-norm gap
@@ -45,8 +45,7 @@ def orthonormalize(mat: np.ndarray) -> np.ndarray:
     return q
 
 
-@dataclass(frozen=True)
-class OrthogonalTransform:
+class OrthogonalTransform(Record):
     """A single orthogonal matrix, orthonormalized at construction."""
 
     matrix: np.ndarray
@@ -62,8 +61,7 @@ class OrthogonalTransform:
         return hash(self.matrix.shape)
 
 
-@dataclass(frozen=True)
-class CircleRep:
+class CircleRep(Record):
     """Rotation action on complex blocks, kept only for the circle demo path."""
 
     weights: tuple[int, ...]
@@ -206,8 +204,7 @@ def close_group(generators, cap: int = DEFAULT_CAP) -> FiniteGroupRep:
 # subgroup lattice
 
 
-@dataclass
-class SubgroupRecord:
+class SubgroupRecord(Record, frozen=False):
     """Conjugacy-class representative of a subgroup, with derived data.
 
     ``member_indices`` is the lexicographically smallest member set of the
@@ -369,17 +366,13 @@ def fixed_subspace(group: FiniteGroupRep, members) -> np.ndarray:
     value cutoff 1e-9.  Returns a (d, k) array; k may be zero.
     """
     d = group.dim
-    members = sorted(set(members))
-    rows = np.concatenate([group.elements[g] - np.eye(d) for g in members], axis=0)
+    rows = (group.elements[sorted(set(members))] - np.eye(d)).reshape(-1, d)
     _, svals, vt = np.linalg.svd(rows)
     rank = int(np.sum(svals > 1e-9))
     basis = vt[rank:].T
-    # canonical column signs for label stability
-    for j in range(basis.shape[1]):
-        col = basis[:, j]
-        lead = np.argmax(np.abs(col))
-        if col[lead] < 0:
-            basis[:, j] = -col
+    # canonical column signs for label stability: each column's largest entry
+    lead = basis[np.argmax(np.abs(basis), axis=0), np.arange(basis.shape[1])]
+    basis *= np.where(lead < 0, -1.0, 1.0)
     return basis
 
 
@@ -454,8 +447,7 @@ def subgroup_lattice(group: FiniteGroupRep) -> SubgroupLattice:
 # pointwise action
 
 
-@dataclass(frozen=True)
-class Isotropy:
+class Isotropy(Record):
     """Stabilizer of a point, matched to an enumerated subgroup class."""
 
     member_indices: tuple[int, ...]

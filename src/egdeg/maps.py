@@ -14,7 +14,6 @@ split again, for the layers below it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -32,11 +31,11 @@ from .potentials import (
     validate_invariance,
 )
 from .profiles import PerturbationLayer, well
+from .records import Record, replace
 from .tubes import ProjectorStack, row_matmul
 
 
-@dataclass(frozen=True)
-class LocalGradientMap:
+class LocalGradientMap(Record):
     """An equivariant gradient local map f = grad(phi)."""
 
     group: FiniteGroupRep

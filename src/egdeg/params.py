@@ -1,17 +1,13 @@
 """Numerical parameter block shared across the pipeline."""
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from .errors import ConfigError
+from .records import Record, replace
 
 POLISH_TOL = 1e-9  # newton_zeros keeps only points with residual <= this
 
-_FIELDS = ("grid_h", "bbox", "newton_tol", "seed", "mu_kind")
 
-
-@dataclass(frozen=True)
-class Numerics:
+class Numerics(Record):
     grid_h: float = 0.1
     bbox: float = 2.0
     newton_tol: float = 1e-10
@@ -25,12 +21,11 @@ class Numerics:
                 f"would stop above the residual {POLISH_TOL} that a zero must "
                 f"reach to be kept, so converged zeros would be dropped")
 
-    def with_(self, **kwargs) -> "Numerics":
-        return replace(self, **kwargs)
+    with_ = replace  # a copy with some fields changed, validated again
 
     @classmethod
     def from_config(cls, cfg: dict) -> "Numerics":
-        unknown = set(cfg) - set(_FIELDS)
+        unknown = set(cfg) - set(cls._fields)
         if unknown:
             raise ConfigError(f"unknown numerics keys: {sorted(unknown)}")
         return cls(**cfg)

@@ -14,8 +14,6 @@ verification.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .domains import Subspaces, Tube
@@ -24,6 +22,7 @@ from .groups import distinct_rows
 from .maps import LocalGradientMap, layer_grad, through_layer
 from .params import Numerics
 from .profiles import PerturbationLayer
+from .records import Record
 from .tubes import TubeGeometry
 
 ZERO_THRESH = 1e-8   # field magnitude at or below which a point counts as a zero
@@ -149,8 +148,7 @@ def perturb(f: LocalGradientMap, tube: TubeGeometry,
     return f.with_layer(layer), HomotopyFamily(f, layer)
 
 
-@dataclass(frozen=True)
-class SplitParts:
+class SplitParts(Record):
     """The three restrictions of a perturbed map."""
 
     core: LocalGradientMap          # restriction to the inner third tube

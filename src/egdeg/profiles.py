@@ -11,11 +11,10 @@ normal offsets s in [0, eps] and return the profile and its derivative.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import OutOfRange
+from .records import Record
 from .tubes import TubeGeometry
 
 MU_KINDS = ("cubic", "quintic")
@@ -60,8 +59,7 @@ def bump(s, eps: float, kind: str = "cubic") -> tuple[np.ndarray, np.ndarray]:
     return np.where(hi, mu, 0.0), np.where(hi, du / (eps / 3), 0.0)
 
 
-@dataclass(frozen=True)
-class PerturbationLayer:
+class PerturbationLayer(Record):
     """One applied tube perturbation: geometry plus the retraction choice."""
 
     geometry: TubeGeometry

@@ -13,7 +13,6 @@ label.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,11 +20,11 @@ from .domains import DomainExpr
 from .errors import NotInStratum, ResolutionTooCoarse
 from .groups import FiniteGroupRep, SubgroupLattice, isotropy
 from .params import Numerics
+from .records import Record
 from .tubes import SubspaceFamily
 
 
-@dataclass
-class OrbitTypeLattice:
+class OrbitTypeLattice(Record, frozen=False):
     """Orbit types present in the domain, in maximal-first linear order."""
 
     group: FiniteGroupRep
@@ -104,8 +103,7 @@ def _grid_witness(omega, basis, sing, h, bbox):
     return pts[idx[0]] if len(idx) else None
 
 
-@dataclass
-class StratumComponent:
+class StratumComponent(Record, frozen=False):
     index: int
     label: tuple[int, ...]
     cells: np.ndarray              # (n_cells, k) int, lexicographic order
@@ -116,8 +114,7 @@ class StratumComponent:
         return "c" + ",".join(str(c) for c in self.label)
 
 
-@dataclass
-class QuotientOrbit:
+class QuotientOrbit(Record, frozen=False):
     members: list[int]             # component indices
     min_label: tuple[int, ...]
     stabilizer_orders: dict[int, int]

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,12 +37,12 @@ from .groups import CircleRep, FiniteGroupRep
 from .maps import LocalGradientMap, StratumField, circle_surrogate, restrict_to_stratum
 from .params import POLISH_TOL, Numerics
 from .perturb import HomotopyFamily, SplitParts, perturb, select_tube, split
+from .records import Factory, Record
 from .strata import Stratum, StratumComponent, cached_stratum, iso_types
 from .tubes import TubeGeometry, row_matmul
 
 
-@dataclass(frozen=True)
-class ThetaVector:
+class ThetaVector(Record):
     """Sparse integer invariant: one entry per (orbit type, quotient component).
 
     ``origin_slot`` is the optional {0,1} coordinate present exactly when the
@@ -94,11 +93,10 @@ def theta_add(a: ThetaVector, b: ThetaVector) -> ThetaVector:
     return ThetaVector.from_dict(out, slot)
 
 
-@dataclass
-class RecursionTrace:
+class RecursionTrace(Record, frozen=False):
     """Step log of the stratum recursion, for diagnostics and reporting."""
 
-    steps: list[dict] = field(default_factory=list)
+    steps: list[dict] = Factory(list)
 
     def to_json_dict(self) -> dict:
         return {"steps": self.steps}
@@ -216,8 +214,7 @@ def _transport(fld: StratumField, stratum: Stratum, records: list[ZeroRecord],
             for i, p in zip(order, pts[order].tolist())]
 
 
-@dataclass
-class Step:
+class Step(Record, frozen=False):
     """One orbit type of the stratum recursion, as ``recursion`` yields it.
 
     ``f`` is the map entering the step.  Positive-dimensional types carry
@@ -244,7 +241,7 @@ class Step:
     f: LocalGradientMap
     stratum: Stratum | None = None
     restricted: StratumField | None = None
-    zeros: dict[int, list[ZeroRecord]] = field(default_factory=dict)
+    zeros: dict[int, list[ZeroRecord]] = Factory(dict)
     ambient: np.ndarray | None = None
     margin: float | None = None
     newton: dict | None = None

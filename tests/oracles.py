@@ -656,11 +656,24 @@ def sample_shell_loop(geo, n, rng):
     return _sample_blocks_loop(geo, n, 50 * n, rng, "shell")
 
 
+def fixed_subspace_loop(group, members):
+    """Null space of the (Q_g - I) blocks of the members, stacked one by one,
+    with each column's largest entry made positive in a loop."""
+    d = group.dim
+    rows = np.concatenate([group.elements[g] - np.eye(d) for g in sorted(set(members))])
+    _, svals, vt = np.linalg.svd(rows)
+    basis = vt[int(np.sum(svals > 1e-9)):].T
+    for j in range(basis.shape[1]):
+        col = basis[:, j]
+        if col[np.argmax(np.abs(col))] < 0:
+            basis[:, j] = -col
+    return basis
+
+
 def singular_family_loop(group, class_id):
     """Bases of the fixed spaces of the subgroups strictly containing the
     class representative, one per distinct projector (1e-9 max-abs), in the
     order of ``class_members``."""
-    from egdeg.groups import fixed_subspace
     lat = group.lattice
     rep = set(lat.records[class_id].member_indices)
     bases, projs = [], []
@@ -668,7 +681,7 @@ def singular_family_loop(group, class_id):
         for members in members_list:
             s = set(members)
             if rep < s:
-                b = fixed_subspace(group, s)
+                b = fixed_subspace_loop(group, s)
                 p = b @ b.T
                 if not any(np.max(np.abs(p - q)) <= 1e-9 for q in projs):
                     projs.append(p)
@@ -817,7 +830,7 @@ def subgroup_lattice_loop(group):
     each cyclic subgroup it does not contain, the masks are sorted by
     (order, members), and each unassigned mask opens a class of its own
     conjugates, so the first of a class is its smallest member set."""
-    from egdeg.groups import SubgroupRecord, fixed_subspace
+    from egdeg.groups import SubgroupRecord
 
     def members_of(mask):
         return tuple(np.flatnonzero(mask).tolist())
@@ -861,7 +874,7 @@ def subgroup_lattice_loop(group):
             member_indices=members, order=len(members),
             normalizer_indices=tuple(normalizer.tolist()),
             weyl_coset_reps=tuple(reps),
-            fixed_basis=fixed_subspace(group, members), class_id=cid))
+            fixed_basis=fixed_subspace_loop(group, members), class_id=cid))
 
     leq = np.zeros((len(classes), len(classes)), dtype=bool)
     for a, (_, conjugates, _) in enumerate(classes):

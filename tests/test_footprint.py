@@ -3,7 +3,8 @@
 CPython 3.11's parser takes about 0.5 MB more peak memory to compile a
 module of 8,192 or more tokens, which every process pays when it compiles
 egdeg from source, and ``numpy.ma`` costs about 0.6 MB once imported; a
-plain ``np.unique`` imports it.
+plain ``np.unique`` imports it.  Importing egdeg should compile no record
+methods either, which the standard library's dataclasses would do per class.
 """
 import os
 import subprocess
@@ -56,9 +57,18 @@ print("numpy.ma" in sys.modules)
 """
 
 
-def test_box_degree_and_theta_leave_numpy_ma_unimported():
+def run_fresh(code: str) -> str:
     paths = [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC)] + paths))
-    out = subprocess.run([sys.executable, "-c", RUN], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_box_degree_and_theta_leave_numpy_ma_unimported():
+    assert run_fresh(RUN) == "False"
+
+
+def test_import_leaves_dataclasses_unimported():
+    assert run_fresh("import sys\nimport egdeg, egdeg.cli, egdeg.factory, egdeg.config\n"
+                     "print('dataclasses' in sys.modules)") == "False"

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import (close_group_loop, conjugate_bases_loop, orbit_loop,
-                     singular_family_loop, subgroup_lattice_loop)
+from oracles import (close_group_loop, conjugate_bases_loop, fixed_subspace_loop,
+                     orbit_loop, singular_family_loop, subgroup_lattice_loop)
 
 from egdeg import groups as gr
 from egdeg.errors import ClosureOverflow, IsotropyAmbiguous, NotOrthogonal
@@ -365,6 +365,17 @@ def test_lattice_equals_loop(make):
     assert lat.class_members == class_members
     assert lat.leq.dtype == leq.dtype and lat.leq.shape == leq.shape
     assert lat.leq.tobytes() == leq.tobytes()
+
+
+@group_cases(LATTICE_ORACLE_GROUPS)
+def test_fixed_subspace_equals_loop(make):
+    # one broadcast subtraction builds the same SVD input as the per-member
+    # blocks, so every basis of every subgroup keeps its bits
+    g = make()
+    for members_list in g.lattice.class_members:
+        for members in members_list:
+            got, want = gr.fixed_subspace(g, members), fixed_subspace_loop(g, members)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @pytest.fixture(scope="module")

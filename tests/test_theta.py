@@ -1,6 +1,5 @@
 """Invariant tests: the line oracle, vector algebra, the circle demo."""
 import copy
-import dataclasses
 import importlib
 
 import numpy as np
@@ -21,6 +20,7 @@ from egdeg.errors import (AdditionUndefined, ConfigError, ResolutionTooCoarse,
 from egdeg.factory import catalog, orbit_normal
 from egdeg.groups import CircleRep
 from egdeg.params import Numerics
+from egdeg.records import replace
 from egdeg import strata as strata_mod
 from egdeg.strata import iso_types
 from egdeg.tubes import row_matmul
@@ -132,13 +132,13 @@ class TestRecursion:
             dom = parts.off_stratum.domain
             expr, kept = dom.expr, dom.kept
             if change == "expr":
-                expr = dataclasses.replace(expr)
+                expr = replace(expr)
             else:
                 kept = (kept[1:] if change == "kept"
                         else (copy.copy(kept[0]),) + kept[1:])
-            off = dataclasses.replace(parts.off_stratum, domain=dataclasses.replace(
+            off = replace(parts.off_stratum, domain=replace(
                 dom, expr=expr, kept=kept))
-            return dataclasses.replace(parts, off_stratum=off)
+            return replace(parts, off_stratum=off)
         monkeypatch.setattr(theta_mod, "split", split)
         g, om, f = catalog("d3_axis_orbit_normal").build()
         assert f.domain.kept
