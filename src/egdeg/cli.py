@@ -101,13 +101,12 @@ def cmd_strata(args) -> int:
             stratum = build_stratum(group, omega, cid, num.grid_h, num.bbox)
             row["components"] = [
                 {"label": comp.label_str, "cells": len(comp.cells),
-                 "quotient_label": stratum.orbit_of_component(
-                     comp.index).quotient_label}
-                for comp in stratum.components]
+                 "quotient_label": f"q{q}"}
+                for comp, q in zip(stratum.components, stratum.quotient.tolist())]
             row["quotient_labels"] = stratum.quotient_labels()
             row["stabilizer_orders"] = {
-                str(orb.quotient_label): sorted(set(orb.stabilizer_orders.values()))
-                for orb in stratum.quotient_orbits}
+                f"q{q}": sorted(set(stratum.stabilizer[stratum.quotient == q].tolist()))
+                for q in range(len(stratum.reps))}
         rows.append(row)
     _emit({"schema": "egdeg/1", "orbit_types": rows,
            "linear_order": [name(label) for label in lat.labels()]},
@@ -146,12 +145,11 @@ def cmd_degree(args) -> int:
     lo = np.array(block["box_lo"], dtype=float)
     hi = np.array(block["box_hi"], dtype=float)
     mode = block.get("mode", "kronecker")
-    h = float(block.get("grid_h", cfg.numerics.grid_h))
     if mode == "kronecker":
         value = dg.kronecker_degree(field, lo, hi)
         diagnostics = {"mode": mode}
     elif mode == "intersection":
-        region = dg.BoxRegion(lo, hi, h)
+        region = dg.BoxRegion(lo, hi, cfg.numerics.grid_h)
         records = dg.find_zeros(field, region, cfg.numerics)
         value = dg.intersection_number(field, region, cfg.numerics,
                                        records=records)

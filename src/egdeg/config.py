@@ -25,7 +25,7 @@ _TOP_KEYS = {"schema", "group", "domain", "potential", "numerics", "output",
              "degree"}
 _GROUP_KEYS = {"kind", "n", "dim", "matrices", "cap", "weights", "trivial_dim"}
 _POTENTIAL_KEYS = {"kind", "expr", "name", "coeffs"}
-_DEGREE_KEYS = {"box_lo", "box_hi", "mode", "grid_h"}
+_DEGREE_KEYS = {"box_lo", "box_hi", "mode"}
 
 
 def _check_keys(block: dict, allowed: set, where: str):

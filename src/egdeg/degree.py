@@ -51,7 +51,7 @@ from .errors import (
     MarginTooSmall,
     RefinementOverflow,
 )
-from .params import POLISH_TOL, Numerics
+from .params import NEWTON_TOL, POLISH_TOL, Numerics
 from .records import Record
 from .strata import row_positions
 from .tubes import distance_blocks, nearest_center_distance, row_matmul, row_norms
@@ -65,6 +65,7 @@ RETIRE_SPREAD = 1e-2      # ... to within this relative spread before a row reti
 TAIL_RESIDUAL = 1e-4      # a steady row takes a multiplicity step below this residual
 TAIL_RATIO = 0.2          # ... while its residual ratio stays above this
 HALVINGS = 0.5 ** np.arange(1, 9)  # step factors of the line search's second call
+CERTIFY_FLOOR = 10 * NEWTON_TOL   # least field margin a degree or a tilt is taken on
 
 
 # ---------------------------------------------------------------------------
@@ -139,9 +140,7 @@ class GridRegion:
         self.h = stratum.h
         self.dim = stratum.dim
         self.label = component.label_str
-        orbit = stratum.orbit_of_component(component.index)
-        self.quotient_label = orbit.quotient_label
-        self.stabilizer_order = orbit.stabilizer_orders[component.index]
+        self.stabilizer_order = int(stratum.stabilizer[component.index])
 
     def seed_points(self) -> np.ndarray:
         return self.component.centers
@@ -163,9 +162,6 @@ class BoxRegion:
         self.hi = np.asarray(hi, dtype=float)
         self.h = float(h)
         self.dim = len(self.lo)
-        self.label = "box"
-        self.quotient_label = "box"
-        self.stabilizer_order = 1
 
     def seed_points(self) -> np.ndarray:
         axes = [np.arange(l + self.h / 2, u, self.h)
@@ -185,8 +181,7 @@ class BoxRegion:
 # newton
 
 
-def newton_zeros(field, seeds: np.ndarray, num: Numerics,
-                 compact_margin: float | None = None,
+def newton_zeros(field, seeds: np.ndarray, compact_margin: float | None = None,
                  max_iter: int = 80) -> tuple[np.ndarray, dict]:
     """Damped Newton from every seed; returns polished points and stats.
 
@@ -194,12 +189,12 @@ def newton_zeros(field, seeds: np.ndarray, num: Numerics,
     for k <= 3, pinv on near-singular rows).  A row takes the first of the
     steps lam s, lam = 1, 1/2, ..., 1/256, that stays in the domain and
     lowers the residual (``_line_search``); seeds off the domain and seeds
-    that cannot improve are dropped.  A point counts as converged when its residual is at most
-    POLISH_TOL after polishing (the iteration itself targets
-    num.newton_tol, which Numerics keeps at or below POLISH_TOL).  Only the
-    open rows are iterated, as contiguous arrays of seed index, point, field
-    vector, residual (``row_norms``, as are step lengths) and a history
-    column, compacted on the iterations where a row leaves.
+    that cannot improve are dropped.  A point counts as converged when its
+    residual is at most POLISH_TOL after polishing (the iteration itself
+    targets NEWTON_TOL).  Only the open rows are iterated, as contiguous
+    arrays of seed index, point, field vector, residual (``row_norms``, as
+    are step lengths) and a history column, compacted on the iterations
+    where a row leaves.
 
     A row is steady when its last RETIRE_STEPS accepted residual ratios lie
     within RETIRE_SPREAD of each other: linear convergence, as at a singular
@@ -248,7 +243,7 @@ def newton_zeros(field, seeds: np.ndarray, num: Numerics,
     vals = row_norms(vecs)
     fvals[idx] = vals
     active[idx[~np.isfinite(vals)]] = False
-    open_rows = np.isfinite(vals) & (vals > num.newton_tol)
+    open_rows = np.isfinite(vals) & (vals > NEWTON_TOL)
     idx, cur, vecs, vals = idx[open_rows], cur[open_rows], vecs[open_rows], vals[open_rows]
     # and its history, one column per row: the last RETIRE_STEPS residual
     # ratios, the last two accepted displacements (nan for a damped one) and
@@ -267,7 +262,7 @@ def newton_zeros(field, seeds: np.ndarray, num: Numerics,
             shrink[:] = 1.0
         before = vals.copy()
         lam = _line_search(field, cur, vecs, vals, steps)
-        done = (lam == 0) | (vals <= num.newton_tol)
+        done = (lam == 0) | (vals <= NEWTON_TOL)
         ratios[:-1] = ratios[1:]
         ratios[-1] = vals / before
         moves[0] = moves[1]
@@ -439,12 +434,10 @@ def dedupe_points(pts: np.ndarray, radius: float) -> np.ndarray:
 
 
 class ZeroRecord(Record):
-    """One polished zero with its Morse data and labels."""
+    """One polished zero with its Morse data."""
 
     point: tuple[float, ...]
     index: int                   # sign of det Hessian; 0 means degenerate
-    component_label: str
-    quotient_label: str
 
     @property
     def degenerate(self) -> bool:
@@ -474,7 +467,7 @@ def find_zeros(field, region, num: Numerics,
     default).
     """
     margin = compact_margin if compact_margin is not None else region.h
-    pts, _ = newton_zeros(field, region.seed_points(), num, margin)
+    pts, _ = newton_zeros(field, region.seed_points(), margin)
     return classify_zeros(field, region, pts, num, margin)
 
 
@@ -500,11 +493,11 @@ def classify_zeros(field, region, pts: np.ndarray, num: Numerics,
     pts = dedupe_points(pts, DEDUPE_FACTOR * region.h)
     if len(pts) == 0:
         return []
-    return [ZeroRecord(tuple(p), index, region.label, region.quotient_label)
-            for p, index in zip(pts.tolist(), _zero_indices(field, pts, region.h, num))]
+    return [ZeroRecord(tuple(p), index)
+            for p, index in zip(pts.tolist(), _zero_indices(field, pts, region.h))]
 
 
-def _zero_indices(field, pts: np.ndarray, h: float, num: Numerics) -> list[int]:
+def _zero_indices(field, pts: np.ndarray, h: float) -> list[int]:
     """Certified Morse index of each of a set of distinct zeros, 0 if degenerate.
 
     A zero gets the sign of its Jacobian determinant only when the Jacobian
@@ -520,13 +513,12 @@ def _zero_indices(field, pts: np.ndarray, h: float, num: Numerics) -> list[int]:
     svals = np.linalg.svd(jac, compute_uv=False)
     indices = np.where(_det(jac) > 0, 1, -1)
     indices[svals[:, -1] <= DEGENERACY_RATIO * np.maximum(1.0, svals[:, 0])] = 0
-    certify_floor = max(10 * num.newton_tol, 1e-12)
     nondegenerate = np.nonzero(indices)[0]
     if len(nondegenerate):
         bdist = field.boundary_distance(pts[nondegenerate])
         for i, bd in zip(nondegenerate, bdist):
             radius = min(h / 4, 0.4 * nearest_other[i], 0.8 * float(bd))
-            if _local_degree(field, pts[i], radius, certify_floor) != indices[i]:
+            if _local_degree(field, pts[i], radius, CERTIFY_FLOOR) != indices[i]:
                 indices[i] = 0
     return indices.tolist()
 
@@ -803,7 +795,7 @@ def _enclosure_tilt(field, region, enclosure: _Enclosure,
     if len(ring) == 0:
         raise DegenerateUnresolved("enclosure frontier left the domain")
     margin = float(np.min(np.linalg.norm(field.grad(ring), axis=1)))
-    if margin <= max(10 * num.newton_tol, 1e-12):
+    if margin <= CERTIFY_FLOOR:
         raise DegenerateUnresolved(
             f"enclosure frontier margin {margin:.3e} too small for tilting")
     seeds = np.concatenate([enclosure.centers(), cluster_pts], axis=0)
@@ -813,14 +805,14 @@ def _enclosure_tilt(field, region, enclosure: _Enclosure,
         delta = margin / 2
         for _ in range(6):
             tilted = TiltedField(field, delta, direction)
-            pts, _stats = newton_zeros(tilted, seeds, num)
+            pts, _stats = newton_zeros(tilted, seeds)
             if len(pts):
                 pts = pts[enclosure.contains(pts)]
                 pts = dedupe_points(pts, DEDUPE_FACTOR * region.h)
             if len(pts) == 0:
                 count = 0
                 break
-            indices = _zero_indices(tilted, pts, region.h, num)
+            indices = _zero_indices(tilted, pts, region.h)
             if 0 not in indices:
                 count = sum(indices)
                 break
@@ -871,7 +863,7 @@ def intersection_number(field, region, num: Numerics,
             try:
                 resolved = frontier_degree(
                     field, cell_facets(enclosure.cells, enclosure.step),
-                    ENCLOSURE_RESOLUTION, max(10 * num.newton_tol, 1e-12))
+                    ENCLOSURE_RESOLUTION, CERTIFY_FLOOR)
             except (MarginTooSmall, RefinementOverflow, DimensionUnsupported):
                 continue
             break

@@ -25,7 +25,6 @@ from .errors import TubeTooWide, UnknownName, ZeroOnY
 from .groups import (CircleRep, FiniteGroupRep, antipodal, dihedral, isotropy, orbit,
                      symmetric, trivial)
 from .maps import LocalGradientMap, circle_surrogate, make_map
-from .params import Numerics
 from .potentials import (
     LiftedPotential,
     OrbitWellPotential,
@@ -120,8 +119,7 @@ def restrict_off(f: LocalGradientMap, centers, radius: float,
             raise ZeroOnY(f"field magnitude {np.min(mags):.2e} inside the removed set")
         # walk a few damped Newton steps from the removed centers: a zero
         # hiding strictly inside the set is then detected by proximity
-        zeros, _ = newton_zeros(f, samples[inside], Numerics(newton_tol=1e-10),
-                                max_iter=30)
+        zeros, _ = newton_zeros(f, samples[inside], max_iter=30)
         if len(zeros) and np.any(removed.contains(zeros)):
             raise ZeroOnY("removed set covers a zero of the field")
     for hint in f.seed_hints:

@@ -46,7 +46,8 @@ def orthonormalize(mat: np.ndarray) -> np.ndarray:
 
 
 class OrthogonalTransform(Record):
-    """A single orthogonal matrix, orthonormalized at construction."""
+    """A single orthogonal matrix, held as given; ``close_group``
+    orthonormalizes it when it reads it."""
 
     matrix: np.ndarray
 

@@ -6,9 +6,10 @@ modelled by a cell grid in stratum coordinates; cells too close to any
 larger-isotropy subspace are dropped, which also certifies exact isotropy of
 the kept cell centers.  The kept cells are grouped into components by their
 chamber key (side of each singular hyperplane of V^H, radial piece of the
-domain), and the Weyl group permutes components by permuting keys.  Quotient
-components are its orbits, keyed by the lexicographically smallest member
-label.
+domain), and the Weyl group permutes components by permuting keys.  One
+table holds where every Weyl element sends every component; its columns
+are the orbits, so the quotient components (the Weyl orbits, in order of
+their least component) and the stabilizer orders are read off it.
 """
 from __future__ import annotations
 
@@ -29,7 +30,6 @@ class OrbitTypeLattice(Record, frozen=False):
 
     group: FiniteGroupRep
     class_ids: list[int]                 # ordered: (H_i) <= (H_j) implies j <= i
-    witnesses: dict[int, np.ndarray]
 
     @property
     def lattice(self) -> SubgroupLattice:
@@ -52,10 +52,8 @@ def iso_types(group: FiniteGroupRep, omega: DomainExpr, h: float,
     """
     lat = group.lattice
     present: list[int] = []
-    witnesses: dict[int, np.ndarray] = {}
     missing: list[int] = []
-    origin = np.zeros(group.dim)
-    origin_in = bool(omega.contains(origin[None])[0])
+    origin_in = bool(omega.contains(np.zeros((1, group.dim)))[0])
 
     for rec in lat.records:  # records are already sorted maximal first
         basis = rec.fixed_basis
@@ -64,17 +62,14 @@ def iso_types(group: FiniteGroupRep, omega: DomainExpr, h: float,
             # only the full group fixes the origin exactly
             if origin_in and rec.order == group.order:
                 present.append(rec.class_id)
-                witnesses[rec.class_id] = origin.copy()
             continue
         sing = lat.singular(rec.class_id)
         if sing is not None and any(b.shape[1] == k for b in sing.bases):
             continue  # fixed space coincides with a larger one; stratum empty
-        witness = _grid_witness(omega, basis, sing, h, bbox)
-        if witness is None:
+        if _has_witness(omega, basis, sing, h, bbox):
+            present.append(rec.class_id)
+        else:
             missing.append(rec.class_id)
-            continue
-        present.append(rec.class_id)
-        witnesses[rec.class_id] = witness
     labels = ", ".join(lat.class_label(c) for c in missing)
     if missing and present:
         raise ResolutionTooCoarse(
@@ -83,7 +78,7 @@ def iso_types(group: FiniteGroupRep, omega: DomainExpr, h: float,
     if missing:
         warnings.warn(f"no exact-isotropy witness found for class {labels}; "
                       f"omitting", stacklevel=2)
-    return OrbitTypeLattice(group, present, witnesses)
+    return OrbitTypeLattice(group, present)
 
 
 def _grid(k: int, h: float, bbox: float) -> tuple[np.ndarray, np.ndarray]:
@@ -94,13 +89,12 @@ def _grid(k: int, h: float, bbox: float) -> tuple[np.ndarray, np.ndarray]:
     return cells, (cells + 0.5) * h
 
 
-def _grid_witness(omega, basis, sing, h, bbox):
+def _has_witness(omega, basis, sing, h, bbox) -> bool:
     pts = _grid(basis.shape[1], h, bbox)[1] @ basis.T
     ok = omega.contains(pts)
     if sing is not None:
         ok &= sing.min_distance(pts) > max(h / 2, 1e-6)
-    idx = np.nonzero(ok)[0]
-    return pts[idx[0]] if len(idx) else None
+    return bool(ok.any())
 
 
 class StratumComponent(Record, frozen=False):
@@ -114,19 +108,23 @@ class StratumComponent(Record, frozen=False):
         return "c" + ",".join(str(c) for c in self.label)
 
 
-class QuotientOrbit(Record, frozen=False):
-    members: list[int]             # component indices
-    min_label: tuple[int, ...]
-    stabilizer_orders: dict[int, int]
-    quotient_label: str = ""
-
-
 class Stratum:
-    """Grid model of one positive-dimensional stratum and its quotient."""
+    """Grid model of one positive-dimensional stratum and its quotient.
+
+    ``weyl_perm[i, c]`` is the component that the i-th Weyl element of
+    ``record.weyl_coset_reps`` sends component c to.  The rows list the whole
+    Weyl group and row 0 is the identity, so column c is the orbit of c:
+    ``rep`` is each component's least orbit member, ``reps`` the least
+    members in increasing order (the representatives of q0, q1, ...),
+    ``quotient`` each component's quotient index and ``stabilizer`` the
+    order of its stabilizer.  A table that is not closed under the action,
+    or whose orbits and stabilizers break |orbit| x |stabilizer| = |W(H)|,
+    raises ResolutionTooCoarse.
+    """
 
     def __init__(self, group: FiniteGroupRep, class_id: int, basis: np.ndarray,
                  h: float, bbox: float, cells: np.ndarray, cell_components:
-                 np.ndarray, components: list, weyl_perm: dict, orbits: list):
+                 np.ndarray, components: list, weyl_perm: np.ndarray):
         self.group = group
         self.class_id = class_id
         self.basis = basis
@@ -135,9 +133,26 @@ class Stratum:
         self.cells = cells                       # kept cells, lexicographic order
         self.cell_components = cell_components   # component index per kept cell
         self.components = components
-        self.weyl_perm = weyl_perm               # coset rep -> list[int]
-        self.quotient_orbits = orbits
+        self.weyl_perm = weyl_perm
         self.record = group.lattice.records[class_id]
+        index = np.arange(len(components))
+        self.rep = weyl_perm.min(axis=0)
+        # with the identity row, a rep constant along every row is the least
+        # member of the orbit that repeated Weyl images close
+        if not (np.array_equal(weyl_perm[0], index)
+                and np.all(self.rep[weyl_perm] == self.rep)):
+            raise ResolutionTooCoarse(
+                f"the Weyl images of the {group.lattice.class_label(class_id)} "
+                f"components do not close into orbits at h = {h}; refine h")
+        self.reps = np.flatnonzero(self.rep == index)
+        self.quotient = np.searchsorted(self.reps, self.rep)
+        self.stabilizer = np.count_nonzero(weyl_perm == index, axis=0)
+        size = np.bincount(self.quotient)[self.quotient]
+        bad = np.flatnonzero(size * self.stabilizer != self.weyl_order)
+        if len(bad):
+            c = bad[0]
+            raise ResolutionTooCoarse(f"orbit size {size[c]} x stabilizer "
+                                      f"{self.stabilizer[c]} != |WH|={self.weyl_order}")
 
     @property
     def family(self) -> SubspaceFamily:
@@ -158,20 +173,19 @@ class Stratum:
         return self.record.weyl_order
 
     def quotient_labels(self) -> list[str]:
-        return [o.quotient_label for o in self.quotient_orbits]
-
-    def orbit_of_component(self, comp_index: int) -> QuotientOrbit:
-        for orb in self.quotient_orbits:
-            if comp_index in orb.members:
-                return orb
-        raise NotInStratum(f"component {comp_index} not in any quotient orbit")
+        return [f"q{j}" for j in range(len(self.reps))]
 
     def representative_component(self, quotient_label: str) -> StratumComponent:
-        for orb in self.quotient_orbits:
-            if orb.quotient_label == quotient_label:
-                rep = min(orb.members, key=lambda i: self.components[i].label)
-                return self.components[rep]
-        raise NotInStratum(f"unknown quotient label {quotient_label!r}")
+        labels = self.quotient_labels()
+        if quotient_label not in labels:
+            raise NotInStratum(f"unknown quotient label {quotient_label!r}")
+        return self.components[self.reps[labels.index(quotient_label)]]
+
+    def weyl_matrix(self, src: int, dst: int) -> np.ndarray:
+        """The Weyl matrix, in stratum coordinates, of the first Weyl element
+        that sends component ``src`` to ``dst``."""
+        row = np.flatnonzero(self.weyl_perm[:, src] == dst)[0]
+        return self.group.lattice.weyl_matrices(self.class_id)[row]
 
     def to_ambient(self, coords: np.ndarray) -> np.ndarray:
         return np.atleast_2d(coords) @ self.basis.T
@@ -225,8 +239,8 @@ def nearest_components(coords, cells: np.ndarray, cell_components: np.ndarray,
 
 def build_stratum(group: FiniteGroupRep, omega: DomainExpr, class_id: int,
                   h: float, bbox: float) -> Stratum:
-    """Group the kept grid cells by chamber and compute the Weyl/quotient
-    structure.
+    """Group the kept grid cells by chamber and tabulate the Weyl action
+    on the components.
 
     Cells are kept iff their center lies in the domain and at distance
     greater than h from every larger-isotropy subspace (which certifies exact
@@ -265,18 +279,16 @@ def build_stratum(group: FiniteGroupRep, omega: DomainExpr, class_id: int,
                   for c, head in enumerate(heads)]
 
     key_of = {key.tobytes(): c for c, key in enumerate(keys[heads])}
-    weyl_perm: dict[int, list[int]] = {}
-    for w, wmat in zip(rec.weyl_coset_reps, lat.weyl_matrices(class_id)):
+    weyl_perm = np.empty((rec.weyl_order, len(heads)), dtype=int)
+    for row, wmat in zip(weyl_perm, lat.weyl_matrices(class_id)):
         images = chambers.keys(coords[heads] @ wmat.T, pieces[heads])
-        perm = [key_of.get(key.tobytes()) for key in images]
-        if None in perm:
+        row[:] = [key_of.get(key.tobytes(), -1) for key in images]
+        if np.any(row < 0):
             raise ResolutionTooCoarse(
-                f"weyl image of component {components[perm.index(None)].label_str}"
+                f"weyl image of component {components[np.argmin(row)].label_str}"
                 f" lies in a chamber with no kept cell at h = {h}; refine h")
-        weyl_perm[w] = perm
-    orbits = _quotient_orbits(rec, components, weyl_perm)
     return Stratum(group, class_id, basis, h, bbox, cell_arr, comp_idx,
-                   components, weyl_perm, orbits)
+                   components, weyl_perm)
 
 
 def cached_stratum(group: FiniteGroupRep, omega: DomainExpr, class_id: int,
@@ -336,42 +348,6 @@ class _Chambers:
         return np.concatenate(cols, axis=1).astype(np.int64)
 
 
-def _quotient_orbits(rec, components, weyl_perm) -> list[QuotientOrbit]:
-    n = len(components)
-    seen = set()
-    orbits = []
-    for start in range(n):
-        if start in seen:
-            continue
-        orbit = {start}
-        queue = [start]
-        while queue:
-            cur = queue.pop()
-            for perm in weyl_perm.values():
-                nxt = perm[cur]
-                if nxt not in orbit:
-                    orbit.add(nxt)
-                    queue.append(nxt)
-        members = sorted(orbit)
-        seen |= orbit
-        stab = {}
-        for c in members:
-            stab[c] = sum(1 for perm in weyl_perm.values() if perm[c] == c)
-        wh = rec.weyl_order
-        for c in members:
-            if len(members) * stab[c] != wh:
-                raise ResolutionTooCoarse(
-                    f"orbit size {len(members)} x stabilizer {stab[c]} != |WH|={wh}")
-        orbits.append(QuotientOrbit(
-            members=members,
-            min_label=min(components[c].label for c in members),
-            stabilizer_orders=stab))
-    orbits.sort(key=lambda o: o.min_label)
-    for j, orb in enumerate(orbits):
-        orb.quotient_label = f"q{j}"
-    return orbits
-
-
 def locate(stratum: Stratum, point) -> tuple[str, str]:
     """Component and quotient labels of a stratum point.
 
@@ -394,6 +370,4 @@ def locate(stratum: Stratum, point) -> tuple[str, str]:
     comp_idx = int(stratum.components_of(u)[0])
     if comp_idx < 0:
         raise NotInStratum("no kept grid cell near the point")
-    comp = stratum.components[comp_idx]
-    orb = stratum.orbit_of_component(comp_idx)
-    return comp.label_str, orb.quotient_label
+    return stratum.components[comp_idx].label_str, f"q{stratum.quotient[comp_idx]}"

@@ -129,33 +129,28 @@ def _stratum_zero_pass(f: LocalGradientMap, stratum: Stratum, num: Numerics):
     """
     fld = restrict_to_stratum(f, stratum)
     margin = _compact_margin(f, num.grid_h)
-    rep_of = {}
-    for orb in stratum.quotient_orbits:
-        rep = stratum.representative_component(orb.quotient_label).index
-        rep_of.update(dict.fromkeys(orb.members, rep))
     hints, hint_rep = np.empty((0, stratum.dim)), np.empty(0, dtype=int)
     if f.seed_hints:
         pts = np.array(f.seed_hints, dtype=float)
         proj = pts @ stratum.basis @ stratum.basis.T
         on = np.linalg.norm(pts - proj, axis=1) <= 1e-9 * (1 + np.linalg.norm(pts, axis=1))
         if np.any(on):
-            hints, hint_rep = _hints_to_representatives(
-                stratum, rep_of, pts[on] @ stratum.basis)
+            hints, hint_rep = _hints_to_representatives(stratum, pts[on] @ stratum.basis)
     regions = {rep: GridRegion(stratum, stratum.components[rep])
-               for rep in sorted(set(rep_of.values()))}
+               for rep in stratum.reps.tolist()}
     seeds, tags = [], []
     for rep, region in regions.items():
         comp_seeds = np.concatenate([region.seed_points(), hints[hint_rep == rep]])
         seeds.append(comp_seeds)
         tags.append(np.full(len(comp_seeds), rep))
     seeds, tags = np.concatenate(seeds), np.concatenate(tags)
-    pts, stats = newton_zeros(fld, seeds, num, margin)
+    pts, stats = newton_zeros(fld, seeds, margin)
     tags = tags[stats["kept"]]
     records = {rep: classify_zeros(fld, region, pts[tags == rep], num, margin)
                for rep, region in regions.items()}
     per_component = {}
     for comp in stratum.components:
-        rep = rep_of[comp.index]
+        rep = int(stratum.rep[comp.index])
         per_component[comp.index] = records[rep] if rep == comp.index else _transport(
             fld, stratum, records[rep], rep, comp)
     coords = [r.point for recs in per_component.values() for r in recs]
@@ -165,15 +160,7 @@ def _stratum_zero_pass(f: LocalGradientMap, stratum: Stratum, num: Numerics):
     return fld, per_component, ambient, margin, newton
 
 
-def _weyl_matrix(stratum: Stratum, src: int, dst: int) -> np.ndarray:
-    """The Weyl matrix, in stratum coordinates, of the first coset rep in
-    ``weyl_coset_reps`` order that maps component ``src`` to ``dst``."""
-    mats = stratum.group.lattice.weyl_matrices(stratum.class_id)
-    return next(mat for w, mat in zip(stratum.record.weyl_coset_reps, mats)
-                if stratum.weyl_perm[w][src] == dst)
-
-
-def _hints_to_representatives(stratum: Stratum, rep_of: dict, hints: np.ndarray):
+def _hints_to_representatives(stratum: Stratum, hints: np.ndarray):
     """Seed hints in stratum coordinates, each moved from its component into
     the representative of its quotient orbit by the first Weyl element that
     carries it there.  A hint's component is its grid lookup; hints near no
@@ -181,12 +168,11 @@ def _hints_to_representatives(stratum: Stratum, rep_of: dict, hints: np.ndarray)
     of each."""
     comp = stratum.components_of(hints)
     hints, comp = hints[comp >= 0], comp[comp >= 0]
-    moved = hints.copy()
-    for c in sorted(set(comp.tolist())):
-        if rep_of[c] != c:
-            rows = comp == c
-            moved[rows] = row_matmul(hints[rows], _weyl_matrix(stratum, c, rep_of[c]).T)
-    return moved, np.array([rep_of[c] for c in comp.tolist()], dtype=int)
+    moved, rep = hints.copy(), stratum.rep[comp]
+    for c in sorted(set(comp[rep != comp].tolist())):
+        rows = comp == c
+        moved[rows] = row_matmul(hints[rows], stratum.weyl_matrix(c, stratum.rep[c]).T)
+    return moved, rep
 
 
 def _transport(fld: StratumField, stratum: Stratum, records: list[ZeroRecord],
@@ -198,7 +184,7 @@ def _transport(fld: StratumField, stratum: Stratum, records: list[ZeroRecord],
     or ``WeylTransportFailed`` is raised."""
     if not records:
         return []
-    wmat = _weyl_matrix(stratum, rep, comp.index)
+    wmat = stratum.weyl_matrix(rep, comp.index)
     pts = row_matmul(np.array([r.point for r in records]), wmat.T)
     residual = np.linalg.norm(fld.grad(pts), axis=1)
     worst = int(np.argmax(residual))
@@ -208,10 +194,8 @@ def _transport(fld: StratumField, stratum: Stratum, records: list[ZeroRecord],
             f" zero in component {comp.label_str} has residual "
             f"{residual[worst]:.3e} > {POLISH_TOL:g}; the field is not "
             f"Weyl-equivariant to working precision")
-    quotient = stratum.orbit_of_component(comp.index).quotient_label
-    label, order = comp.label_str, np.lexsort(pts.T[::-1]).tolist()
-    return [ZeroRecord(tuple(p), records[i].index, label, quotient)
-            for i, p in zip(order, pts[order].tolist())]
+    order = np.lexsort(pts.T[::-1]).tolist()
+    return [ZeroRecord(tuple(p), records[i].index) for i, p in zip(order, pts[order].tolist())]
 
 
 class Step(Record, frozen=False):

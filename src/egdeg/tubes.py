@@ -23,8 +23,9 @@ from functools import cached_property
 import numpy as np
 
 # a sampler block has at most _CHUNK_ROWS attempts and _CHUNK_CELLS
-# (attempt, center) pairs, which bounds the (rows, centers, dim) difference
-# array of its center-distance test
+# (attempt, center) pairs; the blocks fix the sampler's draws, hence its
+# samples, epsilon and margins, so a change to either re-baselines the output
+# (distance_blocks bounds the difference arrays on its own)
 _CHUNK_ROWS = 1024
 _CHUNK_CELLS = 1 << 15
 

@@ -541,6 +541,49 @@ def flood_fill_components(kept_cells):
     return [np.array(b, dtype=int) for b in sorted(buckets)]
 
 
+def quotient_orbits_loop(rec, components, weyl_perm):
+    """Weyl orbits of the components by breadth-first closure under the
+    rows of ``weyl_perm`` (one permutation of the component indices per
+    Weyl element), each a dict of its sorted members, least member label,
+    stabilizer order per member and quotient label, ordered by that label.
+    An orbit whose size times a member's stabilizer order is not |W(H)|
+    raises ResolutionTooCoarse."""
+    from egdeg.errors import ResolutionTooCoarse
+
+    n = len(components)
+    seen = set()
+    orbits = []
+    for start in range(n):
+        if start in seen:
+            continue
+        orbit = {start}
+        queue = [start]
+        while queue:
+            cur = queue.pop()
+            for perm in weyl_perm:
+                nxt = perm[cur]
+                if nxt not in orbit:
+                    orbit.add(nxt)
+                    queue.append(nxt)
+        members = sorted(orbit)
+        seen |= orbit
+        stab = {}
+        for c in members:
+            stab[c] = sum(1 for perm in weyl_perm if perm[c] == c)
+        wh = rec.weyl_order
+        for c in members:
+            if len(members) * stab[c] != wh:
+                raise ResolutionTooCoarse(
+                    f"orbit size {len(members)} x stabilizer {stab[c]} != |WH|={wh}")
+        orbits.append({"members": members,
+                       "min_label": min(components[c].label for c in members),
+                       "stabilizer_orders": stab})
+    orbits.sort(key=lambda o: o["min_label"])
+    for j, orb in enumerate(orbits):
+        orb["quotient_label"] = f"q{j}"
+    return orbits
+
+
 def orbit_closure_loop(group, points):
     """Group images of a point set: keep an image unless a kept image lies
     within 1e-9 (max-abs) of it, then sort lexicographically."""

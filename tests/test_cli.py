@@ -75,9 +75,11 @@ class TestStrata:
         assert main(["strata", cfg]) == 2
         assert "unknown numerics keys" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("knob", [{"zero_thresh": 1e-8}, {"max_halvings": 20}])
+    @pytest.mark.parametrize("knob", [{"zero_thresh": 1e-8}, {"max_halvings": 20},
+                                      {"newton_tol": 1e-10}])
     def test_tube_selection_key_rejected(self, capsys, tmp_path, knob):
-        # the zero threshold and the halving count are constants of perturb
+        # the zero threshold and the halving count are constants of perturb,
+        # the Newton target one of degree
         cfg = write_config(tmp_path, "knob.json", {
             "group": {"kind": "dihedral", "n": 3},
             "domain": {"kind": "punctured"},
@@ -364,6 +366,18 @@ class TestDegree:
         code, out = run_cli(capsys, "degree", cfg)
         assert code == 0
         assert json.loads(out)["degree"] == 1
+
+    def test_grid_h_key_rejected(self, capsys, tmp_path):
+        # the seed grid of the intersection route is numerics.grid_h
+        cfg = write_config(tmp_path, "deg.json", {
+            "group": {"kind": "antipodal", "dim": 2},
+            "potential": {"kind": "expr", "expr": "(x1^2-1)^2 + x2^2"},
+            "numerics": {"grid_h": 0.15, "bbox": 3.0},
+            "degree": {"box_lo": [-3, -3], "box_hi": [3, 3],
+                       "mode": "intersection", "grid_h": 0.1},
+        })
+        assert main(["degree", cfg]) == 2
+        assert "unknown keys in degree" in capsys.readouterr().err
 
 
 class TestPerturbTrace:

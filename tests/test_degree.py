@@ -15,10 +15,9 @@ from egdeg import domains as dm
 from egdeg import groups as gr
 from egdeg import maps as mp
 from egdeg import potentials as pt
-from egdeg.errors import (ConfigError, DimensionUnsupported, MarginTooSmall,
-                          RefinementOverflow)
+from egdeg.errors import DimensionUnsupported, MarginTooSmall, RefinementOverflow
 from egdeg.factory import catalog
-from egdeg.params import POLISH_TOL, Numerics
+from egdeg.params import NEWTON_TOL, POLISH_TOL, Numerics
 from egdeg.strata import build_stratum, iso_types
 from egdeg.theta import recursion
 from egdeg.tubes import row_norms
@@ -75,9 +74,9 @@ class TestFindZeros:
         a = np.stack(np.meshgrid(np.linspace(-3, 3, 13), [-0.5, 0.5],
                                  indexing="ij"), axis=-1).reshape(-1, 2)
         b = a[::-1] + 0.05
-        pa, sa = dg.newton_zeros(fld, a, NUM)
-        pb, sb = dg.newton_zeros(fld, b, NUM)
-        pab, sab = dg.newton_zeros(fld, np.concatenate([a, b]), NUM)
+        pa, sa = dg.newton_zeros(fld, a)
+        pb, sb = dg.newton_zeros(fld, b)
+        pab, sab = dg.newton_zeros(fld, np.concatenate([a, b]))
         assert sa["stalled"] > 0 and sb["stalled"] > 0
         assert sa["converged"] > 0 and sb["converged"] > 0
         assert np.array_equal(pab, np.concatenate([pa, pb]))
@@ -87,18 +86,13 @@ class TestFindZeros:
             assert sab[key] == sa[key] + sb[key]
         # each kept index names the seed its point was polished from
         for i, k in enumerate(sab["kept"]):
-            single, _ = dg.newton_zeros(fld, np.concatenate([a, b])[k:k + 1], NUM)
+            single, _ = dg.newton_zeros(fld, np.concatenate([a, b])[k:k + 1])
             assert np.array_equal(single[0], pab[i])
 
-    def test_newton_tol_above_polish_tol_rejected(self):
-        # newton_zeros keeps only points polished to residual <= 1e-9, so a
-        # looser Newton target would silently drop every converged zero
-        assert Numerics(newton_tol=1e-9).newton_tol == 1e-9
-        for make in (lambda: Numerics(newton_tol=1e-6),
-                     lambda: NUM.with_(newton_tol=2e-9),
-                     lambda: Numerics.from_config({"newton_tol": 1e-3})):
-            with pytest.raises(ConfigError, match="newton_tol"):
-                make()
+    def test_newton_tol_within_polish_tol(self):
+        # newton_zeros keeps only points polished to residual <= POLISH_TOL,
+        # so a looser Newton target would silently drop every converged zero
+        assert NEWTON_TOL <= POLISH_TOL
 
 
 def straddling_cloud(rng, dim, radius, pairs=30, flips=3, walks=3000):
@@ -330,7 +324,7 @@ class TestBatchedHelpers:
             calls.append(("m", len(u)))
             return np.all(np.abs(u) < 1e6, axis=1)
         seeds = dg.BoxRegion([-3.0] * dim, [3.0] * dim, 0.5).seed_points()
-        pts, stats = dg.newton_zeros(dg.FieldAdapter(grad, dim, member), seeds, NUM)
+        pts, stats = dg.newton_zeros(dg.FieldAdapter(grad, dim, member), seeds)
         assert stats["converged"] == len(seeds) and stats["stalled"] == 0
         assert np.all(np.linalg.norm(grad(pts), axis=1) <= 1e-9)
         kinds, prev = "", None
@@ -350,8 +344,8 @@ class TestBatchedHelpers:
         fld = dg.FieldAdapter(lambda u: u * u * u - u - target, dim,
                               lambda u: np.all(np.abs(u) < 1.6, axis=1))
         seeds = dg.BoxRegion([-1.9] * dim, [1.9] * dim, 0.3).seed_points()
-        pts, stats = dg.newton_zeros(fld, seeds, NUM)
-        want = [newton_row_loop(fld, s, NUM.newton_tol) for s in seeds]
+        pts, stats = dg.newton_zeros(fld, seeds)
+        want = [newton_row_loop(fld, s, NEWTON_TOL) for s in seeds]
         kept = [i for i, (_, val, _) in enumerate(want) if val <= POLISH_TOL]
         assert stats["kept"].tolist() == kept and 0 < len(kept) < len(seeds)
         assert pts.tobytes() == np.array([want[i][0] for i in kept]).tobytes()
@@ -360,14 +354,14 @@ class TestBatchedHelpers:
     @staticmethod
     def _assert_batch_equals_row_loop(fld, seeds):
         # each row is the loop's, in the whole batch and in either half
-        pts, stats = dg.newton_zeros(fld, seeds, NUM)
-        want = [newton_row_loop(fld, s, NUM.newton_tol) for s in seeds]
+        pts, stats = dg.newton_zeros(fld, seeds)
+        want = [newton_row_loop(fld, s, NEWTON_TOL) for s in seeds]
         kept = [i for i, (_, val, _) in enumerate(want) if val <= POLISH_TOL]
         assert stats["kept"].tolist() == kept and kept
         assert pts.tobytes() == np.array([want[i][0] for i in kept]).tobytes()
         half = len(seeds) // 2
-        pa, sa = dg.newton_zeros(fld, seeds[:half], NUM)
-        pb, sb = dg.newton_zeros(fld, seeds[half:], NUM)
+        pa, sa = dg.newton_zeros(fld, seeds[:half])
+        pb, sb = dg.newton_zeros(fld, seeds[half:])
         assert np.concatenate([pa, pb]).tobytes() == pts.tobytes()
         for key in ("seeds", "converged", "stalled", "retired", "accelerated"):
             assert stats[key] == sa[key] + sb[key]
@@ -390,7 +384,7 @@ class TestBatchedHelpers:
         counted = dg.FieldAdapter(
             lambda u: calls.append(("g", len(u))) or fld.grad(u), 3,
             lambda u: calls.append(("m", len(u))) or np.ones(len(u), dtype=bool))
-        dg.newton_zeros(counted, seeds, NUM)
+        dg.newton_zeros(counted, seeds)
         probes = [i for i in range(1, len(calls)) if calls[i - 1][0] == calls[i][0] == "g"]
         assert all(calls[i][1] == 2 * 3 * calls[i + 1][1] for i in probes)
         assert 1 <= len(probes) <= 12
@@ -404,9 +398,9 @@ class TestBatchedHelpers:
         grid = dg.BoxRegion([-2.0] * 3, [2.0] * 3, 0.25).seed_points()
         assert grid[2939].tolist() == [0.875, -0.125, 0.875]
         seeds = np.concatenate([grid[::32], grid[2939:2940]])
-        pts, stats = dg.newton_zeros(fld, seeds, NUM)
+        pts, stats = dg.newton_zeros(fld, seeds)
         infos = [{} for _ in seeds]
-        want = [newton_row_loop(fld, s, NUM.newton_tol, info=info)
+        want = [newton_row_loop(fld, s, NEWTON_TOL, info=info)
                 for s, info in zip(seeds, infos)]
         good = [val <= POLISH_TOL and not retired for _, val, retired in want]
         assert stats["kept"].tolist() == np.flatnonzero(good).tolist()
@@ -424,9 +418,9 @@ class TestBatchedHelpers:
         # lie beyond every halving the line search tries and stall the row
         fld = dg.FieldAdapter(_random_confined(np.random.default_rng(427205), 3).grad, 3)
         seeds = dg.BoxRegion([-2.0] * 3, [2.0] * 3, 0.25).seed_points()
-        stats = dg.newton_zeros(fld, seeds, NUM)[1]
+        stats = dg.newton_zeros(fld, seeds)[1]
         monkeypatch.setattr(dg, "TAIL_RESIDUAL", 0.0)
-        plain = dg.newton_zeros(fld, seeds, NUM)[1]
+        plain = dg.newton_zeros(fld, seeds)[1]
         assert stats["accelerated"] > 0 and plain["accelerated"] == 0
         assert set(plain["kept"].tolist()) <= set(stats["kept"].tolist())
         assert stats["stalled"] <= plain["stalled"]
@@ -443,7 +437,7 @@ class TestBatchedHelpers:
             return ok
         fld = dg.FieldAdapter(lambda u: u * u * u - u - target, 2, member)
         seeds = dg.BoxRegion([-1.9] * 2, [1.9] * 2, 0.2).seed_points()
-        stats = dg.newton_zeros(fld, seeds, NUM)[1]
+        stats = dg.newton_zeros(fld, seeds)[1]
         assert sum(seen[1:]) > 0 and stats["stalled"] > 0
         self._assert_batch_equals_row_loop(fld, seeds)
 
@@ -461,16 +455,16 @@ class TestBatchedHelpers:
         seeds = np.concatenate([stratum.representative_component(q).centers
                                 for q in stratum.quotient_labels()])
         seeds = seeds[fld.member(seeds)]
-        pts, stats = dg.newton_zeros(fld, seeds, num, margin)
-        want = [newton_row_loop(fld, s, num.newton_tol, margin) for s in seeds]
+        pts, stats = dg.newton_zeros(fld, seeds, margin)
+        want = [newton_row_loop(fld, s, NEWTON_TOL, margin) for s in seeds]
         kept = [i for i, (_, val, retired) in enumerate(want)
                 if val <= POLISH_TOL and not retired]
         assert stats["kept"].tolist() == kept and kept
         assert stats["retired"] == sum(w[2] for w in want) > 0
         assert pts.tobytes() == np.array([want[i][0] for i in kept]).tobytes()
         half = len(seeds) // 2
-        pa, sa = dg.newton_zeros(fld, seeds[:half], num, margin)
-        pb, sb = dg.newton_zeros(fld, seeds[half:], num, margin)
+        pa, sa = dg.newton_zeros(fld, seeds[:half], margin)
+        pb, sb = dg.newton_zeros(fld, seeds[half:], margin)
         assert np.concatenate([pa, pb]).tobytes() == pts.tobytes()
         assert np.array_equal(stats["kept"], np.concatenate([sa["kept"], sb["kept"] + half]))
         for key in ("seeds", "converged", "stalled", "retired"):

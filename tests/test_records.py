@@ -10,7 +10,6 @@ import pytest
 from egdeg.config import RunConfig
 from egdeg.degree import ZeroRecord
 from egdeg.domains import AnyOf, Balls, DomainExpr, MapDomain, Shell, Subspaces, Tube
-from egdeg.errors import ConfigError
 from egdeg.factory import CatalogEntry
 from egdeg.groups import CircleRep, Isotropy, OrthogonalTransform, SubgroupRecord
 from egdeg.maps import LocalGradientMap
@@ -18,14 +17,14 @@ from egdeg.params import Numerics
 from egdeg.perturb import SplitParts
 from egdeg.profiles import PerturbationLayer
 from egdeg.records import Factory, Record, replace
-from egdeg.strata import OrbitTypeLattice, QuotientOrbit, StratumComponent
+from egdeg.strata import OrbitTypeLattice, StratumComponent
 from egdeg.theta import RecursionTrace, Step, ThetaVector
 
 FRESH = object()  # a default made afresh for each record
 RECORDS = {  # class: (fields in order, defaults)
     RunConfig: (("group", "domain", "potential_block", "numerics", "output",
                  "degree_block"), {"output": None, "degree_block": None}),
-    ZeroRecord: (("point", "index", "component_label", "quotient_label"), {}),
+    ZeroRecord: (("point", "index"), {}),
     DomainExpr: (("kind", "r1", "r2", "left", "right"),
                  {"r1": 0.0, "r2": 0.0, "left": None, "right": None}),
     Subspaces: (("family",), {}),
@@ -44,15 +43,12 @@ RECORDS = {  # class: (fields in order, defaults)
     Isotropy: (("member_indices", "class_id"), {}),
     LocalGradientMap: (("group", "domain", "potential", "layers", "seed_hints"),
                        {"layers": (), "seed_hints": ()}),
-    Numerics: (("grid_h", "bbox", "newton_tol", "seed", "mu_kind"),
-               {"grid_h": 0.1, "bbox": 2.0, "newton_tol": 1e-10, "seed": 20240601,
-                "mu_kind": "cubic"}),
+    Numerics: (("grid_h", "bbox", "seed", "mu_kind"),
+               {"grid_h": 0.1, "bbox": 2.0, "seed": 20240601, "mu_kind": "cubic"}),
     SplitParts: (("core", "off_stratum", "trimmed"), {}),
     PerturbationLayer: (("geometry", "mu_kind"), {"mu_kind": "cubic"}),
-    OrbitTypeLattice: (("group", "class_ids", "witnesses"), {}),
+    OrbitTypeLattice: (("group", "class_ids"), {}),
     StratumComponent: (("index", "label", "cells", "centers"), {}),
-    QuotientOrbit: (("members", "min_label", "stabilizer_orders", "quotient_label"),
-                    {"quotient_label": ""}),
     ThetaVector: (("entries", "origin_slot"), {"entries": (), "origin_slot": None}),
     RecursionTrace: (("steps",), {"steps": FRESH}),
     Step: (("index", "class_id", "label", "fixed_dim", "f", "stratum", "restricted",
@@ -62,8 +58,8 @@ RECORDS = {  # class: (fields in order, defaults)
             "parts": None}),
 }
 MUTABLE = {RunConfig, SubgroupRecord, OrbitTypeLattice, StratumComponent,
-           QuotientOrbit, RecursionTrace, Step}
-VALID = {Numerics: (0.2, 1.5, 1e-11, 7, "quintic"), CircleRep: ((1, -2), 1),
+           RecursionTrace, Step}
+VALID = {Numerics: (0.2, 1.5, 7, "quintic"), CircleRep: ((1, -2), 1),
          OrthogonalTransform: (np.eye(2),)}
 # OrthogonalTransform compares and hashes its matrix itself (below)
 PLAIN = [cls for cls in RECORDS if cls is not OrthogonalTransform]
@@ -126,7 +122,7 @@ def test_equal_to_reference_dataclass(cls):
 
 
 @pytest.mark.parametrize("args, kwargs", [
-    ((0.1, 2.0, 1e-10, 1, "cubic", "extra"), {}),
+    ((0.1, 2.0, 1, "cubic", "extra"), {}),
     ((0.1,), {"grid_h": 0.2}),
     ((), {"h": 0.1}),
 ], ids=["too-many", "twice", "unknown"])
@@ -137,23 +133,24 @@ def test_bad_arguments_raise(args, kwargs):
 
 def test_missing_field_raises():
     with pytest.raises(TypeError, match="takes the fields"):
-        ZeroRecord((0.0,), 1, "c0")
+        ZeroRecord((0.0,))
     with pytest.raises(TypeError, match="takes the fields"):
-        replace(ZeroRecord((0.0,), 1, "c0", "q0"), sign=1)
+        replace(ZeroRecord((0.0,), 1), sign=1)
 
 
 def test_post_init_validates():
-    with pytest.raises(ConfigError, match="newton_tol"):
-        Numerics(newton_tol=1e-8)
-    with pytest.raises(ConfigError, match="newton_tol"):
-        replace(Numerics(), newton_tol=1e-8)
-    with pytest.raises(ConfigError, match="newton_tol"):
-        Numerics().with_(newton_tol=1e-8)
+    with pytest.raises(ValueError, match="nonzero"):
+        CircleRep((0,))
+    with pytest.raises(ValueError, match="nonzero"):
+        CircleRep(weights=(2, 0), trivial_dim=1)
+    with pytest.raises(ValueError, match="nonzero"):
+        replace(CircleRep((1,)), weights=(0,))
+    with pytest.raises(ValueError, match="nonempty"):
+        replace(CircleRep((1,), 1), weights=())
+    assert replace(CircleRep((1,)), trivial_dim=2) == CircleRep((1,), 2)
     assert Numerics().with_(seed=3) == Numerics(seed=3)
     with pytest.raises(ValueError, match="nonempty"):
         CircleRep(())
-    with pytest.raises(ValueError, match="nonzero"):
-        replace(CircleRep((1,)), weights=(0,))
 
 
 def test_records_of_other_classes_are_not_equal():

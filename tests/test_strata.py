@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hs
-from oracles import flood_fill_components, nearest_component
+from oracles import flood_fill_components, nearest_component, quotient_orbits_loop
 
 from egdeg import domains as dom
 from egdeg import groups as gr
@@ -80,9 +80,8 @@ def test_free_stratum_components(d3, d3_punctured):
     # oracle: a dihedral arrangement of 3 lines cuts the plane into 6 chambers
     assert len(s.components) == 6
     assert s.quotient_labels() == ["q0"]
-    orbit = s.quotient_orbits[0]
-    assert sorted(orbit.members) == list(range(6))
-    assert all(v == 1 for v in orbit.stabilizer_orders.values())
+    assert s.quotient.tolist() == s.rep.tolist() == [0] * 6
+    assert s.stabilizer.tolist() == [1] * 6
 
 
 def test_antipodal_plane_free_stratum():
@@ -91,16 +90,16 @@ def test_antipodal_plane_free_stratum():
     s = st.build_stratum(g, dom.punctured_space(), lat.class_ids[0], H, BBOX)
     assert len(s.components) == 1
     assert s.quotient_labels() == ["q0"]
-    assert s.quotient_orbits[0].stabilizer_orders[0] == 2
+    assert s.stabilizer.tolist() == [2]
 
 
 def test_orbit_size_times_stabilizer(d3, d3_punctured):
     for cid in d3_punctured.class_ids:
         s = st.build_stratum(d3, dom.punctured_space(), cid, H, BBOX)
         wh = s.weyl_order
-        for orb in s.quotient_orbits:
-            for c in orb.members:
-                assert len(orb.members) * orb.stabilizer_orders[c] == wh
+        for c in range(len(s.components)):
+            members = np.flatnonzero(s.quotient == s.quotient[c])
+            assert len(members) * s.stabilizer[c] == wh
 
 
 @functools.lru_cache(maxsize=None)
@@ -118,21 +117,92 @@ _PLANAR = [(kind, n) for kind in ("dihedral", "cyclic") for n in range(1, 13)]
 @given(spec=hs.sampled_from(_PLANAR + ["B3"]), pick=hs.integers(0, 63))
 @example(spec=("dihedral", 3), pick=1)  # the D3 free stratum
 def test_weyl_perm_composes_like_the_group(spec, pick):
-    """weyl_perm[w1] after weyl_perm[w2] is weyl_perm of the coset of w1 w2."""
+    """The row of w1 after the row of w2 is the row of the coset of w1 w2."""
     g = _group(spec)
     omega, h, bbox = ((dom.full_space(), 0.25, 1.6) if spec == "B3"
                       else (dom.punctured_space(), H, BBOX))
     lat = st.iso_types(g, omega, h, bbox)
     cids = [c for c in lat.class_ids if g.lattice.records[c].fixed_dim > 0]
     s = st.build_stratum(g, omega, cids[pick % len(cids)], h, bbox)
-    reps = list(s.weyl_perm)
+    reps = list(s.record.weyl_coset_reps)
+    perm = dict(zip(reps, s.weyl_perm.tolist()))
     members = set(s.record.member_indices)
     for w1, w2 in itertools.product(reps, repeat=2):
         prod = g.mul(w1, w2)
         rep_prod = next(r for r in reps if g.mul(g.inv(r), prod) in members)
-        composed = [s.weyl_perm[w1][s.weyl_perm[w2][c]]
-                    for c in range(len(s.components))]
-        assert composed == s.weyl_perm[rep_prod]
+        composed = [perm[w1][perm[w2][c]] for c in range(len(s.components))]
+        assert composed == perm[rep_prod]
+
+
+_TABLE_GROUPS = [(("dihedral", 3), H), (("dihedral", 4), 0.15), (("dihedral", 6), H),
+                 (("cyclic", 6), 0.2), (("symmetric", 3), 0.25), (("symmetric", 4), 0.25),
+                 ("B3", 0.25), (("antipodal", 2), H)]
+_TABLE_DOMAINS = {"full": dom.full_space(), "punctured": dom.punctured_space(),
+                  "ball": dom.ball(1.2), "annulus": dom.annulus(0.4, 1.5),
+                  "two_annuli": dom.union(dom.annulus(0.3, 0.8), dom.annulus(1.2, 1.7))}
+
+
+@pytest.mark.parametrize("spec, h", _TABLE_GROUPS, ids=lambda v: str(v))
+def test_quotient_table_equals_orbit_search(spec, h):
+    """On every stratum the representative of each component, the order of
+    the quotient components and the stabilizer orders read off the table
+    equal those of a breadth-first orbit search over its rows."""
+    g = _group(spec)
+    checked = 0
+    for omega in _TABLE_DOMAINS.values():
+        try:
+            cids = st.iso_types(g, omega, h, BBOX).class_ids
+        except ResolutionTooCoarse:
+            continue
+        for cid in cids:
+            if g.lattice.records[cid].fixed_dim == 0:
+                continue
+            try:
+                s = st.build_stratum(g, omega, cid, h, BBOX)
+            except ResolutionTooCoarse:
+                continue
+            orbits = quotient_orbits_loop(s.record, s.components, s.weyl_perm.tolist())
+            assert s.quotient_labels() == [o["quotient_label"] for o in orbits]
+            for q, orb in enumerate(orbits):
+                members = orb["members"]
+                assert np.flatnonzero(s.quotient == q).tolist() == members
+                assert s.rep[members].tolist() == [members[0]] * len(members)
+                assert s.representative_component(f"q{q}").label == orb["min_label"]
+                assert s.stabilizer[members].tolist() == [
+                    orb["stabilizer_orders"][c] for c in members]
+            checked += 1
+    assert checked >= 5
+
+
+def _rebuilt(s, weyl_perm):
+    return st.Stratum(s.group, s.class_id, s.basis, s.h, s.bbox, s.cells,
+                      s.cell_components, s.components, weyl_perm)
+
+
+def test_table_not_closed_raises(d3, d3_punctured):
+    # the free D3 stratum: six chambers, permuted regularly by the six Weyl
+    # elements; a transposition in place of a rotation breaks the orbits
+    s = st.build_stratum(d3, dom.punctured_space(), d3_punctured.class_ids[1], H, BBOX)
+    assert np.array_equal(_rebuilt(s, s.weyl_perm.copy()).rep, s.rep)
+    perm = s.weyl_perm.copy()
+    row = next(i for i, r in enumerate(perm.tolist())
+               if r[0] != 0 and sorted(r[:2]) != [0, 1])
+    perm[row] = [1, 0, 2, 3, 4, 5]
+    with pytest.raises(ResolutionTooCoarse, match="do not close into orbits"):
+        _rebuilt(s, perm)
+    # the table must start with the identity
+    with pytest.raises(ResolutionTooCoarse, match="do not close into orbits"):
+        _rebuilt(s, s.weyl_perm[::-1].copy())
+
+
+def test_table_breaking_orbit_stabilizer_raises(d3, d3_punctured):
+    # closed but not a group action: five identity rows and one transposition
+    s = st.build_stratum(d3, dom.punctured_space(), d3_punctured.class_ids[1], H, BBOX)
+    perm = np.tile(np.arange(6), (6, 1))
+    perm[1, :2] = [1, 0]
+    with pytest.raises(ResolutionTooCoarse,
+                       match=r"orbit size 2 x stabilizer 5 != \|WH\|=6"):
+        _rebuilt(s, perm)
 
 
 def test_exact_isotropy_of_cells(d3, d3_punctured):
@@ -263,7 +333,7 @@ def test_two_annuli_keep_labels(d3):
     assert [c.label_str for c in axis.components] == ["c-17", "c-8", "c3", "c12"]
     assert len(free.components) == 12
     assert free.quotient_labels() == ["q0", "q1"]
-    assert [len(o.members) for o in free.quotient_orbits] == [6, 6]
+    assert np.bincount(free.quotient).tolist() == [6, 6]
 
 
 @pytest.mark.parametrize("omega, labels", [

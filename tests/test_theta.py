@@ -328,8 +328,8 @@ def _stratum_hints(step) -> np.ndarray:
 def _first_weyl(stratum, src: int, dst: int) -> np.ndarray:
     """Weyl matrix of the first coset rep that maps component src to dst."""
     mats = stratum.group.lattice.weyl_matrices(stratum.class_id)
-    for w, wmat in zip(stratum.record.weyl_coset_reps, mats):
-        if stratum.weyl_perm[w][src] == dst:
+    for perm, wmat in zip(stratum.weyl_perm.tolist(), mats):
+        if perm[src] == dst:
             return wmat
     raise AssertionError(f"no Weyl element maps {src} to {dst}")
 
@@ -373,31 +373,30 @@ class TestZeroPass:
             hints = _stratum_hints(step)
             owner = stratum.components_of(hints) if len(hints) else np.empty(0, int)
             del newton_stats[:]
-            for orb in stratum.quotient_orbits:
-                rep = stratum.representative_component(orb.quotient_label)
+            for qlabel in stratum.quotient_labels():
+                rep = stratum.representative_component(qlabel)
+                members = np.flatnonzero(stratum.rep == rep.index).tolist()
                 region = dg.GridRegion(stratum, rep)
                 # the hints of every component of the orbit, moved into rep
                 extra = np.concatenate([hints[owner == rep.index]] + [
                     row_matmul(hints[owner == c], _first_weyl(stratum, c, rep.index).T)
-                    for c in orb.members if c != rep.index and np.any(owner == c)])
+                    for c in members if c != rep.index and np.any(owner == c)])
                 if len(extra):
                     hinted += 1
                     seeds = np.concatenate([region.seed_points(), extra])
-                    pts, _ = recorded(fld, seeds, num, step.margin)
+                    pts, _ = recorded(fld, seeds, step.margin)
                     recs = dg.classify_zeros(fld, region, pts, num, step.margin)
                 else:
                     recs = dg.find_zeros(fld, region, num,
                                          compact_margin=step.margin)
                 assert step.zeros[rep.index] == recs
                 points = np.array([r.point for r in recs]).reshape(-1, stratum.dim)
-                for c in orb.members:
+                for c in members:
                     if c == rep.index:
                         continue
-                    comp = stratum.components[c]
                     img = row_matmul(points, _first_weyl(stratum, rep.index, c).T)
                     assert step.zeros[c] == [
-                        dg.ZeroRecord(tuple(map(float, img[i])), recs[i].index,
-                                      comp.label_str, orb.quotient_label)
+                        dg.ZeroRecord(tuple(map(float, img[i])), recs[i].index)
                         for i in np.lexsort(img.T[::-1])]
             ambient = [stratum.to_ambient(np.array(r.point))[0]
                        for comp in stratum.components
@@ -448,8 +447,7 @@ class TestZeroPass:
             for hint, c in zip(hints, np.asarray(comp).tolist()):
                 if c < 0:
                     continue
-                rep = stratum.representative_component(
-                    stratum.orbit_of_component(c).quotient_label).index
+                rep = stratum.representative_component(f"q{stratum.quotient[c]}").index
                 target = row_matmul(hint[None], _first_weyl(stratum, c, rep).T)
                 assert np.any(np.all(batch == target, axis=1))
                 assert stratum.components_of(target)[0] == rep
@@ -607,9 +605,9 @@ class TestWeylClosure:
             if stratum is None:
                 continue
             mats = g.lattice.weyl_matrices(step.class_id)
-            for w, wmat in zip(stratum.record.weyl_coset_reps, mats):
+            for perm, wmat in zip(stratum.weyl_perm.tolist(), mats):
                 for c, recs in step.zeros.items():
-                    target = step.zeros[stratum.weyl_perm[w][c]]
+                    target = step.zeros[perm[c]]
                     assert len(recs) == len(target)
                     if not recs:
                         continue
