@@ -150,9 +150,8 @@ def cmd_degree(args) -> int:
         diagnostics = {"mode": mode}
     elif mode == "intersection":
         region = dg.BoxRegion(lo, hi, cfg.numerics.grid_h)
-        records = dg.find_zeros(field, region, cfg.numerics)
-        value = dg.intersection_number(field, region, cfg.numerics,
-                                       records=records)
+        records = dg.find_zeros(field, region)
+        value = dg.intersection_number(field, region, records=records)
         diagnostics = {
             "mode": mode,
             "zeros": [{"point": list(r.point), "index": r.index}

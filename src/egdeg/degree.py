@@ -27,9 +27,10 @@ of its zeros.  Three routes are implemented and cross-checked:
   sorted integer array, its rows found by ``strata.row_positions``, and a
   facet set the four arrays ``(lo, hi, axis, side)``.
 * Tilt route: when the enclosure degree cannot be certified, shift the
-  field by a small deterministic constant vector, recount the now
-  nondegenerate zeros by the Morse route, and require two tilt directions
-  to agree.
+  field by a small constant vector, recount the now nondegenerate zeros by
+  the Morse route, and require two tilt directions to agree.  The two
+  directions are fixed: drawn from ``Philox(key=TILT_KEY)``, they depend on
+  no setting.
 
 The Morse index of a zero, on the field and on a tilted field alike, is the
 sign of the Jacobian determinant that the Newton step uses (``_det``),
@@ -51,10 +52,10 @@ from .errors import (
     MarginTooSmall,
     RefinementOverflow,
 )
-from .params import NEWTON_TOL, POLISH_TOL, Numerics
+from .params import NEWTON_TOL, POLISH_TOL
 from .records import Record
 from .strata import row_positions
-from .tubes import distance_blocks, nearest_center_distance, row_matmul, row_norms
+from .tubes import distance_blocks, nearest_center_distance, row_norms
 
 FD_STEP = 1e-6
 DEGENERACY_RATIO = 1e-5   # sigma_min below this times scale means degenerate
@@ -66,6 +67,7 @@ TAIL_RESIDUAL = 1e-4      # a steady row takes a multiplicity step below this re
 TAIL_RATIO = 0.2          # ... while its residual ratio stays above this
 HALVINGS = 0.5 ** np.arange(1, 9)  # step factors of the line search's second call
 CERTIFY_FLOOR = 10 * NEWTON_TOL   # least field margin a degree or a tilt is taken on
+TILT_KEY = 20240601       # Philox key of the two tilt directions
 
 
 # ---------------------------------------------------------------------------
@@ -457,21 +459,22 @@ def _local_degree(field, point: np.ndarray, radius: float,
         return None
 
 
-def find_zeros(field, region, num: Numerics,
+def find_zeros(field, region, num=None,
                compact_margin: float | None = None) -> list[ZeroRecord]:
     """Multi-start Newton zeros of the field on one component.
 
     Newton runs from the region's seed points (its first domain query drops
     those off the domain), and ``classify_zeros`` turns the converged points
     into records; both take the same compact margin (``region.h`` by
-    default).
+    default).  ``num`` is not read: the benchmark's workloads pass it
+    positionally.
     """
     margin = compact_margin if compact_margin is not None else region.h
     pts, _ = newton_zeros(field, region.seed_points(), margin)
-    return classify_zeros(field, region, pts, num, margin)
+    return classify_zeros(field, region, pts, margin)
 
 
-def classify_zeros(field, region, pts: np.ndarray, num: Numerics,
+def classify_zeros(field, region, pts: np.ndarray,
                    compact_margin: float | None = None) -> list[ZeroRecord]:
     """Zero records of the converged Newton points that belong to one region.
 
@@ -646,10 +649,10 @@ def _solid_angles(a, b, c) -> float:
 # intersection number
 
 
-def _deterministic_directions(dim: int, seed: int) -> list[np.ndarray]:
+def _deterministic_directions(dim: int) -> list[np.ndarray]:
     if dim == 1:
         return [np.array([1.0]), np.array([-1.0])]
-    rng = np.random.default_rng(np.random.Philox(key=seed))
+    rng = np.random.default_rng(np.random.Philox(key=TILT_KEY))
     dirs: list[np.ndarray] = []
     while len(dirs) < 2:
         u = rng.normal(size=dim)
@@ -696,7 +699,6 @@ class _Enclosure:
 
     def __init__(self, region, field, cluster_pts: np.ndarray, subdiv: int = 2,
                  exclude_pts: np.ndarray | None = None):
-        self.region = region
         self.field = field
         self.step = region.h / subdiv
         self.dim = region.dim
@@ -718,12 +720,11 @@ class _Enclosure:
             ok &= nearest_center_distance(centers, self._exclude) > 0.75 * self.step
         if np.any(ok):
             ok[ok] = self.field.member(centers[ok])
-        singular = getattr(getattr(self.region, "stratum", None), "singular", None)
-        if singular is not None and np.any(ok):
+        singular_distance = getattr(self.field, "singular_distance", None)
+        if singular_distance is not None and np.any(ok):
             # 0.75 step exceeds the half-diagonal, so subspaces through cell
             # corners still punch a hole, and walls always block adjacency
-            ambient = row_matmul(centers[ok], self.region.stratum.basis.T)
-            ok[ok] = singular.min_distance(ambient) > 0.75 * self.step
+            ok[ok] = singular_distance(centers[ok]) > 0.75 * self.step
         return ok
 
     def centers(self) -> np.ndarray:
@@ -781,12 +782,12 @@ def cell_facets(cells: np.ndarray, step: float):
 
 
 def _enclosure_tilt(field, region, enclosure: _Enclosure,
-                    cluster_pts: np.ndarray, num: Numerics) -> int:
+                    cluster_pts: np.ndarray) -> int:
     """Count cluster zeros after a small constant tilt, inside the enclosure.
 
     The tilt magnitude stays below half the field minimum on the enclosure
     frontier, so the degree over the enclosure is preserved; two
-    deterministic directions must give the same count.
+    fixed directions (``_deterministic_directions``) must give the same count.
     """
     ring = enclosure.ring_points()
     if len(ring) == 0:
@@ -800,7 +801,7 @@ def _enclosure_tilt(field, region, enclosure: _Enclosure,
             f"enclosure frontier margin {margin:.3e} too small for tilting")
     seeds = np.concatenate([enclosure.centers(), cluster_pts], axis=0)
     counts = []
-    for direction in _deterministic_directions(region.dim, num.seed):
+    for direction in _deterministic_directions(region.dim):
         count = None
         delta = margin / 2
         for _ in range(6):
@@ -826,7 +827,7 @@ def _enclosure_tilt(field, region, enclosure: _Enclosure,
     return counts[0]
 
 
-def intersection_number(field, region, num: Numerics,
+def intersection_number(field, region, num=None,
                         records: list[ZeroRecord] | None = None) -> int:
     """Signed zero count of the field over one component.
 
@@ -836,10 +837,11 @@ def intersection_number(field, region, num: Numerics,
     an enclosure grown around it inside the component; when that degree
     cannot be certified, it contributes its count after a localized tilt
     with two agreeing directions.  Without ``records``, the zeros are found
-    with the default compact margin.
+    with the default compact margin.  ``num`` is not read: the benchmark's
+    workloads pass it positionally.
     """
     if records is None:
-        records = find_zeros(field, region, num)
+        records = find_zeros(field, region)
     if not records:
         return 0
     pts = np.array([r.point for r in records])
@@ -872,11 +874,11 @@ def intersection_number(field, region, num: Numerics,
             continue
         if last_enclosure is None:
             raise DegenerateUnresolved("degenerate cluster outside the grid")
-        total += _enclosure_tilt(field, region, last_enclosure, cluster_pts, num)
+        total += _enclosure_tilt(field, region, last_enclosure, cluster_pts)
     return total
 
 
-def quotient_intersection(field, stratum, quotient_label: str, num: Numerics,
+def quotient_intersection(field, stratum, quotient_label: str,
                           records: list[ZeroRecord] | None = None) -> int:
     """Intersection number on the quotient component.
 
@@ -886,7 +888,7 @@ def quotient_intersection(field, stratum, quotient_label: str, num: Numerics,
     """
     comp = stratum.representative_component(quotient_label)
     region = GridRegion(stratum, comp)
-    total = intersection_number(field, region, num, records=records)
+    total = intersection_number(field, region, records=records)
     stab = region.stabilizer_order
     if total % stab != 0:
         raise DivisibilityViolation(

@@ -120,11 +120,9 @@ def expr_from_config(cfg: dict) -> DomainExpr:
     raise ConfigError(f"unknown domain kind {kind!r}")
 
 
-def validate_invariance(expr: DomainExpr, group, bbox: float,
-                        n_samples: int = 200, seed: int = 7) -> None:
+def validate_invariance(expr: DomainExpr, group, bbox: float) -> None:
     """Sampling check that membership is constant along generator images."""
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(-bbox, bbox, size=(n_samples, group.dim))
+    pts = np.random.default_rng(7).uniform(-bbox, bbox, size=(200, group.dim))
     member = expr.contains(pts)
     for g in range(group.order):
         moved = expr.contains(group.apply(g, pts))

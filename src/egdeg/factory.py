@@ -96,8 +96,7 @@ def h_normal_lift(group: FiniteGroupRep, stratum: Stratum,
     return LocalGradientMap(group, domain, potential, seed_hints=hints)
 
 
-def restrict_off(f: LocalGradientMap, centers, radius: float,
-                 n_samples: int = 500, seed: int = 37) -> LocalGradientMap:
+def restrict_off(f: LocalGradientMap, centers, radius: float) -> LocalGradientMap:
     """Shrink the domain by a closed invariant union of balls.
 
     The removed set must stay clear of the zero set: the field magnitude is
@@ -105,9 +104,9 @@ def restrict_off(f: LocalGradientMap, centers, radius: float,
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     removed = Balls(centers, float(radius), closed=True)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(37)
     samples = [c for c in centers]
-    while len(samples) < n_samples:
+    while len(samples) < 500:
         c = centers[rng.integers(0, len(centers))]
         p = c + radius * rng.uniform(0, 1) * _unit_cloud(rng, f.dim, 1)[0]
         samples.append(p)

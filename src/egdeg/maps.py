@@ -166,16 +166,12 @@ def layer_grad(layer: PerturbationLayer, pts: np.ndarray, below,
     return through_layer(layer, pts, below, chain, t, split)
 
 
-def make_map(group: FiniteGroupRep, domain: MapDomain, potential: Potential,
-             validate: bool = True) -> LocalGradientMap:
+def make_map(group: FiniteGroupRep, domain: MapDomain,
+             potential: Potential) -> LocalGradientMap:
     """Wire a validated gradient local map with an empty layer stack."""
-    if validate:
-        sample_filter = domain.contains
-        validate_invariance(potential, group, domain.bbox,
-                            sample_filter=sample_filter)
-        validate_gradient_consistency(potential, domain.bbox,
-                                      sample_filter=sample_filter)
-        _dom_invariance(domain.expr, group, domain.bbox)
+    validate_invariance(potential, group, domain.bbox, sample_filter=domain.contains)
+    validate_gradient_consistency(potential, domain.bbox, sample_filter=domain.contains)
+    _dom_invariance(domain.expr, group, domain.bbox)
     return LocalGradientMap(group, domain, potential)
 
 
@@ -283,23 +279,21 @@ restrict_to_stratum = StratumField
 # disjoint unions
 
 
-def disjoint_union(f: LocalGradientMap, g: LocalGradientMap,
-                   n_samples: int = 2000, seed: int = 23) -> LocalGradientMap:
+def disjoint_union(f: LocalGradientMap, g: LocalGradientMap) -> LocalGradientMap:
     """Union of two maps with disjoint domains over the same action."""
     if f.group.content_key != g.group.content_key:
         raise DomainsOverlap("maps live over different groups")
     if f.layers or g.layers:
         raise DomainsOverlap("take unions before perturbing")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(23)
     bbox = max(f.bbox, g.bbox)
-    pts = rng.uniform(-bbox, bbox, size=(n_samples, f.dim))
+    pts = rng.uniform(-bbox, bbox, size=(2000, f.dim))
     both = f.member(pts) & g.member(pts)
     if np.any(both):
         raise DomainsOverlap(
             f"domains overlap near {pts[np.nonzero(both)[0][0]].tolist()}")
     for probe_map, other in ((f, g), (g, f)):
-        inner = rng.uniform(-probe_map.bbox, probe_map.bbox,
-                            size=(n_samples, f.dim))
+        inner = rng.uniform(-probe_map.bbox, probe_map.bbox, size=(2000, f.dim))
         inner = inner[probe_map.member(inner)]
         if len(inner) and np.any(other.member(inner)):
             raise DomainsOverlap("domains overlap on interior samples")

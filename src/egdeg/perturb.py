@@ -79,7 +79,7 @@ def select_tube(f: LocalGradientMap, class_id: int, zero_points: np.ndarray,
     for _ in range(MAX_HALVINGS):
         geo = TubeGeometry(lat.family(class_id), centers, rho, eps,
                            point_stratum=point_stratum)
-        ok, geo.margin = _validate_tube(f, geo, num, rng)
+        ok, geo.margin = _validate_tube(f, geo, rng)
         if ok:
             return geo
         rho /= 2
@@ -89,7 +89,7 @@ def select_tube(f: LocalGradientMap, class_id: int, zero_points: np.ndarray,
         f"(class {class_id}); shrink grid_h or enlarge the domain")
 
 
-def _validate_tube(f, geo: TubeGeometry, num: Numerics, rng) -> tuple[bool, float]:
+def _validate_tube(f, geo: TubeGeometry, rng) -> tuple[bool, float]:
     tube_pts = geo.sample_tube(500, rng)
     if len(tube_pts) == 0:
         return False, 0.0
@@ -175,8 +175,7 @@ def split(f_pert: LocalGradientMap, tube: TubeGeometry) -> SplitParts:
 # partition verification
 
 
-def verify_partition(family: HomotopyFamily, n_samples: int = 1000,
-                     seed: int = 29) -> dict:
+def verify_partition(family: HomotopyFamily, n_samples: int = 1000) -> dict:
     """Sample the four time-tube regions and check the zero characterizations.
 
     Region A (t in [0,1/2], tube): the family vanishes exactly where the
@@ -189,7 +188,7 @@ def verify_partition(family: HomotopyFamily, n_samples: int = 1000,
     geo = family.layer.geometry
     if geo.is_empty:
         return {"empty_tube": True, "violations": 0}
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
+    rng = np.random.default_rng(np.random.SeedSequence([29, 3]))
     eps = geo.epsilon
     report = {"empty_tube": False, "violations": 0, "margin_C": float("inf"),
               "checked": {}}

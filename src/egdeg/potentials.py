@@ -409,10 +409,9 @@ def _samples(seed: int, bbox: float, dim: int, n: int, sample_filter) -> np.ndar
 
 
 def validate_invariance(pot: Potential, group, bbox: float,
-                        n_samples: int = 500, seed: int = 11,
                         sample_filter=None) -> None:
     """Check |phi(gx) - phi(x)| <= 1e-8 (1 + |phi(x)|) on a sample cloud."""
-    pts = _samples(seed, bbox, group.dim, n_samples, sample_filter)
+    pts = _samples(11, bbox, group.dim, 500, sample_filter)
     if len(pts) == 0:
         return
     base = pot.value(pts)
@@ -428,10 +427,9 @@ def validate_invariance(pot: Potential, group, bbox: float,
 
 
 def validate_gradient_consistency(pot: Potential, bbox: float,
-                                  n_samples: int = 50, seed: int = 13,
                                   sample_filter=None) -> None:
     """Exact derivatives must match central differences at 1e-5 relative."""
-    pts = _samples(seed, bbox, pot.dim, n_samples, sample_filter)
+    pts = _samples(13, bbox, pot.dim, 50, sample_filter)
     if len(pts) == 0:
         return
     step = 1e-5

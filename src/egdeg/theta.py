@@ -111,7 +111,7 @@ def _compact_margin(f: LocalGradientMap, h: float) -> float:
     return min(h, 0.25 * min(eps))
 
 
-def _stratum_zero_pass(f: LocalGradientMap, stratum: Stratum, num: Numerics):
+def _stratum_zero_pass(f: LocalGradientMap, stratum: Stratum):
     """Zeros of the restricted field per component: one Newton batch over the
     representative components of the quotient orbits, Weyl transport to the
     other components.
@@ -128,7 +128,7 @@ def _stratum_zero_pass(f: LocalGradientMap, stratum: Stratum, num: Numerics):
     counts.
     """
     fld = restrict_to_stratum(f, stratum)
-    margin = _compact_margin(f, num.grid_h)
+    margin = _compact_margin(f, stratum.h)
     hints, hint_rep = np.empty((0, stratum.dim)), np.empty(0, dtype=int)
     if f.seed_hints:
         pts = np.array(f.seed_hints, dtype=float)
@@ -146,7 +146,7 @@ def _stratum_zero_pass(f: LocalGradientMap, stratum: Stratum, num: Numerics):
     seeds, tags = np.concatenate(seeds), np.concatenate(tags)
     pts, stats = newton_zeros(fld, seeds, margin)
     tags = tags[stats["kept"]]
-    records = {rep: classify_zeros(fld, region, pts[tags == rep], num, margin)
+    records = {rep: classify_zeros(fld, region, pts[tags == rep], margin)
                for rep, region in regions.items()}
     per_component = {}
     for comp in stratum.components:
@@ -256,7 +256,7 @@ def recursion(group: FiniteGroupRep, omega: DomainExpr, f: LocalGradientMap,
         if rec.fixed_dim >= 1:
             step.stratum = cached_stratum(group, omega, cid, num)
             (step.restricted, step.zeros, step.ambient, step.margin,
-             step.newton) = _stratum_zero_pass(f_i, step.stratum, num)
+             step.newton) = _stratum_zero_pass(f_i, step.stratum)
         if index < last:
             step.tube = select_tube(f_i, cid, step.ambient, num)
             f_pert, step.family = perturb(f_i, step.tube, num.mu_kind)
@@ -270,10 +270,10 @@ def theta(group: FiniteGroupRep, omega: DomainExpr, f: LocalGradientMap,
           num: Numerics) -> tuple[ThetaVector, RecursionTrace]:
     """Full invariant of a gradient local map over the given domain; the
     strata it builds stay memoized on ``group.lattice``."""
-    return fold_steps(recursion(group, omega, f, num), num)
+    return fold_steps(recursion(group, omega, f, num))
 
 
-def fold_steps(steps: Iterable[Step], num: Numerics) -> tuple[ThetaVector, RecursionTrace]:
+def fold_steps(steps: Iterable[Step]) -> tuple[ThetaVector, RecursionTrace]:
     """Sum recursion steps into the invariant and its trace.
 
     A zero-dimensional type gives the origin slot; every other type gives one
@@ -297,7 +297,7 @@ def fold_steps(steps: Iterable[Step], num: Numerics) -> tuple[ThetaVector, Recur
             for qlabel in stratum.quotient_labels():
                 rep = stratum.representative_component(qlabel)
                 values[qlabel] = quotient_intersection(
-                    step.restricted, stratum, qlabel, num, records=step.zeros[rep.index])
+                    step.restricted, stratum, qlabel, records=step.zeros[rep.index])
                 if values[qlabel] != 0:
                     entries[(step.label, qlabel)] = values[qlabel]
             step_log["intersection"] = values

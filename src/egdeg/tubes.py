@@ -199,14 +199,13 @@ class TubeGeometry:
     """
 
     def __init__(self, family: SubspaceFamily, centers: np.ndarray, rho: float,
-                 epsilon: float, point_stratum: bool = False,
-                 margin: float = float("inf")):
+                 epsilon: float, point_stratum: bool = False):
         self.family = family
         self.centers = centers
         self.rho = rho
         self.epsilon = epsilon
         self.point_stratum = point_stratum
-        self.margin = margin
+        self.margin = float("inf")
         # nearest subspace of each center and the (J, d, k) stacked bases,
         # read by the samplers
         self.center_idx = np.argmin(family.distances(centers), axis=0)

@@ -28,6 +28,7 @@ from .theta import (
     theta_radial_s1,
 )
 
+ORACLE_COUNT, ORACLE_SEED = 25, 424200  # criterion 7: instances per dimension, first seed
 LINE_EXPECTED = {"min": (1, 0), "max": (1, -1)}   # confirmed by tests/oracles.py
 S1_EXPECTED = {"plus": (1, 0), "minus": (1, -1), "hat": (None, 1)}
 
@@ -210,14 +211,14 @@ def criterion_vanishing(ctx):
 # criterion 4: split consistency and deformation independence
 
 
-def _catalog_checks(ctx, name):
+def _catalog_checks(name):
     entry = catalog(name)
     group, omega, f = entry.build()
     num = _num_for(group.dim)
     if entry.numerics:
         num = num.with_(**entry.numerics)
     steps = list(recursion(group, omega, f, num))
-    base, _ = fold_steps(steps, num)
+    base, _ = fold_steps(steps)
     parts = steps[0].parts
     checks = {}
     # the recursion splits off every orbit type but the last, so a group
@@ -236,7 +237,7 @@ def _catalog_checks(ctx, name):
 
 
 def criterion_split_consistency(ctx):
-    results = [_catalog_checks(ctx, n) for n in catalog_names()]
+    results = [_catalog_checks(n) for n in catalog_names()]
     passed = all(ok for ok, _ in results)
     return passed, {"entries": [d for _, d in results]}
 
@@ -281,11 +282,11 @@ def criterion_circle(ctx):
 # criterion 7: degree oracle equivalence
 
 
-def _random_confined(rng, dim, degree=3):
+def _random_confined(rng, dim):
     terms = {}
     for _ in range(2 * dim + 3):
-        exps = tuple(int(e) for e in rng.integers(0, degree + 1, size=dim))
-        if sum(exps) > degree:
+        exps = tuple(int(e) for e in rng.integers(0, 4, size=dim))
+        if sum(exps) > 3:
             continue
         terms[exps] = terms.get(exps, 0.0) + float(rng.normal() * 0.8)
     conf = {}
@@ -296,18 +297,17 @@ def _random_confined(rng, dim, degree=3):
     return PolynomialPotential(poly_add(terms, conf), dim)
 
 
-def _cross_oracle_dim(dim, count=25, base_seed=424200):
-    num = Numerics(grid_h=0.25, bbox=2.0)
+def _cross_oracle_dim(dim):
     region = dg.BoxRegion([-2.0] * dim, [2.0] * dim, 0.25)
     matches = 0
     produced = 0
     attempt = 0
-    while produced < count and attempt < 40 * count:
-        rng = np.random.default_rng(base_seed + 1000 * dim + attempt)
+    while produced < ORACLE_COUNT and attempt < 40 * ORACLE_COUNT:
+        rng = np.random.default_rng(ORACLE_SEED + 1000 * dim + attempt)
         attempt += 1
         p = _random_confined(rng, dim)
         fld = dg.FieldAdapter(lambda u, p=p: p.grad(u), dim)
-        recs = dg.find_zeros(fld, region, num)
+        recs = dg.find_zeros(fld, region)
         if not recs or any(r.degenerate for r in recs):
             continue
         pts = np.array([r.point for r in recs])
@@ -325,7 +325,7 @@ def criterion_degree_oracles(ctx):
     results = [_cross_oracle_dim(d) for d in [1, 2, 3]]
     details = {f"dim{d}": {"matches": m, "instances": n}
                for d, (m, n) in zip([1, 2, 3], results)}
-    passed = all(m == n == 25 for m, n in results)
+    passed = all(m == n == ORACLE_COUNT for m, n in results)
     return passed, details
 
 
@@ -404,7 +404,7 @@ def criterion_quotient_division(ctx):
             for candidate in stratum.quotient_labels():
                 comp = stratum.representative_component(candidate)
                 reg = dg.GridRegion(stratum, comp)
-                rr = dg.find_zeros(fld, reg, num)
+                rr = dg.find_zeros(fld, reg)
                 if rr and all(not r.degenerate for r in rr):
                     region, recs, qlabel = reg, rr, candidate
                     break
@@ -420,12 +420,10 @@ def criterion_quotient_division(ctx):
                 checked.append({"group": gname, "error": "divisibility"})
                 found = True
                 break
-            quotient = dg.quotient_intersection(fld, stratum, qlabel, num,
-                                                records=recs)
+            quotient = dg.quotient_intersection(fld, stratum, qlabel, records=recs)
             # independent oracle: group the zeros into stabilizer orbits
             oracle_total, sizes = _orbit_count_oracle(
-                pts, [r.index for r in recs],
-                group.lattice.weyl_matrices(target), stab)
+                pts, [r.index for r in recs], group.lattice.weyl_matrices(target))
             case_ok = (total == stab * quotient and oracle_total == quotient
                        and sizes == {stab})
             ok = ok and case_ok
@@ -441,7 +439,7 @@ def criterion_quotient_division(ctx):
     return ok, {"cases": checked}
 
 
-def _orbit_count_oracle(zeros, indices, weyl_mats, stab, tol=1e-6):
+def _orbit_count_oracle(zeros, indices, weyl_mats):
     zeros = np.atleast_2d(zeros)
     remaining = list(range(len(zeros)))
     total = 0
@@ -452,7 +450,7 @@ def _orbit_count_oracle(zeros, indices, weyl_mats, stab, tol=1e-6):
         for w in weyl_mats:
             img = zeros[i] @ w.T
             for j in list(remaining):
-                if np.linalg.norm(zeros[j] - img) <= tol:
+                if np.linalg.norm(zeros[j] - img) <= 1e-6:
                     if indices[j] != indices[i]:
                         return None, {-1}
                     members.append(j)

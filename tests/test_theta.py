@@ -15,8 +15,8 @@ from egdeg import domains as dm
 from egdeg import groups as gr
 from egdeg import maps as mp
 from egdeg import potentials as pt
-from egdeg.errors import (AdditionUndefined, ConfigError, ResolutionTooCoarse,
-                          UnsupportedRep, WeylTransportFailed)
+from egdeg.errors import (AdditionUndefined, ConfigError, DegenerateUnresolved,
+                          ResolutionTooCoarse, UnsupportedRep, WeylTransportFailed)
 from egdeg.factory import catalog, orbit_normal
 from egdeg.groups import CircleRep
 from egdeg.params import Numerics
@@ -188,9 +188,8 @@ def _readme_d3():
     return g, om, mp.make_map(g, dm.MapDomain(om, 2.0), phi), NUM
 
 
-def _planar(n, expr="(x1^2 + x2^2)^2 - x1^2 - x2^2"):
+def _planar(n, expr="(x1^2 + x2^2)^2 - x1^2 - x2^2", om=dm.punctured_space()):
     g = gr.dihedral(n)
-    om = dm.punctured_space()
     phi = pt.PolynomialPotential.from_expression(expr, 2)
     return g, om, mp.make_map(g, dm.MapDomain(om, 2.0), phi)
 
@@ -227,6 +226,53 @@ class TestPlanarEnvelope:
     def test_d12_keeps_free_row(self):
         vec, _ = theta(*_planar(12), NUM)
         assert dict(vec.entries) == _EVEN_ROWS
+
+
+# critical circles at r = 1 (lambda = 1) and r = sqrt(2) (lambda = 0)
+_TWO_SPHERE = "(x1^2 + x2^2)^3 - 4.5*(x1^2 + x2^2)^2 + 6*(x1^2 + x2^2)"
+
+
+class TestTiltRoute:
+    """A critical circle with lambda = 0 inside the domain and a nondegenerate
+    minimum at the origin: theta is the origin slot alone.  Its free-stratum
+    arcs are degenerate clusters whose enclosure degree is not certified, so
+    they resolve by the tilt, whose directions depend on no setting."""
+
+    @pytest.mark.parametrize("n, expr, om", [
+        (8, "(x1^2 + x2^2)^2 - x1^2 - x2^2", dm.full_space()),
+        (3, "(x1^2 + x2^2)^2 - 0.6*(x1^2 + x2^2)", dm.ball(0.6)),
+    ], ids=["d8_full", "d3_ball"])
+    def test_origin_slot_alone_for_every_sampler_seed(self, n, expr, om, monkeypatch):
+        tilts = []
+        tilt = dg._enclosure_tilt
+
+        def counted(*args):
+            tilts.append(args)
+            return tilt(*args)
+        monkeypatch.setattr(dg, "_enclosure_tilt", counted)
+        g, om, f = _planar(n, expr, om)
+        for seed in (20240601, 1, 3):
+            del tilts[:]
+            vec, _ = theta(g, om, f, NUM.with_(seed=seed))
+            assert (vec.origin_slot, vec.entries) == (1, ())
+            assert tilts
+
+
+class TestTiltEnvelope:
+    """Known wrong answers near the tilt route, pinned until mended."""
+
+    @pytest.mark.xfail(strict=True, raises=DegenerateUnresolved,
+                       reason="the two tilt directions give the counts 0 and 1 in the "
+                       "enclosure (ROADMAP items 3c and 5)")
+    def test_d6_full_plane_origin_slot_alone(self):
+        vec, _ = theta(*_planar(6, om=dm.full_space()), NUM)
+        assert (vec.origin_slot, vec.entries) == (1, ())
+
+    @pytest.mark.xfail(strict=True, reason="the (H2a) compact margin of h drops "
+                       "the r = sqrt(2) zeros, 0.086 from the annulus boundary")
+    def test_d5_annulus_circles_cancel(self):
+        vec, _ = theta(*_planar(5, _TWO_SPHERE, dm.annulus(0.4, 1.5)), NUM)
+        assert vec.entries == ()
 
 
 def _b3_bench():
@@ -385,7 +431,7 @@ class TestZeroPass:
                     hinted += 1
                     seeds = np.concatenate([region.seed_points(), extra])
                     pts, _ = recorded(fld, seeds, step.margin)
-                    recs = dg.classify_zeros(fld, region, pts, num, step.margin)
+                    recs = dg.classify_zeros(fld, region, pts, step.margin)
                 else:
                     recs = dg.find_zeros(fld, region, num,
                                          compact_margin=step.margin)
