@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .degree import newton_zeros
 from .domains import (
     Balls,
     DomainExpr,
@@ -25,6 +24,7 @@ from .errors import TubeTooWide, UnknownName, ZeroOnY
 from .groups import (CircleRep, FiniteGroupRep, antipodal, dihedral, isotropy, orbit,
                      symmetric, trivial)
 from .maps import LocalGradientMap, circle_surrogate, make_map
+from .newton import newton_zeros
 from .potentials import (
     LiftedPotential,
     OrbitWellPotential,

@@ -18,11 +18,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .degree import fd_jacobian
 from .domains import AnyOf, DomainExpr, MapDomain, Shell, ball, full_space
 from .domains import validate_invariance as _dom_invariance
 from .errors import DomainsOverlap, NotInvariant, OutsideDomain, UnsupportedRep
 from .groups import CircleRep, FiniteGroupRep, antipodal
+from .newton import fd_jacobian
 from .potentials import (
     PiecewisePotential,
     PolynomialPotential,

@@ -28,13 +28,13 @@ from .degree import (
     GridRegion,
     ZeroRecord,
     classify_zeros,
-    newton_zeros,
     quotient_intersection,
 )
 from .domains import DomainExpr
 from .errors import AdditionUndefined, ConfigError, WeylTransportFailed
 from .groups import CircleRep, FiniteGroupRep
 from .maps import LocalGradientMap, StratumField, circle_surrogate, restrict_to_stratum
+from .newton import newton_zeros
 from .params import POLISH_TOL, Numerics
 from .perturb import HomotopyFamily, SplitParts, perturb, select_tube, split
 from .records import Factory, Record

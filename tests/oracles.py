@@ -409,7 +409,7 @@ def newton_row_loop(field, seed, tol, compact_margin=None, max_iter=80, info=Non
     gets whether the row stalled (it started outside the domain or at a
     residual that is not finite, or no factor lowered its residual) and
     whether it took a multiplicity step."""
-    from egdeg.degree import fd_jacobian
+    from egdeg.newton import fd_jacobian
     info = {} if info is None else info
     info.update(stalled=True, accelerated=False)
     band = compact_margin if hasattr(field, "singular_distance") else None

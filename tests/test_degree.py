@@ -14,6 +14,7 @@ from egdeg import degree as dg
 from egdeg import domains as dm
 from egdeg import groups as gr
 from egdeg import maps as mp
+from egdeg import newton as nw
 from egdeg import potentials as pt
 from egdeg.errors import DimensionUnsupported, MarginTooSmall, RefinementOverflow
 from egdeg.factory import catalog
@@ -156,9 +157,9 @@ class TestBatchedHelpers:
         assert all(np.any(g.in_open_tube(pts, g.decompose(pts))) for g in geos)
         fld, _ = poly_field("x1^3 - 3*x1*x2^2 + x3^4 + x1*x3", 3)
         for field in (two_layers, fld):
-            got = dg.fd_jacobian(field, pts)
-            assert got.tobytes() == axis_fd_jacobian(field, pts, dg.FD_STEP).tobytes()
-        want = axis_fd_jacobian(two_layers, pts, dg.FD_STEP)
+            got = nw.fd_jacobian(field, pts)
+            assert got.tobytes() == axis_fd_jacobian(field, pts, nw.FD_STEP).tobytes()
+        want = axis_fd_jacobian(two_layers, pts, nw.FD_STEP)
         want = 0.5 * (want + np.swapaxes(want, 1, 2))
         assert two_layers.hess(pts).tobytes() == want.tobytes()
 
@@ -268,7 +269,7 @@ class TestBatchedHelpers:
         def fn(u):
             rows.append(len(u))
             return np.sin(u) * u[:, ::-1]
-        dg.fd_jacobian(dg.FieldAdapter(fn, 3), np.ones((7, 3)))
+        nw.fd_jacobian(dg.FieldAdapter(fn, 3), np.ones((7, 3)))
         assert rows == [2 * 3 * 7]
 
     def test_newton_steps_equal_rowwise_pinv(self):
@@ -280,7 +281,7 @@ class TestBatchedHelpers:
             jac[2::8, 0, 0] = np.nan                      # not finite
             rhs = rng.normal(size=(40, dim))
             rhs[3::8, 0] = np.inf
-            got = dg._solve_batched(jac, rhs)
+            got = nw._solve_batched(jac, rhs)
             assert got.tobytes() == rowwise_newton_steps(jac, rhs).tobytes()
             assert np.all(got[2::8] == 0.0) and np.all(got[3::8] == 0.0)
             # a rank-deficient row takes the pinv step, nonzero from dim 2
@@ -389,16 +390,10 @@ class TestBatchedHelpers:
         assert all(calls[i][1] == 2 * 3 * calls[i + 1][1] for i in probes)
         assert 1 <= len(probes) <= 12
 
-    def test_confined_cubic_slice_equals_row_loop(self):
-        # box_degree's slowest field, draw 5: every 32nd seed of its grid,
-        # where rows stall and take multiplicity steps, and seed 2939, whose
-        # row crawls on damped steps at a steady residual ratio; each row,
-        # and every count of the stats, is the row loop's
-        fld = dg.FieldAdapter(_random_confined(np.random.default_rng(427205), 3).grad, 3)
-        grid = dg.BoxRegion([-2.0] * 3, [2.0] * 3, 0.25).seed_points()
-        assert grid[2939].tolist() == [0.875, -0.125, 0.875]
-        seeds = np.concatenate([grid[::32], grid[2939:2940]])
-        pts, stats = dg.newton_zeros(fld, seeds)
+    @staticmethod
+    def _assert_rows_and_counts_equal_row_loop(fld, seeds):
+        # each row, and every count of the stats, is the row loop's
+        pts, stats = nw.newton_zeros(fld, seeds)
         infos = [{} for _ in seeds]
         want = [newton_row_loop(fld, s, NEWTON_TOL, info=info)
                 for s, info in zip(seeds, infos)]
@@ -410,7 +405,70 @@ class TestBatchedHelpers:
             "stalled": sum(info["stalled"] and not g for info, g in zip(infos, good)),
             "retired": sum(w[2] for w in want),
             "accelerated": sum(info["accelerated"] for info in infos)}
+        return stats
+
+    def test_confined_cubic_slice_equals_row_loop(self):
+        # box_degree's slowest field, draw 5: every 32nd seed of its grid,
+        # where rows stall and take multiplicity steps, and seed 2939, whose
+        # row crawls on damped steps at a steady residual ratio; each row,
+        # and every count of the stats, is the row loop's
+        fld = dg.FieldAdapter(_random_confined(np.random.default_rng(427205), 3).grad, 3)
+        grid = dg.BoxRegion([-2.0] * 3, [2.0] * 3, 0.25).seed_points()
+        assert grid[2939].tolist() == [0.875, -0.125, 0.875]
+        seeds = np.concatenate([grid[::32], grid[2939:2940]])
+        stats = self._assert_rows_and_counts_equal_row_loop(fld, seeds)
         assert stats["stalled"] > 0 and stats["accelerated"] > 0
+
+    def test_confined_cubic_grid_equals_quarters_and_row_loop(self):
+        # the same field on its whole 4,096-seed grid, the batch size at
+        # which the Newton workspace is largest: the batch is its four
+        # quarters run alone, byte for byte, and every 128th row and row
+        # 2939 are the row loop's
+        fld = dg.FieldAdapter(_random_confined(np.random.default_rng(427205), 3).grad, 3)
+        seeds = dg.BoxRegion([-2.0] * 3, [2.0] * 3, 0.25).seed_points()
+        assert len(seeds) == 4096
+        pts, stats = nw.newton_zeros(fld, seeds)
+        quarters = [nw.newton_zeros(fld, part) for part in np.split(seeds, 4)]
+        assert np.concatenate([p for p, _ in quarters]).tobytes() == pts.tobytes()
+        assert np.concatenate([s["kept"] + 1024 * i for i, (_, s) in enumerate(quarters)]
+                              ).tobytes() == stats["kept"].tobytes()
+        for key in ("seeds", "converged", "stalled", "retired", "accelerated"):
+            assert stats[key] == sum(s[key] for _, s in quarters)
+        assert stats["stalled"] > 0 and stats["accelerated"] > 0
+        rows = dict(zip(stats["kept"].tolist(), pts))
+        sample = [*range(0, 4096, 128), 2939]
+        for i in sample:
+            point, val, retired = newton_row_loop(fld, seeds[i], NEWTON_TOL)
+            assert (i in rows) == (val <= POLISH_TOL and not retired)
+            assert i not in rows or rows[i].tobytes() == point.tobytes()
+        assert 0 < sum(i in rows for i in sample) < len(sample)
+
+    def test_fd_jacobians_do_not_alias(self):
+        # outside Newton every call returns a fresh stack
+        fld, _ = poly_field("x1^3 - 3*x1*x2^2 + x3^4 + x1*x3", 3)
+        rng = np.random.default_rng(5)
+        first = nw.fd_jacobian(fld, rng.normal(size=(50, 3)))
+        want = first.copy()
+        second = nw.fd_jacobian(fld, rng.normal(size=(50, 3)))
+        assert first.tobytes() == want.tobytes() != second.tobytes()
+        assert not np.shares_memory(first, second)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_newton_on_a_grad_that_views_its_argument(self, dim):
+        # grad hands back a view of the probes, then of the trial points,
+        # in the workspace: the Jacobian stack is written over the probes
+        # it reads.  Without the ball every row converges; the ball around
+        # the zero rejects full steps, and rows crawl on halvings and stall
+        def grad(u):
+            out = u[:, ::-1]
+            assert len(u) == 0 or np.shares_memory(out, u)
+            return out
+        seeds = dg.BoxRegion([-1.9] * dim, [1.9] * dim, 0.5).seed_points()
+        plain = self._assert_rows_and_counts_equal_row_loop(dg.FieldAdapter(grad, dim), seeds)
+        assert plain["converged"] == len(seeds)
+        holed = self._assert_rows_and_counts_equal_row_loop(
+            dg.FieldAdapter(grad, dim, lambda u: row_norms(u) > 0.05), seeds)
+        assert holed["converged"] == 0 and holed["stalled"] == len(seeds)
 
     def test_multiplicity_step_loses_no_zero(self, monkeypatch):
         # rows of this confined cubic end in crawls of damped steps at a
@@ -419,7 +477,7 @@ class TestBatchedHelpers:
         fld = dg.FieldAdapter(_random_confined(np.random.default_rng(427205), 3).grad, 3)
         seeds = dg.BoxRegion([-2.0] * 3, [2.0] * 3, 0.25).seed_points()
         stats = dg.newton_zeros(fld, seeds)[1]
-        monkeypatch.setattr(dg, "TAIL_RESIDUAL", 0.0)
+        monkeypatch.setattr(nw, "TAIL_RESIDUAL", 0.0)
         plain = dg.newton_zeros(fld, seeds)[1]
         assert stats["accelerated"] > 0 and plain["accelerated"] == 0
         assert set(plain["kept"].tolist()) <= set(stats["kept"].tolist())
@@ -474,7 +532,7 @@ class TestBatchedHelpers:
         rng = np.random.default_rng(3)
         for dim in (1, 2, 3, 4):
             jac = rng.normal(size=(50, dim, dim))
-            assert np.allclose(dg._det(jac), np.linalg.det(jac), rtol=1e-12, atol=0)
+            assert np.allclose(nw._det(jac), np.linalg.det(jac), rtol=1e-12, atol=0)
 
 
 class TestKronecker:
