@@ -20,8 +20,10 @@ of its zeros.  Three routes are implemented and cross-checked:
 * Kronecker route: a boundary degree over a region bounded by oriented
   axis facets, taken by one integrator (``frontier_degree``): endpoint signs
   in dim 1, winding of the field angle along the facets in dim 2, where each
-  sample interval is halved on its own until its angle step is small,
-  triangulated solid-angle sum over all facets at once in dim 3.
+  sample interval is halved on its own until its angle step is small (one
+  field call walks LOOKAHEAD levels of midpoints ahead for an interval
+  still bad after its first halving), triangulated solid-angle sum over
+  all facets at once in dim 3.
   ``kronecker_degree`` takes it over an axis box; a degenerate cluster gets
   it over the cell union of an enclosure grown around the cluster inside
   the component, one ring of axis neighbours per batch.  A cell set is one
@@ -35,7 +37,10 @@ of its zeros.  Three routes are implemented and cross-checked:
 
 The Morse index of a zero, on the field and on a tilted field alike, is the
 sign of the Jacobian determinant that the Newton step uses (``newton._det``),
-confirmed by a local boundary degree (``_zero_indices``).
+confirmed by a local boundary degree (``_zero_indices``).  The dedupe, the
+nearest other zero and the cluster linkage compare a zero only with the
+points of the 3^k bucket cells around it (``tubes.Buckets``), so their time
+and memory grow with the number of zeros, not with its square.
 
 The quotient intersection number divides the representative component count
 by the component stabilizer order; the division must be exact.
@@ -55,7 +60,7 @@ from .newton import _det, fd_jacobian, newton_zeros
 from .params import NEWTON_TOL
 from .records import Record
 from .strata import row_positions
-from .tubes import distance_blocks, nearest_center_distance
+from .tubes import Buckets, nearest_center_distance, row_norms
 
 DEGENERACY_RATIO = 1e-5   # sigma_min below this times scale means degenerate
 DEDUPE_FACTOR = 1e-2      # dedupe radius: 10 h * 1e-3
@@ -163,30 +168,43 @@ class BoxRegion:
 
 
 # ---------------------------------------------------------------------------
-# newton
-
+# zero classification: buckets, dedupe and Morse certificates
 
 
 def dedupe_points(pts: np.ndarray, radius: float) -> np.ndarray:
     """Greedy dedupe in lexicographic order: a point is kept when no point
     kept before it lies within the radius.
 
-    Each sweep keeps the first remaining point and drops every remaining
-    point within the radius of it.
+    The points are bucketed by the radius and decided in rounds: an
+    undecided point whose index is the smallest undecided one in its 3^k
+    cells is kept, since every earlier point within the radius is decided
+    and none of them kept it out, and each newly kept point drops the later
+    points of its cells within the radius.
     """
     if len(pts) == 0:
         return pts
-    rest = pts[np.lexsort(pts.T[::-1])]
-    keep: list[np.ndarray] = []
-    while len(rest):
-        keep.append(rest[0].copy())   # a view would hold this sweep's array
-        d = rest[1:] - rest[0]
-        # a matmul takes one dot product per row, summed as the norm of a
-        # single vector is; an axis norm can round the last bit differently
-        # and so move a point across the radius
-        dist = np.sqrt(d[:, None, :] @ d[:, :, None])[:, 0, 0]
-        rest = rest[1:][~(dist <= radius)]
-    return np.array(keep)
+    # ``take`` gathers rows several times faster than fancy indexing
+    pts = pts.take(np.lexsort(pts.T[::-1]), axis=0)
+    n = len(pts)
+    buckets = Buckets(pts, radius)
+    open_, kept = np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
+    while open_.any():
+        first = np.append(np.minimum.reduceat(
+            np.where(open_[buckets.order], buckets.order, n), buckets.starts), n)
+        new = first[:-1][(first[buckets.near].min(axis=1) == first[:-1]) & (first[:-1] < n)]
+        kept[new] = True
+        open_[new] = False
+        for i, j in buckets.pairs(new):
+            # the earlier points of a new point's cells are decided
+            later = open_[j]
+            i, j = i[later], j[later]
+            d = pts.take(j, axis=0) - pts.take(i, axis=0)
+            # a matmul takes one dot product per row, summed as the norm of a
+            # single vector is; an axis norm can round the last bit differently
+            # and so move a point across the radius
+            dist = np.sqrt(d[:, None, :] @ d[:, :, None])[:, 0, 0]
+            open_[j[dist <= radius]] = False
+    return pts.take(kept.nonzero()[0], axis=0)
 
 
 class ZeroRecord(Record):
@@ -263,10 +281,7 @@ def _zero_indices(field, pts: np.ndarray, h: float) -> list[int]:
     distance to the domain boundary) confirms that sign.
     """
     jac = fd_jacobian(field, pts)
-    nearest_other = np.empty(len(pts))
-    for i, dist in distance_blocks(pts, pts):
-        dist[np.arange(len(dist)), np.arange(i, i + len(dist))] = np.inf
-        nearest_other[i:i + len(dist)] = dist.min(axis=1)
+    nearest_other = _nearest_other(pts, h)
     svals = np.linalg.svd(jac, compute_uv=False)
     indices = np.where(_det(jac) > 0, 1, -1)
     indices[svals[:, -1] <= DEGENERACY_RATIO * np.maximum(1.0, svals[:, 0])] = 0
@@ -280,12 +295,35 @@ def _zero_indices(field, pts: np.ndarray, h: float) -> list[int]:
     return indices.tolist()
 
 
+def _nearest_other(pts: np.ndarray, h: float) -> np.ndarray:
+    """Distance from each point to the nearest other one where it is below h,
+    inf elsewhere; a distance is the norm of the point minus the other.
+
+    Only the points of the 3^k cells of side h around each are compared.
+    A nearer zero farther than 0.625 h leaves the certificate radius
+    min(h / 4, 0.4 x nearest, ...) at h / 4, as inf does.
+    """
+    nearest = np.empty(len(pts))
+    buckets = Buckets(pts, h)
+    for i, j in buckets.pairs(np.arange(len(pts))):
+        dist = row_norms(pts.take(i, axis=0) - pts.take(j, axis=0))
+        dist[i == j] = np.inf
+        # pairs come query by query, so each run of one i is a segment
+        runs = np.flatnonzero(np.append(True, i[1:] != i[:-1]))
+        nearest[i[runs]] = np.minimum.reduceat(dist, runs)
+    nearest[~(nearest < h)] = np.inf
+    return nearest
+
+
 # ---------------------------------------------------------------------------
 # boundary degree over oriented axis facets
 
 # starting samples per facet side and doubling rounds, per dimension
 BOX_RESOLUTION = {2: (32, 10), 3: (8, 10)}
 ENCLOSURE_RESOLUTION = {2: (8, 10), 3: (2, 5)}
+# bisection levels that one dim-2 frontier walk samples ahead, after the
+# first; a deeper look-ahead walks more midpoints that no round reads
+LOOKAHEAD = 4
 
 
 def kronecker_degree(field, lo, hi, margin_min: float = 1e-9) -> int:
@@ -309,9 +347,10 @@ def frontier_degree(field, facets, resolution: dict, margin_min: float) -> int:
     ``side * sign(f) / 2`` over the facet points.
     In dim 2 each facet is sampled at n + 1 points as a counterclockwise
     polyline, and each round halves every sample interval whose wrapped
-    field angle step is pi/4 or more, with the midpoints of all facets in
-    one call, until every step is below pi/4; around a closed frontier the
-    steps then sum to a multiple of 2 pi.  In dim 3 every facet is
+    field angle step is pi/4 or more, until every step is below pi/4;
+    around a closed frontier the steps then sum to a multiple of 2 pi.  The
+    midpoints of all facets are walked in one call, up to LOOKAHEAD levels
+    ahead of the round that reads them.  In dim 3 every facet is
     triangulated n x n with outward orientation, the field is sampled on
     the vertices of all facets in one call, and n doubles until the
     solid-angle sum is within 0.2 of an integer.  ``resolution[dim]`` gives
@@ -325,11 +364,14 @@ def frontier_degree(field, facets, resolution: dict, margin_min: float) -> int:
         raise DimensionUnsupported(
             f"boundary degree implemented for dim <= 3, got {dim}")
 
-    def sample(pts):
-        vals = field.grad(pts.reshape(-1, dim))
-        mag = float(np.min(np.linalg.norm(vals, axis=1)))
+    def check(mags):
+        mag = float(np.min(mags))
         if mag < margin_min:
             raise MarginTooSmall(f"frontier field magnitude {mag:.3e} below margin")
+
+    def sample(pts):
+        vals = field.grad(pts.reshape(-1, dim))
+        check(np.linalg.norm(vals, axis=1))
         return vals.reshape(pts.shape)
 
     if dim == 1:
@@ -340,32 +382,56 @@ def frontier_degree(field, facets, resolution: dict, margin_min: float) -> int:
         ccw = ((sides > 0) == (axes == 0))[:, None]
         starts, ends = np.where(ccw, lo, hi), np.where(ccw, hi, lo)
 
-        def angles(facet, t):
-            vals = sample(starts[facet] + t[:, None] * (ends - starts)[facet])
-            return np.arctan2(vals[:, 1], vals[:, 0])
+        def points(facet, t):
+            return starts[facet] + t[:, None] * (ends - starts)[facet]
 
         # sample intervals [t0, t1] of the facets, with the field angle at
         # both ends; a bad interval is halved at its midpoint, which lies on
         # the grid of the next doubling
         count = len(axes)
         ts = np.linspace(0.0, 1.0, n + 1)
-        ang = angles(np.repeat(np.arange(count), n + 1),
-                     np.tile(ts, count)).reshape(count, n + 1)
+        vals = sample(points(np.repeat(np.arange(count), n + 1), np.tile(ts, count)))
+        ang = np.arctan2(vals[:, 1], vals[:, 0]).reshape(count, n + 1)
         facet = np.repeat(np.arange(count), n)
         t0, t1 = np.tile(ts[:-1], count), np.tile(ts[1:], count)
         a0, a1 = ang[:, :-1].ravel(), ang[:, 1:].ravel()
+        # once the walked levels run out (node 0), a round walks the
+        # midpoints of every bad interval's next levels, one at round 1 and
+        # LOOKAHEAD later, as a heap: an interval reads node ``node`` of the
+        # heap at ``base`` and its halves nodes 2 node and 2 node + 1.  Only
+        # the midpoints a round reads are held to the margin
+        walked_ang = walked_mag = np.empty(0)
+        base, node, size = np.zeros(len(facet), dtype=int), np.zeros(len(facet), dtype=int), 1
         total = 0.0
         for r in range(rounds):
             if r:
-                tm = (t0 + t1) / 2
-                am = angles(facet, tm)
-                facet = np.concatenate([facet, facet])
+                if not node.any():
+                    size = 2 ** (1 if r == 1 else min(LOOKAHEAD, rounds - r))
+                    lo_t, hi_t, heap = t0[:, None], t1[:, None], []
+                    while len(heap) < size - 1:
+                        mid = (lo_t + hi_t) / 2
+                        heap.extend(mid.T)
+                        lo_t = np.stack([lo_t, mid], axis=2).reshape(len(facet), -1)
+                        hi_t = np.stack([mid, hi_t], axis=2).reshape(len(facet), -1)
+                    heap = np.stack(heap, axis=1)
+                    vals = field.grad(points(np.repeat(facet, size - 1), heap.ravel()))
+                    base = len(walked_ang) + (size - 1) * np.arange(len(facet))
+                    node = np.ones(len(facet), dtype=int)
+                    walked_ang = np.append(walked_ang, np.arctan2(vals[:, 1], vals[:, 0]))
+                    walked_mag = np.append(walked_mag, np.linalg.norm(vals, axis=1))
+                at = base + node - 1
+                check(walked_mag[at])
+                tm, am = (t0 + t1) / 2, walked_ang[at]
+                facet, base = np.concatenate([facet, facet]), np.concatenate([base, base])
                 t0, t1 = np.concatenate([t0, tm]), np.concatenate([tm, t1])
                 a0, a1 = np.concatenate([a0, am]), np.concatenate([am, a1])
+                node = np.concatenate([2 * node, 2 * node + 1])
+                node *= node < size
             steps = (a1 - a0 + np.pi) % (2 * np.pi) - np.pi
             fine = np.abs(steps) < np.pi / 4
             total += float(np.sum(steps[fine]))
-            facet, t0, t1, a0, a1 = (x[~fine] for x in (facet, t0, t1, a0, a1))
+            facet, t0, t1, a0, a1, base, node = (
+                x[~fine] for x in (facet, t0, t1, a0, a1, base, node))
             if len(facet) == 0:
                 return int(round(total / (2 * np.pi)))
         raise RefinementOverflow("winding number did not stabilize")
@@ -424,17 +490,28 @@ def _linkage_clusters(points: np.ndarray, radius: float) -> list[list[int]]:
     """Single-linkage clusters of points at the given merge radius, each in
     index order, ordered by their first index.
 
-    Each cluster grows from its first point one breadth-first ring at a time,
-    so no list of close pairs is ever built."""
-    close = np.concatenate([d <= radius for _, d in distance_blocks(points, points)])
+    Each cluster grows from its first point one breadth-first ring at a time;
+    a ring's close points are the unlabelled points of its bucket cells
+    within the radius, so neither a pair list nor a distance matrix of the
+    whole set is ever built."""
+    buckets = Buckets(points, radius)
     label = np.full(len(points), -1)
-    for i in range(len(points)):
-        ring = [i] if label[i] < 0 else []
+    for root in range(len(points)):
+        if label[root] >= 0:
+            continue
+        ring = np.array([root])
         while len(ring):
-            label[ring] = i
-            ring = np.flatnonzero(close[ring].any(axis=0) & (label < 0))
-    roots = np.flatnonzero(label == np.arange(len(points)))
-    return [np.flatnonzero(label == i).tolist() for i in roots]
+            label[ring] = root
+            hit = np.zeros(len(points), dtype=bool)
+            for i, j in buckets.pairs(ring):
+                open_ = label[j] < 0
+                i, j = i[open_], j[open_]
+                dist = row_norms(points.take(i, axis=0) - points.take(j, axis=0))
+                hit[j[dist <= radius]] = True
+            ring = np.flatnonzero(hit)
+    order = np.argsort(label, kind="stable")
+    cuts = np.flatnonzero(np.diff(label[order])) + 1
+    return [part.tolist() for part in np.split(order, cuts) if len(part)]
 
 
 class _Enclosure:

@@ -38,7 +38,7 @@ from .newton import newton_zeros
 from .params import POLISH_TOL, Numerics
 from .perturb import HomotopyFamily, SplitParts, perturb, select_tube, split
 from .records import Factory, Record
-from .strata import Stratum, StratumComponent, cached_stratum, iso_types
+from .strata import Stratum, cached_stratum, iso_types
 from .tubes import TubeGeometry, row_matmul
 
 
@@ -123,9 +123,9 @@ def _stratum_zero_pass(f: LocalGradientMap, stratum: Stratum):
     seeds only.  Newton is row-wise, so these records equal those of one
     ``find_zeros`` over the same seeds.  The field is Weyl-equivariant, so
     every other component gets its representative's records mapped by a
-    Weyl matrix (``_transport``).  Also returns the ambient positions of the
-    zeros in component order, the compact margin and the batch's Newton
-    counts.
+    Weyl matrix, all images in one field walk (``_transport``).  Also
+    returns the ambient positions of the zeros in component order, the
+    compact margin and the batch's Newton counts.
     """
     fld = restrict_to_stratum(f, stratum)
     margin = _compact_margin(f, stratum.h)
@@ -148,11 +148,7 @@ def _stratum_zero_pass(f: LocalGradientMap, stratum: Stratum):
     tags = tags[stats["kept"]]
     records = {rep: classify_zeros(fld, region, pts[tags == rep], margin)
                for rep, region in regions.items()}
-    per_component = {}
-    for comp in stratum.components:
-        rep = int(stratum.rep[comp.index])
-        per_component[comp.index] = records[rep] if rep == comp.index else _transport(
-            fld, stratum, records[rep], rep, comp)
+    per_component = _transport(fld, stratum, records)
     coords = [r.point for recs in per_component.values() for r in recs]
     ambient = row_matmul(np.array(coords).reshape(-1, stratum.dim), stratum.basis.T)
     newton = {key: stats[key] for key in ("seeds", "converged", "stalled", "retired",
@@ -175,27 +171,40 @@ def _hints_to_representatives(stratum: Stratum, hints: np.ndarray):
     return moved, rep
 
 
-def _transport(fld: StratumField, stratum: Stratum, records: list[ZeroRecord],
-               rep: int, comp: StratumComponent) -> list[ZeroRecord]:
-    """The representative's zero records mapped into another component of
-    its quotient orbit by the first Weyl element that carries it there,
-    sorted lexicographically.  Each image keeps its zero's index, since
-    det(W J W^T) = det J, and must have a residual of at most POLISH_TOL,
-    or ``WeylTransportFailed`` is raised."""
-    if not records:
-        return []
-    wmat = stratum.weyl_matrix(rep, comp.index)
-    pts = row_matmul(np.array([r.point for r in records]), wmat.T)
-    residual = np.linalg.norm(fld.grad(pts), axis=1)
-    worst = int(np.argmax(residual))
-    if not residual[worst] <= POLISH_TOL:
-        raise WeylTransportFailed(
-            f"Weyl image of a {stratum.group.lattice.class_label(stratum.class_id)}"
-            f" zero in component {comp.label_str} has residual "
-            f"{residual[worst]:.3e} > {POLISH_TOL:g}; the field is not "
-            f"Weyl-equivariant to working precision")
-    order = np.lexsort(pts.T[::-1]).tolist()
-    return [ZeroRecord(tuple(p), records[i].index) for i, p in zip(order, pts[order].tolist())]
+def _transport(fld: StratumField, stratum: Stratum,
+               records: dict[int, list[ZeroRecord]]) -> dict[int, list[ZeroRecord]]:
+    """The zero records of every component, in component order: each
+    representative keeps its own, and every other component gets its
+    representative's mapped by the first Weyl element that carries it
+    there, sorted lexicographically.  Each image keeps its zero's index,
+    since det(W J W^T) = det J, and must have a residual of at most
+    POLISH_TOL.  The images of all components take one field walk; the
+    first component in order with a larger residual raises
+    ``WeylTransportFailed``."""
+    per_component, images = {}, []
+    for comp in stratum.components:
+        rep = int(stratum.rep[comp.index])
+        per_component[comp.index] = records[rep] if rep == comp.index else []
+        if rep != comp.index and records[rep]:
+            pts = row_matmul(np.array([r.point for r in records[rep]]),
+                             stratum.weyl_matrix(rep, comp.index).T)
+            images.append((comp, records[rep], pts))
+    if not images:
+        return per_component
+    residuals = np.linalg.norm(fld.grad(np.concatenate([pts for *_, pts in images])), axis=1)
+    for comp, recs, pts in images:
+        residual, residuals = residuals[:len(pts)], residuals[len(pts):]
+        worst = int(np.argmax(residual))
+        if not residual[worst] <= POLISH_TOL:
+            raise WeylTransportFailed(
+                f"Weyl image of a {stratum.group.lattice.class_label(stratum.class_id)}"
+                f" zero in component {comp.label_str} has residual "
+                f"{residual[worst]:.3e} > {POLISH_TOL:g}; the field is not "
+                f"Weyl-equivariant to working precision")
+        order = np.lexsort(pts.T[::-1]).tolist()
+        per_component[comp.index] = [ZeroRecord(tuple(p), recs[i].index)
+                                     for i, p in zip(order, pts[order].tolist())]
+    return per_component
 
 
 class Step(Record, frozen=False):

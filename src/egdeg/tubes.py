@@ -10,6 +10,10 @@ item alone, so a family's slice has the bits of its own product.  U is the
 rho-ball neighbourhood of finitely many stratum centers, so membership,
 boundary and distance are exact up to a conservative bound.
 
+Distances between point sets are taken in blocks of at most PAIR_BUDGET
+pairs (``distance_blocks``), or, for pairs within a fixed width, between
+the points of neighbouring bucket cells (``Buckets``).
+
 The samplers that validate a tube draw their attempts in blocks: a block of
 m attempts makes one generator call per quantity (centers, in-subspace
 directions, radii, normal directions, depths, in that order), builds and
@@ -18,7 +22,8 @@ order.  A candidate's bits depend only on its own draws.
 """
 from __future__ import annotations
 
-from functools import cached_property
+import math
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -28,6 +33,9 @@ import numpy as np
 # (distance_blocks bounds the difference arrays on its own)
 _CHUNK_ROWS = 1024
 _CHUNK_CELLS = 1 << 15
+# (row, other) pairs of one distance block: 4,096 x 3 floats is 96 KB
+PAIR_BUDGET = 4096
+BUCKET_HAIR = 1e-6   # bucket cells are this much wider than their width
 
 
 def row_matmul(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -65,16 +73,79 @@ def _apply(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
 
 
 def distance_blocks(points: np.ndarray, others: np.ndarray):
-    """(first row, distances to all others) of each block of 256 points; a
+    """(first row, distances to all others) of each block of rows, with at
+    most PAIR_BUDGET (row, other) pairs a block (one row at least), so that
+    in dims up to 3 a block's difference array stays under glibc's 128 KB
+    mmap threshold and is reused from the heap, not mapped afresh; a
     distance is one row's norm, so its bits do not depend on the blocking."""
-    for i in range(0, max(len(points), 1), 256):
-        yield i, row_norms(points[i:i + 256, None] - others[None])
+    rows = max(1, PAIR_BUDGET // max(len(others), 1))
+    for i in range(0, max(len(points), 1), rows):
+        yield i, row_norms(points[i:i + rows, None] - others[None])
 
 
 def nearest_center_distance(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Distance from each point to its nearest center (inf without any)."""
     mins = [d.min(axis=1, initial=np.inf) for _, d in distance_blocks(points, centers)]
     return mins[0] if len(mins) == 1 else np.concatenate(mins)
+
+
+@cache
+def _neighbour_steps(k: int) -> np.ndarray:
+    """The 3^k offsets in {-1, 0, 1}^k, one per row."""
+    return np.stack(np.indices((3,) * k).reshape(k, -1), axis=1) - 1
+
+
+class Buckets:
+    """Points binned into cubic cells a hair wider than ``width``, so that
+    the 3^k cells around a point hold every point within ``width`` of it.
+
+    A cell is one integer key, row-major over the cells' range padded by
+    one, so a neighbour's key is the cell's plus a fixed offset.  ``table``
+    holds the sorted keys, ``order``, ``starts`` and ``counts`` group the
+    points by cell, and ``near`` holds each cell's 3^k neighbour rows, -1
+    for an absent neighbour, whose count (the last) is 0.
+    """
+
+    def __init__(self, pts: np.ndarray, width: float):
+        n, k = pts.shape
+        # one contiguous row per axis: numpy reduces a short axis slowly
+        cells = np.ascontiguousarray(pts.T) / (width * (1 + BUCKET_HAIR))
+        cells = np.floor(cells).astype(np.int64)
+        lo = cells.min(axis=1) - 1
+        span = cells.max(axis=1) - lo + 2
+        if math.prod(span.tolist()) >= 1 << 63:
+            raise ValueError(f"{k}-dim bucket keys overflow int64")
+        strides = np.append(np.cumprod(span[:0:-1])[::-1], 1)
+        self.key = key = strides @ (cells - lo[:, None])
+        offsets = _neighbour_steps(k) @ strides
+        self.order = np.argsort(key, kind="stable")
+        key = key[self.order]
+        first = np.ones(n, dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        self.table = key[first]
+        self.starts = first.nonzero()[0]
+        self.counts = np.append(np.diff(self.starts, append=n), 0)
+        near = self.table[:, None] + offsets
+        at = np.minimum(np.searchsorted(self.table, near), len(self.table) - 1)
+        self.near = np.where(self.table[at] == near, at, -1)
+
+    def pairs(self, queries: np.ndarray):
+        """(query, point) index arrays: each query with every point of its
+        3^k cells, query by query, in blocks of at most PAIR_BUDGET pairs (one
+        query at least)."""
+        nb = self.near[np.searchsorted(self.table, self.key[queries])]
+        counts = self.counts[nb]
+        per_query = counts.sum(axis=1)
+        ends = per_query.cumsum()
+        a = 0
+        while a < len(queries):
+            done = ends[a - 1] if a else 0
+            b = max(a + 1, int(ends.searchsorted(done + PAIR_BUDGET, side="right")))
+            c = counts[a:b].ravel()
+            pos = (self.starts[nb[a:b].ravel()] - c.cumsum() + c).repeat(c)
+            pos += np.arange(len(pos))
+            yield queries[a:b].repeat(per_query[a:b]), self.order[pos]
+            a = b
 
 
 class ProjectorStack:

@@ -207,6 +207,107 @@ def greedy_dedupe(pts, radius):
     return np.array(keep)
 
 
+def dedupe_sweep(pts, radius):
+    """The greedy dedupe as one sweep per kept point: keep the first
+    remaining point in lexicographic order and drop every remaining point
+    within the radius of it, by the matmul distance of the later point
+    minus the kept one."""
+    if len(pts) == 0:
+        return pts
+    rest = pts[np.lexsort(pts.T[::-1])]
+    keep = []
+    while len(rest):
+        keep.append(rest[0].copy())
+        d = rest[1:] - rest[0]
+        dist = np.sqrt(d[:, None, :] @ d[:, :, None])[:, 0, 0]
+        rest = rest[1:][~(dist <= radius)]
+    return np.array(keep)
+
+
+def nearest_other_all_pairs(pts):
+    """Distance from each point to its nearest other point, over all pairs,
+    each the norm of the point minus the other (inf for a lone point)."""
+    out = np.full(len(pts), np.inf)
+    for i in range(len(pts)):
+        others = np.delete(pts, i, axis=0)
+        if len(others):
+            out[i] = np.linalg.norm(pts[i] - others, axis=1).min()
+    return out
+
+
+def transport_per_component(fld, stratum, records):
+    """Each component's records, with one field walk per component that is
+    not a representative: the images of its representative's records under
+    the first Weyl element carrying it there, residual-checked and sorted
+    lexicographically.  Records are (point, index) pairs."""
+    from egdeg.errors import WeylTransportFailed
+    from egdeg.params import POLISH_TOL
+    from egdeg.tubes import row_matmul
+    out = {}
+    for comp in stratum.components:
+        rep = int(stratum.rep[comp.index])
+        recs = records[rep]
+        if rep == comp.index or not recs:
+            out[comp.index] = [(r.point, r.index) for r in recs] if rep == comp.index else []
+            continue
+        pts = row_matmul(np.array([r.point for r in recs]),
+                         stratum.weyl_matrix(rep, comp.index).T)
+        residual = np.linalg.norm(fld.grad(pts), axis=1)
+        worst = int(np.argmax(residual))
+        if not residual[worst] <= POLISH_TOL:
+            raise WeylTransportFailed(
+                f"Weyl image of a {stratum.group.lattice.class_label(stratum.class_id)}"
+                f" zero in component {comp.label_str} has residual "
+                f"{residual[worst]:.3e} > {POLISH_TOL:g}; the field is not "
+                f"Weyl-equivariant to working precision")
+        order = np.lexsort(pts.T[::-1])
+        out[comp.index] = [(tuple(pts[i].tolist()), recs[i].index) for i in order]
+    return out
+
+
+def winding_one_level(grad, facets, n, rounds, margin_min, sampled=None):
+    """The dim-2 frontier degree with one bisection level per field walk:
+    each round samples the midpoints of every interval still bad (angle step
+    of pi/4 or more) and halves them.  ``sampled`` collects every walk's
+    points.  Raises ValueError("margin") below the margin and
+    ValueError("rounds") when the rounds run out."""
+    lo, hi, axes, sides = facets
+    ccw = ((sides > 0) == (axes == 0))[:, None]
+    starts, ends = np.where(ccw, lo, hi), np.where(ccw, hi, lo)
+
+    def angles(facet, t):
+        pts = starts[facet] + t[:, None] * (ends - starts)[facet]
+        if sampled is not None:
+            sampled.append(pts)
+        vals = grad(pts)
+        if np.min(np.linalg.norm(vals, axis=1)) < margin_min:
+            raise ValueError("margin")
+        return np.arctan2(vals[:, 1], vals[:, 0])
+
+    count = len(axes)
+    ts = np.linspace(0.0, 1.0, n + 1)
+    ang = angles(np.repeat(np.arange(count), n + 1),
+                 np.tile(ts, count)).reshape(count, n + 1)
+    facet = np.repeat(np.arange(count), n)
+    t0, t1 = np.tile(ts[:-1], count), np.tile(ts[1:], count)
+    a0, a1 = ang[:, :-1].ravel(), ang[:, 1:].ravel()
+    total = 0.0
+    for r in range(rounds):
+        if r:
+            tm = (t0 + t1) / 2
+            am = angles(facet, tm)
+            facet = np.concatenate([facet, facet])
+            t0, t1 = np.concatenate([t0, tm]), np.concatenate([tm, t1])
+            a0, a1 = np.concatenate([a0, am]), np.concatenate([am, a1])
+        steps = (a1 - a0 + np.pi) % (2 * np.pi) - np.pi
+        fine = np.abs(steps) < np.pi / 4
+        total += float(np.sum(steps[fine]))
+        facet, t0, t1, a0, a1 = (x[~fine] for x in (facet, t0, t1, a0, a1))
+        if len(facet) == 0:
+            return int(round(total / (2 * np.pi)))
+    raise ValueError("rounds")
+
+
 def axis_fd_jacobian(field, pts, step):
     """Central differences with one pair of grad calls per axis."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))

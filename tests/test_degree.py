@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from oracles import (axis_fd_jacobian, box_facets_loop, cell_facets_loop,
-                     cells_contain_loop, circle_winding, enclosure_cells_loop,
-                     greedy_dedupe, linkage_clusters, newton_row_loop,
-                     quotient_orbit_count, ring_points_loop, rowwise_newton_steps)
+                     cells_contain_loop, circle_winding, dedupe_sweep,
+                     enclosure_cells_loop, greedy_dedupe, linkage_clusters,
+                     nearest_other_all_pairs, newton_row_loop,
+                     quotient_orbit_count, ring_points_loop, rowwise_newton_steps,
+                     winding_one_level)
 
 from egdeg import degree as dg
 from egdeg import domains as dm
@@ -21,7 +23,7 @@ from egdeg.factory import catalog
 from egdeg.params import NEWTON_TOL, POLISH_TOL, Numerics
 from egdeg.strata import build_stratum, iso_types
 from egdeg.theta import recursion
-from egdeg.tubes import row_norms
+from egdeg.tubes import BUCKET_HAIR, row_norms
 from egdeg.verify import _random_confined
 
 NUM = Numerics(grid_h=0.15, bbox=3.0)
@@ -127,6 +129,72 @@ def straddling_cloud(rng, dim, radius, pairs=30, flips=3, walks=3000):
                 break
     assert hits >= pairs
     return np.concatenate(pts)
+
+
+def clustered_cloud(rng, dim, radius):
+    """Tight clusters, a chain of points 0.9 radius apart, points on the
+    faces of the dedupe's bucket cells and on those of cells of side radius,
+    and rows that differ only in the sign of a zero, shuffled."""
+    width = radius * (1 + BUCKET_HAIR)
+    centers = rng.uniform(-15 * radius, 15 * radius, size=(6, dim))
+    clusters = centers[:, None] + rng.normal(scale=0.6 * radius, size=(6, 10, dim))
+    chain = np.zeros((20, dim))
+    chain[:, 0] = 0.9 * radius * np.arange(20)
+    faces = rng.integers(-4, 5, size=(30, dim)) * np.where(
+        rng.random((30, dim)) < 0.5, width, radius)
+    signed = rng.uniform(-2 * radius, 2 * radius, size=(10, dim))
+    signed[:, 0] = np.where(rng.random(10) < 0.5, -0.0, 0.0)
+    flipped = signed.copy()
+    flipped[:, 0] = -signed[:, 0]
+    pts = np.concatenate([clusters.reshape(-1, dim), chain, faces, signed, flipped])
+    return pts[rng.permutation(len(pts))]
+
+
+class TestBucketedZeroSets:
+    """The bucketed dedupe, nearest other zero and linkage against their
+    all-pairs loop forms, bit for bit."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_dedupe_equals_sweep(self, dim):
+        rng = np.random.default_rng(100 + dim)
+        radius = dg.DEDUPE_FACTOR * 0.1
+        clouds = [clustered_cloud(rng, dim, radius) for _ in range(100)]
+        clouds += [straddling_cloud(rng, dim, radius) for _ in range(2)]
+        clouds += [np.zeros((1, dim)), np.full((3, dim), -0.0)]
+        for cloud in clouds:
+            got, want = dg.dedupe_points(cloud, radius), dedupe_sweep(cloud, radius)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert dg.dedupe_points(np.empty((0, dim)), radius).shape == (0, dim)
+
+    def test_dedupe_keeps_the_first_signed_zero(self):
+        # 0.0 and -0.0 sort as equal, so the earlier row is kept
+        for first, second in ((0.0, -0.0), (-0.0, 0.0)):
+            got = dg.dedupe_points(np.array([[first, 1.0], [second, 1.0]]), 1e-3)
+            assert got.tobytes() == np.array([[first, 1.0]]).tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_nearest_other_equals_all_pairs(self, dim):
+        rng = np.random.default_rng(200 + dim)
+        for h in (0.01, 0.05, 0.2):
+            for _ in range(20):
+                # and a point far from the others
+                cloud = np.concatenate([clustered_cloud(rng, dim, h / 3),
+                                        np.full((1, dim), 30 * h)])
+                want = nearest_other_all_pairs(cloud)
+                want[~(want < h)] = np.inf
+                got = dg._nearest_other(cloud, h)
+                assert got.tobytes() == want.tobytes()
+                assert np.isfinite(got).any() and np.isinf(got).any()
+        lone = dg._nearest_other(np.ones((1, dim)), 0.1)
+        assert lone.tolist() == [np.inf]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_linkage_equals_pair_loop_on_cell_faces(self, dim):
+        rng = np.random.default_rng(300 + dim)
+        for radius in (0.01, 0.05):
+            for _ in range(10):
+                cloud = clustered_cloud(rng, dim, radius)
+                assert dg._linkage_clusters(cloud, radius) == linkage_clusters(cloud, radius)
 
 
 class TestBatchedHelpers:
@@ -711,6 +779,93 @@ class TestFrontierDegree:
                                       dg.ENCLOSURE_RESOLUTION, 1e-12) == expected
             assert rows == [len(facets[0]) * (n * 2 ** r + 1) ** 2
                             for r in range(rounds)]
+
+
+def frontier_outcome(fn, facets, margin, resolution=dg.BOX_RESOLUTION):
+    """(degree or error class, every walked row, walk count) of the dim-2
+    frontier degree with look-ahead."""
+    walks = []
+
+    def grad(u):
+        walks.append(u.copy())
+        return fn(u)
+    try:
+        out = dg.frontier_degree(dg.FieldAdapter(grad, 2), facets, resolution, margin)
+    except (MarginTooSmall, RefinementOverflow) as exc:
+        out = type(exc)
+    return out, np.concatenate(walks), len(walks)
+
+
+def one_level_outcome(fn, facets, margin, resolution=dg.BOX_RESOLUTION):
+    sampled = []
+    try:
+        out = winding_one_level(fn, facets, *resolution[2], margin, sampled)
+    except ValueError as exc:
+        out = {"margin": MarginTooSmall, "rounds": RefinementOverflow}[str(exc)]
+    return out, np.concatenate(sampled), len(sampled)
+
+
+def row_set(rows):
+    return {r.tobytes() for r in np.ascontiguousarray(rows)}
+
+
+class TestFrontierLookahead:
+    """The dim-2 frontier walks four bisection levels ahead once an interval
+    stays bad after its first halving; the rounds read the walked samples
+    as the one-level rounds would take them."""
+
+    FIELDS = {
+        # a zero on the bottom side: the same side stays bad to the last round
+        "bad_side": lambda u: np.column_stack([u[:, 0] - 1 / 3, u[:, 1] + 1]),
+        # zeros just inside the sides, resolved after a few rounds
+        "near_side": lambda u: u - np.array([1 / 3, -1 + 0.02]),
+        "nearer_side": lambda u: u - np.array([1 / 3, -1 + 1e-4]),
+        "near_corner": lambda u: np.column_stack([
+            (u[:, 0] - 0.999) * (u[:, 0] + 0.3) - u[:, 1] ** 2,
+            u[:, 1] - 0.998 + 0.01 * u[:, 0]]),
+        "outside": lambda u: u - np.array([1.01, 0.2]),
+        # a zero on a sample of the first round and on a midpoint of round 4
+        "on_sample": lambda u: u - np.array([-1.0, -1 + 2 * 5 / 32]),
+        "on_midpoint": lambda u: u - np.array([-1 + 2 * 11 / 256, -1.0]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FIELDS))
+    @pytest.mark.parametrize("margin", [1e-12, 1e-3])
+    def test_equals_one_level_rounds(self, name, margin):
+        fn = self.FIELDS[name]
+        for resolution in (dg.BOX_RESOLUTION, dg.ENCLOSURE_RESOLUTION):
+            for lo, hi in (([-1, -1], [1, 1]), ([-1, -1], [1, 0.5])):
+                facets = box_facets_loop(lo, hi)
+                got, walked, walks = frontier_outcome(fn, facets, margin, resolution)
+                want, sampled, rounds = one_level_outcome(fn, facets, margin, resolution)
+                assert got == want
+                assert row_set(sampled) <= row_set(walked)
+                assert walks <= rounds
+
+    def test_walks_four_levels_ahead(self):
+        facets = box_facets_loop([-1, -1], [1, 1])
+        got, walked, walks = frontier_outcome(self.FIELDS["bad_side"], facets, 1e-12)
+        # 4 x 33 samples, one midpoint at round 1, then 15 at rounds 2 and 6
+        assert got is RefinementOverflow and walks == 4 and len(walked) == 132 + 1 + 15 + 15
+
+    def test_unread_sample_below_margin_is_not_an_error(self):
+        # plant a zero of the field on one walked-ahead sample that no round
+        # reads; the outcome stays that of the one-level rounds
+        facets = box_facets_loop([-1, -1], [1, 1])
+        base = self.FIELDS["near_side"]
+        _, walked, _ = frontier_outcome(base, facets, 1e-12)
+        _, sampled, _ = one_level_outcome(base, facets, 1e-12)
+        unread = [r for r in walked if r.tobytes() not in row_set(sampled)]
+        assert unread
+        planted = unread[len(unread) // 2]
+
+        def fn(u):
+            out = base(u)
+            out[np.all(u == planted, axis=1)] = 0.0
+            return out
+        want = one_level_outcome(fn, facets, 1e-12)[0]
+        assert want == one_level_outcome(base, facets, 1e-12)[0] == 1
+        assert frontier_outcome(fn, facets, 1e-12)[0] == want
 
 
 def random_confined_potential(rng, dim, degree=3):

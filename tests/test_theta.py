@@ -1,13 +1,14 @@
 """Invariant tests: the line oracle, vector algebra, the circle demo."""
 import copy
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import line_theta_oracle
+from oracles import line_theta_oracle, transport_per_component
 
 from egdeg import cli
 from egdeg import degree as dg
@@ -534,6 +535,101 @@ class TestZeroPass:
                            match=r"\(e\) zero in component c[-0-9,]+ has residual"):
             theta(g, om, f, num)
         assert WeylTransportFailed in cli.NUMERIC_ERRORS
+
+
+class _CountingField:
+    """A field's ``grad``, counting its walks."""
+
+    def __init__(self, fld):
+        self.fld, self.walks = fld, 0
+
+    def grad(self, pts):
+        self.walks += 1
+        return self.fld.grad(pts)
+
+
+class _Skewed(mp.StratumField):
+    # a quarter turn, where the first coordinate is at least ``start``,
+    # commutes with rotations but not with mirrors
+    start = -np.inf
+
+    def grad(self, coords):
+        u = np.atleast_2d(coords)
+        turn = np.where(u[:, :1] >= self.start, u[:, ::-1] * [-1.0, 1.0], 0.0)
+        return super().grad(coords) + 1e-3 * turn
+
+
+class TestWeylImages:
+    """The Weyl images of every component of a stratum take one field walk
+    and equal the per-component loop, records and errors alike."""
+
+    @pytest.mark.parametrize("build", [
+        _readme_d3, lambda: (*_planar(4), NUM), _b3_bench, _free_orbit_normal],
+        ids=["readme_d3", "d4", "b3_stack", "free_orbit_normal"])
+    def test_one_walk_equals_per_component_loop(self, build):
+        g, om, f, num = build()
+        images = 0
+        for step in recursion(g, om, f, num):
+            if step.stratum is None:
+                continue
+            stratum = step.stratum
+            reps = {rep: step.zeros[rep] for rep in stratum.reps.tolist()}
+            counting = _CountingField(step.restricted)
+            got = theta_mod._transport(counting, stratum, reps)
+            want = transport_per_component(step.restricted, stratum, reps)
+            assert got == step.zeros
+            assert {c: [(r.point, r.index) for r in rs] for c, rs in got.items()} == want
+            moved = [c for c in got if c not in reps and got[c]]
+            assert counting.walks == (1 if moved else 0)
+            images += len(moved)
+        assert images > 0
+
+    @pytest.mark.parametrize("start", [-np.inf, 0.3])
+    def test_first_failing_component_is_named(self, start):
+        g, om, f, num = _readme_d3()
+        step = [s for s in recursion(g, om, f, num) if s.label == "(e)"][0]
+        stratum = step.stratum
+        skewed = type("Skewed", (_Skewed,), {"start": start})(step.f, stratum)
+        reps = {rep: step.zeros[rep] for rep in stratum.reps.tolist()}
+        with pytest.raises(WeylTransportFailed) as want:
+            transport_per_component(skewed, stratum, reps)
+        with pytest.raises(WeylTransportFailed) as got:
+            theta_mod._transport(skewed, stratum, reps)
+        assert str(got.value) == str(want.value)
+
+
+def _c3_fine():
+    g = gr.cyclic(3)
+    phi = pt.PolynomialPotential.from_expression("(x1^2 + x2^2)^2 - x1^2 - x2^2", 2)
+    om = dm.punctured_space()
+    return g, om, mp.make_map(g, dm.MapDomain(om, 2.0), phi), Numerics(grid_h=0.05, bbox=2.0)
+
+
+class TestLargeZeroSet:
+    """C3 on the punctured plane at h = 0.05: the free stratum is one
+    component whose zero circle keeps 3,964 zeros, all classified with
+    memory linear in their number."""
+
+    def test_c3_fine_grid_in_bounded_memory(self, monkeypatch):
+        peaks = []
+
+        def traced(fn):
+            def run(*args, **kwargs):
+                tracemalloc.start()
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                    tracemalloc.stop()
+            return run
+        monkeypatch.setattr(theta_mod, "classify_zeros", traced(dg.classify_zeros))
+        monkeypatch.setattr(dg, "intersection_number", traced(dg.intersection_number))
+        vec, trace = theta(*_c3_fine())
+        assert vec.entries == () and vec.origin_slot is None
+        (step,) = trace.steps
+        assert step["orbit_type"] == "(e)" and step["intersection"] == {"q0": 0}
+        assert step["zeros"] == {"c-40,-40": 3964}
+        assert len(peaks) == 2 and max(peaks) < 24 * 2 ** 20
 
 
 class TestNewtonRetirement:
