@@ -42,8 +42,10 @@ nearest other zero and the cluster linkage compare a zero only with the
 points of the 3^k bucket cells around it (``tubes.Buckets``), so their time
 and memory grow with the number of zeros, not with its square.
 
-The quotient intersection number divides the representative component count
-by the component stabilizer order; the division must be exact.
+A zero set is the arrays ``(points, index)``; ``find_zeros`` gives its list
+form, one ``ZeroRecord`` per zero.  The quotient intersection number divides
+the representative component count by the component stabilizer order; the
+division must be exact.
 """
 from __future__ import annotations
 
@@ -233,22 +235,24 @@ def _local_degree(field, point: np.ndarray, radius: float,
 
 def find_zeros(field, region, num=None,
                compact_margin: float | None = None) -> list[ZeroRecord]:
-    """Multi-start Newton zeros of the field on one component.
+    """Multi-start Newton zeros of the field on one component, in the
+    public list form: the one place a ``ZeroRecord`` is made.
 
     Newton runs from the region's seed points (its first domain query drops
-    those off the domain), and ``classify_zeros`` turns the converged points
-    into records; both take the same compact margin (``region.h`` by
-    default).  ``num`` is not read: the benchmark's workloads pass it
-    positionally.
+    those off the domain), then ``classify_zeros``; both take the same
+    compact margin (``region.h`` by default).  ``num`` is not read: the
+    benchmark's workloads pass it positionally.
     """
     margin = compact_margin if compact_margin is not None else region.h
     pts, _ = newton_zeros(field, region.seed_points(), margin)
-    return classify_zeros(field, region, pts, margin)
+    pts, index = classify_zeros(field, region, pts, margin)
+    return [ZeroRecord(tuple(p), i) for p, i in zip(pts.tolist(), index.tolist())]
 
 
 def classify_zeros(field, region, pts: np.ndarray,
-                   compact_margin: float | None = None) -> list[ZeroRecord]:
-    """Zero records of the converged Newton points that belong to one region.
+                   compact_margin: float | None = None):
+    """``(points, index)``: the (n, k) distinct zeros among converged Newton
+    points that belong to one region, lexicographic, and their Morse indices.
 
     Points are filtered to the region and to a compact-support margin from
     the domain boundary (``region.h`` by default), then deduplicated at
@@ -257,22 +261,15 @@ def classify_zeros(field, region, pts: np.ndarray,
     junctions, where one-sided derivatives disagree, are thereby classified
     as degenerate instead of silently miscounted.
     """
-    if len(pts) == 0:
-        return []
-    pts = pts[region.contains(pts)]
-    if len(pts) == 0:
-        return []
     margin = compact_margin if compact_margin is not None else region.h
-    bdist = field.boundary_distance(pts)
-    pts = pts[bdist > margin]
-    pts = dedupe_points(pts, DEDUPE_FACTOR * region.h)
+    pts = pts[region.contains(pts)]
+    pts = dedupe_points(pts[field.boundary_distance(pts) > margin], DEDUPE_FACTOR * region.h)
     if len(pts) == 0:
-        return []
-    return [ZeroRecord(tuple(p), index)
-            for p, index in zip(pts.tolist(), _zero_indices(field, pts, region.h))]
+        return pts, np.zeros(0, dtype=int)
+    return pts, _zero_indices(field, pts, region.h)
 
 
-def _zero_indices(field, pts: np.ndarray, h: float) -> list[int]:
+def _zero_indices(field, pts: np.ndarray, h: float) -> np.ndarray:
     """Certified Morse index of each of a set of distinct zeros, 0 if degenerate.
 
     A zero gets the sign of its Jacobian determinant only when the Jacobian
@@ -292,7 +289,7 @@ def _zero_indices(field, pts: np.ndarray, h: float) -> list[int]:
             radius = min(h / 4, 0.4 * nearest_other[i], 0.8 * float(bd))
             if _local_degree(field, pts[i], radius, CERTIFY_FLOOR) != indices[i]:
                 indices[i] = 0
-    return indices.tolist()
+    return indices
 
 
 def _nearest_other(pts: np.ndarray, h: float) -> np.ndarray:
@@ -645,8 +642,8 @@ def _enclosure_tilt(field, region, enclosure: _Enclosure,
                 count = 0
                 break
             indices = _zero_indices(tilted, pts, region.h)
-            if 0 not in indices:
-                count = sum(indices)
+            if indices.all():
+                count = int(indices.sum())
                 break
             delta *= 0.5
         if count is None:
@@ -660,28 +657,31 @@ def _enclosure_tilt(field, region, enclosure: _Enclosure,
 
 def intersection_number(field, region, num=None,
                         records: list[ZeroRecord] | None = None) -> int:
-    """Signed zero count of the field over one component.
+    """``signed_count`` from the list form of the zeros (``find_zeros`` by
+    default).  ``num`` is not read: the benchmark's workloads pass it."""
+    if records is None:
+        records = find_zeros(field, region)
+    pts = np.array([r.point for r in records], dtype=float).reshape(-1, region.dim)
+    return signed_count(field, region, pts, np.array([r.index for r in records], dtype=int))
+
+
+def signed_count(field, region, pts: np.ndarray, index: np.ndarray) -> int:
+    """Signed zero count of the field over one component from the
+    ``(points, index)`` of its zeros.
 
     Zeros are grouped into proximity clusters.  A cluster of certified
     nondegenerate zeros contributes its Morse sum.  A cluster containing
     degenerate zeros contributes the boundary degree over the cell union of
     an enclosure grown around it inside the component; when that degree
     cannot be certified, it contributes its count after a localized tilt
-    with two agreeing directions.  Without ``records``, the zeros are found
-    with the default compact margin.  ``num`` is not read: the benchmark's
-    workloads pass it positionally.
+    with two agreeing directions.
     """
-    if records is None:
-        records = find_zeros(field, region)
-    if not records:
+    if len(pts) == 0:
         return 0
-    pts = np.array([r.point for r in records])
-    clusters = _linkage_clusters(pts, 4 * region.h)
     total = 0
-    for cluster in clusters:
-        cluster_records = [records[i] for i in cluster]
-        if all(not r.degenerate for r in cluster_records):
-            total += sum(r.index for r in cluster_records)
+    for cluster in _linkage_clusters(pts, 4 * region.h):
+        if index[cluster].all():
+            total += int(index[cluster].sum())
             continue
         cluster_pts = pts[cluster]
         other = np.delete(pts, cluster, axis=0)
@@ -709,17 +709,16 @@ def intersection_number(field, region, num=None,
     return total
 
 
-def quotient_intersection(field, stratum, quotient_label: str,
-                          records: list[ZeroRecord] | None = None) -> int:
+def quotient_intersection(field, stratum, quotient_label: str, zeros) -> int:
     """Intersection number on the quotient component.
 
-    Computes the count on the minimal-label representative component and
-    divides by the component stabilizer order; a nonzero remainder signals
-    missed or spurious zeros and raises DivisibilityViolation.
+    Computes the count on the minimal-label representative component from
+    the ``(points, index)`` of its zeros and divides by the component
+    stabilizer order; a nonzero remainder signals missed or spurious zeros
+    and raises DivisibilityViolation.
     """
-    comp = stratum.representative_component(quotient_label)
-    region = GridRegion(stratum, comp)
-    total = intersection_number(field, region, records=records)
+    region = GridRegion(stratum, stratum.representative_component(quotient_label))
+    total = signed_count(field, region, *zeros)
     stab = region.stabilizer_order
     if total % stab != 0:
         raise DivisibilityViolation(

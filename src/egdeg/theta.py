@@ -3,7 +3,8 @@
 Orbit types are processed maximal first.  ``recursion`` is the one place the
 loop is written: at every positive-dimensional type it finds the zeros of
 the current map restricted to the stratum chart (Newton on one component
-per quotient orbit, Weyl transport to the others), and at every type but the
+per quotient orbit, Weyl transport to the others) and keeps them as three
+arrays: points, Morse indices and components.  At every type but the
 last it perturbs the map around those zeros and restricts it off the stratum
 before the next type is processed.  It yields one ``Step`` per type.
 ``theta`` folds the steps into the invariant: a zero-dimensional top type
@@ -24,12 +25,7 @@ from collections.abc import Iterable, Iterator
 
 import numpy as np
 
-from .degree import (
-    GridRegion,
-    ZeroRecord,
-    classify_zeros,
-    quotient_intersection,
-)
+from .degree import GridRegion, classify_zeros, quotient_intersection
 from .domains import DomainExpr
 from .errors import AdditionUndefined, ConfigError, WeylTransportFailed
 from .groups import CircleRep, FiniteGroupRep
@@ -112,20 +108,20 @@ def _compact_margin(f: LocalGradientMap, h: float) -> float:
 
 
 def _stratum_zero_pass(f: LocalGradientMap, stratum: Stratum):
-    """Zeros of the restricted field per component: one Newton batch over the
-    representative components of the quotient orbits, Weyl transport to the
-    other components.
+    """Zeros of the restricted field on every component: one Newton batch
+    over the representative components of the quotient orbits, Weyl
+    transport to the other components.
 
     Each representative's seeds (its cell centers, then the seed hints of
     its orbit, a hint in another component moved into it by a Weyl element)
     are tagged with it and go through one ``newton_zeros`` call;
     ``classify_zeros`` takes each representative's points from its own
-    seeds only.  Newton is row-wise, so these records equal those of one
+    seeds only.  Newton is row-wise, so these zeros equal those of one
     ``find_zeros`` over the same seeds.  The field is Weyl-equivariant, so
-    every other component gets its representative's records mapped by a
+    every other component gets its representative's zeros mapped by a
     Weyl matrix, all images in one field walk (``_transport``).  Also
-    returns the ambient positions of the zeros in component order, the
-    compact margin and the batch's Newton counts.
+    returns the ambient positions of the zeros, the compact margin and the
+    batch's Newton counts.
     """
     fld = restrict_to_stratum(f, stratum)
     margin = _compact_margin(f, stratum.h)
@@ -146,14 +142,13 @@ def _stratum_zero_pass(f: LocalGradientMap, stratum: Stratum):
     seeds, tags = np.concatenate(seeds), np.concatenate(tags)
     pts, stats = newton_zeros(fld, seeds, margin)
     tags = tags[stats["kept"]]
-    records = {rep: classify_zeros(fld, region, pts[tags == rep], margin)
-               for rep, region in regions.items()}
-    per_component = _transport(fld, stratum, records)
-    coords = [r.point for recs in per_component.values() for r in recs]
-    ambient = row_matmul(np.array(coords).reshape(-1, stratum.dim), stratum.basis.T)
+    zeros = _transport(fld, stratum, {
+        rep: classify_zeros(fld, region, pts[tags == rep], margin)
+        for rep, region in regions.items()})
+    ambient = row_matmul(zeros[0], stratum.basis.T)
     newton = {key: stats[key] for key in ("seeds", "converged", "stalled", "retired",
                                           "accelerated")}
-    return fld, per_component, ambient, margin, newton
+    return fld, zeros, ambient, margin, newton
 
 
 def _hints_to_representatives(stratum: Stratum, hints: np.ndarray):
@@ -171,28 +166,28 @@ def _hints_to_representatives(stratum: Stratum, hints: np.ndarray):
     return moved, rep
 
 
-def _transport(fld: StratumField, stratum: Stratum,
-               records: dict[int, list[ZeroRecord]]) -> dict[int, list[ZeroRecord]]:
-    """The zero records of every component, in component order: each
-    representative keeps its own, and every other component gets its
-    representative's mapped by the first Weyl element that carries it
-    there, sorted lexicographically.  Each image keeps its zero's index,
-    since det(W J W^T) = det J, and must have a residual of at most
-    POLISH_TOL.  The images of all components take one field walk; the
-    first component in order with a larger residual raises
+def _transport(fld: StratumField, stratum: Stratum, reps: dict):
+    """The zeros of every component in component order, as (n, k) points,
+    (n,) Morse indices and (n,) components, from each representative's
+    ``(points, index)``: each representative keeps its own, and every other
+    component gets its representative's mapped by the first Weyl element
+    that carries it there, sorted lexicographically.  Each image keeps its
+    zero's index, since det(W J W^T) = det J, and must have a residual of
+    at most POLISH_TOL.  The images of all components take one field walk;
+    the first component in order with a larger residual raises
     ``WeylTransportFailed``."""
-    per_component, images = {}, []
+    parts, images = [], []
     for comp in stratum.components:
         rep = int(stratum.rep[comp.index])
-        per_component[comp.index] = records[rep] if rep == comp.index else []
-        if rep != comp.index and records[rep]:
-            pts = row_matmul(np.array([r.point for r in records[rep]]),
-                             stratum.weyl_matrix(rep, comp.index).T)
-            images.append((comp, records[rep], pts))
-    if not images:
-        return per_component
-    residuals = np.linalg.norm(fld.grad(np.concatenate([pts for *_, pts in images])), axis=1)
-    for comp, recs, pts in images:
+        pts, index = reps[rep]
+        if rep != comp.index and len(pts):
+            pts = row_matmul(pts, stratum.weyl_matrix(rep, comp.index).T)
+            images.append((comp, pts))
+        parts.append((pts, index))
+    if images:
+        residuals = np.linalg.norm(fld.grad(np.concatenate([pts for _, pts in images])),
+                                   axis=1)
+    for comp, pts in images:
         residual, residuals = residuals[:len(pts)], residuals[len(pts):]
         worst = int(np.argmax(residual))
         if not residual[worst] <= POLISH_TOL:
@@ -201,26 +196,29 @@ def _transport(fld: StratumField, stratum: Stratum,
                 f" zero in component {comp.label_str} has residual "
                 f"{residual[worst]:.3e} > {POLISH_TOL:g}; the field is not "
                 f"Weyl-equivariant to working precision")
-        order = np.lexsort(pts.T[::-1]).tolist()
-        per_component[comp.index] = [ZeroRecord(tuple(p), recs[i].index)
-                                     for i, p in zip(order, pts[order].tolist())]
-    return per_component
+        order = np.lexsort(pts.T[::-1])
+        parts[comp.index] = pts.take(order, axis=0), parts[comp.index][1].take(order)
+    points, index = zip(*parts)
+    return (np.concatenate(points), np.concatenate(index),
+            np.repeat(np.arange(len(index)), [len(i) for i in index]))
 
 
 class Step(Record, frozen=False):
     """One orbit type of the stratum recursion, as ``recursion`` yields it.
 
     ``f`` is the map entering the step.  Positive-dimensional types carry
-    the stratum, the field restricted to it, the zero records per component
-    index (solved on each quotient orbit's representative, Weyl images of
-    those on the other components), their ambient positions in component
-    order, the compact margin of the zero pass and the seed, converged,
-    stalled, retired and accelerated counts of its Newton batch, which runs
-    on the representatives only (``newton``; the trace leaves them out, so
-    its bytes depend on the records alone).  A retired row ran linearly onto
-    the singular set, within the compact margin: a zero of a larger orbit
-    type, split off by an earlier step, that the margin filter would drop
-    anyway, so retiring it changes no record.  An accelerated row ran
+    the stratum, the field restricted to it, its zeros in component order
+    as the arrays ``zeros`` (n, k), ``zero_index`` (their Morse indices)
+    and ``zero_comp`` (their components), solved on each quotient orbit's
+    representative and Weyl images of those on the other components, the
+    same rows mapped out (``ambient``), the compact margin of the zero pass
+    and the seed, converged, stalled, retired and accelerated counts of its
+    Newton batch, which runs on the representatives only (``newton``; the
+    trace leaves them out, so its bytes depend on the zeros alone).  A
+    retired row ran linearly onto the singular set, within the compact
+    margin: a zero of a larger orbit type, split off by an earlier step,
+    that the margin filter would drop anyway, so retiring it changes no
+    zero.  An accelerated row ran
     linearly onto a degenerate zero elsewhere and took a multiplicity step.
     Every step but the last carries the tube, its homotopy family and the
     split of the perturbed map; ``parts.off_stratum`` is the next step's
@@ -234,7 +232,9 @@ class Step(Record, frozen=False):
     f: LocalGradientMap
     stratum: Stratum | None = None
     restricted: StratumField | None = None
-    zeros: dict[int, list[ZeroRecord]] = Factory(dict)
+    zeros: np.ndarray | None = None
+    zero_index: np.ndarray | None = None
+    zero_comp: np.ndarray | None = None
     ambient: np.ndarray | None = None
     margin: float | None = None
     newton: dict | None = None
@@ -264,8 +264,8 @@ def recursion(group: FiniteGroupRep, omega: DomainExpr, f: LocalGradientMap,
                     f_i, ambient=np.empty((0, group.dim)))
         if rec.fixed_dim >= 1:
             step.stratum = cached_stratum(group, omega, cid, num)
-            (step.restricted, step.zeros, step.ambient, step.margin,
-             step.newton) = _stratum_zero_pass(f_i, step.stratum)
+            (step.restricted, (step.zeros, step.zero_index, step.zero_comp),
+             step.ambient, step.margin, step.newton) = _stratum_zero_pass(f_i, step.stratum)
         if index < last:
             step.tube = select_tube(f_i, cid, step.ambient, num)
             f_pert, step.family = perturb(f_i, step.tube, num.mu_kind)
@@ -299,14 +299,14 @@ def fold_steps(steps: Iterable[Step]) -> tuple[ThetaVector, RecursionTrace]:
             origin_slot = int(step.f.member(np.zeros((1, step.f.dim)))[0])
             step_log["theta11"] = origin_slot
         else:
-            step_log["zeros"] = {stratum.components[i].label_str: len(rs)
-                                 for i, rs in step.zeros.items() if rs}
+            step_log["zeros"] = {stratum.components[c].label_str: n for c, n
+                                 in enumerate(np.bincount(step.zero_comp).tolist()) if n}
             step_log["compact_margin"] = step.margin
             values = {}
             for qlabel in stratum.quotient_labels():
-                rep = stratum.representative_component(qlabel)
+                rows = step.zero_comp == stratum.representative_component(qlabel).index
                 values[qlabel] = quotient_intersection(
-                    step.restricted, stratum, qlabel, records=step.zeros[rep.index])
+                    step.restricted, stratum, qlabel, (step.zeros[rows], step.zero_index[rows]))
                 if values[qlabel] != 0:
                     entries[(step.label, qlabel)] = values[qlabel]
             step_log["intersection"] = values

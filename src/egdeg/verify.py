@@ -413,17 +413,18 @@ def criterion_quotient_division(ctx):
             pts = np.array([r.point for r in recs])
             if np.max(np.linalg.norm(pts, axis=1)) > num.bbox - 3 * num.grid_h:
                 continue
-            total = sum(r.index for r in recs)
+            index = [r.index for r in recs]
+            total = sum(index)
             stab = region.stabilizer_order
             if total % stab != 0:
                 ok = False
                 checked.append({"group": gname, "error": "divisibility"})
                 found = True
                 break
-            quotient = dg.quotient_intersection(fld, stratum, qlabel, records=recs)
+            quotient = dg.quotient_intersection(fld, stratum, qlabel, (pts, np.array(index)))
             # independent oracle: group the zeros into stabilizer orbits
             oracle_total, sizes = _orbit_count_oracle(
-                pts, [r.index for r in recs], group.lattice.weyl_matrices(target))
+                pts, index, group.lattice.weyl_matrices(target))
             case_ok = (total == stab * quotient and oracle_total == quotient
                        and sizes == {stab})
             ok = ok and case_ok

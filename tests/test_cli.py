@@ -354,6 +354,15 @@ class TestDegree:
         data = json.loads(out)
         assert data["degree"] == 1
         assert len(data["diagnostics"]["zeros"]) == 3
+        # the zero rows are find_zeros' list form, printed as plain JSON
+        # numbers; these are the exact bytes of this config
+        zeros = [(1, [-1.00000000001, 0.0]), (-1, [-1.17259182236e-13, 0.0]),
+                 (1, [1.0, 0.0])]
+        assert out == json.dumps({
+            "degree": 1, "schema": "egdeg/1",
+            "diagnostics": {"mode": "intersection",
+                            "zeros": [{"index": i, "point": p} for i, p in zeros]}},
+            indent=1, sort_keys=True) + "\n"
 
     def test_kronecker_mode(self, capsys, tmp_path):
         cfg = write_config(tmp_path, "kron.json", {

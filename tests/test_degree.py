@@ -1,5 +1,6 @@
 """Degree machinery tests: zero finding, boundary degrees, cross-oracles."""
 import itertools
+import json
 import re
 
 import numpy as np
@@ -67,6 +68,26 @@ class TestFindZeros:
         recs = dg.find_zeros(fld, region, NUM)
         assert len(recs) >= 1
         assert all(r.degenerate for r in recs)
+
+    # draws 0 and 5 of the box_degree pool: confined cubics in [-2, 2]^3
+    @pytest.mark.parametrize("draw", [0, 5])
+    def test_list_form_is_plain_and_equals_the_arrays(self, draw):
+        """``find_zeros`` is the public list form of a zero set: each point
+        a tuple of Python floats, each index a Python int, bit for bit the
+        ``(points, index)`` that ``classify_zeros`` gives for the same
+        Newton points, so its rows serialize as plain JSON."""
+        poly = _random_confined(np.random.default_rng(424200 + 1000 * 3 + draw), 3)
+        fld = dg.FieldAdapter(lambda u: poly.grad(u), 3)
+        region = dg.BoxRegion([-2.0] * 3, [2.0] * 3, 0.25)
+        recs = dg.find_zeros(fld, region, Numerics(grid_h=0.25, bbox=2.0))
+        pts, _ = nw.newton_zeros(fld, region.seed_points(), region.h)
+        points, index = dg.classify_zeros(fld, region, pts)
+        assert recs and len(recs) == len(points) == len(index)
+        for rec, point, i in zip(recs, points, index):
+            assert type(rec.index) is int and rec.index == i
+            assert all(type(x) is float for x in rec.point)
+            assert np.array(rec.point).tobytes() == point.tobytes()
+        json.dumps([{"point": list(r.point), "index": r.index} for r in recs])
 
 
     def test_newton_batch_is_row_wise(self):
@@ -301,7 +322,7 @@ class TestBatchedHelpers:
                                      num) if s.label == "(e)"][0]
         rep = step.stratum.representative_component("q0")
         region = dg.GridRegion(step.stratum, rep)
-        cluster = np.array([r.point for r in step.zeros[rep.index] if r.degenerate])
+        cluster = step.zeros[(step.zero_comp == rep.index) & (step.zero_index == 0)]
         assert len(cluster) > 1
         for subdiv in (2, 4):
             for exclude in (None, cluster[::3] + 0.02):
@@ -1003,6 +1024,14 @@ class TestDegenerateClusters:
             dg.kronecker_degree(fld, region.lo, region.hi) == expected
 
 
+def _rep_zeros(fld, stratum, qlabel="q0"):
+    """The ``(points, index)`` of the zeros on a quotient component's
+    representative, found as ``find_zeros`` finds them."""
+    region = dg.GridRegion(stratum, stratum.representative_component(qlabel))
+    pts, _ = nw.newton_zeros(fld, region.seed_points(), region.h)
+    return dg.classify_zeros(fld, region, pts)
+
+
 class TestQuotient:
     def test_antipodal_doublewell_quotient(self):
         g = gr.antipodal(2)
@@ -1015,7 +1044,7 @@ class TestQuotient:
         free = lat.class_ids[-1]
         stratum = build_stratum(g, om, free, num.grid_h, num.bbox)
         fld = mp.restrict_to_stratum(f, stratum)
-        value = dg.quotient_intersection(fld, stratum, "q0")
+        value = dg.quotient_intersection(fld, stratum, "q0", _rep_zeros(fld, stratum))
         assert value == 1  # two index-one zeros over a stabilizer of order 2
 
     def test_orbit_counting_oracle_agrees(self):
@@ -1036,7 +1065,7 @@ class TestQuotient:
             np.array([r.point for r in recs]),
             [r.index for r in recs], weyl)
         assert sizes == {2}
-        assert total == dg.quotient_intersection(fld, stratum, "q0")
+        assert total == dg.quotient_intersection(fld, stratum, "q0", _rep_zeros(fld, stratum))
 
     def test_empty_zero_set_quotient(self):
         g = gr.antipodal(1)
@@ -1048,7 +1077,7 @@ class TestQuotient:
         lat = iso_types(g, om, num.grid_h, num.bbox)
         stratum = build_stratum(g, om, lat.class_ids[-1], num.grid_h, num.bbox)
         fld = mp.restrict_to_stratum(f, stratum)
-        assert dg.quotient_intersection(fld, stratum, "q0") == 0
+        assert dg.quotient_intersection(fld, stratum, "q0", _rep_zeros(fld, stratum)) == 0
 
 
 class TestOrbitConsistency:

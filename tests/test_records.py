@@ -52,10 +52,11 @@ RECORDS = {  # class: (fields in order, defaults)
     ThetaVector: (("entries", "origin_slot"), {"entries": (), "origin_slot": None}),
     RecursionTrace: (("steps",), {"steps": FRESH}),
     Step: (("index", "class_id", "label", "fixed_dim", "f", "stratum", "restricted",
-            "zeros", "ambient", "margin", "newton", "tube", "family", "parts"),
-           {"stratum": None, "restricted": None, "zeros": FRESH, "ambient": None,
-            "margin": None, "newton": None, "tube": None, "family": None,
-            "parts": None}),
+            "zeros", "zero_index", "zero_comp", "ambient", "margin", "newton", "tube",
+            "family", "parts"),
+           {"stratum": None, "restricted": None, "zeros": None, "zero_index": None,
+            "zero_comp": None, "ambient": None, "margin": None, "newton": None,
+            "tube": None, "family": None, "parts": None}),
 }
 MUTABLE = {RunConfig, SubgroupRecord, OrbitTypeLattice, StratumComponent,
            RecursionTrace, Step}
